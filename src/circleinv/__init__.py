@@ -3,7 +3,6 @@ invariant rings of circle weight actions."""
 
 from .exact import (
     LaurentExpansion,
-    LaurentPolynomial,
     Polynomial,
     RationalFunction,
     degree,
@@ -42,7 +41,6 @@ __all__ = [
     "GorensteinReport",
     "HironakaData",
     "LaurentExpansion",
-    "LaurentPolynomial",
     "Polynomial",
     "RationalFunction",
     "WeightVector",

@@ -25,7 +25,6 @@ from .errors import CircleInvError, InternalError, ValidationError
 from .exact import Polynomial, RationalFunction, _expand_view
 from .hilbert import (
     DEFAULT_DEGREE_LIMIT,
-    hilbert_heuristic,
     hilbert_series,
     oracle_coefficients,
 )
@@ -137,17 +136,6 @@ def cmd_hilb(args) -> int:
                 "coefficients": oracle_coefficients(v, upto),
             }
         )
-        return 0
-    if args.method == "heuristic":
-        f = hilbert_heuristic(v, args.max_denominator_degree)
-        payload = {
-            "weights": parse_weights(args.weights),
-            "method": "heuristic",
-            "heuristic": True,
-            "hilbert": rf_json(f),
-            "degree": f.degree,
-        }
-        _emit(payload)
         return 0
     f = hilbert_series(
         v,
@@ -374,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("weights", nargs="+", help="comma- or space-separated integer weights")
     p.add_argument(
         "--method",
-        choices=("auto", "generic", "degenerate", "oracle", "heuristic"),
+        choices=("auto", "generic", "degenerate", "oracle"),
         default=_env("METHOD", "auto"),
     )
     _allow_weight_tokens(p)

@@ -114,13 +114,7 @@ class RootConstraint:
 
 
 class CyclotomicElement:
-    """Residue class modulo Phi_d(x) or x^N - 1.
-
-    Coefficients are Fractions by default, but any commutative ring value
-    supporting +, -, * works for the full-cycle modulus (the reduction there
-    only folds exponents); the Phi modulus and inversion require Fraction
-    coefficients.
-    """
+    """Residue class modulo Phi_d(x) or x^N - 1, with Fraction coefficients."""
 
     __slots__ = ("kind", "order", "rep")
 
@@ -140,7 +134,7 @@ class CyclotomicElement:
                     out[e] = out[e] + c
                 else:
                     out[e] = c
-            return {e: c for e, c in out.items() if not _is_zero(c)}
+            return {e: c for e, c in out.items() if c}
         poly = Polynomial(rep)
         return dict(_poly_mod(poly, cyclotomic_poly(self.order)).items())
 
@@ -205,13 +199,6 @@ class CyclotomicElement:
     def __repr__(self):
         mod = f"Phi({self.order})" if self.kind == "phi" else f"x^{self.order}-1"
         return f"CyclotomicElement({Polynomial(self.rep)!r} mod {mod})"
-
-
-def _is_zero(value) -> bool:
-    zero_test = getattr(value, "is_zero", None)
-    if zero_test is not None:
-        return zero_test()
-    return value == 0
 
 
 def trace_sum(num: Polynomial, den: Polynomial, d: int) -> Fraction:

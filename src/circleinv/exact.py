@@ -299,116 +299,6 @@ def _taylor_at_one(p: Polynomial, order: int) -> list:
     return out
 
 
-class LaurentPolynomial:
-    """Sparse Laurent polynomial (integer exponents of either sign) over Q."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for exp, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                c = _as_fraction(c)
-                if c != 0:
-                    data[exp] = data.get(exp, _ZERO) + c
-                    if data[exp] == 0:
-                        del data[exp]
-        self._coeffs = data
-
-    @staticmethod
-    def from_polynomial(p: Polynomial) -> "LaurentPolynomial":
-        return LaurentPolynomial(dict(p.items()))
-
-    @staticmethod
-    def monomial(exp: int, c=1) -> "LaurentPolynomial":
-        return LaurentPolynomial({exp: c})
-
-    def items(self):
-        return self._coeffs.items()
-
-    def coefficient(self, exp: int) -> Fraction:
-        return self._coeffs.get(exp, _ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def min_exponent(self):
-        return min(self._coeffs) if self._coeffs else None
-
-    def max_exponent(self):
-        return max(self._coeffs) if self._coeffs else None
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPolynomial) and self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
-
-    def __neg__(self):
-        out = LaurentPolynomial()
-        out._coeffs = {e: -c for e, c in self._coeffs.items()}
-        return out
-
-    def __add__(self, other):
-        data = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            s = data.get(e, _ZERO) + c
-            if s:
-                data[e] = s
-            else:
-                data.pop(e, None)
-        out = LaurentPolynomial()
-        out._coeffs = data
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            other = LaurentPolynomial.from_polynomial(other)
-        if not isinstance(other, LaurentPolynomial):
-            c = _as_fraction(other)
-            if c == 0:
-                return LaurentPolynomial()
-            out = LaurentPolynomial()
-            out._coeffs = {e: v * c for e, v in self._coeffs.items()}
-            return out
-        data: dict = {}
-        for ea, ca in self._coeffs.items():
-            for eb, cb in other._coeffs.items():
-                e = ea + eb
-                s = data.get(e, _ZERO) + ca * cb
-                if s:
-                    data[e] = s
-                else:
-                    data.pop(e, None)
-        out = LaurentPolynomial()
-        out._coeffs = data
-        return out
-
-    __rmul__ = __mul__
-
-    def shift(self, exp: int) -> "LaurentPolynomial":
-        out = LaurentPolynomial()
-        out._coeffs = {e + exp: c for e, c in self._coeffs.items()}
-        return out
-
-    def to_polynomial(self) -> Polynomial:
-        if self._coeffs and min(self._coeffs) < 0:
-            raise ValueError("Laurent polynomial has negative exponents")
-        return Polynomial(dict(self._coeffs))
-
-    def evaluate(self, x):
-        total = _ZERO
-        for e, c in self._coeffs.items():
-            total += c * (x**e if e >= 0 else Fraction(1) / (x ** (-e)))
-        return total
-
-    def __repr__(self):
-        return f"LaurentPolynomial({dict(sorted(self._coeffs.items()))})"
-
-
 class LaurentExpansion:
     """Pole order and leading exact coefficients of an expansion in (1 - t)."""
 

@@ -1,6 +1,6 @@
 """Hilbert series of circle invariants as exact rational functions.
 
-Two engines and an independent oracle:
+Two routes to the series and the counting oracle they are checked against:
 
 * generic path: for each negative weight a_i (N = -a_i) the integrand's
   residues sum to a series section - take the power series of
@@ -10,28 +10,23 @@ Two engines and an independent oracle:
   numerator recovered from the series (its degree stays below the
   denominator degree, so the expansion length is known a priori).
 
-* degenerate path (repeated negative weights): substitute t = u^N and place
-  all N poles of a repeated group at once by writing z = x*u*(1+w) with x a
-  formal N-th root of unity.  Group factors collapse to 1 - (1+w)^{-N} (a
-  pole of order r in w); all other factors are invertible power series in w
-  over Q(u)[x]/(x^N - 1).  The residue is the w^{r-1} coefficient; summing
-  over the N roots is N times the x^0 component.  Denominators are tracked
-  as multisets of (1-u^c) factors so the root-of-unity symmetrization that
-  brings everything back to integer powers of t = u^N is a per-factor
-  closed form.
+* pair-invariant path (repeated weights on both sides): for a < 0 < b and
+  g = gcd(a, b) the pair invariants x_i^{b/g} x_j^{-a/g} cut out the
+  nullcone, so by Hilbert's criterion the invariant ring is a finite module
+  over them and Hilbert-Serre gives Hilb = P(t) / prod (1 - t^{(b-a)/g}).
+  The a-invariant is negative (Boutot; Watanabe), so deg P < D, the
+  denominator degree, and the first D oracle coefficients fix P exactly.
 
 * oracle: the m-th coefficient counts exponent vectors with weighted sum
   zero and total degree m, by dynamic programming - no residues involved.
 """
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from math import comb, gcd
 
 import numpy
 
-from .cyclotomic import CyclotomicElement
 from .errors import (
     DegreeOverflow,
     InternalInvariantViolation,
@@ -39,7 +34,6 @@ from .errors import (
     Unstable,
 )
 from .exact import (
-    LaurentPolynomial,
     Polynomial,
     RationalFunction,
     _expand_view,
@@ -48,6 +42,8 @@ from .exact import (
 from .weights import WeightVector
 
 DEFAULT_DEGREE_LIMIT = 10**7
+# dense counting-table cells the oracle may allocate (int64, about 400 MB)
+MAX_ORACLE_CELLS = 5 * 10**7
 
 
 @dataclass(frozen=True)
@@ -102,12 +98,18 @@ def section(problem: SectionProblem, degree_limit: int = DEFAULT_DEGREE_LIMIT) -
         for j in range(c, top + 1):
             series[j] += series[j - c]
     extracted = series[:: n_]  # length den_degree + 1
-    den = _expand_view(view)
-    num = [0] * (den_degree + 1)
-    for e, coeff in den.items():
+    return _fit_numerator(extracted, view)
+
+
+def _fit_numerator(series: list, view: Counter) -> RationalFunction:
+    """P / prod (1 - t^d)^mult, P the truncation of series * denominator to
+    len(series) coefficients (exact when deg P < len(series))."""
+    length = len(series)
+    num = [0] * length
+    for e, coeff in _expand_view(view).items():
         ci = int(coeff)
-        for m in range(e, den_degree + 1):
-            num[m] += ci * extracted[m - e]
+        for m in range(e, length):
+            num[m] += ci * series[m - e]
     num_poly = Polynomial({e: c for e, c in enumerate(num) if c})
     return RationalFunction.from_factored(num_poly, view)
 
@@ -116,7 +118,7 @@ def hilbert_generic(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT) -
     """Sum of the per-negative-weight sections (negative side must be
     repetition-free)."""
     if not v.is_generic:
-        raise Unstable("negative side has repeated weights; use the degenerate engine")
+        raise Unstable("negative side has repeated weights; use the degenerate route")
     ws = v.weights
     total = RationalFunction.zero()
     for i in range(v.k):
@@ -126,232 +128,20 @@ def hilbert_generic(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT) -
     return total
 
 
-# ---------------------------------------------------------------------------
-# degenerate engine
-
-
-class UFrac:
-    """num(u) / prod (1 - u^c)^mult with a Laurent-polynomial numerator.
-
-    The denominator stays in factored multiset form (possibly unreduced);
-    that is what makes the final symmetrization under u -> eta*u exact and
-    cheap.  Only ring operations are needed, never a polynomial gcd.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPolynomial, den=None):
-        self.num = num
-        self.den = Counter() if (num.is_zero() or not den) else Counter(den)
-
-    @staticmethod
-    def zero() -> "UFrac":
-        return UFrac(LaurentPolynomial())
-
-    @staticmethod
-    def monomial(exp: int, coeff=1) -> "UFrac":
-        return UFrac(LaurentPolynomial.monomial(exp, coeff))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "UFrac") -> "UFrac":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        keys = set(self.den) | set(other.den)
-        common = Counter({c: max(self.den[c], other.den[c]) for c in keys})
-        na = self.num * _expand_view(common - self.den)
-        nb = other.num * _expand_view(common - other.den)
-        return UFrac(na + nb, common)
-
-    def __neg__(self) -> "UFrac":
-        return UFrac(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other) -> "UFrac":
-        if isinstance(other, UFrac):
-            if self.is_zero() or other.is_zero():
-                return UFrac.zero()
-            return UFrac(self.num * other.num, self.den + other.den)
-        if other == 0:
-            return UFrac.zero()
-        return UFrac(self.num * other, self.den)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"UFrac({self.num!r} / {dict(self.den)})"
-
-
-def _ring_scalar(n_: int, value) -> CyclotomicElement:
-    if isinstance(value, UFrac):
-        u = value
-    else:
-        u = UFrac.monomial(0, value)
-    if u.is_zero():
-        return CyclotomicElement("full", n_, {})
-    return CyclotomicElement("full", n_, {0: u})
-
-
-def _inv_one_minus_monomial(b: int, s: int, n_: int) -> CyclotomicElement:
-    """(1 - x^b u^s)^{-1} in Q(u)[x]/(x^n - 1) for s != 0.
-
-    With M = n/gcd(n, b) the M-th power of x^b u^s is the scalar u^{sM}, so
-    the inverse is (sum_{i<M} x^{bi} u^{si}) / (1 - u^{sM}).
-    """
-    if s == 0:
-        raise InternalInvariantViolation("monomial inverse needs a u power")
-    m_ = n_ // gcd(n_, b % n_ or n_)
-    t_ = s * m_
-    rep = {}
-    for i in range(m_):
-        exp_x = (b * i) % n_
-        if t_ > 0:
-            piece = UFrac(LaurentPolynomial.monomial(s * i), {t_: 1})
-        else:
-            # 1/(1 - u^T) with T < 0 equals -u^{|T|}/(1 - u^{|T|})
-            piece = UFrac(LaurentPolynomial.monomial(s * i - t_, -1), {-t_: 1})
-        rep[exp_x] = piece
-    return CyclotomicElement("full", n_, rep)
-
-
-def _binomial(b: int, j: int) -> Fraction:
-    """Generalized binomial coefficient C(b, j) for any integer b."""
-    num = 1
-    for i in range(j):
-        num *= b - i
-    den = 1
-    for i in range(2, j + 1):
-        den *= i
-    return Fraction(num, den)
-
-
-def _series_mul(a: list, b: list, order: int) -> list:
-    out = [Fraction(0)] * order
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(order - i):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return out
-
-
-def _series_inverse(a: list, order: int) -> list:
-    inv0 = Fraction(1) / a[0]
-    out = [inv0] + [Fraction(0)] * (order - 1)
-    for m in range(1, order):
-        acc = Fraction(0)
-        for j in range(1, m + 1):
-            if j < len(a) and a[j]:
-                acc += a[j] * out[m - j]
-        out[m] = -inv0 * acc
-    return out
-
-
-def _ring_series_mul(a: list, b: list, order: int) -> list:
-    n_ = a[0].order if a else b[0].order
-    zero = CyclotomicElement("full", n_, {})
-    out = [zero] * order
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j in range(order - i):
-            if not b[j].is_zero():
-                out[i + j] = out[i + j] + ai * b[j]
-    return out
-
-
-def _offgroup_inverse_series(b: int, n_: int, order: int) -> list:
-    """w-series of (1 - x^b u^{b+n} (1+w)^b)^{-1}, coefficients in the ring."""
-    s = b + n_
-    inv_q = _inv_one_minus_monomial(b, s, n_)
-    zero = CyclotomicElement("full", n_, {})
-    out = [zero] * order
-    out[0] = inv_q
-    if order == 1:
-        return out
-    q = CyclotomicElement("full", n_, {b % n_: UFrac.monomial(s)})
-    step = q * inv_q
-    # expand around w=0: (1-Q) - Q*((1+w)^b - 1); geometric series in the
-    # second term, which has valuation 1 in w
-    b_series = [Fraction(0)] + [_binomial(b, j) for j in range(1, order)]
-    b_pow = [Fraction(1)] + [Fraction(0)] * (order - 1)
-    cur = inv_q
-    for i in range(1, order):
-        b_pow = _series_mul(b_pow, b_series, order)
-        cur = cur * step
-        for j in range(i, order):
-            if b_pow[j]:
-                out[j] = out[j] + cur * b_pow[j]
-    return out
-
-
-def _group_piece(a: int, r: int, offgroup, degree_limit: int):
-    """Contribution of one repeated negative value a (multiplicity r) as a
-    (numerator, factored denominator view) pair in t."""
-    n_ = -a
-    order = r
-    # scalar part: (w / (1 - (1+w)^{-N}))^r / (1+w)
-    d_over_w = [Fraction((-1) ** j * comb(n_ + j, j + 1)) for j in range(order)]
-    h = _series_inverse(d_over_w, order)
-    pref = h
-    for _ in range(r - 1):
-        pref = _series_mul(pref, h, order)
-    pref = _series_mul(pref, [Fraction((-1) ** j) for j in range(order)], order)
-    series = [_ring_scalar(n_, c) for c in pref]
-    for b, mult in offgroup:
-        inv_series = _offgroup_inverse_series(b, n_, order)
-        for _ in range(mult):
-            series = _ring_series_mul(series, inv_series, order)
-    residue = series[r - 1]
-    x0 = residue.constant_coefficient()
-    if not isinstance(x0, UFrac):
-        x0 = UFrac.zero()
-    total = x0 * Fraction(n_)
-    return _symmetrize(total, n_, degree_limit)
-
-
-def _symmetrize(value: UFrac, n_: int, degree_limit: int):
-    """Turn T(u) (invariant under u -> eta*u for eta^n = 1) into a function
-    of t = u^n: multiply through by the conjugate denominators and divide
-    every exponent by n.  Raises when the invariance fails."""
-    num = value.num
-    view: Counter = Counter()
-    for c, mult in sorted(value.den.items()):
-        g = gcd(c, n_)
-        reps = n_ // g
-        geometric = Polynomial({c * i: 1 for i in range(reps)})
-        bracket = Polynomial.one_minus_power(c * reps).pow(g - 1) * geometric
-        for _ in range(mult):
-            num = num * bracket
-        view[c // g] += g * mult
-    if sum(d * m for d, m in view.items()) > degree_limit:
-        raise DegreeOverflow("degenerate denominator degree exceeds the limit")
-    t_coeffs = {}
-    for e, coeff in num.items():
-        if e < 0 or e % n_:
-            raise InternalInvariantViolation(
-                "residue sum is not invariant under u -> eta*u"
-            )
-        t_coeffs[e // n_] = coeff
-    return Polynomial(t_coeffs), view
-
-
 def hilbert_degenerate(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> RationalFunction:
-    """Residue engine grouping equal negative weights (valid for any stable
-    vector; required when both sides carry repeats)."""
-    groups = Counter(v.negatives)
-    total = RationalFunction.zero()
-    for a in sorted(groups, reverse=True):
-        offgroup = sorted(Counter(w for w in v.weights if w != a).items())
-        num, view = _group_piece(a, groups[a], offgroup, degree_limit)
-        total = total + RationalFunction.from_factored(num, view)
-    return total
+    """Pair-invariant route (valid for any stable vector; required when both
+    sides carry repeats): one factor 1 - t^{(b-a)/gcd(a,b)} per coordinate
+    pair a < 0 < b, numerator fitted from the first D oracle coefficients."""
+    view = Counter(
+        (b - a) // gcd(a, b) for a in v.negatives for b in v.positives
+    )
+    deg = sum(d * m for d, m in view.items())
+    if deg > degree_limit:
+        raise DegreeOverflow(
+            f"pair-invariant denominator degree {deg} exceeds the limit {degree_limit}"
+        )
+    coeffs = oracle_coefficients(replace(v, zero_count=0), deg - 1)
+    return _fit_numerator(coeffs, view)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +156,12 @@ def oracle_coefficients(v: WeightVector, upto: int) -> list:
         return []
     amax = max(abs(w) for w in ws)
     width = upto * amax
+    cells = (upto + 1) * (2 * width + 1)
+    if cells > MAX_ORACLE_CELLS:
+        raise DegreeOverflow(
+            f"counting oracle to degree {upto} needs {cells} table cells, "
+            f"above the limit {MAX_ORACLE_CELLS}"
+        )
     n_ = len(ws)
     # counts fit comfortably in int64 iff the unconstrained monomial count does
     if comb(upto + n_, n_ - 1) < 2**62:
@@ -422,7 +218,7 @@ def hilbert_series(
     degree_limit: int = DEFAULT_DEGREE_LIMIT,
 ) -> RationalFunction:
     """Dispatcher: generic path when one side is repetition-free (negating
-    if needed), degenerate engine otherwise; optional oracle cross-check."""
+    if needed), pair-invariant route otherwise; optional oracle cross-check."""
     if method == "auto":
         if v.is_generic:
             base = hilbert_generic(v, degree_limit)
@@ -461,32 +257,3 @@ def verify_against_oracle(v: WeightVector, f: RationalFunction, depth: int):
             raise OracleMismatch(
                 f"coefficient {m} of {v} is {got}, oracle says {want}"
             )
-
-
-def hilbert_heuristic(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT):
-    """Conjectural fast path: candidate denominator
-    prod_{i<=k, j>k} (1 - t^{a_j - a_i}), numerator fitted from the oracle,
-    then verified to twice the candidate degree.  Raises OracleMismatch when
-    the verification fails."""
-    view: Counter = Counter()
-    for a in v.negatives:
-        for b in v.positives:
-            view[b - a] += 1
-    deg = sum(d * m for d, m in view.items())
-    if deg > degree_limit:
-        raise DegreeOverflow("heuristic denominator degree exceeds the limit")
-    coeffs = oracle_coefficients(v, 2 * deg)
-    den = _expand_view(view)
-    num = [0] * (deg + 1)
-    for e, c in den.items():
-        ci = int(c)
-        for m in range(e, deg + 1):
-            num[m] += ci * coeffs[m - e]
-    candidate = RationalFunction.from_factored(
-        Polynomial({e: c for e, c in enumerate(num) if c}), view
-    )
-    actual = candidate.series_at_zero(2 * deg)
-    if [int(a) for a in actual] != coeffs:
-        raise OracleMismatch("heuristic candidate denominator is incomplete")
-    result = _with_zero_block(candidate, v.zero_count)
-    return result

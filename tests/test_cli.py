@@ -44,11 +44,12 @@ class TestHilbCommand:
         payload = json.loads(proc.stdout)
         assert payload["coefficients"] == [1, 0, 0, 1, 1, 0, 1, 1, 1]
 
-    def test_heuristic_method_flagged(self):
-        proc = run_cli(["hilb", "-1,2,3", "--method", "heuristic"])
-        payload = json.loads(proc.stdout)
-        assert payload["heuristic"] is True
-        assert payload["degree"] == -7
+    def test_oracle_cell_budget(self):
+        proc = run_cli(
+            ["hilb", "-501,500,503", "--method", "oracle", "--verify-depth", "2005"]
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == "DegreeOverflow"
 
     def test_verify_depth_flag(self):
         proc = run_cli(["hilb", "-1,-2,1,14", "--verify-depth", "30"])

@@ -5,13 +5,17 @@ import threading
 
 from circleinv.exact import Polynomial
 from circleinv.hilbert import hilbert_series, oracle_coefficients
+from circleinv.laurent import gamma0, gamma1
 from circleinv.weights import validate
 
 
 class TestDegenerateStress:
     def test_multi_group_vectors(self):
         # repeated groups on both sides, several distinct negative values,
-        # strides well above the acceptance family
+        # strides well above the acceptance family; the pair route fits its
+        # numerator from the first D oracle coefficients (D = degree of the
+        # pair denominator), so the oracle check runs to twice the reduced
+        # degree, into coefficients the fit never saw
         for raw in [
             (-3, -3, -3, 2, 2),
             (-4, -4, -2, -2, 1, 3),
@@ -19,10 +23,14 @@ class TestDegenerateStress:
             (-2, -2, -2, -2, 1, 1, 1),
             (-7, -7, 3, 3, 2),
             (-12, -12, 5, 7),
+            (-20, -20, 3, 3),
+            (-9, -9, -9, 4, 4, 5),
+            (-60, -60, 7, 11),
+            (-2, -2, 3, 3, 0),
         ]:
             v = validate(raw)
             forced = hilbert_series(v, method="degenerate")
-            depth = max(forced.denominator.degree, 50)
+            depth = max(2 * forced.denominator.degree, 50)
             coeffs = forced.series_at_zero(depth)
             assert [int(c) for c in coeffs] == oracle_coefficients(v, depth), raw
             assert forced == hilbert_series(v), raw
@@ -30,7 +38,9 @@ class TestDegenerateStress:
                 forced.denominator.one_multiplicity()
                 - forced.numerator.one_multiplicity()
             )
-            assert pole == v.n - 1, raw
+            assert pole == v.n - 1 + v.zero_count, raw
+            expansion = forced.laurent_at_one(2)
+            assert expansion.coefficients == (gamma0(v), gamma1(v)), raw
 
 
 class TestConcurrentCaches:

@@ -5,7 +5,6 @@ import pytest
 
 from circleinv.errors import PoleAtZero, ZeroDenominator, ZeroFunction
 from circleinv.exact import (
-    LaurentPolynomial,
     Polynomial,
     RationalFunction,
     degree,
@@ -51,20 +50,6 @@ class TestPolynomial:
         p = P({0: 1, 1: 1})
         assert p.pow(0) == Polynomial.one()
         assert p.pow(3) == P({0: 1, 1: 3, 2: 3, 3: 1})
-
-
-class TestLaurentPolynomial:
-    def test_negative_exponents(self):
-        p = LaurentPolynomial({-2: 1, 1: F(1, 2)})
-        q = LaurentPolynomial.monomial(2, 3)
-        assert (p * q).coefficient(0) == 3
-        assert (p * q).coefficient(3) == F(3, 2)
-        assert p.evaluate(F(2)) == F(1, 4) + 1
-
-    def test_to_polynomial_guard(self):
-        with pytest.raises(ValueError):
-            LaurentPolynomial({-1: 1}).to_polynomial()
-        assert LaurentPolynomial({2: 5}).to_polynomial() == P({2: 5})
 
 
 class TestReduce:

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
+from circleinv import hilbert
 from circleinv.errors import DegreeOverflow, Unstable
 from circleinv.exact import Polynomial, RationalFunction, reduce
 from circleinv.hilbert import (
     hilbert_degenerate,
     hilbert_generic,
-    hilbert_heuristic,
     hilbert_series,
     molien_coefficient_oracle,
     oracle_coefficients,
@@ -70,6 +70,21 @@ class TestOracle:
         v = validate((-1, 1, 0))
         assert oracle_coefficients(v, 4) == [1, 1, 2, 2, 3]
 
+    def test_cell_budget_checked_before_allocating(self, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("oracle table allocated past the cell budget")
+
+        monkeypatch.setattr(hilbert, "_oracle_numpy", must_not_run)
+        monkeypatch.setattr(hilbert, "_oracle_python", must_not_run)
+        with pytest.raises(DegreeOverflow):
+            oracle_coefficients(validate((-501, 500, 503)), 2005)
+
+    def test_degenerate_route_inherits_cell_budget(self):
+        # denominator degree 2005 is within the degree limit, but fitting
+        # the numerator needs an oracle table of about 4e9 cells
+        with pytest.raises(DegreeOverflow):
+            hilbert_degenerate(validate((-501, 500, 503)))
+
 
 class TestEngines:
     def test_known_generic_functions(self):
@@ -94,6 +109,9 @@ class TestEngines:
         assert hilbert_series(validate((-1, -1, 2))) == from_view(
             Polynomial({0: 1, 3: 1}), {3: 2}
         )
+        assert hilbert_series(validate((-2, -2, 1, 1))) == from_view(
+            Polynomial({0: 1, 3: 3}), {3: 3}
+        )
 
     def test_dispatcher_prefers_generic_orientation(self):
         v = validate((-5, -5, 1, 2))  # negatives repeat, positives distinct
@@ -104,9 +122,34 @@ class TestEngines:
             hilbert_series(validate((-2, -2, 3, 3)), method="generic")
 
     def test_forced_degenerate_equals_generic(self):
-        for raw in [(-2, 3), (-1, 2, 3), (-3, 1, 3), (-1, -2, 1, 14), (-5, 2, 3)]:
+        for raw in [
+            (-2, 3),
+            (-1, 2, 3),
+            (-3, 1, 3),
+            (-1, -2, 1, 14),
+            (-5, 2, 3),
+            (-1, -1, 1),
+        ]:
             v = validate(raw)
-            assert hilbert_generic(v) == hilbert_degenerate(v)
+            generic = hilbert_generic(v if v.is_generic else v.negate())
+            assert generic == hilbert_degenerate(v), raw
+
+    def test_degenerate_agrees_with_dispatcher(self):
+        for raw in [
+            (-2, 3),
+            (-1, 2, 3),
+            (-1, -2, 1, 14),
+            (-3, 1, 3),
+            (-1, -1, 1),
+            (-2, -2, 1, 1),
+        ]:
+            v = validate(raw)
+            assert hilbert_degenerate(v) == hilbert_series(v), raw
+
+    def test_degenerate_degree_guard(self):
+        # pair denominator (1-t^2)(1-t^3)(1-t^8)(1-t^15) has degree 28
+        with pytest.raises(DegreeOverflow):
+            hilbert_degenerate(validate((-1, -2, 1, 14)), degree_limit=10)
 
     def test_oracle_verification_hook(self):
         f = hilbert_series(validate((-1, -2, 1, 14)), verify_depth=40)
@@ -147,23 +190,3 @@ class TestSweep:
             checked += 1
         assert checked > 100
 
-
-class TestHeuristic:
-    def test_agrees_with_engine(self):
-        for raw in [
-            (-2, 3),
-            (-1, 2, 3),
-            (-1, -2, 1, 14),
-            (-3, 1, 3),
-            (-1, -1, 1),
-            (-2, -2, 1, 1),
-        ]:
-            v = validate(raw)
-            assert hilbert_heuristic(v) == hilbert_series(v)
-
-    def test_verified_against_oracle_before_returning(self):
-        # the candidate numerator is refitted from oracle coefficients and
-        # revalidated to twice the candidate degree; a degree ceiling of 0
-        # must cut the attempt off before any series work happens
-        with pytest.raises(DegreeOverflow):
-            hilbert_heuristic(validate((-1, -2, 1, 14)), degree_limit=10)
