@@ -6,9 +6,9 @@ as sorted [exponent, coefficient] pairs, factored denominators as
 [d, multiplicity] pairs).  Validation problems exit 2, internal invariant
 violations exit 3, with a structured error object on stderr.
 
-Flag defaults can be overridden with environment variables CIRCLEINV_JOBS,
-CIRCLEINV_METHOD, CIRCLEINV_VERIFY_DEPTH and
-CIRCLEINV_MAX_DENOMINATOR_DEGREE.
+Flag defaults can be overridden with environment variables: CIRCLEINV_METHOD
+and CIRCLEINV_MAX_DENOMINATOR_DEGREE (hilb), CIRCLEINV_VERIFY_DEPTH (hilb,
+analyze) and CIRCLEINV_JOBS (scan).
 """
 
 import argparse
@@ -90,14 +90,6 @@ def report_json(report: gorenstein.GorensteinReport) -> dict:
         "sufficient_condition_hits": list(report.sufficient_condition_hits),
         "hilbert": None if report.hilbert is None else rf_json(report.hilbert),
     }
-
-
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
-def parse_poly(pairs) -> Polynomial:
-    return Polynomial({int(e): Fraction(c) for e, c in pairs})
 
 
 # ---------------------------------------------------------------------------
@@ -340,35 +332,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="circleinv",
         description="Exact Hilbert series and Gorenstein diagnosis for circle weight actions",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    verify = argparse.ArgumentParser(add_help=False)
+    verify.add_argument(
         "--verify-depth",
         type=int,
         default=_env("VERIFY_DEPTH", 0),
         help="cross-check this many leading series coefficients against the counting oracle (0 disables)",
     )
-    common.add_argument(
-        "--jobs", type=int, default=_env("JOBS", 1), help="parallel workers (scan)"
-    )
-    common.add_argument(
-        "--max-denominator-degree",
-        type=int,
-        default=_env("MAX_DENOMINATOR_DEGREE", DEFAULT_DEGREE_LIMIT),
-        help="hard ceiling for constructed denominator degrees",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hilb", parents=[common], help="Hilbert series as an exact rational function")
+    p = sub.add_parser("hilb", parents=[verify], help="Hilbert series as an exact rational function")
     p.add_argument("weights", nargs="+", help="comma- or space-separated integer weights")
     p.add_argument(
         "--method",
         choices=("auto", "generic", "degenerate", "oracle"),
         default=_env("METHOD", "auto"),
     )
+    p.add_argument(
+        "--max-denominator-degree",
+        type=int,
+        default=_env("MAX_DENOMINATOR_DEGREE", DEFAULT_DEGREE_LIMIT),
+        help="hard ceiling for constructed denominator degrees",
+    )
     _allow_weight_tokens(p)
     p.set_defaults(func=cmd_hilb)
 
-    p = sub.add_parser("gamma", parents=[common], help="Laurent coefficients at t=1")
+    p = sub.add_parser("gamma", help="Laurent coefficients at t=1")
     p.add_argument("weights", nargs="+")
     p.add_argument("--upto", type=int, default=3)
     p.add_argument(
@@ -380,26 +369,27 @@ def build_parser() -> argparse.ArgumentParser:
     _allow_weight_tokens(p)
     p.set_defaults(func=cmd_gamma)
 
-    p = sub.add_parser("analyze", parents=[common], help="Gorenstein diagnosis report")
+    p = sub.add_parser("analyze", parents=[verify], help="Gorenstein diagnosis report")
     p.add_argument("weights", nargs="+")
     p.add_argument("--full", action="store_true", help="always compute the series and Stanley test")
     _allow_weight_tokens(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("schur", parents=[common], help="partial Schur value with route agreement")
+    p = sub.add_parser("schur", help="partial Schur value with route agreement")
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--xs", default="", help="comma-separated rationals")
     p.add_argument("--ys", default="", help="comma-separated rationals")
     _allow_weight_tokens(p)
     p.set_defaults(func=cmd_schur)
 
-    p = sub.add_parser("hironaka", parents=[common], help="Laurent coefficients from decomposition degrees")
+    p = sub.add_parser("hironaka", help="Laurent coefficients from decomposition degrees")
     p.add_argument("--alphas", required=True)
     p.add_argument("--betas", required=True)
     p.add_argument("--upto", type=int, default=3)
     p.set_defaults(func=cmd_hironaka)
 
-    p = sub.add_parser("scan", parents=[common], help="batch survey of weight vectors")
+    p = sub.add_parser("scan", help="batch survey of weight vectors")
+    p.add_argument("--jobs", type=int, default=_env("JOBS", 1), help="parallel workers")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-weight", type=int, required=True)
     p.add_argument("--filter", action="append", choices=SCAN_FILTERS, default=[])

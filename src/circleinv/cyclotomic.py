@@ -16,8 +16,6 @@ from math import gcd
 from .errors import NonInvertibleDenominator, NotCoprime
 from .exact import Polynomial, _divisors
 
-_ONE = Polynomial.one()
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(d: int) -> Polynomial:

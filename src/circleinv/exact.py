@@ -1,13 +1,17 @@
 """Exact univariate arithmetic: polynomials, rational functions and their
 expansions at t=0 and t=1.
 
-Everything is built on ``fractions.Fraction``; there is no floating point
-anywhere.  Polynomials are sparse maps exponent -> coefficient, because the
-denominators that show up here (products of factors 1 - t^d) have huge degree
-but very few terms.  Rational functions carry an optional *factored
-denominator view*, a multiset of (d, multiplicity) pairs standing for
-prod (1 - t^d)^multiplicity.  The reduced numerator/denominator pair is
-always authoritative; the view may be unreduced.
+Coefficients are integers, with ``fractions.Fraction`` only where a division
+needs it; there is no floating point anywhere.  Every engine polynomial is
+integral (section numerators, products of 1 - t^d, cyclotomic Phi_e), and by
+Gauss's lemma exact division by a monic integral Phi_e stays integral, so
+the engines compute with plain ints.  Polynomials are sparse maps
+exponent -> coefficient, because the denominators that show up here
+(products of factors 1 - t^d) have huge degree but very few terms.
+Rational functions carry an optional *factored denominator view*, a
+multiset of (d, multiplicity) pairs standing for prod (1 - t^d)^multiplicity.
+The reduced numerator/denominator pair is always authoritative; the view may
+be unreduced.
 
 All values are immutable after construction and safe to share between
 threads; every operation returns a fresh value.
@@ -24,16 +28,23 @@ from .errors import (
     ZeroFunction,
 )
 
-Rational = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value):
+    """value as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
         return value
-    return Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _quotient(a, b):
+    """a / b exactly: an int when b divides a, else a Fraction (never the
+    float that / gives on two ints)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _exact(a / b)
 
 
 class Polynomial:
@@ -48,9 +59,9 @@ class Polynomial:
             for exp, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
                 if exp < 0:
                     raise ValueError("negative exponent in Polynomial")
-                c = _as_fraction(c)
+                c = _exact(c)
                 if c != 0:
-                    data[exp] = data.get(exp, _ZERO) + c
+                    data[exp] = data.get(exp, 0) + c
                     if data[exp] == 0:
                         del data[exp]
         self._coeffs = data
@@ -79,8 +90,8 @@ class Polynomial:
     def items(self):
         return self._coeffs.items()
 
-    def coefficient(self, exp: int) -> Fraction:
-        return self._coeffs.get(exp, _ZERO)
+    def coefficient(self, exp: int):
+        return self._coeffs.get(exp, 0)
 
     @property
     def degree(self):
@@ -106,7 +117,7 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         data = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            s = data.get(e, _ZERO) + c
+            s = data.get(e, 0) + c
             if s:
                 data[e] = s
             else:
@@ -120,7 +131,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            c = _as_fraction(other)
+            c = _exact(other)
             if c == 0:
                 return Polynomial.zero()
             out = Polynomial()
@@ -135,7 +146,7 @@ class Polynomial:
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = ea + eb
-                s = data.get(e, _ZERO) + ca * cb
+                s = data.get(e, 0) + ca * cb
                 if s:
                     data[e] = s
                 else:
@@ -145,15 +156,6 @@ class Polynomial:
         return out
 
     __rmul__ = __mul__
-
-    def shift(self, exp: int) -> "Polynomial":
-        """Multiply by t^exp (exp >= 0)."""
-        out = Polynomial()
-        out._coeffs = {e + exp: c for e, c in self._coeffs.items()}
-        return out
-
-    def scale(self, c) -> "Polynomial":
-        return self * c
 
     def pow(self, n: int) -> "Polynomial":
         result = Polynomial.one()
@@ -167,7 +169,7 @@ class Polynomial:
         return result
 
     def evaluate(self, x):
-        total = _ZERO if isinstance(x, Fraction) else 0
+        total = 0
         for e, c in self._coeffs.items():
             total += c * x**e
         return total
@@ -178,14 +180,10 @@ class Polynomial:
     def to_dense(self) -> list:
         if not self._coeffs:
             return []
-        out = [_ZERO] * (self.degree + 1)
+        out = [0] * (self.degree + 1)
         for e, c in self._coeffs.items():
             out[e] = c
         return out
-
-    @staticmethod
-    def from_dense(coeffs) -> "Polynomial":
-        return Polynomial({e: c for e, c in enumerate(coeffs) if c})
 
     def divmod(self, other: "Polynomial"):
         """Exact-arithmetic polynomial division: self = q*other + r."""
@@ -199,12 +197,12 @@ class Polynomial:
             dr = max(rem)
             if dr < dd:
                 break
-            factor = rem[dr] / lead
+            factor = _quotient(rem[dr], lead)
             e0 = dr - dd
             q[e0] = factor
             for e, c in other._coeffs.items():
                 ee = e + e0
-                s = rem.get(ee, _ZERO) - factor * c
+                s = rem.get(ee, 0) - factor * c
                 if s:
                     rem[ee] = s
                 else:
@@ -216,50 +214,9 @@ class Polynomial:
         return qq, rr
 
     def divide_exact(self, other: "Polynomial"):
-        """Return self/other if the division is exact, else None.
-
-        Fast all-integer path when both operands and the quotient stay in Z
-        and the divisor is monic up to sign (true for cyclotomic factors).
-        """
-        if other.is_zero():
-            raise ZeroDenominator("division by the zero polynomial")
-        if self.is_zero():
-            return Polynomial.zero()
-        if self.degree < other.degree:
-            return None
-        lead = other.coefficient(other.degree)
-        if (
-            abs(lead) == 1
-            and self.is_integral()
-            and other.is_integral()
-        ):
-            return self._divide_exact_int(other)
+        """Return self/other if the division is exact, else None."""
         q, r = self.divmod(other)
-        return q if r.is_zero() else None
-
-    def _divide_exact_int(self, other: "Polynomial"):
-        dd = other.degree
-        lead_num = other.coefficient(dd).numerator
-        rem = {e: c.numerator for e, c in self._coeffs.items()}
-        div_items = [(e, c.numerator) for e, c in other._coeffs.items()]
-        q: dict = {}
-        while rem:
-            dr = max(rem)
-            if dr < dd:
-                return None
-            factor = rem[dr] // lead_num
-            if factor * lead_num != rem[dr]:
-                return None
-            e0 = dr - dd
-            q[e0] = factor
-            for e, c in div_items:
-                ee = e + e0
-                s = rem.get(ee, 0) - factor * c
-                if s:
-                    rem[ee] = s
-                else:
-                    rem.pop(ee, None)
-        return Polynomial({e: Fraction(c) for e, c in q.items()})
+        return None if r else q
 
     def one_multiplicity(self) -> int:
         """Multiplicity of the factor (t - 1), by repeated synthetic division."""
@@ -271,8 +228,8 @@ class Polynomial:
             if sum(coeffs) != 0:  # value at t=1
                 return mult
             # synthetic division by (t - 1)
-            out = [_ZERO] * (len(coeffs) - 1)
-            acc = _ZERO
+            out = [0] * (len(coeffs) - 1)
+            acc = 0
             for i in range(len(coeffs) - 1, 0, -1):
                 acc += coeffs[i]
                 out[i - 1] = acc
@@ -290,7 +247,7 @@ class Polynomial:
 
 def _taylor_at_one(p: Polynomial, order: int) -> list:
     """Coefficients of p(1-s) as a polynomial in s, modulo s^order."""
-    out = [_ZERO] * order
+    out = [0] * order
     for e, c in p.items():
         top = min(order - 1, e)
         for j in range(top + 1):
@@ -306,7 +263,7 @@ class LaurentExpansion:
 
     def __init__(self, pole_order: int, coefficients):
         self.pole_order = pole_order
-        self.coefficients = tuple(_as_fraction(c) for c in coefficients)
+        self.coefficients = tuple(Fraction(c) for c in coefficients)
 
     def __eq__(self, other):
         return (
@@ -433,7 +390,7 @@ def _poly_content_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         if g > 1:
             rem = {e: v // g for e, v in rem.items()}
         fa, fb = fb, rem
-    return Polynomial({e: Fraction(v) for e, v in fa.items()})
+    return Polynomial(fa)
 
 
 class RationalFunction:
@@ -493,10 +450,6 @@ class RationalFunction:
     @staticmethod
     def one() -> "RationalFunction":
         return RationalFunction(Polynomial.one(), Polynomial.one(), None, _reduced=True, phi_content={})
-
-    @staticmethod
-    def constant(c) -> "RationalFunction":
-        return RationalFunction(Polynomial.constant(c), Polynomial.one(), None, _reduced=True, phi_content={})
 
     # -- queries ------------------------------------------------------------
 
@@ -580,25 +533,6 @@ class RationalFunction:
             raise ZeroFunction("inverse of the zero function")
         return reduce(self.denominator, self.numerator)
 
-    def scale(self, c) -> "RationalFunction":
-        c = _as_fraction(c)
-        if c == 0:
-            return RationalFunction.zero()
-        out = RationalFunction(
-            self.numerator * c, self.denominator, None, _reduced=True,
-            phi_content=self.phi_content,
-        )
-        out.factored_denominator = self.factored_denominator
-        return out
-
-    def as_constant(self):
-        """The value as a Fraction if this is a constant function, else None."""
-        if self.is_zero():
-            return _ZERO
-        if self.numerator.degree == 0 and self.denominator.degree == 0:
-            return self.numerator.coefficient(0) / self.denominator.coefficient(0)
-        return None
-
     # -- expansions ----------------------------------------------------------
 
     def series_at_zero(self, order: int) -> list:
@@ -613,7 +547,7 @@ class RationalFunction:
             for e, c in den_items:
                 if e <= m:
                     acc -= c * out[m - e]
-            out.append(acc / d0)
+            out.append(_quotient(acc, d0))
         return out
 
     def laurent_at_one(self, count: int) -> LaurentExpansion:
@@ -635,11 +569,11 @@ class RationalFunction:
         # series division modulo s^count
         coeffs = []
         for m in range(count):
-            acc = num_s[m] if m < len(num_s) else _ZERO
+            acc = num_s[m] if m < len(num_s) else 0
             for j in range(1, m + 1):
                 if j < len(den_s):
                     acc -= den_s[j] * coeffs[m - j]
-            coeffs.append(acc / den_s[0])
+            coeffs.append(_quotient(acc, den_s[0]))
         return LaurentExpansion(beta - alpha, coeffs)
 
     def __repr__(self):
@@ -657,8 +591,11 @@ def _canonical_scale(num: Polynomial, den: Polynomial):
     c0 = den.coefficient(0)
     if c0 == 0:
         c0 = den.coefficient(min(e for e, _ in den.items()))
-    inv = Fraction(1) / c0
-    return num * inv, den * inv
+    if c0 == 1:
+        return num, den
+    return tuple(
+        Polynomial({e: _quotient(c, c0) for e, c in p.items()}) for p in (num, den)
+    )
 
 
 def _cancel_phi_content(num: Polynomial, phis: Counter):
@@ -841,27 +778,14 @@ def present_with_factors(f: RationalFunction, nfactors: int, node_cap: int = 100
     # the nonnegativity test runs on the coefficient series directly:
     # multiply by each (1 - t^d) in place and look for a negative entry
     f_degree = f.numerator.degree - f.denominator.degree
-    integral = (
-        f.numerator.is_integral()
-        and f.denominator.is_integral()
-        and f.denominator.coefficient(0) == 1
-    )
-    num_sparse = [
-        (e, int(c) if integral else c) for e, c in sorted(f.numerator.items())
-    ]
-    den_sparse = [
-        (e, int(c) if integral else c)
-        for e, c in sorted(f.denominator.items())
-        if e > 0
-    ]
-    num_map = dict(num_sparse)
+    den_sparse = sorted((e, c) for e, c in f.denominator.items() if e > 0)
     series_cache: list = []
 
     def series_prefix(length: int) -> list:
         # prefix-stable recurrence; extend in place as needed
         while len(series_cache) < length:
             m = len(series_cache)
-            acc = num_map.get(m, 0)
+            acc = f.numerator.coefficient(m)
             for e, c in den_sparse:
                 if e > m:
                     break

@@ -107,9 +107,8 @@ def _fit_numerator(series: list, view: Counter) -> RationalFunction:
     length = len(series)
     num = [0] * length
     for e, coeff in _expand_view(view).items():
-        ci = int(coeff)
         for m in range(e, length):
-            num[m] += ci * series[m - e]
+            num[m] += coeff * series[m - e]
     num_poly = Polynomial({e: c for e, c in enumerate(num) if c})
     return RationalFunction.from_factored(num_poly, view)
 

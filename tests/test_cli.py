@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from circleinv.cli import main, parse_fraction, parse_poly, report_json
+from circleinv.cli import main, report_json
+from circleinv.exact import Polynomial
 from circleinv.gorenstein import analyze
 from circleinv.weights import validate
 
@@ -101,12 +102,13 @@ class TestAnalyzeCommand:
         report = analyze(validate((-1, -2, 1, 14)), full=True)
         payload = json.loads(json.dumps(report_json(report)))
         assert tuple(payload["weights"]) == report.weights
-        assert parse_fraction(payload["gamma0"]) == report.gamma0
-        assert parse_fraction(payload["gamma1"]) == report.gamma1
-        assert parse_fraction(payload["ratio_2g1_g0"]) == report.ratio_2g1_g0
+        assert F(payload["gamma0"]) == report.gamma0
+        assert F(payload["gamma1"]) == report.gamma1
+        assert F(payload["ratio_2g1_g0"]) == report.ratio_2g1_g0
         assert payload["stanley_holds"] == report.stanley_holds
         assert int(payload["a_invariant"]) == report.degree
-        assert parse_poly(payload["hilbert"]["numerator"]) == report.hilbert.view_numerator()
+        numerator = Polynomial({int(e): F(c) for e, c in payload["hilbert"]["numerator"]})
+        assert numerator == report.hilbert.view_numerator()
         assert [tuple(p) for p in payload["hilbert"]["factored_denominator"]] == list(
             report.hilbert.factored_denominator
         )
@@ -209,3 +211,13 @@ class TestMainEntry:
     def test_main_validation_error(self, capsys):
         code = main(["hilb", "7"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schur", "--u", "2", "--xs", "-1,-2", "--ys", "1,14", "--jobs", "2"],
+            ["analyze", "-3,1,3", "--max-denominator-degree", "5"],
+        ],
+    )
+    def test_flag_of_another_subcommand_rejected(self, argv):
+        assert run_cli(argv).returncode == 2

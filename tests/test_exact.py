@@ -12,6 +12,8 @@ from circleinv.exact import (
     reduce,
     series_at_zero,
 )
+from circleinv.hilbert import hilbert_series
+from circleinv.weights import validate
 
 
 def P(d):
@@ -40,6 +42,19 @@ class TestPolynomial:
         q = num.divide_exact(one_minus(2))
         assert q == P({0: 1, 2: 1, 4: 1})
         assert num.divide_exact(one_minus(4)) is None
+        # non-monic divisor: (t^2 - 1) / (2 + 2t) = t/2 - 1/2, remainder 0
+        half = P({0: F(-1, 2), 1: F(1, 2)})
+        q, r = P({0: -1, 2: 1}).divmod(P({0: 2, 1: 2}))
+        assert q == half and r.is_zero()
+        assert all(type(c) in (int, F) for _, c in q.items())
+        assert P({0: -1, 2: 1}).divide_exact(P({0: 2, 1: 2})) == half
+        assert P({0: 1, 2: 1}).divide_exact(P({0: 2, 1: 2})) is None
+
+    def test_integer_coefficients_stay_int(self):
+        assert type(P({0: F(4, 2)}).coefficient(0)) is int
+        f = hilbert_series(validate((-1, -2, 1, 14)))
+        for poly in (f.numerator, f.denominator):
+            assert all(type(c) is int for _, c in poly.items())
 
     def test_one_multiplicity(self):
         p = one_minus(2) * one_minus(4) * P({0: 1, 1: 1})
