@@ -3,8 +3,8 @@
 Subcommands: hilb, gamma, analyze, schur, hironaka, scan.  All output is
 deterministic UTF-8 JSON on stdout (rationals as "p/q" strings, polynomials
 as sorted [exponent, coefficient] pairs, factored denominators as
-[d, multiplicity] pairs).  Validation problems exit 2, internal invariant
-violations exit 3, with a structured error object on stderr.
+[d, multiplicity] pairs).  Bad input (a ``ValidationError``) exits 2 and
+any other failure exits 3, with a structured error object on stderr.
 
 Flag defaults can be overridden with environment variables: CIRCLEINV_METHOD
 and CIRCLEINV_MAX_DENOMINATOR_DEGREE (hilb), CIRCLEINV_VERIFY_DEPTH (hilb,
@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import gorenstein, hironaka, laurent, schur
-from .errors import CircleInvError, InternalError, ValidationError
+from .errors import ValidationError
 from .exact import Polynomial, RationalFunction, _expand_view
 from .hilbert import (
     DEFAULT_DEGREE_LIMIT,
@@ -96,16 +96,21 @@ def report_json(report: gorenstein.GorensteinReport) -> dict:
 # argument helpers
 
 
+def _parse_list(text: str, kind, what: str) -> list:
+    try:
+        return [kind(p) for p in text.replace(",", " ").split()]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad {what} {text!r}: {exc}") from None
+
+
 def parse_weights(tokens) -> list:
-    items = []
-    for token in tokens:
-        for piece in token.replace(",", " ").split():
-            items.append(int(piece))
-    return items
+    return [w for token in tokens for w in _parse_list(token, int, "weights")]
 
 
-def parse_int_list(text: str) -> tuple:
-    return tuple(int(p) for p in text.replace(",", " ").split())
+def _at_least(value: int, least: int, flag: str) -> int:
+    if value < least:
+        raise ValidationError(f"{flag} must be at least {least}, got {value}")
+    return value
 
 
 def _emit(payload: dict):
@@ -118,6 +123,7 @@ def _emit(payload: dict):
 
 def cmd_hilb(args) -> int:
     v = validate(parse_weights(args.weights))
+    _at_least(args.verify_depth, 0, "--verify-depth")
     depth = args.verify_depth if args.verify_depth else None
     if args.method == "oracle":
         upto = args.verify_depth if args.verify_depth else 50
@@ -148,13 +154,15 @@ def cmd_hilb(args) -> int:
 
 def cmd_gamma(args) -> int:
     v = validate(parse_weights(args.weights))
-    upto = args.upto
+    upto = _at_least(args.upto, 0, "--upto")
+    if upto > 3 and args.gamma_method != "series":
+        raise ValidationError("closed forms stop at gamma_3; use --method series")
     if args.gamma_method == "all":
         results = {"schur": laurent.gammas(v, upto, "schur")}
-        if v.is_generic and upto <= 3:
+        if v.is_generic:
             results["generic"] = laurent.gammas(v, upto, "generic")
         results["series"] = laurent.gammas(v, upto, "series")
-        reference = results["schur" if upto <= 3 else "series"]
+        reference = results["schur"]
         agree = all(g.values == reference.values for g in results.values())
         _emit(
             {
@@ -180,6 +188,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_analyze(args) -> int:
     v = validate(parse_weights(args.weights))
+    _at_least(args.verify_depth, 0, "--verify-depth")
     depth = args.verify_depth if args.verify_depth else None
     report = gorenstein.analyze(v, full=args.full, verify_depth=depth)
     _emit(report_json(report))
@@ -187,8 +196,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_schur(args) -> int:
-    xs = [Fraction(p) for p in args.xs.replace(",", " ").split()] if args.xs else []
-    ys = [Fraction(p) for p in args.ys.replace(",", " ").split()] if args.ys else []
+    xs = _parse_list(args.xs, Fraction, "--xs")
+    ys = _parse_list(args.ys, Fraction, "--ys")
     value = schur.partial_schur_expansion(args.u, xs, ys)
     routes = {"expansion": value}
     if len(set(xs)) == len(xs) and len(set(ys)) == len(ys) and xs:
@@ -210,8 +219,15 @@ def cmd_schur(args) -> int:
 
 
 def cmd_hironaka(args) -> int:
-    data = hironaka.HironakaData(parse_int_list(args.alphas), parse_int_list(args.betas))
-    values = [frac_json(hironaka.gamma_cm(ell, data)) for ell in range(args.upto + 1)]
+    try:
+        data = hironaka.HironakaData(
+            tuple(_parse_list(args.alphas, int, "--alphas")),
+            tuple(_parse_list(args.betas, int, "--betas")),
+        )
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    upto = _at_least(args.upto, 0, "--upto")
+    values = [frac_json(hironaka.gamma_cm(ell, data)) for ell in range(upto + 1)]
     _emit(
         {
             "alphas": list(data.alphas),
@@ -260,8 +276,17 @@ def _scan_one(weights) -> dict:
     try:
         report = gorenstein.analyze(validate(weights))
         return report_json(report)
-    except CircleInvError as exc:  # record and keep scanning
+    except Exception as exc:  # record and keep scanning
         return {"weights": list(weights), "error": str(exc)}
+
+
+def _scan_payloads(candidates, jobs: int):
+    """Reports in candidate order, each yielded as soon as it is ready."""
+    if jobs == 1:
+        yield from map(_scan_one, candidates)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(_scan_one, candidates, chunksize=16)
 
 
 def _passes_filters(payload: dict, filters) -> bool:
@@ -288,28 +313,21 @@ def _passes_filters(payload: dict, filters) -> bool:
 def cmd_scan(args) -> int:
     if args.n < 2 or args.max_weight < 1:
         raise ValidationError("scan needs n >= 2 and max-weight >= 1")
+    _at_least(args.jobs, 1, "--jobs")
     candidates = _scan_candidates(args.n, args.max_weight)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            payloads = list(pool.map(_scan_one, candidates, chunksize=16))
-    else:
-        payloads = [_scan_one(w) for w in candidates]
-    counts = {"total": len(payloads), "Gorenstein": 0, "NotGorenstein": 0,
+    counts = {"total": len(candidates), "Gorenstein": 0, "NotGorenstein": 0,
               "integer_ratio_not_gorenstein": 0, "errors": 0, "written": 0}
-    lines = []
-    for payload in payloads:
-        if "error" in payload:
-            counts["errors"] += 1
-        else:
-            counts[payload["classification"]] += 1
-            if payload["ratio_is_integer"] and payload["classification"] == "NotGorenstein":
-                counts["integer_ratio_not_gorenstein"] += 1
-        if _passes_filters(payload, args.filter):
-            lines.append(json.dumps(payload, separators=(",", ":")))
-    counts["written"] = len(lines)
     with open(args.output, "w", encoding="utf-8") as handle:
-        for line in lines:
-            handle.write(line + "\n")
+        for payload in _scan_payloads(candidates, args.jobs):
+            if "error" in payload:
+                counts["errors"] += 1
+            else:
+                counts[payload["classification"]] += 1
+                if payload["ratio_is_integer"] and payload["classification"] == "NotGorenstein":
+                    counts["integer_ratio_not_gorenstein"] += 1
+            if _passes_filters(payload, args.filter):
+                handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
+                counts["written"] += 1
     _emit({"n": args.n, "max_weight": args.max_weight, "filters": list(args.filter),
            "output": args.output, "counts": counts})
     return 0
@@ -403,16 +421,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except Exception as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
-        return 2
-    except InternalError as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return 3
+        return 2 if isinstance(exc, ValidationError) else 3
 
 
 if __name__ == "__main__":

@@ -681,9 +681,14 @@ def _peel_view(den: Polynomial):
     return None
 
 
-def present_with_factors(f: RationalFunction, nfactors: int, node_cap: int = 100000):
-    """Re-express f's denominator as exactly ``nfactors`` factors (1 - t^d)
-    with a nonnegative-coefficient numerator, when possible.
+# search nodes the presentation search may visit before it gives up
+PRESENT_NODE_CAP = 100000
+
+
+def present_with_factors(f: RationalFunction):
+    """Re-express f's denominator as exactly as many factors (1 - t^d) as its
+    pole order at t = 1, with a nonnegative-coefficient numerator, when
+    possible.
 
     Searches ascending-sorted factor multisets in lexicographic order and
     keeps the first one whose cofactor-adjusted numerator has no negative
@@ -695,9 +700,7 @@ def present_with_factors(f: RationalFunction, nfactors: int, node_cap: int = 100
     content = f.phi_content
     if content is None or f.is_zero():
         return f
-    if content.get(1, 0) != nfactors:
-        # pole order at 1 must match the factor count; nothing to do
-        return f
+    nfactors = content.get(1, 0)
     if nfactors == 0:
         return f
     # factor degrees may need to reach the lcm of the content indices
@@ -760,7 +763,7 @@ def present_with_factors(f: RationalFunction, nfactors: int, node_cap: int = 100
             return
         for d in range(min_d, bound + 1):
             nodes[0] += 1
-            if nodes[0] > node_cap:
+            if nodes[0] > PRESENT_NODE_CAP:
                 return
             after = Counter(remaining)
             for e in _divisors(d):

@@ -18,14 +18,13 @@ Two routes to the series and the counting oracle they are checked against:
   denominator degree, and the first D oracle coefficients fix P exactly.
 
 * oracle: the m-th coefficient counts exponent vectors with weighted sum
-  zero and total degree m, by dynamic programming - no residues involved.
+  zero and total degree m, by dynamic programming over degree rows packed
+  into single ints - no residues involved.
 """
 
 from collections import Counter
 from dataclasses import dataclass, replace
 from math import comb, gcd
-
-import numpy
 
 from .errors import (
     DegreeOverflow,
@@ -42,7 +41,7 @@ from .exact import (
 from .weights import WeightVector
 
 DEFAULT_DEGREE_LIMIT = 10**7
-# dense counting-table cells the oracle may allocate (int64, about 400 MB)
+# counting-table cells (degree rows x weighted-sum lanes) the oracle may allocate
 MAX_ORACLE_CELLS = 5 * 10**7
 
 
@@ -161,43 +160,30 @@ def oracle_coefficients(v: WeightVector, upto: int) -> list:
             f"counting oracle to degree {upto} needs {cells} table cells, "
             f"above the limit {MAX_ORACLE_CELLS}"
         )
-    n_ = len(ws)
-    # counts fit comfortably in int64 iff the unconstrained monomial count does
-    if comb(upto + n_, n_ - 1) < 2**62:
-        return _oracle_numpy(ws, upto, width)
-    return _oracle_python(ws, upto)
+    return _packed_counts(ws, upto, width)
 
 
-def _oracle_numpy(ws, upto: int, width: int) -> list:
-    dp = numpy.zeros((upto + 1, 2 * width + 1), dtype=numpy.int64)
-    dp[0, width] = 1
-    size = 2 * width + 1
+def _packed_counts(ws, upto: int, width: int) -> list:
+    """The counting table, one int per degree row d with a lane of ``bits``
+    bits per weighted sum in [-width, width] (Kronecker substitution:
+    shifting by a lanes is multiplying by u^a).  No lane carries: every
+    count is at most comb(upto + n, n - 1), the number of monomials of
+    degree upto + 1, and no partial sum of degree <= upto leaves
+    [-width, width]."""
+    bits = comb(upto + len(ws), len(ws) - 1).bit_length() + 1
+    rows = [1 << (width * bits)] + [0] * upto
     for a in ws:
-        if a == 0:
+        # ascending d reuses this weight's own updates: any exponent e_i >= 0
+        if a >= 0:
+            shift = a * bits
             for d in range(1, upto + 1):
-                dp[d] += dp[d - 1]
-        elif a > 0:
-            for d in range(1, upto + 1):
-                if a < size:
-                    dp[d, a:] += dp[d - 1, :-a]
+                rows[d] += rows[d - 1] << shift
         else:
-            aa = -a
+            shift = -a * bits
             for d in range(1, upto + 1):
-                if aa < size:
-                    dp[d, :-aa] += dp[d - 1, aa:]
-    return [int(dp[m, width]) for m in range(upto + 1)]
-
-
-def _oracle_python(ws, upto: int) -> list:
-    rows = [dict() for _ in range(upto + 1)]
-    rows[0][0] = 1
-    for a in ws:
-        for d in range(1, upto + 1):
-            target = rows[d]
-            for w, count in rows[d - 1].items():
-                key = w + a
-                target[key] = target.get(key, 0) + count
-    return [rows[m].get(0, 0) for m in range(upto + 1)]
+                rows[d] += rows[d - 1] >> shift
+    mask = (1 << bits) - 1
+    return [(row >> (width * bits)) & mask for row in rows]
 
 
 def molien_coefficient_oracle(v: WeightVector, m: int) -> int:
@@ -218,26 +204,18 @@ def hilbert_series(
 ) -> RationalFunction:
     """Dispatcher: generic path when one side is repetition-free (negating
     if needed), pair-invariant route otherwise; optional oracle cross-check."""
-    if method == "auto":
-        if v.is_generic:
-            base = hilbert_generic(v, degree_limit)
-        elif v.positive_side_generic:
-            base = hilbert_generic(v.negate(), degree_limit)
-        else:
-            base = hilbert_degenerate(v, degree_limit)
-    elif method == "generic":
-        if v.is_generic:
-            base = hilbert_generic(v, degree_limit)
-        elif v.positive_side_generic:
-            base = hilbert_generic(v.negate(), degree_limit)
-        else:
-            raise Unstable("both sides have repeated weights; generic path unavailable")
-    elif method == "degenerate":
-        base = hilbert_degenerate(v, degree_limit)
-    else:
+    if method not in ("auto", "generic", "degenerate"):
         raise ValueError(f"unknown method {method!r}")
+    # the section engine needs a repetition-free negative side
+    oriented = v if v.is_generic else v.negate()
+    if method == "degenerate" or (method == "auto" and not oriented.is_generic):
+        base = hilbert_degenerate(v, degree_limit)
+    elif not oriented.is_generic:
+        raise Unstable("both sides have repeated weights; generic path unavailable")
+    else:
+        base = hilbert_generic(oriented, degree_limit)
     result = _with_zero_block(base, v.zero_count)
-    result = present_with_factors(result, v.n - 1 + v.zero_count)
+    result = present_with_factors(result)
     if verify_depth:
         depth = (
             max(2 * result.denominator.degree, 50)

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from circleinv import cli
 from circleinv.cli import main, report_json
 from circleinv.exact import Polynomial
 from circleinv.gorenstein import analyze
@@ -170,6 +171,29 @@ class TestScanCommand:
 
         assert rows and all(class_degenerate(r["weights"]) for r in rows)
 
+    def test_raising_vector_recorded(self, tmp_path, monkeypatch, capsys):
+        clean = tmp_path / "clean.jsonl"
+        out = tmp_path / "scan.jsonl"
+        argv = ["scan", "--n", "3", "--max-weight", "3", "--jobs", "1", "--output"]
+        assert main(argv + [str(clean)]) == 0
+        capsys.readouterr()
+        real = cli.gorenstein.analyze
+
+        def analyze(v, *args, **kwargs):
+            if v.weights == (-3, 1, 3):
+                raise RuntimeError("boom")
+            return real(v, *args, **kwargs)
+
+        monkeypatch.setattr(cli.gorenstein, "analyze", analyze)
+        assert main(argv + [str(out)]) == 0
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        assert counts["errors"] == 1
+        want = clean.read_text().splitlines()
+        got = out.read_text().splitlines()
+        assert counts["written"] == len(got) == len(want)
+        changed = [json.loads(b) for a, b in zip(want, got) if a != b]
+        assert changed == [{"weights": [-3, 1, 3], "error": "boom"}]
+
     def test_parallel_runs_byte_identical(self, tmp_path):
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"
@@ -221,3 +245,37 @@ class TestMainEntry:
     )
     def test_flag_of_another_subcommand_rejected(self, argv):
         assert run_cli(argv).returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma", "-1,2,3", "--upto", "-2"],
+            ["hilb", "-1,2,3", "--verify-depth", "-5"],
+            ["scan", "--n", "2", "--max-weight", "2", "--jobs", "0", "--output", os.devnull],
+        ],
+    )
+    def test_out_of_range_flag_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hilb", "1,x,-3"],
+            ["schur", "--u", "1", "--xs", "1/0", "--ys", "1"],
+            ["schur", "--u", "1", "--xs", "-1", "--ys", "a"],
+            ["hironaka", "--alphas", "0", "--betas", "1"],
+            ["gamma", "-1,2,3", "--upto", "4"],
+        ],
+    )
+    def test_bad_input_is_validation_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+    def test_internal_value_error_exits_3(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("construct via reduce()/from_factored()")
+
+        monkeypatch.setattr(cli, "hilbert_series", broken)
+        assert main(["hilb", "-1,2,3"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"

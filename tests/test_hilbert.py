@@ -1,5 +1,8 @@
 import itertools
 import random
+import subprocess
+import sys
+from math import comb
 
 import pytest
 
@@ -57,14 +60,35 @@ class TestOracle:
         assert molien_coefficient_oracle(validate((-1, -2, 1, 14)), 9) == 3
         assert molien_coefficient_oracle(validate((-1, 2, 3)), 7) == 1
 
-    def test_python_fallback_matches_numpy(self):
-        from circleinv.hilbert import _oracle_numpy, _oracle_python
+    def test_matches_brute_force_enumeration(self):
+        upto = 8
+        for raw in [(-1, 2, 3), (-3, -1, 2, 5), (-2, -2, 1, 3), (-1, 1, 0), (-2, 0, 0, 3)]:
+            v = validate(raw)
+            ws = list(v.weights) + [0] * v.zero_count
+            expected = [0] * (upto + 1)
+            for e in itertools.product(range(upto + 1), repeat=len(ws)):
+                if sum(e) <= upto and sum(a * x for a, x in zip(ws, e)) == 0:
+                    expected[sum(e)] += 1
+            assert oracle_coefficients(v, upto) == expected, raw
 
-        v = validate((-3, -1, 2, 5))
-        ws = list(v.weights)
-        upto = 24
-        width = upto * 5
-        assert _oracle_numpy(ws, upto, width) == _oracle_python(ws, upto)
+    def test_counts_past_int64(self):
+        # invariants of (-1)^20 (1)^20 in degree 2j pair a degree-j monomial
+        # on each side: C(j+19, 19)^2 of them, none in odd degree
+        coeffs = oracle_coefficients(validate((-1,) * 20 + (1,) * 20), 80)
+        assert coeffs[::2] == [comb(j + 19, 19) ** 2 for j in range(41)]
+        assert not any(coeffs[1::2])
+        assert coeffs[80] > 2**63
+
+    def test_no_numpy_needed(self):
+        code = (
+            "import sys; sys.modules['numpy'] = None; import circleinv.cli; "
+            "from circleinv.hilbert import oracle_coefficients; "
+            "from circleinv.weights import validate; "
+            "print(oracle_coefficients(validate((-1, 2, 3)), 8))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[1, 0, 0, 1, 1, 0, 1, 1, 1]"
 
     def test_zero_weights_counted(self):
         v = validate((-1, 1, 0))
@@ -74,8 +98,7 @@ class TestOracle:
         def must_not_run(*args):
             raise AssertionError("oracle table allocated past the cell budget")
 
-        monkeypatch.setattr(hilbert, "_oracle_numpy", must_not_run)
-        monkeypatch.setattr(hilbert, "_oracle_python", must_not_run)
+        monkeypatch.setattr(hilbert, "_packed_counts", must_not_run)
         with pytest.raises(DegreeOverflow):
             oracle_coefficients(validate((-501, 500, 503)), 2005)
 
@@ -120,6 +143,8 @@ class TestEngines:
     def test_method_generic_rejects_double_degeneracy(self):
         with pytest.raises(Unstable):
             hilbert_series(validate((-2, -2, 3, 3)), method="generic")
+        with pytest.raises(ValueError):
+            hilbert_series(validate((-2, -2, 3, 3)), method="residue")
 
     def test_forced_degenerate_equals_generic(self):
         for raw in [
