@@ -36,10 +36,9 @@ SCAN_FILTERS = ("OnlyNonGorensteinIntegerRatio", "OnlyGorenstein", "OnlyDegenera
 
 
 def _env(name: str, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    return type(fallback)(raw) if fallback is not None else raw
+    # argparse converts a string default with the flag's type, and only for
+    # the chosen subcommand, so a bad value is a usage error there alone
+    return os.environ.get(ENV_PREFIX + name, fallback)
 
 
 # ---------------------------------------------------------------------------

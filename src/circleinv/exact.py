@@ -19,7 +19,7 @@ threads; every operation returns a fresh value.
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .errors import (
     InternalInvariantViolation,
@@ -681,21 +681,36 @@ def _peel_view(den: Polynomial):
     return None
 
 
-# search nodes the presentation search may visit before it gives up
-PRESENT_NODE_CAP = 100000
+def _ceil_to(n: int, step: int) -> int:
+    """Smallest multiple of step that is >= n."""
+    return -(-n // step) * step
 
 
 def present_with_factors(f: RationalFunction):
     """Re-express f's denominator as exactly as many factors (1 - t^d) as its
-    pole order at t = 1, with a nonnegative-coefficient numerator, when
-    possible.
+    pole order at t = 1, with a nonnegative-coefficient numerator.
 
-    Searches ascending-sorted factor multisets in lexicographic order and
-    keeps the first one whose cofactor-adjusted numerator has no negative
-    coefficient; this is the standard presentation of a graded Cohen-
-    Macaulay Hilbert series (denominator degrees = a homogeneous system of
-    parameters).  Returns f unchanged when the search fails or the content
-    is unknown.
+    This is the standard presentation of a graded Cohen-Macaulay Hilbert
+    series (denominator degrees = a homogeneous system of parameters).  The
+    view is the lexicographically first ascending d_1 <= ... <= d_dim with
+    every d_i <= bound, where
+
+        bound = max(deg den, max index, min(lcm of indices, max(200, 2 deg den)))
+
+    over the cyclotomic indices of the reduced denominator, whose product
+    prod (1 - t^{d_i}) is divisible by the denominator and leaves a
+    numerator with no negative coefficient.  The search is exhaustive, so
+    f is returned unchanged only when no such view exists (or the content
+    is unknown).
+
+    It is one depth-first search over ascending d that carries the partial
+    product F * prod_chosen (1 - t^d) of the series F of f on the window
+    0 .. dim*bound + deg f, as one list multiplied by (1 - t^d) in place on
+    the way down and divided back on the way up.  A degree d is rejected as
+    soon as a coefficient of the next partial product is negative.  That
+    pruning is exact: if h = F * prod (1 - t^{d_i}) >= 0, every partial
+    product is h * prod_rest 1/(1 - t^d), whose coefficients are
+    nonnegative too.
     """
     content = f.phi_content
     if content is None or f.is_zero():
@@ -706,115 +721,63 @@ def present_with_factors(f: RationalFunction):
     # factor degrees may need to reach the lcm of the content indices
     # (several high-multiplicity indices can be forced into one factor)
     cap = max(200, 2 * f.denominator.degree)
-    lcm_all = 1
-    for e in content:
-        lcm_all = lcm_all * e // gcd(lcm_all, e)
-        if lcm_all > cap:
-            break
-    bound = max(f.denominator.degree, max(content), min(lcm_all, cap))
-    nodes = [0]
+    bound = max(f.denominator.degree, max(content), min(lcm(*content), cap))
+    # Phi_1 divides every factor, so only the other indices need covering;
+    # each factor (1 - t^d) covers Phi_e once for every index e dividing d
+    indices = sorted(e for e in content if e > 1)
 
-    def feasible(remaining: Counter, slots: int, min_d: int) -> bool:
-        if remaining.get(1, 0) != slots:
-            return False
-        if not remaining:
-            return slots == 0
-        if any(m > slots for m in remaining.values()):
-            return False
-        maximal = [
-            e
-            for e in remaining
-            if not any(o != e and o % e == 0 for o in remaining)
-        ]
-        for e in maximal:
-            first = e * ((max(min_d, e) + e - 1) // e)
-            if first > bound:
-                return False
-        # minimal number of chains covering the maximal elements
-        if len(maximal) > 1:
-            full = (1 << len(maximal)) - 1
-            valid = []
-            for mask in range(1, full + 1):
-                value = 1
-                for i, e in enumerate(maximal):
-                    if mask >> i & 1:
-                        value = value * e // gcd(value, e)
-                        if value > bound:
-                            value = 0
-                            break
-                valid.append(bool(value))
-            best = [len(maximal) + 1] * (full + 1)
-            best[0] = 0
-            for mask in range(1, full + 1):
-                sub = mask
-                while sub:
-                    if valid[sub - 1]:
-                        cand = best[mask ^ sub] + 1
-                        if cand < best[mask]:
-                            best[mask] = cand
-                    sub = (sub - 1) & mask
-            if best[full] > slots:
-                return False
-        return True
+    def left_lcm(counts: list) -> int:
+        return lcm(*(e for e, m in zip(indices, counts) if m))
 
-    def dfs(remaining: Counter, slots: int, min_d: int):
-        if slots == 0:
-            yield []
-            return
-        for d in range(min_d, bound + 1):
-            nodes[0] += 1
-            if nodes[0] > PRESENT_NODE_CAP:
-                return
-            after = Counter(remaining)
-            for e in _divisors(d):
-                if after.get(e, 0) > 0:
-                    after[e] -= 1
-                    if after[e] == 0:
-                        del after[e]
-            if not feasible(after, slots - 1, d):
+    def feasible(counts: list, slots: int, min_d: int) -> bool:
+        # each index still needs its multiplicity in distinct later factors
+        # and a multiple of it in [min_d, bound]; the last factor needs a
+        # multiple of the lcm of all of them
+        if slots == 1:
+            return max(counts, default=0) <= 1 and _ceil_to(min_d, left_lcm(counts)) <= bound
+        return all(
+            m == 0 or (m <= slots and _ceil_to(min_d, e) <= bound)
+            for e, m in zip(indices, counts)
+        )
+
+    # last index of the series window, the largest possible numerator degree
+    top = nfactors * bound + f.numerator.degree - f.denominator.degree
+
+    def dfs(counts: list, slots: int, min_d: int):
+        if slots == 1:
+            step = left_lcm(counts)
+            candidates = range(_ceil_to(min_d, step), bound + 1, step)
+        else:
+            candidates = range(min_d, bound + 1)
+        for d in candidates:
+            if slots > 1:
+                after = [m - 1 if m and d % e == 0 else m for e, m in zip(indices, counts)]
+                if not feasible(after, slots - 1, d):
+                    continue
+            if any(arr[m] < arr[m - d] for m in range(d, top + 1)):
                 continue
-            for rest in dfs(after, slots - 1, d):
-                yield [d] + rest
-
-    if not feasible(content, nfactors, 1):
-        return f
-    # the nonnegativity test runs on the coefficient series directly:
-    # multiply by each (1 - t^d) in place and look for a negative entry
-    f_degree = f.numerator.degree - f.denominator.degree
-    den_sparse = sorted((e, c) for e, c in f.denominator.items() if e > 0)
-    series_cache: list = []
-
-    def series_prefix(length: int) -> list:
-        # prefix-stable recurrence; extend in place as needed
-        while len(series_cache) < length:
-            m = len(series_cache)
-            acc = f.numerator.coefficient(m)
-            for e, c in den_sparse:
-                if e > m:
-                    break
-                acc -= c * series_cache[m - e]
-            series_cache.append(acc)
-        return series_cache
-
-    def candidate_numerator_nonneg(candidate) -> bool:
-        top = sum(candidate) + f_degree
-        if top < 0:
-            return False
-        arr = series_prefix(top + 1)[: top + 1]
-        for d in candidate:
+            if slots == 1:
+                return [d]
             for m in range(top, d - 1, -1):
                 arr[m] -= arr[m - d]
-            if any(c < 0 for c in arr):
-                return False
-        return True
+            rest = dfs(after, slots - 1, d)
+            if rest:
+                return [d] + rest
+            for m in range(d, top + 1):
+                arr[m] += arr[m - d]
+        return None
 
-    for candidate in dfs(Counter(content), nfactors, 1):
-        if candidate_numerator_nonneg(candidate):
-            return RationalFunction(
-                f.numerator, f.denominator, Counter(candidate), _reduced=True,
-                phi_content=content,
-            )
-    return f
+    counts = [content[e] for e in indices]
+    arr = f.series_at_zero(top)
+    if any(c < 0 for c in arr) or not feasible(counts, nfactors, 1):
+        return f
+    view = dfs(counts, nfactors, 1)
+    if view is None:
+        return f
+    return RationalFunction(
+        f.numerator, f.denominator, Counter(view), _reduced=True,
+        phi_content=content,
+    )
 
 
 def series_at_zero(f: RationalFunction, order: int) -> list:

@@ -119,7 +119,7 @@ def test_criterion_03_two_weight_family():
 
 
 def test_criterion_04_k1_divisibility_family():
-    with _Criterion(4, "k=1 vectors, weights <= 12, a1 | sum of positives"):
+    with _Criterion(4, "k=1 vectors, weights <= 12, a1 | sum of positives", 30.0):
         checked = 0
         for a1 in range(-12, 0):
             for m in (1, 2, 3):

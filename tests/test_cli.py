@@ -224,6 +224,16 @@ class TestEnvironmentOverrides:
         )
         assert proc.returncode == 2
 
+    def test_malformed_env_fails_only_its_subcommand(self, tmp_path):
+        env = {"CIRCLEINV_JOBS": "abc"}
+        out = tmp_path / "scan.jsonl"
+        proc = run_cli(["scan", "--n", "2", "--max-weight", "2", "--output", str(out)], env=env)
+        assert proc.returncode == 2
+        assert "--jobs" in proc.stderr
+        proc = run_cli(["hilb", "-1,2,3"], env=env)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["hilbert"]["factored_denominator"] is not None
+
 
 class TestMainEntry:
     def test_main_returns_exit_code(self, capsys):

@@ -2,11 +2,13 @@ import itertools
 import random
 import subprocess
 import sys
-from math import comb
+from collections import Counter
+from math import comb, lcm
 
 import pytest
 
 from circleinv import hilbert
+from circleinv.cli import _scan_candidates
 from circleinv.errors import DegreeOverflow, Unstable
 from circleinv.exact import Polynomial, RationalFunction, reduce
 from circleinv.hilbert import (
@@ -215,3 +217,67 @@ class TestSweep:
             checked += 1
         assert checked > 100
 
+
+def _flat_view(f) -> tuple:
+    return tuple(d for d, m in f.factored_denominator for _ in range(m))
+
+
+def _present_bound(f) -> int:
+    # the degree bound of the presentation search, as the README states it
+    content = f.phi_content
+    deg = f.denominator.degree
+    return max(deg, max(content), min(lcm(*content), max(200, 2 * deg)))
+
+
+def _brute_force_view(f):
+    """Lexicographically first ascending d_1..d_dim, each d_i <= bound,
+    whose product covers the cyclotomic content of f and leaves a
+    nonnegative numerator; None when there is none."""
+    content = f.phi_content
+    dim = content[1]
+    bound = _present_bound(f)
+    for ds in itertools.combinations_with_replacement(range(1, bound + 1), dim):
+        covered = Counter(e for d in ds for e in range(1, d + 1) if d % e == 0)
+        if any(covered[e] < m for e, m in content.items()):
+            continue
+        product = ONE
+        for d in ds:
+            product = product * Polynomial.one_minus_power(d)
+        h = (f.numerator * product).divide_exact(f.denominator)
+        if all(c >= 0 for _, c in h.items()):
+            return ds
+    return None
+
+
+class TestPresentation:
+    @pytest.mark.parametrize(
+        "raw, view",
+        [
+            ((-4, -4, -2, -2, 1, 3), ((3, 2), (4, 1), (35, 2))),
+            ((-4, -3, 1, 2, 4), ((2, 1), (3, 1), (4, 1), (35, 1))),
+            ((-3, -2, -1, 1, 2, 3), ((2, 3), (3, 1), (20, 1))),
+        ],
+    )
+    def test_lexicographically_first_view(self, raw, view):
+        f = hilbert_series(validate(raw))
+        assert f.factored_denominator == view
+        assert all(c >= 0 for _, c in f.view_numerator().items())
+
+    def test_every_five_weight_class_presented(self):
+        classes = _scan_candidates(5, 4)
+        assert len(classes) == 316
+        for raw in classes:
+            v = validate(raw)
+            f = hilbert_series(v)
+            assert len(_flat_view(f)) == v.n - 1 + v.zero_count, raw
+            assert all(c >= 0 for _, c in f.view_numerator().items()), raw
+
+    def test_matches_brute_force_enumeration(self):
+        checked = 0
+        for raw in _scan_candidates(4, 4):
+            f = hilbert_series(validate(raw))
+            if _present_bound(f) > 60:
+                continue
+            assert _flat_view(f) == _brute_force_view(f), raw
+            checked += 1
+        assert checked > 100
