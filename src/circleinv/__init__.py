@@ -23,7 +23,6 @@ from .hilbert import (
     hilbert_degenerate,
     hilbert_generic,
     hilbert_series,
-    molien_coefficient_oracle,
     oracle_coefficients,
 )
 from .hironaka import HironakaData, gamma_cm, hilb_from_hironaka
@@ -63,7 +62,6 @@ __all__ = [
     "integer_obstruction",
     "k1_sufficient",
     "laurent_at_one",
-    "molien_coefficient_oracle",
     "oracle_coefficients",
     "partial_schur",
     "partial_schur_det",

@@ -41,6 +41,19 @@ def _env(name: str, fallback):
     return os.environ.get(ENV_PREFIX + name, fallback)
 
 
+def _one_of(*choices):
+    """A flag type that checks ``choices``: argparse checks them on a parsed
+    flag but not on a string default, where an environment override lands."""
+
+    def check(text: str) -> str:
+        if text not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {listed})")
+        return text
+
+    return check
+
+
 # ---------------------------------------------------------------------------
 # JSON encoding
 
@@ -360,10 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilb", parents=[verify], help="Hilbert series as an exact rational function")
     p.add_argument("weights", nargs="+", help="comma- or space-separated integer weights")
+    methods = ("auto", "generic", "degenerate", "oracle")
     p.add_argument(
-        "--method",
-        choices=("auto", "generic", "degenerate", "oracle"),
-        default=_env("METHOD", "auto"),
+        "--method", choices=methods, type=_one_of(*methods), default=_env("METHOD", "auto")
     )
     p.add_argument(
         "--max-denominator-degree",

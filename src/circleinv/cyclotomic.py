@@ -11,9 +11,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
-from .errors import NonInvertibleDenominator, NotCoprime
+from .errors import NonInvertibleDenominator
 from .exact import Polynomial, _divisors
 
 
@@ -235,20 +234,3 @@ def gessel_harmonic(n: int) -> Fraction:
         raise ValueError("n must be positive")
     return Fraction(n - 1, 2)
 
-
-def fourier_dedekind(r: int, a_list, a1: int) -> Fraction:
-    """sigma_r(a_2,...,a_n; a_1): the normalized sum over nontrivial a_1-th
-    roots of zeta^r / prod_j (1 - zeta^{a_j})."""
-    if a1 < 1:
-        raise ValueError("a1 must be positive")
-    for a in a_list:
-        if gcd(a, a1) != 1:
-            raise NotCoprime(f"{a} is not coprime to {a1}")
-    if a1 == 1:
-        return Fraction(0)
-    num = Polynomial.monomial(r % a1)
-    den = Polynomial.one()
-    for a in a_list:
-        den = den * Polynomial({0: 1, a % a1: -1})
-    constraint = RootConstraint(a1, frozenset({1}))
-    return constrained_unity_sum(num, den, constraint) / a1

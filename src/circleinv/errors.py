@@ -38,10 +38,6 @@ class Unstable(ValidationError):
     pass
 
 
-class NotCoprime(ValidationError):
-    pass
-
-
 class NonInvertibleDenominator(ValidationError):
     pass
 

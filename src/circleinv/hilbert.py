@@ -186,10 +186,6 @@ def _packed_counts(ws, upto: int, width: int) -> list:
     return [(row >> (width * bits)) & mask for row in rows]
 
 
-def molien_coefficient_oracle(v: WeightVector, m: int) -> int:
-    return oracle_coefficients(v, m)[m]
-
-
 def _with_zero_block(f: RationalFunction, zero_count: int) -> RationalFunction:
     if zero_count == 0:
         return f

@@ -24,7 +24,7 @@ from .cyclotomic import RootConstraint, constrained_unity_sum
 from .errors import InternalInvariantViolation, Unstable
 from .exact import Polynomial
 from .hilbert import hilbert_series
-from .schur import elementary_symmetric, partial_schur
+from .schur import _power, elementary_symmetric, partial_schur
 from .weights import WeightVector, remove
 
 
@@ -282,10 +282,6 @@ def _require_generic(v: WeightVector):
         raise Unstable("generic gamma form needs pairwise distinct negative weights")
 
 
-def _ipow(a: int, e: int) -> Fraction:
-    return Fraction(a) ** e if e >= 0 else Fraction(1) / Fraction(a) ** (-e)
-
-
 def gamma0_generic(v: WeightVector) -> Fraction:
     _require_generic(v)
     ws = v.weights
@@ -296,7 +292,7 @@ def gamma0_generic(v: WeightVector) -> Fraction:
         for j in range(n_):
             if j != i:
                 den *= ws[i] - ws[j]
-        total += -_ipow(ws[i], n_ - 2) / den
+        total += -_power(ws[i], n_ - 2) / den
     return total
 
 
@@ -314,13 +310,13 @@ def gamma1_generic(v: WeightVector) -> Fraction:
         for j in range(n_):
             if j == i:
                 continue
-            total += _ipow(ws[i], n_ - 3) * ws[j] / (2 * den_full)
+            total += _power(ws[i], n_ - 3) * ws[j] / (2 * den_full)
             if gcds[j] > 1:
                 den_ij = Fraction(1)
                 for l in range(n_):
                     if l != i and l != j:
                         den_ij *= ws[i] - ws[l]
-                total += Fraction(gcds[j] - 1, 2) * (-_ipow(ws[i], n_ - 3)) / den_ij
+                total += Fraction(gcds[j] - 1, 2) * (-_power(ws[i], n_ - 3)) / den_ij
     return total
 
 
@@ -342,7 +338,7 @@ def gamma2_generic(v: WeightVector) -> Fraction:
         for idx, j in enumerate(others):
             for l in others[idx + 1:]:
                 pair_sum += ws[j] * ws[l]
-        total += _ipow(ws[i], n_ - 4) * (bracket - 3 * pair_sum) / (12 * den_full)
+        total += _power(ws[i], n_ - 4) * (bracket - 3 * pair_sum) / (12 * den_full)
         for j in others:
             if gcds[j] > 1:
                 den_ij = Fraction(1)
@@ -351,7 +347,7 @@ def gamma2_generic(v: WeightVector) -> Fraction:
                         den_ij *= ws[i] - ws[l]
                 total += (
                     Fraction(1 - gcds[j] ** 2, 12)
-                    * _ipow(ws[i], n_ - 4)
+                    * _power(ws[i], n_ - 4)
                     * (ws[i] - ws[j])
                     / den_ij
                 )
@@ -361,7 +357,7 @@ def gamma2_generic(v: WeightVector) -> Fraction:
                         inner += ws[l]
                 total += (
                     Fraction(gcds[j] - 1, 2)
-                    * _ipow(ws[i], n_ - 4)
+                    * _power(ws[i], n_ - 4)
                     * inner
                     / (2 * den_ij)
                 )
@@ -373,7 +369,7 @@ def gamma2_generic(v: WeightVector) -> Fraction:
                     for p in others:
                         if p != j and p != l:
                             den_ijl *= ws[i] - ws[p]
-                    total += -_ipow(ws[i], n_ - 4) / den_ijl * cs
+                    total += -_power(ws[i], n_ - 4) / den_ijl * cs
     return total
 
 
@@ -401,7 +397,7 @@ def gamma3_generic(v: WeightVector) -> Fraction:
         last = Fraction(0)
         for j in others:
             last += ws[i] * ws[j] * (2 * ws[i] - ws[j])
-        total += _ipow(ws[i], n_ - 5) * (triple + middle + last) / (24 * den_full)
+        total += _power(ws[i], n_ - 5) * (triple + middle + last) / (24 * den_full)
         for j in others:
             if gcds[j] <= 1:
                 continue
@@ -414,16 +410,16 @@ def gamma3_generic(v: WeightVector) -> Fraction:
                 for y in range(x + 1, len(rest)):
                     pair += ws[rest[x]] * ws[rest[y]]
             total += Fraction(gcds[j] - 1, 2) * (
-                -_ipow(ws[i], n_ - 5) * pair / (4 * den_ij)
+                -_power(ws[i], n_ - 5) * pair / (4 * den_ij)
             )
             single = Fraction(0)
             for l in rest:
                 single += ws[l] * (ws[l] - 2 * ws[i])
             total += Fraction(gcds[j] - 1, 2) * (
-                -_ipow(ws[i], n_ - 5) * single / (12 * den_ij)
+                -_power(ws[i], n_ - 5) * single / (12 * den_ij)
             )
             total += Fraction(gcds[j] ** 2 - 1, 24) * (
-                _ipow(ws[i], n_ - 5)
+                _power(ws[i], n_ - 5)
                 * (ws[i] - ws[j])
                 * (-ws[i] + sum(ws[l] for l in rest))
                 / den_ij
@@ -437,12 +433,12 @@ def gamma3_generic(v: WeightVector) -> Fraction:
                 cs = _cs_pair(v, j, l)
                 if cs:
                     inner = sum(ws[p] for p in rest)
-                    total += cs * _ipow(ws[i], n_ - 5) * inner / (2 * den_ijl)
+                    total += cs * _power(ws[i], n_ - 5) * inner / (2 * den_ijl)
                 cs_a = _cs_pair_weighted(v, j, l)
                 cs_b = _cs_pair_weighted(v, l, j)
                 if cs_a or cs_b:
                     total += (
-                        _ipow(ws[i], n_ - 5)
+                        _power(ws[i], n_ - 5)
                         / den_ijl
                         * ((ws[i] - ws[j]) * cs_a + (ws[i] - ws[l]) * cs_b)
                     )
@@ -456,7 +452,7 @@ def gamma3_generic(v: WeightVector) -> Fraction:
                         for q in others:
                             if q not in (j, l, p):
                                 den_ijlp *= ws[i] - ws[q]
-                        total += -_ipow(ws[i], n_ - 5) * cs / den_ijlp
+                        total += -_power(ws[i], n_ - 5) * cs / den_ijlp
     return total
 
 

@@ -1,36 +1,34 @@
-"""Alternants, Laurent-Schur polynomials and two-block partial Schur values.
+"""Laurent-Schur polynomials and two-block partial Schur values.
 
 The central object is the value S_u(xs, ys): the determinant whose first row
 holds x_i^u over the x block and zeros over the y block, followed by the
 full Vandermonde rows of all variables at exponents n-2 down to 0, divided
 by the two block Vandermonde determinants.  It is computable three ways:
 
+* ``partial_schur_expansion`` - the route: the Laplace expansion along the
+  x-block columns, a signed sum of products of Laurent-Schur values, each
+  one Jacobi-Trudi determinant (``laurent_schur``).  It is well defined with
+  repeated entries (the singularities are removable) and stays on integers
+  when the inputs are integers and u >= 0;
 * ``partial_schur_det`` - the determinant directly (blocks must be
-  repetition-free);
-* ``partial_schur_expansion`` - the Laplace expansion along the x-block
-  columns, a signed sum of products of Schur values, well defined even with
-  repeated entries (the singularities are removable);
+  repetition-free), an independent oracle;
 * ``partial_schur_tableaux`` - the same expansion with every Schur factor
-  evaluated by explicit semistandard-tableau enumeration, plus a symbolic
-  mode.
+  evaluated by explicit semistandard-tableau enumeration, a second oracle.
 
 ``partial_schur`` is the default entry point (expansion route).
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from .errors import CombinatorialExplosion, OutOfRange, RepeatedVariables, ZeroBase
+from .exact import _quotient
 
 TABLEAU_SIZE_LIMIT = 10
-SYMBOLIC_SIZE_LIMIT = 6
 
 
-def _fracs(values):
-    return [Fraction(v) for v in values]
-
-
-def _power(base: Fraction, exp: int) -> Fraction:
+def _power(base, exp: int):
     if exp >= 0:
         return base**exp
     if base == 0:
@@ -38,76 +36,78 @@ def _power(base: Fraction, exp: int) -> Fraction:
     return Fraction(1) / base ** (-exp)
 
 
-def vandermonde(xs) -> Fraction:
+def vandermonde(xs):
     """prod_{i<j} (x_i - x_j); empty and singleton products are 1."""
-    xs = _fracs(xs)
-    out = Fraction(1)
+    out = 1
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
             out *= xs[i] - xs[j]
     return out
 
 
-def _det(rows) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
+def _det(rows):
+    """Exact determinant by fraction-free Bareiss elimination.  Every
+    division is exact, so integer entries give an integer."""
     n = len(rows)
     mat = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                pivot = r
-                break
+    sign, prev = 1, 1
+    for col in range(n - 1):
+        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != col:
             mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        pv = mat[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / pv
-                for c in range(col, n):
-                    mat[r][c] -= factor * mat[col][c]
-    return det
-
-
-def alternant(parts, xs) -> Fraction:
-    """det of the matrix with rows x_j^{parts_i} (negative parts allowed)."""
-    xs = _fracs(xs)
-    if len(parts) != len(xs):
-        raise ValueError("signature length must match the variable count")
-    rows = [[_power(x, p) for x in xs] for p in parts]
-    return _det(rows)
+            sign = -sign
+        pivot_row = mat[col]
+        pv = pivot_row[col]
+        for row in mat[col + 1:]:
+            head = row[col]
+            for c in range(col + 1, n):
+                row[c] = _quotient(pv * row[c] - head * pivot_row[c], prev)
+        prev = pv
+    return sign * mat[-1][-1] if n else 1
 
 
 def _delta(length: int) -> list:
     return list(range(length - 1, -1, -1))
 
 
-def schur_tableaux(shape, xs) -> Fraction:
+def _jacobi_trudi(shape, xs):
+    """Schur value of a partition as det(h_{shape_i - i + j}) over its nonzero
+    parts (Macdonald, Symmetric Functions, I.3.4); the complete homogeneous
+    values h_j come from one ascending pass per variable."""
+    rows = [p for p in shape if p > 0]
+    top = rows[0] + len(rows) - 1 if rows else 0
+    h = [1] + [0] * top
+    for x in xs:
+        for d in range(1, top + 1):
+            h[d] += x * h[d - 1]
+    size = len(rows)
+    return _det(
+        [[h[p - i + j] if p - i + j >= 0 else 0 for j in range(size)] for i, p in enumerate(rows)]
+    )
+
+
+def schur_tableaux(shape, xs):
     """Schur value as the sum over semistandard tableaux of the shape.
 
     ``shape`` must be a partition (weakly decreasing, nonnegative); rows of
     length zero are allowed and contribute nothing.
     """
     n = len(xs)
-    xs = _fracs(xs)
     rows = [p for p in shape if p > 0]
     for a, b in zip(rows, rows[1:]):
         if b > a:
             raise ValueError("shape must be weakly decreasing")
     if not rows:
-        return Fraction(1)
-    total = Fraction(0)
+        return 1
+    total = 0
     filling = [[0] * p for p in rows]
 
-    def fill(r: int, c: int, prod: Fraction):
+    def fill(r: int, c: int, value):
         nonlocal total
         if r == len(rows):
-            total += prod
+            total += value
             return
         if c + 1 < rows[r]:
             nr, nc = r, c + 1
@@ -118,51 +118,40 @@ def schur_tableaux(shape, xs) -> Fraction:
             lo = max(lo, filling[r - 1][c] + 1)
         for label in range(lo, n + 1):
             filling[r][c] = label
-            fill(nr, nc, prod * xs[label - 1])
+            fill(nr, nc, value * xs[label - 1])
 
-    fill(0, 0, Fraction(1))
+    fill(0, 0, 1)
     return total
 
 
-def laurent_schur(parts, xs) -> Fraction:
-    """s_lambda evaluated at xs: alternant ratio when the entries are
-    distinct, tableau sum otherwise (handles repeated values)."""
-    xs = _fracs(xs)
+def _shifted(parts, xs, schur_of_partition):
+    """s_parts(xs) for a weakly decreasing signature: (prod xs)^m times the
+    Schur value of the partition parts - m, where m = min(parts, 0)."""
+    shift = min([0, *parts])
+    return _power(prod(xs), shift) * schur_of_partition([p - shift for p in parts], xs)
+
+
+def laurent_schur(parts, xs):
+    """s_lambda evaluated at xs for a weakly decreasing signature (negative
+    parts allowed): one Jacobi-Trudi determinant, at repeated values too."""
     if len(parts) != len(xs):
         raise ValueError("signature length must match the variable count")
-    if not xs:
-        return Fraction(1)
     for a, b in zip(parts, parts[1:]):
         if b > a:
             raise ValueError("signature must be weakly decreasing")
-    if len(set(xs)) == len(xs):
-        v = vandermonde(xs)
-        exps = [p + d for p, d in zip(parts, _delta(len(xs)))]
-        return alternant(exps, xs) / v
-    return _schur_shifted_tableaux(parts, xs)
-
-
-def _schur_shifted_tableaux(parts, xs) -> Fraction:
-    shift = min(parts[-1], 0)
-    shape = [p - shift for p in parts]
-    prefactor = Fraction(1)
-    if shift < 0:
-        for x in xs:
-            prefactor *= _power(Fraction(x), shift)
-    return prefactor * schur_tableaux(shape, xs)
+    return _shifted(parts, xs, _jacobi_trudi)
 
 
 def elementary_symmetric(j: int, values) -> Fraction:
-    """E_j of the values (0 when j exceeds the variable count)."""
-    values = _fracs(values)
+    """E_j of the values (0 when j exceeds the variable count), always a
+    Fraction, so callers may divide it with /."""
     if j < 0:
         raise OutOfRange(f"elementary symmetric degree {j} out of range")
     if j > len(values):
         return Fraction(0)
-    dp = [Fraction(0)] * (j + 1)
-    dp[0] = Fraction(1)
+    dp = [Fraction(1)] + [Fraction(0)] * j
     for v in values:
-        for d in range(min(j, len(dp) - 1), 0, -1):
+        for d in range(j, 0, -1):
             dp[d] += dp[d - 1] * v
     return dp[j]
 
@@ -176,20 +165,19 @@ def _check_u(u: int, n: int):
         raise OutOfRange(f"u={u} exceeds the admissible maximum {n - 2}")
 
 
-def partial_schur_det(u: int, xs, ys) -> Fraction:
+def partial_schur_det(u: int, xs, ys):
     """Determinant route; blocks must be repetition-free."""
-    xs, ys = _fracs(xs), _fracs(ys)
     k, m = len(xs), len(ys)
     n = k + m
     _check_u(u, n)
     if k == 0:
-        return Fraction(0)
+        return 0
     if len(set(xs)) != k or len(set(ys)) != m:
         raise RepeatedVariables("blocks must have pairwise distinct entries")
-    rows = [[_power(x, u) for x in xs] + [Fraction(0)] * m]
+    rows = [[_power(x, u) for x in xs] + [0] * m]
     for e in range(n - 2, -1, -1):
-        rows.append([_power(x, e) for x in xs] + [_power(y, e) for y in ys])
-    return _det(rows) / (vandermonde(xs) * vandermonde(ys))
+        rows.append([x**e for x in xs] + [y**e for y in ys])
+    return _quotient(_det(rows), vandermonde(xs) * vandermonde(ys))
 
 
 def _expansion_terms(u: int, k: int, m: int):
@@ -224,7 +212,7 @@ def _expansion_terms(u: int, k: int, m: int):
             yield sign, sig_x, shape_y
 
 
-def _empty_positive_block(u: int, xs) -> Fraction:
+def _empty_positive_block(u: int, xs):
     """S_u(xs; ()) from the determinant without a y block.
 
     For u >= 0 the exponent u repeats among the Vandermonde rows, so the
@@ -232,21 +220,20 @@ def _empty_positive_block(u: int, xs) -> Fraction:
     """
     k = len(xs)
     if u >= 0:
-        return Fraction(0)
+        return 0
     sig = [-1] * (k - 1) + [u]
     return (-1) ** (k - 1) * laurent_schur(sig, xs)
 
 
-def partial_schur_expansion(u: int, xs, ys) -> Fraction:
+def partial_schur_expansion(u: int, xs, ys):
     """Laplace-expansion route; well defined for repeated variable values."""
-    xs, ys = _fracs(xs), _fracs(ys)
     k, m = len(xs), len(ys)
     _check_u(u, k + m)
     if k == 0:
-        return Fraction(0)
+        return 0
     if m == 0:
         return _empty_positive_block(u, xs)
-    total = Fraction(0)
+    total = 0
     for sign, sig_x, shape_y in _expansion_terms(u, k, m):
         sx = laurent_schur(sig_x, xs)
         if sx == 0:
@@ -256,9 +243,8 @@ def partial_schur_expansion(u: int, xs, ys) -> Fraction:
     return total
 
 
-def partial_schur_tableaux(u: int, xs, ys, size_limit: int = TABLEAU_SIZE_LIMIT) -> Fraction:
+def partial_schur_tableaux(u: int, xs, ys, size_limit: int = TABLEAU_SIZE_LIMIT):
     """Tableau route: every Schur factor is a semistandard-tableau sum."""
-    xs, ys = _fracs(xs), _fracs(ys)
     k, m = len(xs), len(ys)
     if k + m > size_limit:
         raise CombinatorialExplosion(
@@ -266,116 +252,20 @@ def partial_schur_tableaux(u: int, xs, ys, size_limit: int = TABLEAU_SIZE_LIMIT)
         )
     _check_u(u, k + m)
     if k == 0:
-        return Fraction(0)
+        return 0
     if m == 0:
         if u >= 0:
-            return Fraction(0)
+            return 0
         sig = [-1] * (k - 1) + [u]
-        return (-1) ** (k - 1) * _schur_shifted_tableaux(sig, xs)
-    total = Fraction(0)
+        return (-1) ** (k - 1) * _shifted(sig, xs, schur_tableaux)
+    total = 0
     for sign, sig_x, shape_y in _expansion_terms(u, k, m):
-        sx = _schur_shifted_tableaux(sig_x, xs)
-        sy = _schur_shifted_tableaux(shape_y, ys)
+        sx = _shifted(sig_x, xs, schur_tableaux)
+        sy = _shifted(shape_y, ys, schur_tableaux)
         total += sign * sx * sy
     return total
 
 
-def partial_schur(u: int, xs, ys) -> Fraction:
+def partial_schur(u: int, xs, ys):
     """Default S_u evaluation (expansion route, safe at repeated weights)."""
     return partial_schur_expansion(u, xs, ys)
-
-
-# ---------------------------------------------------------------------------
-# symbolic mode (tableau route, small variable counts)
-
-
-def _schur_tableaux_symbolic(shape, nvars: int) -> dict:
-    """Monomial dict {exponent tuple: multiplicity} of s_shape in nvars
-    variables."""
-    rows = [p for p in shape if p > 0]
-    if not rows:
-        return {(0,) * nvars: 1}
-    out: dict = {}
-    filling = [[0] * p for p in rows]
-
-    def fill(r: int, c: int, counts: tuple):
-        if r == len(rows):
-            out[counts] = out.get(counts, 0) + 1
-            return
-        if c + 1 < rows[r]:
-            nr, nc = r, c + 1
-        else:
-            nr, nc = r + 1, 0
-        lo = filling[r][c - 1] if c > 0 else 1
-        if r > 0:
-            lo = max(lo, filling[r - 1][c] + 1)
-        for label in range(lo, nvars + 1):
-            filling[r][c] = label
-            bumped = list(counts)
-            bumped[label - 1] += 1
-            fill(nr, nc, tuple(bumped))
-
-    fill(0, 0, (0,) * nvars)
-    return out
-
-
-def partial_schur_symbolic(u: int, k: int, m: int, size_limit: int = SYMBOLIC_SIZE_LIMIT) -> dict:
-    """S_u as a multivariate (Laurent) monomial dict over x_1..x_k, y_1..y_m.
-
-    Keys are exponent tuples of length k+m (x exponents first); values are
-    integer coefficients.
-    """
-    if k + m > size_limit:
-        raise CombinatorialExplosion(
-            f"{k + m} variables exceed the symbolic limit {size_limit}"
-        )
-    _check_u(u, k + m)
-    out: dict = {}
-    if k == 0:
-        return out
-
-    def accumulate(sign: int, xdict: dict, ydict: dict, xshift: int):
-        for ex, cx in xdict.items():
-            for ey, cy in ydict.items():
-                key = tuple(e + xshift for e in ex) + ey
-                val = out.get(key, 0) + sign * cx * cy
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
-
-    if m == 0:
-        if u >= 0:
-            return out
-        sig = [-1] * (k - 1) + [u]
-        shift = sig[-1]
-        shape = [p - shift for p in sig]
-        accumulate(
-            (-1) ** (k - 1),
-            _schur_tableaux_symbolic(shape, k),
-            {(): 1},
-            shift,
-        )
-        return out
-    for sign, sig_x, shape_y in _expansion_terms(u, k, m):
-        shift = min(sig_x[-1], 0)
-        shape_x = [p - shift for p in sig_x]
-        accumulate(
-            sign,
-            _schur_tableaux_symbolic(shape_x, k),
-            _schur_tableaux_symbolic(shape_y, m),
-            shift,
-        )
-    return out
-
-
-def evaluate_monomials(monomials: dict, values) -> Fraction:
-    """Evaluate a symbolic monomial dict at rational values."""
-    values = _fracs(values)
-    total = Fraction(0)
-    for exps, coeff in monomials.items():
-        term = Fraction(coeff)
-        for v, e in zip(values, exps):
-            term *= _power(v, e)
-        total += term
-    return total

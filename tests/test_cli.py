@@ -224,6 +224,17 @@ class TestEnvironmentOverrides:
         )
         assert proc.returncode == 2
 
+    def test_malformed_env_method_is_usage_error(self):
+        env = {"CIRCLEINV_METHOD": "abc"}
+        proc = run_cli(["hilb", "-1,2,3"], env=env)
+        assert proc.returncode == 2
+        assert "--method" in proc.stderr
+        flagged = run_cli(["hilb", "-1,2,3", "--method", "abc"])
+        assert flagged.returncode == 2
+        assert proc.stderr.splitlines()[-1] == flagged.stderr.splitlines()[-1]
+        for argv in (["analyze", "-1,2,3"], ["gamma", "-1,2,3", "--method", "generic"]):
+            assert run_cli(argv, env=env).returncode == 0
+
     def test_malformed_env_fails_only_its_subcommand(self, tmp_path):
         env = {"CIRCLEINV_JOBS": "abc"}
         out = tmp_path / "scan.jsonl"

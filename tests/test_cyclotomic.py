@@ -9,12 +9,11 @@ from circleinv.cyclotomic import (
     RootConstraint,
     constrained_unity_sum,
     cyclotomic_poly,
-    fourier_dedekind,
     full_cycle_sum,
     gessel_harmonic,
     trace_sum,
 )
-from circleinv.errors import NonInvertibleDenominator, NotCoprime
+from circleinv.errors import NonInvertibleDenominator
 from circleinv.exact import Polynomial, _divisors
 
 ONE = Polynomial.one()
@@ -114,25 +113,6 @@ class TestGesselHarmonic:
         for n in range(1, 61):
             c = RootConstraint(n, frozenset({1}))
             assert gessel_harmonic(n) == constrained_unity_sum(ONE, one_minus_x(1), c)
-
-
-class TestFourierDedekind:
-    def test_examples(self):
-        assert fourier_dedekind(0, [1], 2) == F(1, 4)
-        assert fourier_dedekind(0, [1, 1], 2) == F(1, 8)
-        assert fourier_dedekind(1, [1], 2) == F(-1, 4)
-
-    def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
-            fourier_dedekind(0, [2], 4)
-
-    def test_trivial_modulus(self):
-        assert fourier_dedekind(3, [1, 2], 1) == 0
-
-    def test_classical_value(self):
-        # sigma_0(1; b) = sum 1/(1-zeta) / b = (b-1)/(2b)
-        for b in range(2, 12):
-            assert fourier_dedekind(0, [1], b) == F(b - 1, 2 * b)
 
 
 class TestCyclotomicElement:

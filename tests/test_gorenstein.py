@@ -85,7 +85,10 @@ class TestClosedFormAInvariant:
                 if key in seen or checked > 300:
                     continue
                 seen.add(key)
-                assert a_invariant_schur_form(v) == a_invariant_closed_form(v), combo
+                schur_form = a_invariant_schur_form(v)
+                assert schur_form == a_invariant_closed_form(v), combo
+                # its total / s2 must stay exact: an int / int would be a float
+                assert type(schur_form) is F, combo
                 checked += 1
         assert checked >= 300
 

@@ -15,7 +15,6 @@ from circleinv.hilbert import (
     hilbert_degenerate,
     hilbert_generic,
     hilbert_series,
-    molien_coefficient_oracle,
     oracle_coefficients,
     section,
     section_problem,
@@ -58,9 +57,9 @@ class TestSection:
 
 class TestOracle:
     def test_examples(self):
-        assert molien_coefficient_oracle(validate((-1, 1)), 2) == 1
-        assert molien_coefficient_oracle(validate((-1, -2, 1, 14)), 9) == 3
-        assert molien_coefficient_oracle(validate((-1, 2, 3)), 7) == 1
+        assert oracle_coefficients(validate((-1, 1)), 2)[2] == 1
+        assert oracle_coefficients(validate((-1, -2, 1, 14)), 9)[9] == 3
+        assert oracle_coefficients(validate((-1, 2, 3)), 7)[7] == 1
 
     def test_matches_brute_force_enumeration(self):
         upto = 8

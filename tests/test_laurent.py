@@ -156,6 +156,8 @@ class TestAgreement:
             schur_form = tuple(f(v) for f in SCHUR_FORMS)
             generic_form = tuple(f(v) for f in GENERIC_FORMS)
             assert schur_form == generic_form, v.weights
+            # an int / int division anywhere would leave a float here
+            assert all(type(g) is F for g in schur_form + generic_form), v.weights
 
     def test_generic_form_requires_generic(self):
         with pytest.raises(Unstable):
