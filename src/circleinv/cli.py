@@ -350,7 +350,7 @@ def cmd_scan(args) -> int:
 
 
 # lets weight lists like "-3,1,3" pass as positionals instead of flags
-_WEIGHTS_TOKEN = re.compile(r"^-\d[\d,\- ]*$")
+_WEIGHTS_TOKEN = re.compile(r"^-\d[\d,\-/ ]*$")
 
 
 def _allow_weight_tokens(parser: argparse.ArgumentParser):

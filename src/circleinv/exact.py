@@ -186,32 +186,28 @@ class Polynomial:
         return out
 
     def divmod(self, other: "Polynomial"):
-        """Exact-arithmetic polynomial division: self = q*other + r."""
+        """Exact long division self = q*other + r on a dense coefficient list;
+        q and r have int coefficients wherever they are integral."""
         if other.is_zero():
             raise ZeroDenominator("division by the zero polynomial")
         dd = other.degree
-        lead = other.coefficient(dd)
-        rem = dict(self._coeffs)
-        q: dict = {}
-        while rem:
-            dr = max(rem)
-            if dr < dd:
-                break
-            factor = _quotient(rem[dr], lead)
-            e0 = dr - dd
-            q[e0] = factor
-            for e, c in other._coeffs.items():
-                ee = e + e0
-                s = rem.get(ee, 0) - factor * c
-                if s:
-                    rem[ee] = s
-                else:
-                    rem.pop(ee, None)
-        qq = Polynomial()
-        qq._coeffs = q
-        rr = Polynomial()
-        rr._coeffs = rem
-        return qq, rr
+        lead = other._coeffs[dd]
+        monic = lead == 1
+        lower = [(dd - e, c) for e, c in other._coeffs.items() if e != dd]
+        rem = self.to_dense()
+        q = {}
+        for i in range(len(rem) - 1, dd - 1, -1):
+            c = rem[i]
+            if c:
+                if not monic or type(c) is not int:
+                    c = _quotient(c, lead)
+                q[i - dd] = c
+                for off, b in lower:
+                    rem[i - off] -= c * b
+        quot, rest = Polynomial(), Polynomial()
+        quot._coeffs = q
+        rest._coeffs = {e: c if type(c) is int else _exact(c) for e, c in enumerate(rem[:dd]) if c}
+        return quot, rest
 
     def divide_exact(self, other: "Polynomial"):
         """Return self/other if the division is exact, else None."""

@@ -7,8 +7,11 @@ Two routes to the series and the counting oracle they are checked against:
   Psi_i(u) = 1/prod_{j!=i}(1 - u^{a_j - a_i}) and keep every N-th
   coefficient.  On rational functions the section is computed by the
   denominator substitution (1-u^c) -> (1 - t^{c/gcd(N,c)})^{gcd(N,c)} and a
-  numerator recovered from the series (its degree stays below the
-  denominator degree, so the expansion length is known a priori).
+  numerator fitted to the first D+1 kept coefficients (its degree stays
+  below D, the denominator degree).  With two factors (every n=3 vector)
+  each kept coefficient is a two-part partition count, closed by
+  Popoviciu's formula (1953; Beck-Robins, Computing the Continuous
+  Discretely, ch. 1), so the source series is never built.
 
 * pair-invariant path (repeated weights on both sides): for a < 0 < b and
   g = gcd(a, b) the pair invariants x_i^{b/g} x_j^{-a/g} cut out the
@@ -64,24 +67,22 @@ def section_problem(exponents, ratio: int) -> SectionProblem:
     for e in exponents:
         if e == 0:
             raise InternalInvariantViolation("zero exponent in section source")
-        if e > 0:
-            factors.append(e)
-        else:
-            sign = -sign
-            shift += -e
-            factors.append(-e)
+        if e < 0:
+            sign, shift = -sign, shift - e
+        factors.append(abs(e))
     return SectionProblem(sign, shift, tuple(sorted(factors)), ratio)
 
 
 def section(problem: SectionProblem, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> RationalFunction:
     """Rational function whose series is every ratio-th coefficient of the
-    problem's source series."""
+    problem's source series.  With one or two factors the j-th of them is
+    sign * p(c1, c2; j*N - shift), p(c1, c2; M) = #{x, y >= 0 : c1 x + c2 y
+    = M}, each in O(1) (Popoviciu); more factors fill the source series."""
     n_: int = problem.ratio
     den_degree = sum(problem.factors)
-    if den_degree > degree_limit or n_ * den_degree > degree_limit:
+    if den_degree > degree_limit:
         raise DegreeOverflow(
-            f"section denominator degree {den_degree} (series length "
-            f"{n_ * den_degree}) exceeds the limit {degree_limit}"
+            f"section denominator degree {den_degree} exceeds the limit {degree_limit}"
         )
     if problem.shift >= den_degree:
         raise InternalInvariantViolation("section source is not proper")
@@ -89,15 +90,37 @@ def section(problem: SectionProblem, degree_limit: int = DEFAULT_DEGREE_LIMIT) -
     for c in problem.factors:
         g = gcd(n_, c)
         view[c // g] += g
-    # integer series of the source up to the last index we extract
-    top = n_ * den_degree
+    if len(problem.factors) > 2:
+        extracted = _series_section(problem, degree_limit)
+    else:
+        extracted = [
+            problem.sign * _part_count(problem.factors, j * n_ - problem.shift)
+            for j in range(den_degree + 1)
+        ]
+    return _fit_numerator(extracted, view)
+
+
+def _part_count(factors: tuple, m: int) -> int:
+    """#{x >= 0 : sum c_i x_i = m} for one or two parts c_i."""
+    g = gcd(*factors)
+    if m < 0 or m % g or len(factors) == 1:
+        return int(m >= 0 and m % g == 0)
+    c1, c2, m = factors[0] // g, factors[1] // g, m // g
+    x0 = m * pow(c1, -1, c2) % c2  # the least x with c2 | m - c1 x
+    return (m - c1 * x0) // (c1 * c2) + 1 if m >= c1 * x0 else 0
+
+
+def _series_section(problem: SectionProblem, degree_limit: int) -> list:
+    """Source series coefficients 0, N, ..., N*D from the whole series, O(N*D)."""
+    top = problem.ratio * sum(problem.factors)
+    if top > degree_limit:
+        raise DegreeOverflow(f"section series length {top} exceeds the limit {degree_limit}")
     series = [0] * (top + 1)
     series[problem.shift] = problem.sign
     for c in problem.factors:
         for j in range(c, top + 1):
             series[j] += series[j - c]
-    extracted = series[:: n_]  # length den_degree + 1
-    return _fit_numerator(extracted, view)
+    return series[:: problem.ratio]
 
 
 def _fit_numerator(series: list, view: Counter) -> RationalFunction:

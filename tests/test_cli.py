@@ -129,6 +129,16 @@ class TestSchurCommand:
         assert "determinant" not in payload["routes"]
         assert payload["routes_agree"] is True
 
+    @pytest.mark.parametrize(
+        "xs, ys", [("-1/2", "1"), ("-1/2,-3/4", "-2/3"), ("-3/4,-1", "2/3")]
+    )
+    def test_negative_fractional_lists(self, xs, ys, capsys):
+        assert main(["schur", "--u", "0", "--xs", xs, "--ys", ys]) == 0
+        spaced = capsys.readouterr().out
+        assert main(["schur", "--u", "0", f"--xs={xs}", f"--ys={ys}"]) == 0
+        assert capsys.readouterr().out == spaced
+        assert json.loads(spaced)["xs"] == [str(F(x)) for x in xs.split(",")]
+
 
 class TestHironakaCommand:
     def test_example(self):

@@ -50,6 +50,50 @@ class TestPolynomial:
         assert P({0: -1, 2: 1}).divide_exact(P({0: 2, 1: 2})) == half
         assert P({0: 1, 2: 1}).divide_exact(P({0: 2, 1: 2})) is None
 
+    def test_divmod_sparse_high_degree(self):
+        phi3 = P({0: 1, 1: 1, 2: 1})
+        q, r = (one_minus(997) * one_minus(3)).divmod(phi3)
+        assert q == one_minus(997) * one_minus(1) and r.is_zero()
+
+    def test_divmod_small_dividend(self):
+        a = P({0: 3, 2: F(1, 2)})
+        q, r = a.divmod(one_minus(5))
+        assert q.is_zero() and r == a
+        q, r = Polynomial.zero().divmod(P({0: 2, 3: 1}))
+        assert q.is_zero() and r.is_zero()
+
+    def test_divmod_non_monic_fraction_quotient(self):
+        # (t^3 + 1) = (t^2/3 - t/9 + 1/27)(3t + 1) + 26/27
+        q, r = P({0: 1, 3: 1}).divmod(P({0: 1, 1: 3}))
+        assert q == P({0: F(1, 27), 1: F(-1, 9), 2: F(1, 3)})
+        assert r == P({0: F(26, 27)})
+
+    def test_divmod_int_when_integral(self):
+        # Fraction inputs whose remainder and part of whose quotient are integral
+        q, r = P({1: F(3, 2), 2: F(1, 2)}).divmod(P({0: 1, 1: 1}))
+        assert q == P({0: 1, 1: F(1, 2)}) and r == P({0: -1})
+        assert type(q.coefficient(0)) is int and type(r.coefficient(0)) is int
+        q, r = P({0: F(5, 2), 1: 1, 2: F(1, 2)}).divmod(P({0: 1, 1: 1}))
+        assert r == P({0: 2}) and type(r.coefficient(0)) is int
+
+    def test_divmod_round_trip(self):
+        rng = random.Random(3)
+        values = [0, 1, -1, 2, -3, F(1, 2), F(-2, 3), 7]
+        for _ in range(300):
+            a = P({e: rng.choice(values) for e in rng.sample(range(40), rng.randint(0, 8))})
+            b = P({e: rng.choice(values[1:]) for e in rng.sample(range(12), rng.randint(1, 4))})
+            if b.is_zero():
+                continue
+            q, r = a.divmod(b)
+            assert q * b + r == a
+            assert r.is_zero() or r.degree < b.degree
+            for _, c in [*q.items(), *r.items()]:
+                assert type(c) is int or c.denominator != 1
+            if r.is_zero():
+                assert a.divide_exact(b) == q
+            exact = (a * b).divmod(b)
+            assert exact[0] == a and exact[1].is_zero()
+
     def test_integer_coefficients_stay_int(self):
         assert type(P({0: F(4, 2)}).coefficient(0)) is int
         f = hilbert_series(validate((-1, -2, 1, 14)))

@@ -54,6 +54,32 @@ class TestSection:
         with pytest.raises(DegreeOverflow):
             section(section_problem([10**6, 3], 5), degree_limit=10**6)
 
+    def test_two_part_count_matches_enumeration(self):
+        for c1, c2 in itertools.product(range(1, 13), repeat=2):
+            counts = Counter(
+                c1 * x + c2 * y for x in range(201 // c1 + 1) for y in range(201 // c2 + 1)
+            )
+            for m in range(-5, 201):
+                assert hilbert._part_count((c1, c2), m) == counts[m], (c1, c2, m)
+        for c in range(1, 13):
+            assert [hilbert._part_count((c,), m) for m in range(-5, 201)] == [
+                int(m >= 0 and m % c == 0) for m in range(-5, 201)
+            ]
+
+    def test_two_factor_section_matches_series_route(self):
+        # the closed route against the series DP that serves three or more
+        # factors; both fit the same view, so equal extracted coefficients
+        # (the section's series to index D) mean equal rational functions
+        rng = random.Random(7)
+        for _ in range(300):
+            exps = [rng.choice([-1, 1]) * rng.randint(1, 40) for _ in range(rng.randint(1, 2))]
+            n_ = rng.choice([1, 2, 3, 4, 6, 12, rng.randint(1, 60)])
+            problem = section_problem(exps, n_)
+            if problem.shift >= sum(problem.factors):
+                continue
+            dp = hilbert._series_section(problem, 10**7)
+            assert section(problem).series_at_zero(len(dp) - 1) == dp, (exps, n_)
+
 
 class TestOracle:
     def test_examples(self):
