@@ -13,20 +13,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NonInvertibleDenominator
-from .exact import Polynomial, _divisors
+from .exact import Polynomial, _divisors, _expand_view, _factor_exponents
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(d: int) -> Polynomial:
-    """The d-th cyclotomic polynomial, by divisor recursion on x^d - 1."""
+    """The d-th cyclotomic polynomial, expanded from its factors
+    prod_{e|d} (1 - x^e)^{mu(d/e)} (d > 1); Phi_1 = x - 1."""
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
-    rest = Polynomial({0: -1, d: 1})  # x^d - 1
-    for e in _divisors(d):
-        if e == d:
-            continue
-        rest = rest.divide_exact(cyclotomic_poly(e))
-    return rest
+    phi = _expand_view(_factor_exponents({d: 1}))
+    return -phi if d == 1 else phi
 
 
 # power sums are cached per cyclotomic index; trace_sum sits in tight loops

@@ -8,6 +8,16 @@ Gauss's lemma exact division by a monic integral Phi_e stays integral, so
 the engines compute with plain ints.  Polynomials are sparse maps
 exponent -> coefficient, because the denominators that show up here
 (products of factors 1 - t^d) have huge degree but very few terms.
+
+Cyclotomic work runs on one dense kernel instead.  By Moebius inversion of
+1 - t^e = prod_{d|e} Phi_d (with Phi_1 taken as 1 - t, the sign convention
+used throughout), Phi_e = prod_{d|e} (1 - t^d)^{mu(e/d)}, so
+prod Phi_e^{m_e} = prod (1 - t^d)^{k_d} with k_d = sum_{d|e} mu(e/d) m_e
+(:func:`_factor_exponents`).  Multiplying a power series truncated to a
+dense list by 1 - t^d is one subtraction pass, dividing by it one running
+sum per residue class mod d (:func:`_apply_factors`).  Denominators, exact
+division by Phi_e, common denominators, section numerators and the
+presentation search are such passes: only + and -, so ints stay ints.
 Rational functions carry an optional *factored denominator view*, a
 multiset of (d, multiplicity) pairs standing for prod (1 - t^d)^multiplicity.
 The reduced numerator/denominator pair is always authoritative; the view may
@@ -19,7 +29,9 @@ threads; every operation returns a fresh value.
 
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd, lcm
+from operator import add, lt, sub
 
 from .errors import (
     InternalInvariantViolation,
@@ -45,6 +57,21 @@ def _quotient(a, b):
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return _exact(a / b)
+
+
+def _from_dense(coeffs) -> "Polynomial":
+    """Polynomial with the nonzero entries of a dense coefficient list."""
+    out = Polynomial()
+    out._coeffs = {e: c if type(c) is int else _exact(c) for e, c in enumerate(coeffs) if c}
+    return out
+
+
+def _normalize(data: dict) -> dict:
+    """Make the non-int entries of a coefficient map int when integral."""
+    for e, c in data.items():
+        if type(c) is not int:
+            data[e] = _exact(c)
+    return data
 
 
 class Polynomial:
@@ -123,7 +150,7 @@ class Polynomial:
             else:
                 data.pop(e, None)
         out = Polynomial()
-        out._coeffs = data
+        out._coeffs = _normalize(data)
         return out
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -135,7 +162,7 @@ class Polynomial:
             if c == 0:
                 return Polynomial.zero()
             out = Polynomial()
-            out._coeffs = {e: v * c for e, v in self._coeffs.items()}
+            out._coeffs = _normalize({e: v * c for e, v in self._coeffs.items()})
             return out
         if not self._coeffs or not other._coeffs:
             return Polynomial.zero()
@@ -152,7 +179,7 @@ class Polynomial:
                 else:
                     data.pop(e, None)
         out = Polynomial()
-        out._coeffs = data
+        out._coeffs = _normalize(data)
         return out
 
     __rmul__ = __mul__
@@ -204,10 +231,9 @@ class Polynomial:
                 q[i - dd] = c
                 for off, b in lower:
                     rem[i - off] -= c * b
-        quot, rest = Polynomial(), Polynomial()
+        quot = Polynomial()
         quot._coeffs = q
-        rest._coeffs = {e: c if type(c) is int else _exact(c) for e, c in enumerate(rem[:dd]) if c}
-        return quot, rest
+        return quot, _from_dense(rem[:dd])
 
     def divide_exact(self, other: "Polynomial"):
         """Return self/other if the division is exact, else None."""
@@ -220,17 +246,11 @@ class Polynomial:
             raise ZeroFunction("zero polynomial")
         mult = 0
         coeffs = self.to_dense()
-        while True:
-            if sum(coeffs) != 0:  # value at t=1
-                return mult
-            # synthetic division by (t - 1)
-            out = [0] * (len(coeffs) - 1)
-            acc = 0
-            for i in range(len(coeffs) - 1, 0, -1):
-                acc += coeffs[i]
-                out[i - 1] = acc
-            coeffs = out
+        while sum(coeffs) == 0:  # value at t=1
+            # exact division by 1 - t: the quotient's top entry is 0
+            _apply_factors(coeffs, {1: -1}).pop()
             mult += 1
+        return mult
 
     def __repr__(self):
         if not self._coeffs:
@@ -276,32 +296,18 @@ class LaurentExpansion:
 # factored denominator views
 
 
-def _expand_view(view: Counter) -> Polynomial:
-    """Expand prod (1 - t^d)^mult."""
-    out = Polynomial.one()
-    for d in sorted(view):
-        f = Polynomial.one_minus_power(d)
-        for _ in range(view[d]):
-            out = out * f
-    return out
+def _expand_view(view) -> Polynomial:
+    """Expand prod (1 - t^d)^mult, a polynomial (some mult may be negative)."""
+    return _from_dense(_apply_factors([1] + [0] * _degree(view), view))
 
 
 def _view_phi_multiset(view: Counter) -> Counter:
-    """Cyclotomic content of the view: 1-t^d = prod_{e|d} Phi_e (up to sign)."""
+    """Cyclotomic content of the view: 1-t^d = prod_{e|d} Phi_e, Phi_1 = 1-t."""
     phis: Counter = Counter()
     for d, m in view.items():
         for e in _divisors(d):
             phis[e] += m
     return phis
-
-
-def _expand_phis(phis: Counter) -> Polynomial:
-    out = Polynomial.one()
-    for e in sorted(phis):
-        p = _cyclotomic_int(e)
-        for _ in range(phis[e]):
-            out = out * p
-    return out
 
 
 def _divisors(n: int) -> list:
@@ -316,11 +322,47 @@ def _divisors(n: int) -> list:
     return small + large[::-1]
 
 
-def _cyclotomic_int(d: int) -> Polynomial:
-    # local copy to avoid an import cycle with the cyclotomic module
-    from .cyclotomic import cyclotomic_poly
+def _mobius(n: int) -> int:
+    """The Moebius function mu(n), by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
 
-    return cyclotomic_poly(d)
+
+def _factor_exponents(phis) -> dict:
+    """The nonzero k_d with prod Phi_e^{m_e} = prod (1 - t^d)^{k_d}, Phi_1 =
+    1 - t: k_d = sum of mu(e/d) m_e over the multiples e of d."""
+    ks: Counter = Counter()
+    for e, m in phis.items():
+        for d in _divisors(e):
+            ks[d] += _mobius(e // d) * m
+    return {d: k for d, k in ks.items() if k}
+
+
+def _apply_factors(a: list, ks) -> list:
+    """Multiply a in place, as a power series truncated to len(a), by
+    prod (1 - t^d)^{k_d}; return a."""
+    n = len(a)
+    for d, k in ks.items():
+        if d >= n:
+            continue
+        for _ in range(k):  # times 1 - t^d
+            a[d:] = map(sub, a[d:], a[: n - d])
+        for _ in range(-k):  # over 1 - t^d: running sums along each class mod d
+            for r in range(d):
+                a[r::d] = accumulate(a[r::d])
+    return a
+
+
+def _degree(ks) -> int:
+    """Degree of prod (1 - t^d)^{k_d} when it is a polynomial."""
+    return sum(d * k for d, k in ks.items())
 
 
 def _greedy_refactor(phis: Counter):
@@ -410,7 +452,8 @@ class RationalFunction:
         self.factored_denominator = (
             tuple(sorted(factored.items())) if factored else None
         )
-        # exact cyclotomic factorization of the reduced denominator, when known
+        # exact cyclotomic factorization of the reduced denominator, when
+        # known: it is prod Phi_e^{m_e} with Phi_1 taken as 1 - t
         self.phi_content = Counter(phi_content) if phi_content is not None else None
 
     # -- constructors -------------------------------------------------------
@@ -420,24 +463,17 @@ class RationalFunction:
         """num / prod (1 - t^d)^mult, reduced by cyclotomic content."""
         view = Counter(dict(view)) if not isinstance(view, Counter) else Counter(view)
         view = Counter({d: m for d, m in view.items() if m})
-        # each factor 1 - t^d is the negative of prod_{e|d} Phi_e
-        if sum(view.values()) % 2:
-            num = -num
         return RationalFunction._from_phi_multiset(num, _view_phi_multiset(view))
 
     @staticmethod
     def _from_phi_multiset(num: Polynomial, phis: Counter) -> "RationalFunction":
-        """num / prod Phi_e^mult, reduced."""
+        """num / prod Phi_e^mult, reduced (Phi_1 = 1 - t, so the denominator
+        has constant term 1, the canonical scaling)."""
         if num.is_zero():
             return RationalFunction.zero()
         num, phis = _cancel_phi_content(num, phis)
-        den = Polynomial.one()
-        for e, m in sorted(phis.items()):
-            for _ in range(m):
-                den = den * _cyclotomic_int(e)
-        new_view = _greedy_refactor(phis)
-        num, den = _canonical_scale(num, den)
-        return RationalFunction(num, den, new_view, _reduced=True, phi_content=phis)
+        den = _expand_view(_factor_exponents(phis))
+        return RationalFunction(num, den, _greedy_refactor(phis), _reduced=True, phi_content=phis)
 
     @staticmethod
     def zero() -> "RationalFunction":
@@ -501,12 +537,15 @@ class RationalFunction:
             return self
         pa, pb = self.phi_content, other.phi_content
         if pa is not None and pb is not None:
-            common = Counter({e: max(pa[e], pb[e]) for e in set(pa) | set(pb)})
-            # f = sign * num / prod Phi^content with sign from the canonical
-            # scaling (Phi_1 is the only factor with constant term -1)
-            na = self.numerator * _expand_phis(common - pa) * (-1) ** pa[1]
-            nb = other.numerator * _expand_phis(common - pb) * (-1) ** pb[1]
-            return RationalFunction._from_phi_multiset(na + nb, common)
+            common = pa | pb
+            # lift both numerators to the denominator prod Phi^common
+            lifted = []
+            for f, content in ((self, pa), (other, pb)):
+                ks = _factor_exponents(common - content)
+                lifted.append(_apply_factors(f.numerator.to_dense() + [0] * _degree(ks), ks))
+            short, num = sorted(lifted, key=len)
+            num[: len(short)] = map(add, short, num)
+            return RationalFunction._from_phi_multiset(_from_dense(num), common)
         num = self.numerator * other.denominator + other.numerator * self.denominator
         return reduce(num, self.denominator * other.denominator)
 
@@ -518,10 +557,7 @@ class RationalFunction:
             return RationalFunction.zero()
         pa, pb = self.phi_content, other.phi_content
         if pa is not None and pb is not None:
-            sign = (-1) ** (pa[1] + pb[1])
-            return RationalFunction._from_phi_multiset(
-                self.numerator * other.numerator * sign, pa + pb
-            )
+            return RationalFunction._from_phi_multiset(self.numerator * other.numerator, pa + pb)
         return reduce(self.numerator * other.numerator, self.denominator * other.denominator)
 
     def inverse(self) -> "RationalFunction":
@@ -533,17 +569,19 @@ class RationalFunction:
 
     def series_at_zero(self, order: int) -> list:
         """Taylor coefficients c_0..c_order at t=0."""
-        d0 = self.denominator.coefficient(0)
-        if d0 == 0:
+        if self.denominator.coefficient(0) == 0:
             raise PoleAtZero("denominator vanishes at t=0")
-        den_items = [(e, c) for e, c in self.denominator.items() if e > 0]
-        out = []
+        # canonical scaling makes the constant term of the denominator 1
+        terms = sorted((e, c) for e, c in self.denominator.items() if e > 0)
+        out = self.numerator.to_dense()[: order + 1]
+        out += [0] * (order + 1 - len(out))
         for m in range(order + 1):
-            acc = self.numerator.coefficient(m)
-            for e, c in den_items:
-                if e <= m:
-                    acc -= c * out[m - e]
-            out.append(_quotient(acc, d0))
+            acc = out[m]
+            for e, c in terms:
+                if e > m:
+                    break
+                acc -= c * out[m - e]
+            out[m] = acc if type(acc) is int else _exact(acc)
         return out
 
     def laurent_at_one(self, count: int) -> LaurentExpansion:
@@ -597,30 +635,24 @@ def _canonical_scale(num: Polynomial, den: Polynomial):
 def _cancel_phi_content(num: Polynomial, phis: Counter):
     """Divide matched cyclotomic factors out of num; return (num, remaining).
 
-    A cheap integer-point divisibility pretest (evaluation at t=2) skips
-    most non-divisors before attempting an exact division.
+    Dividing by Phi_e (Phi_1 = 1 - t) applies the inverse of its factors
+    1 - t^d to a copy of the dense numerator.  The quotient has degree
+    len - 1 - phi(e), so the division is exact iff the last phi(e) entries
+    of the copy are 0.
     """
     phis = Counter(phis)
-    probe = None
-    if num.is_integral():
-        probe = int(num.evaluate(2))
+    a = num.to_dense()
     for e in sorted(phis, reverse=True):
-        while phis[e] > 0:
-            phi = _cyclotomic_int(e)
-            if probe is not None and e > 1:
-                phi2 = int(phi.evaluate(2))
-                if phi2 > 1 and probe % phi2 != 0:
-                    break
-            q = num.divide_exact(phi)
-            if q is None:
+        inverse = {d: -k for d, k in _factor_exponents({e: 1}).items()}
+        width = -_degree(inverse)  # phi(e)
+        while phis[e] > 0 and len(a) > width:
+            q = _apply_factors(a[:], inverse)
+            if any(q[-width:]):
                 break
-            num = q
-            if probe is not None:
-                probe = int(num.evaluate(2)) if num.is_integral() else None
+            del q[-width:]
+            a = q
             phis[e] -= 1
-            if phis[e] == 0:
-                del phis[e]
-    return num, Counter({e: m for e, m in phis.items() if m})
+    return _from_dense(a), +phis
 
 
 def reduce(num: Polynomial, den: Polynomial, factored=None) -> "RationalFunction":
@@ -750,17 +782,15 @@ def present_with_factors(f: RationalFunction):
                 after = [m - 1 if m and d % e == 0 else m for e, m in zip(indices, counts)]
                 if not feasible(after, slots - 1, d):
                     continue
-            if any(arr[m] < arr[m - d] for m in range(d, top + 1)):
+            if any(map(lt, arr[d:], arr[: top + 1 - d])):
                 continue
             if slots == 1:
                 return [d]
-            for m in range(top, d - 1, -1):
-                arr[m] -= arr[m - d]
+            _apply_factors(arr, {d: 1})
             rest = dfs(after, slots - 1, d)
             if rest:
                 return [d] + rest
-            for m in range(d, top + 1):
-                arr[m] += arr[m - d]
+            _apply_factors(arr, {d: -1})
         return None
 
     counts = [content[e] for e in indices]

@@ -38,7 +38,8 @@ from .errors import (
 from .exact import (
     Polynomial,
     RationalFunction,
-    _expand_view,
+    _apply_factors,
+    _from_dense,
     present_with_factors,
 )
 from .weights import WeightVector
@@ -93,21 +94,27 @@ def section(problem: SectionProblem, degree_limit: int = DEFAULT_DEGREE_LIMIT) -
     if len(problem.factors) > 2:
         extracted = _series_section(problem, degree_limit)
     else:
-        extracted = [
-            problem.sign * _part_count(problem.factors, j * n_ - problem.shift)
-            for j in range(den_degree + 1)
-        ]
+        ms = range(-problem.shift, den_degree * n_ - problem.shift + 1, n_)
+        extracted = [problem.sign * c for c in _part_counts(problem.factors, ms)]
     return _fit_numerator(extracted, view)
 
 
-def _part_count(factors: tuple, m: int) -> int:
-    """#{x >= 0 : sum c_i x_i = m} for one or two parts c_i."""
+def _part_counts(factors: tuple, ms) -> list:
+    """#{x >= 0 : sum c_i x_i = m} for each m in ms, with one or two parts c_i."""
     g = gcd(*factors)
-    if m < 0 or m % g or len(factors) == 1:
-        return int(m >= 0 and m % g == 0)
-    c1, c2, m = factors[0] // g, factors[1] // g, m // g
-    x0 = m * pow(c1, -1, c2) % c2  # the least x with c2 | m - c1 x
-    return (m - c1 * x0) // (c1 * c2) + 1 if m >= c1 * x0 else 0
+    if len(factors) == 1:
+        return [int(m >= 0 and m % g == 0) for m in ms]
+    c1, c2 = factors[0] // g, factors[1] // g
+    inverse, span = pow(c1, -1, c2), c1 * c2
+    out = []
+    for m in ms:
+        if m < 0 or m % g:
+            out.append(0)
+            continue
+        m //= g
+        x = c1 * (m * inverse % c2)  # c1 x0, x0 the least x with c2 | m - c1 x
+        out.append((m - x) // span + 1 if m >= x else 0)
+    return out
 
 
 def _series_section(problem: SectionProblem, degree_limit: int) -> list:
@@ -117,22 +124,15 @@ def _series_section(problem: SectionProblem, degree_limit: int) -> list:
         raise DegreeOverflow(f"section series length {top} exceeds the limit {degree_limit}")
     series = [0] * (top + 1)
     series[problem.shift] = problem.sign
-    for c in problem.factors:
-        for j in range(c, top + 1):
-            series[j] += series[j - c]
+    _apply_factors(series, {c: -m for c, m in Counter(problem.factors).items()})
     return series[:: problem.ratio]
 
 
 def _fit_numerator(series: list, view: Counter) -> RationalFunction:
     """P / prod (1 - t^d)^mult, P the truncation of series * denominator to
     len(series) coefficients (exact when deg P < len(series))."""
-    length = len(series)
-    num = [0] * length
-    for e, coeff in _expand_view(view).items():
-        for m in range(e, length):
-            num[m] += coeff * series[m - e]
-    num_poly = Polynomial({e: c for e, c in enumerate(num) if c})
-    return RationalFunction.from_factored(num_poly, view)
+    num = _from_dense(_apply_factors(list(series), view))
+    return RationalFunction.from_factored(num, view)
 
 
 def hilbert_generic(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> RationalFunction:

@@ -29,8 +29,17 @@ class TestCyclotomicPoly:
         assert cyclotomic_poly(4) == Polynomial({0: 1, 2: 1})
         assert cyclotomic_poly(6) == Polynomial({0: 1, 1: -1, 2: 1})
 
+    def test_primes(self):
+        for p in (2, 3, 5, 7, 11, 13, 97):
+            assert cyclotomic_poly(p) == Polynomial({i: 1 for i in range(p)})
+
+    def test_twice_an_odd_prime(self):
+        # Phi_2p(t) = Phi_p(-t)
+        for p in (3, 5, 7, 11, 13, 97):
+            assert cyclotomic_poly(2 * p) == Polynomial({i: (-1) ** i for i in range(p)})
+
     def test_divisor_product(self):
-        for d in (2, 6, 12, 30):
+        for d in range(1, 61):
             product = Polynomial.one()
             for e in _divisors(d):
                 product = product * cyclotomic_poly(e)

@@ -1,12 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from circleinv.cyclotomic import cyclotomic_poly
 from circleinv.errors import PoleAtZero, ZeroDenominator, ZeroFunction
 from circleinv.exact import (
     Polynomial,
     RationalFunction,
+    _apply_factors,
+    _cancel_phi_content,
+    _mobius,
     degree,
     laurent_at_one,
     reduce,
@@ -94,6 +99,14 @@ class TestPolynomial:
             exact = (a * b).divmod(b)
             assert exact[0] == a and exact[1].is_zero()
 
+    def test_add_mul_int_when_integral(self):
+        half = P({0: F(1, 2)})
+        for p in (half + half, half * P({0: 2}), half * 2, P({1: F(1, 3)}) * P({2: 3})):
+            assert p.items() and all(type(c) is int for _, c in p.items())
+        assert (half + half).coefficient(0) == 1
+        mixed = P({0: F(1, 2), 1: F(1, 3)}) + P({0: F(1, 2), 1: 1})
+        assert mixed == P({0: 1, 1: F(4, 3)}) and type(mixed.coefficient(0)) is int
+
     def test_integer_coefficients_stay_int(self):
         assert type(P({0: F(4, 2)}).coefficient(0)) is int
         f = hilbert_series(validate((-1, -2, 1, 14)))
@@ -109,6 +122,79 @@ class TestPolynomial:
         p = P({0: 1, 1: 1})
         assert p.pow(0) == Polynomial.one()
         assert p.pow(3) == P({0: 1, 1: 3, 2: 3, 3: 1})
+
+
+def phi(e):
+    """Phi_e in the sign convention of the cyclotomic content: Phi_1 = 1 - t."""
+    return one_minus(1) if e == 1 else cyclotomic_poly(e)
+
+
+def sparse_product(phis):
+    out = Polynomial.one()
+    for e, m in phis.items():
+        for _ in range(m):
+            out = out * phi(e)
+    return out
+
+
+def random_poly(rng, values, top):
+    return P({e: rng.choice(values) for e in range(rng.randint(0, top))})
+
+
+class TestDenseKernel:
+    def test_mobius(self):
+        assert [_mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+
+    def test_apply_factors_matches_sparse_products(self):
+        rng = random.Random(6)
+        values = [0, 1, -1, 2, -5, F(1, 2), F(-2, 3)]
+        for _ in range(100):
+            a = random_poly(rng, values, 30)
+            ks = {rng.randint(1, 12): rng.randint(1, 3) for _ in range(rng.randint(1, 3))}
+            n = rng.randint(1, 40)
+            dense = (a.to_dense() + [0] * n)[:n]
+            times = _apply_factors(dense[:], ks)
+            product = a
+            for d, k in ks.items():
+                product = product * one_minus(d).pow(k)
+            assert times == (product.to_dense() + [0] * n)[:n]
+            # dividing back is exact on the truncated series
+            assert _apply_factors(times, {d: -k for d, k in ks.items()}) == dense
+
+    def test_cancel_matches_divide_exact(self):
+        rng = random.Random(7)
+        values = [0, 1, -1, 3, F(1, 2), F(-3, 4)]
+        for _ in range(150):
+            built = Counter({rng.randint(1, 30): rng.randint(1, 2) for _ in range(rng.randint(0, 3))})
+            built[1] += rng.randint(0, 2)
+            num = random_poly(rng, values, 8) * sparse_product(built)
+            if num.is_zero():
+                continue
+            for e in {*built, 1, rng.randint(1, 30)}:
+                q, left = _cancel_phi_content(num, Counter({e: 3}))
+                expected, divided = num, 0
+                while divided < 3 and (step := expected.divide_exact(phi(e))) is not None:
+                    expected, divided = step, divided + 1
+                assert q == expected and left == Counter({e: 3 - divided}), (num, e)
+                assert all(type(c) is int or c.denominator != 1 for _, c in q.items())
+
+    def test_denominator_is_the_scaled_phi_product(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            phis = Counter({rng.randint(1, 30): rng.randint(1, 3) for _ in range(rng.randint(1, 4))})
+            phis = +Counter({**phis, 1: rng.randint(0, 3)})
+            expected = Polynomial.one()
+            for e, m in phis.items():
+                expected = expected * cyclotomic_poly(e).pow(m)
+            expected = expected * expected.coefficient(0)  # constant term +-1
+            num = P({0: 1, 1: F(1, 2)}) * P({2: 3})
+            f = RationalFunction._from_phi_multiset(num, phis)
+            assert f.denominator == expected and f.phi_content == phis
+            # a numerator sharing a factor reduces like the gcd route
+            e = rng.choice(list(phis))
+            g = RationalFunction._from_phi_multiset(num * phi(e), phis)
+            assert g == reduce(num * phi(e), expected)
+            assert g.phi_content == phis - Counter({e: 1})
 
 
 class TestReduce:
@@ -160,6 +246,22 @@ class TestSeriesAtZero:
     def test_pole_at_zero(self):
         with pytest.raises(PoleAtZero):
             reduce(Polynomial.one(), P({1: 1})).series_at_zero(2)
+        with pytest.raises(PoleAtZero):
+            reduce(P({0: 1, 1: 1}), P({1: 2, 3: -1})).series_at_zero(4)
+
+    def test_denominator_without_phi_content(self):
+        fib = reduce(Polynomial.one(), P({0: 1, 1: -1, 2: -1}))
+        assert fib.phi_content is None
+        assert fib.series_at_zero(10) == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+        # a non-monic denominator is scaled to constant term 1 by reduce
+        half = reduce(Polynomial.one(), P({0: 2, 1: -1}))
+        assert half.series_at_zero(3) == [F(1, 2), F(1, 4), F(1, 8), F(1, 16)]
+
+    def test_fraction_numerator_int_when_integral(self):
+        f = reduce(P({0: F(1, 2), 1: F(1, 2)}), one_minus(1))
+        out = f.series_at_zero(3)
+        assert out == [F(1, 2), 1, 1, 1]
+        assert [type(c) for c in out] == [F, int, int, int]
 
 
 class TestLaurentAtOne:

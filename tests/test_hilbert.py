@@ -59,10 +59,11 @@ class TestSection:
             counts = Counter(
                 c1 * x + c2 * y for x in range(201 // c1 + 1) for y in range(201 // c2 + 1)
             )
-            for m in range(-5, 201):
-                assert hilbert._part_count((c1, c2), m) == counts[m], (c1, c2, m)
+            got = hilbert._part_counts((c1, c2), range(-5, 201))
+            for m, count in zip(range(-5, 201), got, strict=True):
+                assert count == counts[m], (c1, c2, m)
         for c in range(1, 13):
-            assert [hilbert._part_count((c,), m) for m in range(-5, 201)] == [
+            assert hilbert._part_counts((c,), range(-5, 201)) == [
                 int(m >= 0 and m % c == 0) for m in range(-5, 201)
             ]
 
