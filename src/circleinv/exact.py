@@ -16,8 +16,9 @@ prod Phi_e^{m_e} = prod (1 - t^d)^{k_d} with k_d = sum_{d|e} mu(e/d) m_e
 (:func:`_factor_exponents`).  Multiplying a power series truncated to a
 dense list by 1 - t^d is one subtraction pass, dividing by it one running
 sum per residue class mod d (:func:`_apply_factors`).  Denominators, exact
-division by Phi_e, common denominators, section numerators and the
-presentation search are such passes: only + and -, so ints stay ints.
+division by Phi_e, common denominators, section numerators, series at t=0,
+view numerators and the presentation search are such passes: only + and -,
+so ints stay ints.
 Rational functions carry an optional *factored denominator view*, a
 multiset of (d, multiplicity) pairs standing for prod (1 - t^d)^multiplicity.
 The reduced numerator/denominator pair is always authoritative; the view may
@@ -510,17 +511,20 @@ class RationalFunction:
         """Numerator relative to the factored denominator view.
 
         Equal to ``numerator`` when the view expands to the reduced
-        denominator; otherwise the reduction cofactor is multiplied back in.
+        denominator; otherwise the reduction cofactor, prod Phi_e over the
+        content of the view beyond the denominator's, is multiplied back in
+        by one kernel pass.
         """
         if self.factored_denominator is None:
             return self.numerator
-        expanded = _expand_view(Counter(dict(self.factored_denominator)))
-        if expanded == self.denominator:
+        phis = _view_phi_multiset(dict(self.factored_denominator))
+        content = self.phi_content
+        if phis == content:
             return self.numerator
-        out = (self.numerator * expanded).divide_exact(self.denominator)
-        if out is None:
+        if content is None or content - phis:
             raise InternalInvariantViolation("factored view does not cover the denominator")
-        return out
+        ks = _factor_exponents(phis - content)
+        return _from_dense(_apply_factors(self.numerator.to_dense() + [0] * _degree(ks), ks))
 
     def __neg__(self):
         out = RationalFunction(
@@ -571,10 +575,19 @@ class RationalFunction:
         """Taylor coefficients c_0..c_order at t=0."""
         if self.denominator.coefficient(0) == 0:
             raise PoleAtZero("denominator vanishes at t=0")
-        # canonical scaling makes the constant term of the denominator 1
-        terms = sorted((e, c) for e, c in self.denominator.items() if e > 0)
         out = self.numerator.to_dense()[: order + 1]
         out += [0] * (order + 1 - len(out))
+        if self.phi_content is not None:
+            # numerator times prod (1 - t^d)^{-k_d}: only + and -, so the
+            # entries are ints when the numerator's are
+            inverse = {d: -k for d, k in _factor_exponents(self.phi_content).items()}
+            _apply_factors(out, inverse)
+            if all(type(c) is int for c in self.numerator._coeffs.values()):
+                return out
+            return [_exact(c) for c in out]
+        # the gcd route of reduce: recurrence over the denominator's terms,
+        # whose constant term is 1 by canonical scaling
+        terms = sorted((e, c) for e, c in self.denominator.items() if e > 0)
         for m in range(order + 1):
             acc = out[m]
             for e, c in terms:
@@ -739,6 +752,16 @@ def present_with_factors(f: RationalFunction):
     pruning is exact: if h = F * prod (1 - t^{d_i}) >= 0, every partial
     product is h * prod_rest 1/(1 - t^d), whose coefficients are
     nonnegative too.
+
+    The cyclotomic bookkeeping only skips degrees that cannot complete a
+    covering view.  An index e still needed in as many factors as are open
+    must divide every one of them, so the search steps through the multiples
+    of the lcm L of those forced indices (for the last factor, L is the lcm
+    of every index still needed).  A state (remaining counts, open factors)
+    is infeasible when a count exceeds the open factors or when an index, or
+    L, has no multiple in [d, bound]; that can only become true as d grows,
+    so the smallest d at which each state failed is remembered and larger d
+    skip it without a check.
     """
     content = f.phi_content
     if content is None or f.is_zero():
@@ -754,34 +777,35 @@ def present_with_factors(f: RationalFunction):
     # each factor (1 - t^d) covers Phi_e once for every index e dividing d
     indices = sorted(e for e in content if e > 1)
 
-    def left_lcm(counts: list) -> int:
-        return lcm(*(e for e, m in zip(indices, counts) if m))
+    def forced_lcm(counts, slots: int) -> int:
+        # an index needing every open factor must divide each of them
+        return lcm(*(e for e, m in zip(indices, counts) if m == slots > 0))
 
-    def feasible(counts: list, slots: int, min_d: int) -> bool:
+    def feasible(counts, slots: int, min_d: int) -> bool:
         # each index still needs its multiplicity in distinct later factors
-        # and a multiple of it in [min_d, bound]; the last factor needs a
-        # multiple of the lcm of all of them
-        if slots == 1:
-            return max(counts, default=0) <= 1 and _ceil_to(min_d, left_lcm(counts)) <= bound
+        # and a multiple of it in [min_d, bound]; the forced indices need a
+        # common multiple there
         return all(
             m == 0 or (m <= slots and _ceil_to(min_d, e) <= bound)
             for e, m in zip(indices, counts)
-        )
+        ) and _ceil_to(min_d, forced_lcm(counts, slots)) <= bound
 
     # last index of the series window, the largest possible numerator degree
     top = nfactors * bound + f.numerator.degree - f.denominator.degree
+    # (counts, slots) -> smallest min_d at which that state was infeasible;
+    # feasibility only goes from true to false as min_d grows
+    failed = {}
 
-    def dfs(counts: list, slots: int, min_d: int):
-        if slots == 1:
-            step = left_lcm(counts)
-            candidates = range(_ceil_to(min_d, step), bound + 1, step)
-        else:
-            candidates = range(min_d, bound + 1)
-        for d in candidates:
-            if slots > 1:
-                after = [m - 1 if m and d % e == 0 else m for e, m in zip(indices, counts)]
-                if not feasible(after, slots - 1, d):
-                    continue
+    def dfs(counts: tuple, slots: int, min_d: int):
+        step = forced_lcm(counts, slots)
+        for d in range(_ceil_to(min_d, step), bound + 1, step):
+            after = tuple(m - 1 if m and d % e == 0 else m for e, m in zip(indices, counts))
+            state = (after, slots - 1)
+            if d >= failed.get(state, bound + 1):
+                continue
+            if not feasible(after, slots - 1, d):
+                failed[state] = d
+                continue
             if any(map(lt, arr[d:], arr[: top + 1 - d])):
                 continue
             if slots == 1:
@@ -793,9 +817,9 @@ def present_with_factors(f: RationalFunction):
             _apply_factors(arr, {d: -1})
         return None
 
-    counts = [content[e] for e in indices]
+    counts = tuple(content[e] for e in indices)
     arr = f.series_at_zero(top)
-    if any(c < 0 for c in arr) or not feasible(counts, nfactors, 1):
+    if min(arr) < 0 or not feasible(counts, nfactors, 1):
         return f
     view = dfs(counts, nfactors, 1)
     if view is None:

@@ -5,12 +5,18 @@ from fractions import Fraction as F
 import pytest
 
 from circleinv.cyclotomic import cyclotomic_poly
-from circleinv.errors import PoleAtZero, ZeroDenominator, ZeroFunction
+from circleinv.errors import (
+    InternalInvariantViolation,
+    PoleAtZero,
+    ZeroDenominator,
+    ZeroFunction,
+)
 from circleinv.exact import (
     Polynomial,
     RationalFunction,
     _apply_factors,
     _cancel_phi_content,
+    _expand_view,
     _mobius,
     degree,
     laurent_at_one,
@@ -141,6 +147,30 @@ def random_poly(rng, values, top):
     return P({e: rng.choice(values) for e in range(rng.randint(0, top))})
 
 
+def random_factored(rng, values):
+    """A seeded random num / prod (1 - t^d)^m over prime and composite d,
+    the numerator sometimes sharing a cyclotomic factor with the view; with
+    the unreduced view."""
+    view = Counter({rng.choice([1, 2, 3, 4, 6, 9, 10, 12, 15]): rng.randint(1, 3) for _ in range(rng.randint(1, 4))})
+    num = random_poly(rng, values, 12)
+    if rng.random() < 0.5:
+        num = num * phi(rng.choice([1, 2, 3, 4, 6]))
+    return RationalFunction.from_factored(num, view), view
+
+
+def series_by_recurrence(f, order):
+    """c_0..c_order of f from c_m = a_m - sum_{e>0} b_e c_{m-e}, over the
+    terms b_e of its denominator (b_0 = 1 by canonical scaling)."""
+    out = []
+    for m in range(order + 1):
+        acc = f.numerator.coefficient(m)
+        for e, c in f.denominator.items():
+            if 0 < e <= m:
+                acc -= c * out[m - e]
+        out.append(acc)
+    return out
+
+
 class TestDenseKernel:
     def test_mobius(self):
         assert [_mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
@@ -263,6 +293,26 @@ class TestSeriesAtZero:
         assert out == [F(1, 2), 1, 1, 1]
         assert [type(c) for c in out] == [F, int, int, int]
 
+    def test_kernel_matches_recurrence(self):
+        rng = random.Random(9)
+        checked = 0
+        for trial in range(120):
+            ints = trial % 2 == 0
+            values = [0, 1, -1, 4, -7] if ints else [0, 1, -1, F(1, 2), F(-5, 3), F(3, 2)]
+            f, _ = random_factored(rng, values)
+            if f.is_zero():
+                continue
+            assert f.phi_content is not None
+            deg = f.numerator.degree
+            for order in (0, deg // 2, deg, deg + 1, deg + f.denominator.degree + 7):
+                out = f.series_at_zero(order)
+                assert out == series_by_recurrence(f, order), (f, order)
+                assert all(type(c) is int or c.denominator != 1 for c in out), (f, order)
+                if ints:
+                    assert all(type(c) is int for c in out)
+            checked += 1
+        assert checked > 100
+
 
 class TestLaurentAtOne:
     def test_simple_pole(self):
@@ -349,3 +399,32 @@ class TestArithmeticConsistency:
     def test_view_numerator_consistency(self):
         f = reduce(Polynomial.one(), one_minus(2) * one_minus(4))
         assert f.view_numerator() == f.numerator
+
+    def test_view_numerator_matches_multiply_divide(self):
+        # oracle: multiply by the expanded view, divide by the denominator
+        def oracle(f):
+            view = dict(f.factored_denominator)
+            return (f.numerator * _expand_view(view)).divide_exact(f.denominator)
+
+        rng = random.Random(10)
+        for _ in range(80):
+            f, view = random_factored(rng, [0, 1, -1, 3, F(1, 2), F(-2, 3)])
+            if f.is_zero():
+                continue
+            if f.factored_denominator is not None:
+                assert f.view_numerator() == oracle(f)
+            # any view covering the unreduced one covers the denominator
+            wider = view + Counter({rng.randint(1, 12): rng.randint(0, 2)})
+            g = RationalFunction(f.numerator, f.denominator, wider, _reduced=True, phi_content=f.phi_content)
+            out = g.view_numerator()
+            assert out == oracle(g)
+            assert all(type(c) is int or c.denominator != 1 for _, c in out.items())
+        for raw in [(-4, -4, -2, -2, 1, 3), (-4, -3, 1, 2, 4), (-3, -2, -1, 1, 2, 3), (-2, -1, 1, 3)]:
+            f = hilbert_series(validate(raw))
+            assert f.view_numerator() == oracle(f), raw
+
+    def test_view_numerator_uncovered_view(self):
+        f = RationalFunction.from_factored(Polynomial.one(), {2: 1, 3: 1})
+        g = RationalFunction(f.numerator, f.denominator, {2: 2}, _reduced=True, phi_content=f.phi_content)
+        with pytest.raises(InternalInvariantViolation):
+            g.view_numerator()

@@ -10,7 +10,7 @@ import pytest
 from circleinv import hilbert
 from circleinv.cli import _scan_candidates
 from circleinv.errors import DegreeOverflow, Unstable
-from circleinv.exact import Polynomial, RationalFunction, reduce
+from circleinv.exact import Polynomial, RationalFunction, present_with_factors, reduce
 from circleinv.hilbert import (
     hilbert_degenerate,
     hilbert_generic,
@@ -263,7 +263,7 @@ def _brute_force_view(f):
     dim = content[1]
     bound = _present_bound(f)
     for ds in itertools.combinations_with_replacement(range(1, bound + 1), dim):
-        covered = Counter(e for d in ds for e in range(1, d + 1) if d % e == 0)
+        covered = Counter(e for d in ds for e in content if d % e == 0)
         if any(covered[e] < m for e, m in content.items()):
             continue
         product = ONE
@@ -307,3 +307,32 @@ class TestPresentation:
             assert _flat_view(f) == _brute_force_view(f), raw
             checked += 1
         assert checked > 100
+
+    @pytest.mark.parametrize(
+        "num, view, presented",
+        [
+            ({0: 1, 1: 1, 2: 2, 3: 2, 4: 1}, {4: 2, 6: 3}, ((4, 2), (6, 3))),
+            ({0: 1, 1: 2, 2: 2}, {3: 2, 5: 3}, ((3, 2), (5, 3))),
+        ],
+    )
+    def test_state_revisited_at_smaller_degree(self, num, view, presented):
+        # the search meets one (remaining counts, open factors) state first
+        # at a degree where it is infeasible, then from a sibling branch at
+        # a smaller degree where it is not: skipping it there loses the view
+        f = present_with_factors(from_view(Polynomial(num), view))
+        assert f.factored_denominator == presented
+        assert _flat_view(f) == _brute_force_view(f)
+
+    @pytest.mark.parametrize("n, max_abs, max_bound", [(5, 3, 30), (6, 2, 24)])
+    def test_repeated_indices_match_brute_force(self, n, max_abs, max_bound):
+        # content with an index e > 1 of multiplicity >= 2: e can be forced
+        # into every open factor while more than one factor is left
+        checked = 0
+        for raw in _scan_candidates(n, max_abs):
+            f = hilbert_series(validate(raw))
+            content = f.phi_content
+            if max((m for e, m in content.items() if e > 1), default=0) < 2 or _present_bound(f) > max_bound:
+                continue
+            assert _flat_view(f) == _brute_force_view(f), raw
+            checked += 1
+        assert checked > 30
