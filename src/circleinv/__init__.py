@@ -7,7 +7,6 @@ from .exact import (
     RationalFunction,
     degree,
     laurent_at_one,
-    reduce,
     series_at_zero,
 )
 from .gorenstein import (
@@ -67,7 +66,6 @@ __all__ = [
     "partial_schur_det",
     "partial_schur_expansion",
     "partial_schur_tableaux",
-    "reduce",
     "remove",
     "series_at_zero",
     "stanley_test",

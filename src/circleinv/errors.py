@@ -22,10 +22,6 @@ class ZeroDenominator(ValidationError):
     pass
 
 
-class PoleAtZero(ValidationError):
-    pass
-
-
 class ZeroFunction(ValidationError):
     pass
 

@@ -19,10 +19,14 @@ sum per residue class mod d (:func:`_apply_factors`).  Denominators, exact
 division by Phi_e, common denominators, section numerators, series at t=0,
 view numerators and the presentation search are such passes: only + and -,
 so ints stay ints.
-Rational functions carry an optional *factored denominator view*, a
-multiset of (d, multiplicity) pairs standing for prod (1 - t^d)^multiplicity.
-The reduced numerator/denominator pair is always authoritative; the view may
-be unreduced.
+
+Every denominator here is a product of cyclotomic polynomials (a Hilbert
+series is P(t) / prod (1 - t^d)), so a rational function is always the
+reduced pair num / prod Phi_e^{m_e}: it carries its content {e: m_e} and is
+reduced by cancelling each Phi_e from the numerator, with no polynomial gcd.
+It may also carry a *factored denominator view*, a multiset of
+(d, multiplicity) pairs standing for prod (1 - t^d)^multiplicity.  The
+reduced pair is always authoritative; the view may be unreduced.
 
 All values are immutable after construction and safe to share between
 threads; every operation returns a fresh value.
@@ -31,15 +35,10 @@ threads; every operation returns a fresh value.
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd, lcm
+from math import comb, lcm
 from operator import add, lt, sub
 
-from .errors import (
-    InternalInvariantViolation,
-    PoleAtZero,
-    ZeroDenominator,
-    ZeroFunction,
-)
+from .errors import InternalInvariantViolation, ZeroDenominator, ZeroFunction
 
 
 def _exact(value):
@@ -201,9 +200,6 @@ class Polynomial:
         for e, c in self._coeffs.items():
             total += c * x**e
         return total
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self._coeffs.values())
 
     def to_dense(self) -> list:
         if not self._coeffs:
@@ -386,76 +382,29 @@ def _greedy_refactor(phis: Counter):
     return view
 
 
-def _poly_content_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """gcd over Q[t] by a primitive pseudo-remainder sequence."""
-
-    def to_int(p: Polynomial):
-        denom = 1
-        for c in p._coeffs.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = {e: int(c * denom) for e, c in p.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, abs(v))
-        if g > 1:
-            ints = {e: v // g for e, v in ints.items()}
-        return ints
-
-    fa, fb = to_int(a), to_int(b)
-    while fb:
-        da, db = max(fa), max(fb)
-        if da < db:
-            fa, fb = fb, fa
-            continue
-        # pseudo-remainder: lc(b)^(da-db+1) * a mod b
-        lead_b = fb[db]
-        rem = dict(fa)
-        while rem and max(rem) >= db:
-            dr = max(rem)
-            lead_r = rem[dr]
-            g = gcd(lead_r, lead_b)
-            mul_r, mul_b = lead_b // g, lead_r // g
-            rem = {e: v * mul_r for e, v in rem.items()}
-            for e, v in fb.items():
-                ee = e + dr - db
-                s = rem.get(ee, 0) - mul_b * v
-                if s:
-                    rem[ee] = s
-                else:
-                    rem.pop(ee, None)
-        g = 0
-        for v in rem.values():
-            g = gcd(g, abs(v))
-        if g > 1:
-            rem = {e: v // g for e, v in rem.items()}
-        fa, fb = fb, rem
-    return Polynomial(fa)
-
-
 class RationalFunction:
-    """Reduced ratio of polynomials with canonical scaling.
+    """Numerator over prod Phi_e^{m_e}, reduced by that cyclotomic content.
 
-    The denominator is scaled so its constant term is 1 when nonzero
-    (otherwise the lowest nonzero coefficient is 1), making equality a pure
-    structural comparison.  Use :func:`reduce` or the arithmetic operators to
-    construct values.
+    ``phi_content`` is the multiset {e: m_e}; with Phi_1 taken as 1 - t the
+    denominator has constant term 1, so equality is a pure structural
+    comparison.  Build values with :meth:`from_factored` or the arithmetic
+    operators.
     """
 
     __slots__ = ("numerator", "denominator", "factored_denominator", "phi_content")
 
-    def __init__(self, numerator: Polynomial, denominator: Polynomial, factored=None, _reduced=False, phi_content=None):
+    def __init__(self, numerator: Polynomial, denominator: Polynomial, factored, phi_content, _reduced=False):
         if denominator.is_zero():
             raise ZeroDenominator("zero denominator")
         if not _reduced:
-            raise ValueError("construct via reduce()/from_factored()")
+            raise ValueError("construct via from_factored()")
         self.numerator = numerator
         self.denominator = denominator
         self.factored_denominator = (
             tuple(sorted(factored.items())) if factored else None
         )
-        # exact cyclotomic factorization of the reduced denominator, when
-        # known: it is prod Phi_e^{m_e} with Phi_1 taken as 1 - t
-        self.phi_content = Counter(phi_content) if phi_content is not None else None
+        # the denominator is prod Phi_e^{m_e} over this multiset
+        self.phi_content = Counter(phi_content)
 
     # -- constructors -------------------------------------------------------
 
@@ -521,7 +470,7 @@ class RationalFunction:
         content = self.phi_content
         if phis == content:
             return self.numerator
-        if content is None or content - phis:
+        if content - phis:
             raise InternalInvariantViolation("factored view does not cover the denominator")
         ks = _factor_exponents(phis - content)
         return _from_dense(_apply_factors(self.numerator.to_dense() + [0] * _degree(ks), ks))
@@ -539,19 +488,15 @@ class RationalFunction:
             return other
         if other.is_zero():
             return self
-        pa, pb = self.phi_content, other.phi_content
-        if pa is not None and pb is not None:
-            common = pa | pb
-            # lift both numerators to the denominator prod Phi^common
-            lifted = []
-            for f, content in ((self, pa), (other, pb)):
-                ks = _factor_exponents(common - content)
-                lifted.append(_apply_factors(f.numerator.to_dense() + [0] * _degree(ks), ks))
-            short, num = sorted(lifted, key=len)
-            num[: len(short)] = map(add, short, num)
-            return RationalFunction._from_phi_multiset(_from_dense(num), common)
-        num = self.numerator * other.denominator + other.numerator * self.denominator
-        return reduce(num, self.denominator * other.denominator)
+        common = self.phi_content | other.phi_content
+        # lift both numerators to the denominator prod Phi^common
+        lifted = []
+        for f in (self, other):
+            ks = _factor_exponents(common - f.phi_content)
+            lifted.append(_apply_factors(f.numerator.to_dense() + [0] * _degree(ks), ks))
+        short, num = sorted(lifted, key=len)
+        num[: len(short)] = map(add, short, num)
+        return RationalFunction._from_phi_multiset(_from_dense(num), common)
 
     def __sub__(self, other):
         return self + (-other)
@@ -559,67 +504,40 @@ class RationalFunction:
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         if self.is_zero() or other.is_zero():
             return RationalFunction.zero()
-        pa, pb = self.phi_content, other.phi_content
-        if pa is not None and pb is not None:
-            return RationalFunction._from_phi_multiset(self.numerator * other.numerator, pa + pb)
-        return reduce(self.numerator * other.numerator, self.denominator * other.denominator)
-
-    def inverse(self) -> "RationalFunction":
-        if self.is_zero():
-            raise ZeroFunction("inverse of the zero function")
-        return reduce(self.denominator, self.numerator)
+        return RationalFunction._from_phi_multiset(
+            self.numerator * other.numerator, self.phi_content + other.phi_content
+        )
 
     # -- expansions ----------------------------------------------------------
 
     def series_at_zero(self, order: int) -> list:
-        """Taylor coefficients c_0..c_order at t=0."""
-        if self.denominator.coefficient(0) == 0:
-            raise PoleAtZero("denominator vanishes at t=0")
+        """Taylor coefficients c_0..c_order at t=0: the numerator times
+        prod (1 - t^d)^{-k_d}, only + and -, so the entries are ints when the
+        numerator's are."""
         out = self.numerator.to_dense()[: order + 1]
         out += [0] * (order + 1 - len(out))
-        if self.phi_content is not None:
-            # numerator times prod (1 - t^d)^{-k_d}: only + and -, so the
-            # entries are ints when the numerator's are
-            inverse = {d: -k for d, k in _factor_exponents(self.phi_content).items()}
-            _apply_factors(out, inverse)
-            if all(type(c) is int for c in self.numerator._coeffs.values()):
-                return out
-            return [_exact(c) for c in out]
-        # the gcd route of reduce: recurrence over the denominator's terms,
-        # whose constant term is 1 by canonical scaling
-        terms = sorted((e, c) for e, c in self.denominator.items() if e > 0)
-        for m in range(order + 1):
-            acc = out[m]
-            for e, c in terms:
-                if e > m:
-                    break
-                acc -= c * out[m - e]
-            out[m] = acc if type(acc) is int else _exact(acc)
-        return out
+        _apply_factors(out, {d: -k for d, k in _factor_exponents(self.phi_content).items()})
+        if all(type(c) is int for c in self.numerator._coeffs.values()):
+            return out
+        return [_exact(c) for c in out]
 
     def laurent_at_one(self, count: int) -> LaurentExpansion:
         """Pole order at t=1 and the first ``count`` expansion coefficients
         with respect to powers of (1 - t)."""
         if self.is_zero():
             raise ZeroFunction("Laurent expansion of the zero function")
-        beta = self.denominator.one_multiplicity()
-        order = beta + count
-        num_s = _taylor_at_one(self.numerator, order)
-        den_s = _taylor_at_one(self.denominator, order)
-        alpha = 0
-        while alpha < len(num_s) and num_s[alpha] == 0:
-            alpha += 1
-        if alpha >= len(num_s):
-            raise InternalInvariantViolation("numerator expansion vanished")
-        num_s = num_s[alpha:]
-        den_s = den_s[beta:]
+        # (1 - t) divides the denominator exactly m_1 times (Phi_e(1) != 0
+        # for e > 1), so both leading entries below are nonzero
+        beta = self.phi_content.get(1, 0)
+        alpha = self.numerator.one_multiplicity()
+        num_s = _taylor_at_one(self.numerator, alpha + count)[alpha:]
+        den_s = _taylor_at_one(self.denominator, beta + count)[beta:]
         # series division modulo s^count
         coeffs = []
         for m in range(count):
-            acc = num_s[m] if m < len(num_s) else 0
+            acc = num_s[m]
             for j in range(1, m + 1):
-                if j < len(den_s):
-                    acc -= den_s[j] * coeffs[m - j]
+                acc -= den_s[j] * coeffs[m - j]
             coeffs.append(_quotient(acc, den_s[0]))
         return LaurentExpansion(beta - alpha, coeffs)
 
@@ -632,17 +550,6 @@ class RationalFunction:
         else:
             den = repr(self.denominator)
         return f"RationalFunction({self.numerator!r} / {den})"
-
-
-def _canonical_scale(num: Polynomial, den: Polynomial):
-    c0 = den.coefficient(0)
-    if c0 == 0:
-        c0 = den.coefficient(min(e for e, _ in den.items()))
-    if c0 == 1:
-        return num, den
-    return tuple(
-        Polynomial({e: _quotient(c, c0) for e, c in p.items()}) for p in (num, den)
-    )
 
 
 def _cancel_phi_content(num: Polynomial, phis: Counter):
@@ -668,60 +575,6 @@ def _cancel_phi_content(num: Polynomial, phis: Counter):
     return _from_dense(a), +phis
 
 
-def reduce(num: Polynomial, den: Polynomial, factored=None) -> "RationalFunction":
-    """Canonical reduced rational function num/den.
-
-    When ``factored`` (an iterable of (d, multiplicity) pairs expanding to
-    ``den``) is supplied, reduction happens by cyclotomic content extraction
-    and the view is refactored; otherwise a polynomial gcd is used.
-    """
-    if den.is_zero():
-        raise ZeroDenominator("zero denominator")
-    if factored is not None:
-        return RationalFunction.from_factored(num, Counter(dict(factored)))
-    if num.is_zero():
-        return RationalFunction.zero()
-    g = _poly_content_gcd(num, den)
-    if g.degree and g.degree > 0:
-        num = num.divide_exact(g)
-        den = den.divide_exact(g)
-    num, den = _canonical_scale(num, den)
-    # salvage a factored view when the denominator is a clean product
-    view = None
-    content = None
-    if den.degree == 0:
-        content = Counter()
-    elif den.is_integral() and den.coefficient(0) == 1 and den.degree > 0:
-        view = _peel_view(den)
-        if view is not None:
-            content = _view_phi_multiset(view)
-    return RationalFunction(num, den, view, _reduced=True, phi_content=content)
-
-
-def _peel_view(den: Polynomial):
-    """Write den as prod (1 - t^d)^mult by peeling the largest divisor first.
-
-    The product form is unique when it exists (the largest cyclotomic index
-    present forces the next d), so descending trial division is complete.
-    Returns None when den is not of this form.
-    """
-    view: Counter = Counter()
-    rest = den
-    while rest.degree and rest.degree > 0:
-        top = rest.degree
-        for d in range(top, 0, -1):
-            q = rest.divide_exact(Polynomial.one_minus_power(d))
-            if q is not None:
-                view[d] += 1
-                rest = q
-                break
-        else:
-            return None
-    if rest == Polynomial.one():
-        return view
-    return None
-
-
 def _ceil_to(n: int, step: int) -> int:
     """Smallest multiple of step that is >= n."""
     return -(-n // step) * step
@@ -741,8 +594,7 @@ def present_with_factors(f: RationalFunction):
     over the cyclotomic indices of the reduced denominator, whose product
     prod (1 - t^{d_i}) is divisible by the denominator and leaves a
     numerator with no negative coefficient.  The search is exhaustive, so
-    f is returned unchanged only when no such view exists (or the content
-    is unknown).
+    f is returned unchanged only when no such view exists.
 
     It is one depth-first search over ascending d that carries the partial
     product F * prod_chosen (1 - t^d) of the series F of f on the window
@@ -764,8 +616,6 @@ def present_with_factors(f: RationalFunction):
     skip it without a check.
     """
     content = f.phi_content
-    if content is None or f.is_zero():
-        return f
     nfactors = content.get(1, 0)
     if nfactors == 0:
         return f

@@ -48,10 +48,6 @@ class WeightVector:
     def is_generic(self) -> bool:
         return len(set(self.negatives)) == len(self.negatives)
 
-    @property
-    def positive_side_generic(self) -> bool:
-        return len(set(self.positives)) == len(self.positives)
-
     def negate(self) -> "WeightVector":
         return WeightVector(
             negatives=tuple(sorted(-w for w in self.positives)),

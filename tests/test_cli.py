@@ -305,7 +305,7 @@ class TestMainEntry:
 
     def test_internal_value_error_exits_3(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
-            raise ValueError("construct via reduce()/from_factored()")
+            raise ValueError("construct via from_factored()")
 
         monkeypatch.setattr(cli, "hilbert_series", broken)
         assert main(["hilb", "-1,2,3"]) == 3

@@ -1,0 +1,46 @@
+"""Byte-identical output against the recorded golden snapshots.
+
+The snapshots under ``perfbench/golden/`` hold the canonical ``rf_json``
+text of every sweep and engine-pool vector and the sha256 of the whole
+``scan --n 4 --max-weight 8`` JSONL output (``perfbench/make_golden.py``
+writes them).  A refactor that changes any output byte fails here.
+"""
+
+import gzip
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from circleinv import cli
+from circleinv.hilbert import hilbert_series
+from circleinv.weights import validate
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+
+
+def load(name: str):
+    with gzip.open(GOLDEN / f"{name}.json.gz", "rt", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def compact(payload) -> str:
+    return json.dumps(payload, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("name", ["sweep", "engine"])
+def test_series_match_snapshot(name):
+    snapshot = load(name)
+    assert snapshot
+    for key, text in snapshot.items():
+        raw = tuple(int(w) for w in key.split(","))
+        assert compact(cli.rf_json(hilbert_series(validate(raw)))) == text, key
+
+
+def test_scan_output_matches_snapshot():
+    recorded = load("scan")
+    lines = [compact(cli._scan_one(w)) for w in cli._scan_candidates(4, 8)]
+    assert len(lines) == len(recorded["lines"])
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    assert digest == recorded["sha256"]

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from circleinv.errors import ZeroFunction
-from circleinv.exact import Polynomial, RationalFunction, reduce
+from circleinv.exact import Polynomial, RationalFunction
 from circleinv.gorenstein import (
     GorensteinReport,
     K1_DIVISIBILITY,

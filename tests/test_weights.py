@@ -51,7 +51,6 @@ class TestValidate:
     def test_genericity_flags(self):
         assert validate((-1, -2, 3)).is_generic
         assert not validate((-5, -5, 2, 3)).is_generic
-        assert validate((-5, -5, 2, 3)).positive_side_generic
 
 
 class TestRemove:
