@@ -1,19 +1,33 @@
 """Exact sums of rational expressions over roots of unity.
 
-A sum over the primitive d-th roots of F(zeta) is a field trace: reduce F
-modulo the d-th cyclotomic polynomial and pair the representative with the
-power sums of the roots (Newton's identities).  Sums over constrained subsets
-of the N-th roots decompose by exact order, i.e. over divisors of N that are
-compatible with the constraints.  Everything stays in Q.
+Primary route (the closed-form gammas use it): the sums of
+1/((1 - z^a)(1 - z^b)), z^a/((1 - z^a)^2 (1 - z^b)) and
+1/((1 - z^a)(1 - z^b)(1 - z^c)) over a constrained set of roots, in ints
+and Fractions.  With z = exp(2 pi i k/d), 1/(1 - z^a) = 1/2 + (i/2)
+cot(pi k a/d), extended by 1/2 where z^a = 1.  Over all d-th roots the
+terms with an odd number of cot factors cancel under k -> -k (Zagier,
+"Higher dimensional Dedekind sums", Math. Ann. 202, 1973), and each sum of
+two cot factors is d times a Dedekind sum, evaluated by reciprocity in
+O(log d) Euclid steps (Rademacher-Grosswald, "Dedekind Sums", 1972).
+Moebius inversion over the divisors of each admissible exact order then
+restricts the sum to the constrained roots.
+
+Independent oracle: a sum over the primitive d-th roots of F(zeta) is a
+field trace: reduce F modulo the d-th cyclotomic polynomial and pair the
+representative with the power sums of the roots (Newton's identities).
+Sums over constrained subsets of the N-th roots decompose by exact order,
+i.e. over divisors of N that are compatible with the constraints.
+Everything stays in Q.
 """
 
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import NonInvertibleDenominator
-from .exact import Polynomial, _divisors, _expand_view, _factor_exponents
+from .exact import Polynomial, _divisors, _expand_view, _factor_exponents, _mobius
 
 
 @lru_cache(maxsize=None)
@@ -108,36 +122,20 @@ class RootConstraint:
 
 
 class CyclotomicElement:
-    """Residue class modulo Phi_d(x) or x^N - 1, with Fraction coefficients."""
+    """Residue class modulo Phi_d(x), with Fraction coefficients."""
 
-    __slots__ = ("kind", "order", "rep")
+    __slots__ = ("order", "rep")
 
-    def __init__(self, kind: str, order: int, rep: dict):
-        if kind not in ("phi", "full"):
-            raise ValueError("kind must be 'phi' or 'full'")
-        self.kind = kind
+    def __init__(self, order: int, rep: dict):
         self.order = order
-        self.rep = self._reduce(rep)
-
-    def _reduce(self, rep: dict) -> dict:
-        if self.kind == "full":
-            out: dict = {}
-            for e, c in rep.items():
-                e %= self.order
-                if e in out:
-                    out[e] = out[e] + c
-                else:
-                    out[e] = c
-            return {e: c for e, c in out.items() if c}
-        poly = Polynomial(rep)
-        return dict(_poly_mod(poly, cyclotomic_poly(self.order)).items())
+        self.rep = dict(_poly_mod(Polynomial(rep), cyclotomic_poly(order)).items())
 
     @staticmethod
-    def from_polynomial(kind: str, order: int, p: Polynomial) -> "CyclotomicElement":
-        return CyclotomicElement(kind, order, dict(p.items()))
+    def from_polynomial(order: int, p: Polynomial) -> "CyclotomicElement":
+        return CyclotomicElement(order, dict(p.items()))
 
     def _like(self, rep: dict) -> "CyclotomicElement":
-        return CyclotomicElement(self.kind, self.order, rep)
+        return CyclotomicElement(self.order, rep)
 
     def __add__(self, other: "CyclotomicElement") -> "CyclotomicElement":
         rep = dict(self.rep)
@@ -165,25 +163,15 @@ class CyclotomicElement:
     def is_zero(self) -> bool:
         return not self.rep
 
-    def constant_coefficient(self):
-        return self.rep.get(0, Fraction(0))
-
     def to_polynomial(self) -> Polynomial:
         return Polynomial(self.rep)
 
     def inverse(self) -> "CyclotomicElement":
-        modulus = (
-            cyclotomic_poly(self.order)
-            if self.kind == "phi"
-            else Polynomial({0: -1, self.order: 1})
-        )
-        inv = invert_mod(self.to_polynomial(), modulus)
+        inv = invert_mod(self.to_polynomial(), cyclotomic_poly(self.order))
         return self._like(dict(inv.items()))
 
     def trace(self) -> Fraction:
-        """Sum of the representative over the primitive roots (phi kind)."""
-        if self.kind != "phi":
-            raise ValueError("trace is defined for the Phi modulus")
+        """Sum of the representative over the primitive roots."""
         ps = _power_sums(self.order)
         total = Fraction(0)
         for e, c in self.rep.items():
@@ -191,8 +179,7 @@ class CyclotomicElement:
         return total
 
     def __repr__(self):
-        mod = f"Phi({self.order})" if self.kind == "phi" else f"x^{self.order}-1"
-        return f"CyclotomicElement({Polynomial(self.rep)!r} mod {mod})"
+        return f"CyclotomicElement({Polynomial(self.rep)!r} mod Phi({self.order}))"
 
 
 def trace_sum(num: Polynomial, den: Polynomial, d: int) -> Fraction:
@@ -202,27 +189,88 @@ def trace_sum(num: Polynomial, den: Polynomial, d: int) -> Fraction:
         if d1 == 0:
             raise NonInvertibleDenominator("denominator vanishes at 1")
         return num.evaluate(Fraction(1)) / d1
-    den_cls = CyclotomicElement.from_polynomial("phi", d, den)
-    num_cls = CyclotomicElement.from_polynomial("phi", d, num)
+    den_cls = CyclotomicElement.from_polynomial(d, den)
+    num_cls = CyclotomicElement.from_polynomial(d, num)
     return (num_cls * den_cls.inverse()).trace()
 
 
 def constrained_unity_sum(num: Polynomial, den: Polynomial, constraint: RootConstraint) -> Fraction:
-    """Sum of num(zeta)/den(zeta) over the constrained set of roots."""
+    """Sum of num(zeta)/den(zeta) over the constrained set of roots (the
+    trace route, an oracle for the Dedekind-sum route below)."""
     total = Fraction(0)
     for e in constraint.admissible_orders():
         total += trace_sum(num, den, e)
     return total
 
 
-def full_cycle_sum(num: Polynomial, den: Polynomial, n: int) -> Fraction:
-    """Sum over all n-th roots, via n times the constant coefficient of the
-    reduced representative modulo x^n - 1 (fast path; requires den invertible
-    there)."""
-    den_cls = CyclotomicElement.from_polynomial("full", n, den)
-    num_cls = CyclotomicElement.from_polynomial("full", n, num)
-    value = (num_cls * den_cls.inverse()).constant_coefficient()
-    return n * value
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """The Dedekind sum s(h, k) = sum over r mod k of ((r/k)) ((hr/k)), for
+    coprime h and k >= 1, by the reciprocity law
+    s(h, k) + s(k, h) = (h^2 + k^2 + 1)/(12 h k) - 1/4 in O(log k) steps."""
+    total, sign = Fraction(0), 1
+    h %= k
+    while h:
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        h, k, sign = k % h, h, -sign
+    return total
+
+
+def _cot_dedekind(a: int, b: int, d: int) -> Fraction:
+    """T(a, b; d) / (4d), where T is the sum over k mod d of
+    cot(pi k a/d) cot(pi k b/d), each cot read as 0 at multiples of pi.
+
+    With a = a1 gcd(a, d), b = b1 gcd(b, d) and G the gcd of d/gcd(a, d)
+    and d/gcd(b, d), the cot multiplication formula folds T to
+    4d s(b1 a1^-1 mod G, G).
+    """
+    ga, gb = gcd(a, d), gcd(b, d)
+    big = gcd(d // ga, d // gb)
+    return dedekind_sum(b // gb * pow(a // ga, -1, big), big)
+
+
+def _over_admissible(constraint: RootConstraint, full) -> Fraction:
+    """Sum over the constrained roots of a function of zeta, given full(d),
+    its sum over all d-th roots: the sum over exact order e is
+    sum_{d | e} mu(e/d) full(d)."""
+    weights: dict = {}
+    for e in constraint.admissible_orders():
+        for d in _divisors(e):
+            weights[d] = weights.get(d, 0) + _mobius(e // d)
+    return sum((mu * full(d) for d, mu in weights.items() if mu), Fraction(0))
+
+
+def pair_unity_sum(a: int, b: int, constraint: RootConstraint) -> Fraction:
+    """Sum of 1/((1 - z^a)(1 - z^b)) over the constrained roots, none of
+    which may have z^a = 1 or z^b = 1: over all d-th roots the extended
+    sum is d/4 - T(a, b; d)/4."""
+    return _over_admissible(
+        constraint, lambda d: d * (Fraction(1, 4) - _cot_dedekind(a, b, d))
+    )
+
+
+def weighted_unity_sum(a: int, constraint: RootConstraint) -> Fraction:
+    """Sum of z^a/((1 - z^a)^2 (1 - z^b)) over the constrained roots, for any
+    b with z^a != 1 and z^b != 1 on them; b drops out.  Over all d-th roots
+    the extended sum is -d/8 - C/8, where C = g (d/g - 1)(d/g - 2)/3 is the
+    sum of cot^2(pi k a/d) and g = gcd(a, d)."""
+
+    def full(d):
+        g = gcd(a, d)
+        return Fraction(-3 * d - g * (d // g - 1) * (d // g - 2), 24)
+
+    return _over_admissible(constraint, full)
+
+
+def triple_unity_sum(a: int, b: int, c: int, constraint: RootConstraint) -> Fraction:
+    """Sum of 1/((1 - z^a)(1 - z^b)(1 - z^c)) over the constrained roots,
+    none of which may have z^a, z^b or z^c equal to 1: over all d-th roots
+    the extended sum is d/8 - (T(a, b; d) + T(a, c; d) + T(b, c; d))/8."""
+
+    def full(d):
+        dedekind = _cot_dedekind(a, b, d) + _cot_dedekind(a, c, d) + _cot_dedekind(b, c, d)
+        return d * (Fraction(1, 8) - dedekind / 2)
+
+    return _over_admissible(constraint, full)
 
 
 def gessel_harmonic(n: int) -> Fraction:

@@ -558,7 +558,8 @@ def _cancel_phi_content(num: Polynomial, phis: Counter):
     Dividing by Phi_e (Phi_1 = 1 - t) applies the inverse of its factors
     1 - t^d to a copy of the dense numerator.  The quotient has degree
     len - 1 - phi(e), so the division is exact iff the last phi(e) entries
-    of the copy are 0.
+    of the copy are 0.  A negative multiplicity is a numerator factor: it is
+    multiplied in, and the remaining content is the positive part.
     """
     phis = Counter(phis)
     a = num.to_dense()
@@ -572,6 +573,9 @@ def _cancel_phi_content(num: Polynomial, phis: Counter):
             del q[-width:]
             a = q
             phis[e] -= 1
+    extra = _factor_exponents({e: -m for e, m in phis.items() if m < 0})
+    if extra:
+        a = _apply_factors(a + [0] * _degree(extra), extra)
     return _from_dense(a), +phis
 
 

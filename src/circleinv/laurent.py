@@ -11,6 +11,14 @@ Each coefficient comes in three independent flavors:
 * direct series extraction from the computed Hilbert series (the oracle the
   other two are tested against).
 
+The root-of-unity sums (``_cs_*``) take the Dedekind-sum route of
+``cyclotomic``: Zagier's cancellation of odd cot products ("Higher
+dimensional Dedekind sums", Math. Ann. 202, 1973) and Dedekind reciprocity
+(Rademacher-Grosswald, "Dedekind Sums", 1972) take each sum to O(log N)
+integer Euclid steps per divisor of its root order N.  The trace route
+(``constrained_unity_sum``) stays in ``cyclotomic`` as their oracle.  Each
+pair's root constraint is built once and shared by its sums.
+
 Conventions for reduced vectors: removing entries never re-normalizes; the
 gcd of an empty remainder is 0 and the S_u of a vector with no negative
 entries is 0, which silently kills exactly the terms that the derivations
@@ -19,10 +27,10 @@ drop.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .cyclotomic import RootConstraint, constrained_unity_sum
+from .cyclotomic import RootConstraint, pair_unity_sum, triple_unity_sum, weighted_unity_sum
 from .errors import InternalInvariantViolation, Unstable
-from .exact import Polynomial
 from .hilbert import hilbert_series
 from .schur import _power, elementary_symmetric, partial_schur
 from .weights import WeightVector, remove
@@ -66,69 +74,39 @@ def _require_stable(v: WeightVector):
 # -- constrained root-of-unity sums ----------------------------------------
 
 
-def _pair_constraint(v: WeightVector, j: int, l: int):
-    ambient = remove(v, {j, l})[1]
-    if ambient == 0:
-        return None
-    g_j = remove(v, {j})[1]
-    g_l = remove(v, {l})[1]
-    constraint = RootConstraint(ambient, frozenset({g_j, g_l}))
-    if not constraint.admissible_orders():
-        return None
-    return constraint
+def _reduced(v: WeightVector, depth: int) -> dict:
+    """remove(v, J) for every ascending index tuple J of 1..depth entries."""
+    return {
+        J: remove(v, J) for r in range(1, depth + 1) for J in combinations(range(v.n), r)
+    }
 
 
-def _one_minus_power_mod(exp: int, order: int) -> Polynomial:
-    return Polynomial({0: 1, exp % order: -1})
+def _roots(reduced: dict, J: tuple) -> RootConstraint:
+    """z^{g_J} = 1 with z^{g_K} != 1 for each K that drops one index of J.
+
+    Then z^{a_j} != 1 for every j in J, since g_{J - j} = gcd(g_J, a_j).  An
+    empty remainder (g_J = 0) admits no root.
+    """
+    excluded = frozenset(reduced[K][1] for K in combinations(J, len(J) - 1))
+    return RootConstraint(reduced[J][1], excluded)
 
 
-def _cs_pair(v: WeightVector, j: int, l: int) -> Fraction:
-    """Sum of 1/((1-z^{a_j})(1-z^{a_l})) over z^{g_{jl}}=1 with z^{g_j}!=1
-    and z^{g_l}!=1."""
-    constraint = _pair_constraint(v, j, l)
-    if constraint is None:
-        return Fraction(0)
+def _cs_pair(v: WeightVector, j: int, l: int, roots: RootConstraint) -> Fraction:
+    """Sum of 1/((1-z^{a_j})(1-z^{a_l})) over the roots of the pair (j, l)."""
+    return pair_unity_sum(v.weights[j], v.weights[l], roots)
+
+
+def _cs_pair_weighted(v: WeightVector, j: int, roots: RootConstraint) -> Fraction:
+    """Sum of z^{a_j}/((1-z^{a_j})^2 (1-z^{a_l})) over the roots of a pair
+    (j, l); the value does not depend on a_l."""
+    return weighted_unity_sum(v.weights[j], roots)
+
+
+def _cs_triple(v: WeightVector, j: int, l: int, p: int, roots: RootConstraint) -> Fraction:
+    """Sum of 1/((1-z^{a_j})(1-z^{a_l})(1-z^{a_p})) over the roots of the
+    triple (j, l, p)."""
     ws = v.weights
-    n_ = constraint.ambient_order
-    den = _one_minus_power_mod(ws[j], n_) * _one_minus_power_mod(ws[l], n_)
-    return constrained_unity_sum(Polynomial.one(), den, constraint)
-
-
-def _cs_pair_weighted(v: WeightVector, j: int, l: int) -> Fraction:
-    """Sum of z^{a_j}/((1-z^{a_j})^2 (1-z^{a_l})) over the same set."""
-    constraint = _pair_constraint(v, j, l)
-    if constraint is None:
-        return Fraction(0)
-    ws = v.weights
-    n_ = constraint.ambient_order
-    num = Polynomial.monomial(ws[j] % n_)
-    den = (
-        _one_minus_power_mod(ws[j], n_)
-        * _one_minus_power_mod(ws[j], n_)
-        * _one_minus_power_mod(ws[l], n_)
-    )
-    return constrained_unity_sum(num, den, constraint)
-
-
-def _cs_triple(v: WeightVector, j: int, l: int, p: int) -> Fraction:
-    """Sum of 1/((1-z^{a_j})(1-z^{a_l})(1-z^{a_p})) over z^{g_{jlp}}=1 with
-    z^{g_{jl}}!=1, z^{g_{jp}}!=1, z^{g_{lp}}!=1."""
-    ambient = remove(v, {j, l, p})[1]
-    if ambient == 0:
-        return Fraction(0)
-    excluded = frozenset(
-        {remove(v, {j, l})[1], remove(v, {j, p})[1], remove(v, {l, p})[1]}
-    )
-    constraint = RootConstraint(ambient, excluded)
-    if not constraint.admissible_orders():
-        return Fraction(0)
-    ws = v.weights
-    den = (
-        _one_minus_power_mod(ws[j], ambient)
-        * _one_minus_power_mod(ws[l], ambient)
-        * _one_minus_power_mod(ws[p], ambient)
-    )
-    return constrained_unity_sum(Polynomial.one(), den, constraint)
+    return triple_unity_sum(ws[j], ws[l], ws[p], roots)
 
 
 # -- partial-Schur forms -----------------------------------------------------
@@ -169,8 +147,9 @@ def gamma2(v: WeightVector) -> Fraction:
         - (_e(2, ws) + _e(1, ws) ** 2) * _s(n_ - 4, ws)
         - 4 * _s(n_ - 2, ws)
     ) / (12 * _pi(ws))
+    reduced = _reduced(v, 2)
     for j in range(n_):
-        seq_j, g_j = remove(v, {j})
+        seq_j, g_j = reduced[j,]
         if g_j <= 1 or not seq_j:
             continue
         a_j = ws[j]
@@ -185,17 +164,16 @@ def gamma2(v: WeightVector) -> Fraction:
             * (_e(1, seq_j) * _s(n_ - 4, seq_j) - _s(n_ - 3, seq_j))
             / pi_j
         )
-    for j in range(n_):
-        for l in range(j + 1, n_):
-            seq_jl, _ = remove(v, {j, l})
-            s_val = _s(n_ - 4, seq_jl) if seq_jl else Fraction(0)
-            if s_val == 0:
-                continue
-            cs = _cs_pair(v, j, l)
-            if cs:
-                # sign re-derived from the generic form through the cofactor
-                # identity sum_i a_i^u / prod_{j != i}(a_i - a_j) = S_u / Pi
-                total += -s_val / _pi(seq_jl) * cs
+    for j, l in combinations(range(n_), 2):
+        seq_jl, _ = reduced[j, l]
+        s_val = _s(n_ - 4, seq_jl) if seq_jl else Fraction(0)
+        if s_val == 0:
+            continue
+        cs = _cs_pair(v, j, l, _roots(reduced, (j, l)))
+        if cs:
+            # sign re-derived from the generic form through the cofactor
+            # identity sum_i a_i^u / prod_{j != i}(a_i - a_j) = S_u / Pi
+            total += -s_val / _pi(seq_jl) * cs
     return total
 
 
@@ -210,8 +188,9 @@ def gamma3(v: WeightVector) -> Fraction:
         - (3 * e2 + 2 * e1**2) * _s(n_ - 4, ws)
         + e1 * e2 * _s(n_ - 5, ws)
     ) / (24 * _pi(ws))
+    reduced = _reduced(v, 3)
     for j in range(n_):
-        seq_j, g_j = remove(v, {j})
+        seq_j, g_j = reduced[j,]
         if g_j <= 1 or not seq_j:
             continue
         a_j = ws[j]
@@ -236,40 +215,32 @@ def gamma3(v: WeightVector) -> Fraction:
             )
             / pi_j
         )
-    for j in range(n_):
-        for l in range(j + 1, n_):
-            seq_jl, _ = remove(v, {j, l})
-            if not seq_jl:
-                continue
-            pi_jl = _pi(seq_jl)
-            s4 = _s(n_ - 4, seq_jl)
-            s5 = _s(n_ - 5, seq_jl)
-            e1_jl = _e(1, seq_jl)
-            head = (e1_jl * s5 - s4) / (2 * pi_jl)
-            if head:
-                cs = _cs_pair(v, j, l)
-                if cs:
-                    total += cs * head
-            weight_j = (s4 - ws[j] * s5) / pi_jl
-            if weight_j:
-                cs_a = _cs_pair_weighted(v, j, l)
-                if cs_a:
-                    total += cs_a * weight_j
-            weight_l = (s4 - ws[l] * s5) / pi_jl
-            if weight_l:
-                cs_b = _cs_pair_weighted(v, l, j)
-                if cs_b:
-                    total += cs_b * weight_l
-    for j in range(n_):
-        for l in range(j + 1, n_):
-            for p in range(l + 1, n_):
-                seq_jlp, _ = remove(v, {j, l, p})
-                s_val = _s(n_ - 5, seq_jlp) if seq_jlp else Fraction(0)
-                if s_val == 0:
-                    continue
-                cs = _cs_triple(v, j, l, p)
-                if cs:
-                    total += -s_val / _pi(seq_jlp) * cs
+    for j, l in combinations(range(n_), 2):
+        seq_jl, _ = reduced[j, l]
+        if not seq_jl:
+            continue
+        pi_jl = _pi(seq_jl)
+        s4 = _s(n_ - 4, seq_jl)
+        s5 = _s(n_ - 5, seq_jl)
+        e1_jl = _e(1, seq_jl)
+        roots = _roots(reduced, (j, l))
+        head = (e1_jl * s5 - s4) / (2 * pi_jl)
+        if head:
+            total += _cs_pair(v, j, l, roots) * head
+        weight_j = (s4 - ws[j] * s5) / pi_jl
+        if weight_j:
+            total += _cs_pair_weighted(v, j, roots) * weight_j
+        weight_l = (s4 - ws[l] * s5) / pi_jl
+        if weight_l:
+            total += _cs_pair_weighted(v, l, roots) * weight_l
+    for j, l, p in combinations(range(n_), 3):
+        seq_jlp, _ = reduced[j, l, p]
+        s_val = _s(n_ - 5, seq_jlp) if seq_jlp else Fraction(0)
+        if s_val == 0:
+            continue
+        cs = _cs_triple(v, j, l, p, _roots(reduced, (j, l, p)))
+        if cs:
+            total += -s_val / _pi(seq_jlp) * cs
     return total
 
 
@@ -324,7 +295,9 @@ def gamma2_generic(v: WeightVector) -> Fraction:
     _require_generic(v)
     ws = v.weights
     n_ = v.n
-    gcds = [remove(v, {j})[1] for j in range(n_)]
+    reduced = _reduced(v, 2)
+    gcds = [reduced[j,][1] for j in range(n_)]
+    roots = {J: _roots(reduced, J) for J in combinations(range(n_), 2)}
     total = Fraction(0)
     for i in range(v.k):
         others = [j for j in range(n_) if j != i]
@@ -363,7 +336,7 @@ def gamma2_generic(v: WeightVector) -> Fraction:
                 )
         for idx, j in enumerate(others):
             for l in others[idx + 1:]:
-                cs = _cs_pair(v, j, l)
+                cs = _cs_pair(v, j, l, roots[j, l])
                 if cs:
                     den_ijl = Fraction(1)
                     for p in others:
@@ -377,7 +350,9 @@ def gamma3_generic(v: WeightVector) -> Fraction:
     _require_generic(v)
     ws = v.weights
     n_ = v.n
-    gcds = [remove(v, {j})[1] for j in range(n_)]
+    reduced = _reduced(v, 3)
+    gcds = [reduced[j,][1] for j in range(n_)]
+    roots = {J: _roots(reduced, J) for J in combinations(range(n_), 2)}
     total = Fraction(0)
     for i in range(v.k):
         others = [j for j in range(n_) if j != i]
@@ -430,12 +405,12 @@ def gamma3_generic(v: WeightVector) -> Fraction:
                 den_ijl = Fraction(1)
                 for q in rest:
                     den_ijl *= ws[i] - ws[q]
-                cs = _cs_pair(v, j, l)
+                cs = _cs_pair(v, j, l, roots[j, l])
                 if cs:
                     inner = sum(ws[p] for p in rest)
                     total += cs * _power(ws[i], n_ - 5) * inner / (2 * den_ijl)
-                cs_a = _cs_pair_weighted(v, j, l)
-                cs_b = _cs_pair_weighted(v, l, j)
+                cs_a = _cs_pair_weighted(v, j, roots[j, l])
+                cs_b = _cs_pair_weighted(v, l, roots[j, l])
                 if cs_a or cs_b:
                     total += (
                         _power(ws[i], n_ - 5)
@@ -446,7 +421,7 @@ def gamma3_generic(v: WeightVector) -> Fraction:
             for jdx in range(idx + 1, len(others)):
                 for kdx in range(jdx + 1, len(others)):
                     l, p = others[jdx], others[kdx]
-                    cs = _cs_triple(v, j, l, p)
+                    cs = _cs_triple(v, j, l, p, _roots(reduced, (j, l, p)))
                     if cs:
                         den_ijlp = Fraction(1)
                         for q in others:

@@ -1,6 +1,8 @@
 import random
+import sys
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -9,18 +11,39 @@ from circleinv.cyclotomic import (
     RootConstraint,
     constrained_unity_sum,
     cyclotomic_poly,
-    full_cycle_sum,
+    dedekind_sum,
     gessel_harmonic,
+    pair_unity_sum,
     trace_sum,
+    triple_unity_sum,
+    weighted_unity_sum,
 )
 from circleinv.errors import NonInvertibleDenominator
 from circleinv.exact import Polynomial, _divisors
+from circleinv.laurent import _cs_pair, _cs_pair_weighted, _cs_triple, _reduced, _roots
+from circleinv.weights import validate
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import sweep_family  # noqa: E402
 
 ONE = Polynomial.one()
 
 
 def one_minus_x(e):
     return Polynomial({0: 1, e: -1})
+
+
+def trace_route(a, b, c, roots, weighted=False):
+    """The oracle: constrained_unity_sum of 1/((1-x^a)(1-x^b)(1-x^c)) (no
+    third factor when c is None), or of x^a/((1-x^a)^2 (1-x^b)) when
+    weighted, with exponents reduced mod the ambient order."""
+    n = roots.ambient_order
+    num, den = ONE, one_minus_x(a % n) * one_minus_x(b % n)
+    if weighted:
+        num, den = Polynomial.monomial(a % n), den * one_minus_x(a % n)
+    elif c is not None:
+        den = den * one_minus_x(c % n)
+    return constrained_unity_sum(num, den, roots)
 
 
 class TestCyclotomicPoly:
@@ -89,15 +112,22 @@ class TestConstrainedSum:
             RootConstraint(6, frozenset({4}))
 
     def test_full_cycle_decomposition(self):
-        # no exclusions: sum over divisors of trace sums == fast path
+        # every nontrivial N-th root: the trace sums over the divisors e > 1
+        # of N add up to the Dedekind-sum route
         rng = random.Random(4)
-        for n in range(1, 61):
-            # F = x^2 / (2 - x): denominator invertible at every root of unity
-            num = Polynomial.monomial(2 % max(n, 1))
-            den = Polynomial({0: 2, 1: -1})
-            total = constrained_unity_sum(num, den, RootConstraint(n, frozenset()))
-            assert total == full_cycle_sum(num, den, n)
-            assert total == sum(trace_sum(num, den, e) for e in _divisors(n))
+        for n in range(2, 41):
+            units = [a for a in range(1, n) if gcd(a, n) == 1]
+            a, b, c = (rng.choice(units) for _ in range(3))
+            roots = RootConstraint(n, frozenset({1}))
+            orders = _divisors(n)[1:]
+            den = one_minus_x(a) * one_minus_x(b)
+            assert pair_unity_sum(a, b, roots) == sum(trace_sum(ONE, den, e) for e in orders)
+            weighted = sum(
+                trace_sum(Polynomial.monomial(a), den * one_minus_x(a), e) for e in orders
+            )
+            assert weighted_unity_sum(a, roots) == weighted
+            den = den * one_minus_x(c)
+            assert triple_unity_sum(a, b, c, roots) == sum(trace_sum(ONE, den, e) for e in orders)
 
     def test_galois_invariance(self):
         # replacing x by x^s for s coprime to N permutes the constrained set
@@ -126,14 +156,78 @@ class TestGesselHarmonic:
 
 class TestCyclotomicElement:
     def test_inverse_roundtrip(self):
-        elem = CyclotomicElement("phi", 12, {0: F(2), 1: F(1)})
+        elem = CyclotomicElement(12, {0: F(2), 1: F(1)})
         inv = elem.inverse()
         assert (elem * inv).to_polynomial() == Polynomial.one()
 
-    def test_full_cycle_reduction(self):
-        elem = CyclotomicElement("full", 4, {5: F(1)})
-        assert elem.rep == {1: F(1)}
-
     def test_trace_of_one(self):
-        elem = CyclotomicElement("phi", 7, {0: F(1)})
+        elem = CyclotomicElement(7, {0: F(1)})
         assert elem.trace() == 6
+
+
+def sawtooth(x):
+    return F(0) if x.denominator == 1 else x - (x.numerator // x.denominator) - F(1, 2)
+
+
+class TestDedekindSum:
+    def test_matches_sawtooth_definition(self):
+        for k in range(1, 61):
+            for h in range(k):
+                if gcd(h, k) != 1:
+                    continue
+                expected = sum(sawtooth(F(r, k)) * sawtooth(F(h * r, k)) for r in range(k))
+                assert dedekind_sum(h, k) == expected, (h, k)
+
+    def test_symmetries(self):
+        for k in range(1, 40):
+            assert dedekind_sum(1, k) == F((k - 1) * (k - 2), 12 * k)
+            for h in range(1, 3 * k):
+                if gcd(h, k) == 1:
+                    assert dedekind_sum(-h, k) == -dedekind_sum(h, k)
+                    assert dedekind_sum(h + k, k) == dedekind_sum(h, k)
+
+
+def constrained_sums(v):
+    """(J, roots) for every pair and triple J of v with a nonempty remainder,
+    the root sets the closed-form gammas sum over."""
+    reduced = _reduced(v, 3)
+    return [(J, _roots(reduced, J)) for J in reduced if len(J) > 1 and reduced[J][0]]
+
+
+class TestDedekindRoute:
+    def test_random_vectors_match_trace_route(self):
+        rng = random.Random(11)
+        checked = 0
+        while checked < 200:
+            n = rng.randint(3, 5)
+            raw = [rng.choice([w for w in range(-12, 13) if w]) for _ in range(n)]
+            if min(raw) > 0 or max(raw) < 0:
+                continue
+            v = validate(raw)
+            ws = v.weights
+            for J, roots in constrained_sums(v):
+                a, b = ws[J[0]], ws[J[1]]
+                if len(J) == 2:
+                    assert pair_unity_sum(a, b, roots) == trace_route(a, b, None, roots), (ws, J)
+                    assert weighted_unity_sum(a, roots) == trace_route(a, b, None, roots, True)
+                    assert weighted_unity_sum(b, roots) == trace_route(b, a, None, roots, True)
+                else:
+                    c = ws[J[2]]
+                    assert triple_unity_sum(a, b, c, roots) == trace_route(a, b, c, roots), (ws, J)
+            checked += 1
+
+    def test_gamma_sums_match_trace_route_on_sweep(self):
+        # the sums exactly as gamma_2 and gamma_3 call them, over every
+        # pair and triple of the benchmark's sweep family
+        for raw in sweep_family():
+            v = validate(raw)
+            ws = v.weights
+            for J, roots in constrained_sums(v):
+                a, b = ws[J[0]], ws[J[1]]
+                if len(J) == 2:
+                    j, l = J
+                    assert _cs_pair(v, j, l, roots) == trace_route(a, b, None, roots), raw
+                    assert _cs_pair_weighted(v, j, roots) == trace_route(a, b, None, roots, True)
+                    assert _cs_pair_weighted(v, l, roots) == trace_route(b, a, None, roots, True)
+                else:
+                    assert _cs_triple(v, *J, roots) == trace_route(a, b, ws[J[2]], roots), raw

@@ -255,6 +255,22 @@ class TestReduce:
             assert f == g
             assert f.series_at_zero(12) == g.series_at_zero(12)
 
+    def test_negative_multiplicity_is_a_numerator_factor(self):
+        f = R(Polynomial.one(), {2: -1})
+        assert f.numerator == one_minus(2) and f.denominator == Polynomial.one()
+        assert not f.phi_content
+        rng = random.Random(9)
+        for _ in range(60):
+            num = random_poly(rng, [0, 1, -1, 2, F(1, 2)], 5)
+            if num.is_zero():
+                continue
+            view = Counter({rng.randint(1, 12): rng.randint(-2, 2) for _ in range(3)})
+            moved = num
+            for d, k in (-view).items():
+                moved = moved * one_minus(d).pow(k)
+            f, g = R(num, view), R(moved, +view)
+            assert f == g and f.phi_content == g.phi_content, (num, view)
+
 
 class TestSeriesAtZero:
     def test_geometric(self):

@@ -1,11 +1,14 @@
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from circleinv.errors import Unstable
+from circleinv.hilbert import hilbert_series
 from circleinv.laurent import (
     gamma0,
     gamma0_generic,
@@ -19,6 +22,9 @@ from circleinv.laurent import (
     gammas_from_series,
 )
 from circleinv.weights import canonical_key, validate
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import engine_pool  # noqa: E402
 
 SCHUR_FORMS = (gamma0, gamma1, gamma2, gamma3)
 GENERIC_FORMS = (gamma0_generic, gamma1_generic, gamma2_generic, gamma3_generic)
@@ -162,6 +168,16 @@ class TestAgreement:
     def test_generic_form_requires_generic(self):
         with pytest.raises(Unstable):
             gamma2_generic(validate((-1, -1, 1)))
+
+
+class TestLargeStrides:
+    def test_gammas_match_series_on_engine_pool(self):
+        # strides up to 503 and repeats on both sides, far beyond the
+        # |w| <= 6 sweep of the acceptance suite
+        for raw in engine_pool():
+            v = validate(raw)
+            series = hilbert_series(v).laurent_at_one(4).coefficients
+            assert gammas(v, 3).values == series, raw
 
 
 class TestMildCoprimality:
