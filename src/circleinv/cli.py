@@ -136,6 +136,7 @@ def _emit(payload: dict):
 def cmd_hilb(args) -> int:
     v = validate(parse_weights(args.weights))
     _at_least(args.verify_depth, 0, "--verify-depth")
+    _at_least(args.max_denominator_degree, 1, "--max-denominator-degree")
     depth = args.verify_depth if args.verify_depth else None
     if args.method == "oracle":
         upto = args.verify_depth if args.verify_depth else 50

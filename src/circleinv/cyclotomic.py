@@ -20,7 +20,6 @@ i.e. over divisors of N that are compatible with the constraints.
 Everything stays in Q.
 """
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,18 +39,10 @@ def cyclotomic_poly(d: int) -> Polynomial:
     return -phi if d == 1 else phi
 
 
-# power sums are cached per cyclotomic index; trace_sum sits in tight loops
-_power_sum_cache: dict = {}
-_power_sum_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def _power_sums(d: int) -> tuple:
     """(p_0, ..., p_{deg-1}) where p_i is the sum of zeta^i over primitive
     d-th roots zeta, from Newton's identities on cyclotomic_poly(d)."""
-    with _power_sum_lock:
-        cached = _power_sum_cache.get(d)
-    if cached is not None:
-        return cached
     phi = cyclotomic_poly(d)
     deg = phi.degree
     coeffs = [phi.coefficient(i) for i in range(deg + 1)]  # monic
@@ -61,10 +52,7 @@ def _power_sums(d: int) -> tuple:
         for j in range(1, i):
             acc -= coeffs[deg - j] * ps[i - j]
         ps.append(Fraction(acc))
-    result = tuple(ps)
-    with _power_sum_lock:
-        _power_sum_cache[d] = result
-    return result
+    return tuple(ps)
 
 
 def _poly_mod(p: Polynomial, modulus: Polynomial) -> Polynomial:
@@ -137,21 +125,7 @@ class CyclotomicElement:
     def _like(self, rep: dict) -> "CyclotomicElement":
         return CyclotomicElement(self.order, rep)
 
-    def __add__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        rep = dict(self.rep)
-        for e, c in other.rep.items():
-            rep[e] = rep[e] + c if e in rep else c
-        return self._like(rep)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._like({e: -c for e, c in self.rep.items()})
-
-    def __mul__(self, other) -> "CyclotomicElement":
-        if not isinstance(other, CyclotomicElement):
-            return self._like({e: c * other for e, c in self.rep.items()})
+    def __mul__(self, other: "CyclotomicElement") -> "CyclotomicElement":
         rep: dict = {}
         for ea, ca in self.rep.items():
             for eb, cb in other.rep.items():
@@ -159,9 +133,6 @@ class CyclotomicElement:
                 prod = ca * cb
                 rep[e] = rep[e] + prod if e in rep else prod
         return self._like(rep)
-
-    def is_zero(self) -> bool:
-        return not self.rep
 
     def to_polynomial(self) -> Polynomial:
         return Polynomial(self.rep)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import InternalInvariantViolation, ZeroFunction
 from .exact import Polynomial, RationalFunction
 from .hilbert import hilbert_series
-from .laurent import _s, gamma0, gamma1
+from .laurent import _s, gammas
 from .schur import elementary_symmetric
 from .weights import WeightVector, remove
 
@@ -62,8 +62,7 @@ def a_invariant_closed_form(v: WeightVector) -> Fraction:
     obstruction (the ring cannot be Gorenstein).  zero-weight coordinates
     shift the dimension but not the gamma ratio.
     """
-    g0 = gamma0(v)
-    g1 = gamma1(v)
+    g0, g1 = gammas(v, 1).values
     return -2 * g1 / g0 - (v.n - 1 + v.zero_count)
 
 
@@ -96,8 +95,25 @@ def a_invariant_schur_form(v: WeightVector) -> Fraction:
 def integer_obstruction(v: WeightVector):
     """(ratio 2*gamma_1/gamma_0, ratio in Z?).  False proves NotGorenstein;
     True is inconclusive."""
-    ratio = 2 * gamma1(v) / gamma0(v)
+    g0, g1 = gammas(v, 1).values
+    ratio = 2 * g1 / g0
     return ratio, ratio.denominator == 1
+
+
+def gamma3_relation(g0, g1, g2, g3) -> bool:
+    """The order-3 Laurent relation of the functional equation at t = 1.
+
+    With u = 1 - t, Hilb = sum_k gamma_k u^{k-dim} and c = dim + a, the
+    equation Hilb(1/t) = (-1)^dim t^{-a} Hilb(t) holds to order m exactly
+    when (-1)^m sum_{k<=m} gamma_k C(c-k, m-k) = gamma_m for all m, C the
+    generalized binomial.  m = 1 gives c = -2*gamma_1/gamma_0 (the ratio
+    test), m = 2 follows from m = 1, and m = 3 is this relation.  It is
+    necessary for Gorenstein, not sufficient.
+    """
+    c = -2 * g1 / g0
+    return 2 * g3 == -(
+        g0 * c * (c - 1) * (c - 2) / 6 + g1 * (c - 1) * (c - 2) / 2 + g2 * (c - 2)
+    )
 
 
 def k1_sufficient(v: WeightVector) -> bool:
@@ -154,10 +170,12 @@ def analyze(v: WeightVector, full: bool = False, verify_depth=None) -> Gorenstei
     Short-circuits (skipped when ``full``): n=2 and the k=1 divisibility
     criterion prove Gorenstein without the series; a non-integer gamma
     ratio proves NotGorenstein without the series (``hilbert``/``degree``
-    stay None in that case).
+    stay None in that case).  A Gorenstein verdict must satisfy
+    2*gamma_1/gamma_0 = -a - dim; with ``full`` it must also satisfy
+    ``gamma3_relation``, for which one pass computes gamma_0..gamma_3.
     """
-    g0 = gamma0(v)
-    g1 = gamma1(v)
+    values = gammas(v, 3 if full else 1).values
+    g0, g1 = values[:2]
     ratio = 2 * g1 / g0
     ratio_is_integer = ratio.denominator == 1
     dim = v.n - 1 + v.zero_count
@@ -209,8 +227,14 @@ def analyze(v: WeightVector, full: bool = False, verify_depth=None) -> Gorenstei
     f = hilbert_series(v, verify_depth=verify_depth)
     degree = f.degree
     holds = stanley_test(f, dim)
-    if holds:
-        _assert_gorenstein_consistency(v, f, dim, ratio, degree)
+    if holds and ratio != -degree - dim:
+        raise InternalInvariantViolation(
+            "gamma ratio violates 2*gamma1/gamma0 = -a - dim on a Gorenstein vector"
+        )
+    if holds and full and not gamma3_relation(*values):
+        raise InternalInvariantViolation(
+            "gamma_0..gamma_3 violate the functional equation on a Gorenstein vector"
+        )
     return GorensteinReport(
         stanley_holds=holds,
         classification="Gorenstein" if holds else "NotGorenstein",
@@ -219,14 +243,3 @@ def analyze(v: WeightVector, full: bool = False, verify_depth=None) -> Gorenstei
         **common,
     )
 
-
-def _assert_gorenstein_consistency(v, f, dim, ratio, degree):
-    closed = a_invariant_closed_form(v)
-    if closed.denominator != 1 or int(closed) != degree:
-        raise InternalInvariantViolation(
-            f"closed-form a-invariant {closed} disagrees with the series degree {degree}"
-        )
-    if ratio != -degree - dim:
-        raise InternalInvariantViolation(
-            "gamma ratio violates 2*gamma1/gamma0 = -a - dim on a Gorenstein vector"
-        )

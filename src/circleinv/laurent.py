@@ -5,19 +5,23 @@ Each coefficient comes in three independent flavors:
 
 * the partial-Schur form (default) - valid for degenerate weight vectors,
   built from S_u values of the vector and its reduced vectors plus exact
-  constrained root-of-unity sums;
+  constrained root-of-unity sums.  One pass (``_schur_gammas``) walks the
+  index sets J once - the whole vector, then |J| = 1, 2, 3 up to the
+  requested order - and adds each reduced vector's term to every gamma_m
+  with m >= |J|;
 * the generic form - partial-fraction style sums over the negative weights,
   defined only when they are pairwise distinct;
 * direct series extraction from the computed Hilbert series (the oracle the
   other two are tested against).
 
-The root-of-unity sums (``_cs_*``) take the Dedekind-sum route of
-``cyclotomic``: Zagier's cancellation of odd cot products ("Higher
-dimensional Dedekind sums", Math. Ann. 202, 1973) and Dedekind reciprocity
-(Rademacher-Grosswald, "Dedekind Sums", 1972) take each sum to O(log N)
-integer Euclid steps per divisor of its root order N.  The trace route
-(``constrained_unity_sum``) stays in ``cyclotomic`` as their oracle.  Each
-pair's root constraint is built once and shared by its sums.
+The root-of-unity sums take the Dedekind-sum route of ``cyclotomic``
+(``pair_unity_sum``, ``weighted_unity_sum``, ``triple_unity_sum``):
+Zagier's cancellation of odd cot products ("Higher dimensional Dedekind
+sums", Math. Ann. 202, 1973) and Dedekind reciprocity (Rademacher-Grosswald,
+"Dedekind Sums", 1972) take each sum to O(log N) integer Euclid steps per
+divisor of its root order N.  The trace route (``constrained_unity_sum``)
+stays in ``cyclotomic`` as their oracle.  Each pair's root constraint is
+built once and shared by its sums.
 
 Conventions for reduced vectors: removing entries never re-normalizes; the
 gcd of an empty remainder is 0 and the S_u of a vector with no negative
@@ -28,11 +32,12 @@ drop.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from .cyclotomic import RootConstraint, pair_unity_sum, triple_unity_sum, weighted_unity_sum
 from .errors import InternalInvariantViolation, Unstable
 from .hilbert import hilbert_series
-from .schur import _power, elementary_symmetric, partial_schur
+from .schur import _power, partial_schur
 from .weights import WeightVector, remove
 
 
@@ -62,16 +67,12 @@ def _s(u: int, seq) -> Fraction:
     return partial_schur(u, xs, ys)
 
 
-def _e(j: int, seq) -> Fraction:
-    return elementary_symmetric(j, seq)
-
-
 def _require_stable(v: WeightVector):
     if v.k < 1 or v.m < 1:
         raise Unstable("gamma formulas need both signs present")
 
 
-# -- constrained root-of-unity sums ----------------------------------------
+# -- reduced vectors and their root constraints -----------------------------
 
 
 def _reduced(v: WeightVector, depth: int) -> dict:
@@ -91,157 +92,84 @@ def _roots(reduced: dict, J: tuple) -> RootConstraint:
     return RootConstraint(reduced[J][1], excluded)
 
 
-def _cs_pair(v: WeightVector, j: int, l: int, roots: RootConstraint) -> Fraction:
-    """Sum of 1/((1-z^{a_j})(1-z^{a_l})) over the roots of the pair (j, l)."""
-    return pair_unity_sum(v.weights[j], v.weights[l], roots)
-
-
-def _cs_pair_weighted(v: WeightVector, j: int, roots: RootConstraint) -> Fraction:
-    """Sum of z^{a_j}/((1-z^{a_j})^2 (1-z^{a_l})) over the roots of a pair
-    (j, l); the value does not depend on a_l."""
-    return weighted_unity_sum(v.weights[j], roots)
-
-
-def _cs_triple(v: WeightVector, j: int, l: int, p: int, roots: RootConstraint) -> Fraction:
-    """Sum of 1/((1-z^{a_j})(1-z^{a_l})(1-z^{a_p})) over the roots of the
-    triple (j, l, p)."""
-    ws = v.weights
-    return triple_unity_sum(ws[j], ws[l], ws[p], roots)
-
-
 # -- partial-Schur forms -----------------------------------------------------
 
 
-def gamma0(v: WeightVector) -> Fraction:
+def _schur_gammas(v: WeightVector, upto: int) -> list:
+    """[gamma_0, ..., gamma_upto] (upto <= 3) in one walk over the reduced
+    vectors a - J, |J| <= upto.
+
+    The reduced vector of an r-element J enters gamma_m for every m >= r
+    through s[u] = S_{n-u}(a - J), u = r+2..m+2.  Its S_u values, Pi, e_1
+    and e_2 are ints, computed once, and t[m] is 24*Pi times its term in
+    gamma_m, so each term costs one Fraction.  A pair's root constraint and
+    pair sum serve gamma_2 and gamma_3 alike.
+    """
     _require_stable(v)
     ws = v.weights
-    return -_s(v.n - 2, ws) / _pi(ws)
+    n_ = v.n
+    out = [Fraction(0)] * (upto + 1)
+    reduced = _reduced(v, upto)
+    for J, (seq, g) in [((), (ws, 1)), *reduced.items()]:
+        r = len(J)
+        if r == 1 and g <= 1:
+            continue  # every term carries a factor g - 1
+        xs, ys = _split(seq)
+        s = [partial_schur(n_ - u, xs, ys) if r + 2 <= u <= upto + 2 else 0 for u in range(6)]
+        if not any(s):
+            continue
+        pi = prod(x - y for x in xs for y in ys)
+        e1 = sum(seq)
+        e2 = (e1 * e1 - sum(w * w for w in seq)) // 2
+        t = [0] * 4
+        if r == 0:
+            t[0] = -24 * s[2]
+            t[1] = 12 * (e1 * s[3] - s[2])
+            t[2] = 2 * (5 * e1 * s[3] - (e2 + e1 * e1) * s[4] - 4 * s[2])
+            t[3] = -6 * s[2] + 8 * e1 * s[3] - (3 * e2 + 2 * e1 * e1) * s[4] + e1 * e2 * s[5]
+        elif r == 1:
+            a = ws[J[0]]
+            t[1] = -12 * (g - 1) * s[3]
+            t[2] = 2 * (1 - g * g) * (s[3] - a * s[4]) + 6 * (g - 1) * (e1 * s[4] - s[3])
+            t[3] = (1 - g) * (4 * s[3] - 5 * e1 * s[4] + (e2 + e1 * e1) * s[5]) + (g * g - 1) * (
+                -2 * s[3] + (2 * a + e1) * s[4] - a * e1 * s[5]
+            )
+        elif r == 2:
+            # signs re-derived from the generic forms through the cofactor
+            # identity sum_i a_i^u / prod_{j != i}(a_i - a_j) = S_u / Pi
+            a, b = ws[J[0]], ws[J[1]]
+            roots = _roots(reduced, J)
+            pair = pair_unity_sum(a, b, roots)
+            t[2] = -24 * s[4] * pair
+            if upto == 3:
+                t[3] = 12 * (e1 * s[5] - s[4]) * pair + 24 * (
+                    weighted_unity_sum(a, roots) * (s[4] - a * s[5])
+                    + weighted_unity_sum(b, roots) * (s[4] - b * s[5])
+                )
+        else:
+            a, b, c = (ws[j] for j in J)
+            t[3] = -24 * s[5] * triple_unity_sum(a, b, c, _roots(reduced, J))
+        den = 24 * pi
+        for m in range(r, upto + 1):
+            if t[m]:
+                out[m] += Fraction(t[m], den)
+    return out
 
 
-def _gamma0_of(seq) -> Fraction:
-    """The gamma_0 formula applied to a reduced (possibly unstable) vector;
-    0 when no negative weights remain."""
-    if not seq:
-        return Fraction(0)
-    return -_s(len(seq) - 2, seq) / _pi(seq)
+def gamma0(v: WeightVector) -> Fraction:
+    return _schur_gammas(v, 0)[0]
 
 
 def gamma1(v: WeightVector) -> Fraction:
-    _require_stable(v)
-    ws = v.weights
-    n_ = v.n
-    total = (_e(1, ws) * _s(n_ - 3, ws) - _s(n_ - 2, ws)) / (2 * _pi(ws))
-    for j in range(n_):
-        seq_j, g_j = remove(v, {j})
-        if g_j > 1:
-            total += Fraction(g_j - 1, 2) * _gamma0_of(seq_j)
-    return total
+    return _schur_gammas(v, 1)[1]
 
 
 def gamma2(v: WeightVector) -> Fraction:
-    _require_stable(v)
-    ws = v.weights
-    n_ = v.n
-    total = (
-        5 * _e(1, ws) * _s(n_ - 3, ws)
-        - (_e(2, ws) + _e(1, ws) ** 2) * _s(n_ - 4, ws)
-        - 4 * _s(n_ - 2, ws)
-    ) / (12 * _pi(ws))
-    reduced = _reduced(v, 2)
-    for j in range(n_):
-        seq_j, g_j = reduced[j,]
-        if g_j <= 1 or not seq_j:
-            continue
-        a_j = ws[j]
-        pi_j = _pi(seq_j)
-        total += (
-            Fraction(1 - g_j**2, 12)
-            * (_s(n_ - 3, seq_j) - a_j * _s(n_ - 4, seq_j))
-            / pi_j
-        )
-        total += (
-            Fraction(g_j - 1, 4)
-            * (_e(1, seq_j) * _s(n_ - 4, seq_j) - _s(n_ - 3, seq_j))
-            / pi_j
-        )
-    for j, l in combinations(range(n_), 2):
-        seq_jl, _ = reduced[j, l]
-        s_val = _s(n_ - 4, seq_jl) if seq_jl else Fraction(0)
-        if s_val == 0:
-            continue
-        cs = _cs_pair(v, j, l, _roots(reduced, (j, l)))
-        if cs:
-            # sign re-derived from the generic form through the cofactor
-            # identity sum_i a_i^u / prod_{j != i}(a_i - a_j) = S_u / Pi
-            total += -s_val / _pi(seq_jl) * cs
-    return total
+    return _schur_gammas(v, 2)[2]
 
 
 def gamma3(v: WeightVector) -> Fraction:
-    _require_stable(v)
-    ws = v.weights
-    n_ = v.n
-    e1, e2 = _e(1, ws), _e(2, ws)
-    total = (
-        -6 * _s(n_ - 2, ws)
-        + 8 * e1 * _s(n_ - 3, ws)
-        - (3 * e2 + 2 * e1**2) * _s(n_ - 4, ws)
-        + e1 * e2 * _s(n_ - 5, ws)
-    ) / (24 * _pi(ws))
-    reduced = _reduced(v, 3)
-    for j in range(n_):
-        seq_j, g_j = reduced[j,]
-        if g_j <= 1 or not seq_j:
-            continue
-        a_j = ws[j]
-        pi_j = _pi(seq_j)
-        e1_j = _e(1, seq_j)
-        e2_j = _e(2, seq_j)
-        total += (
-            Fraction(1 - g_j, 24)
-            * (
-                4 * _s(n_ - 3, seq_j)
-                - 5 * e1_j * _s(n_ - 4, seq_j)
-                + (e2_j + e1_j**2) * _s(n_ - 5, seq_j)
-            )
-            / pi_j
-        )
-        total += (
-            Fraction(g_j**2 - 1, 24)
-            * (
-                -2 * _s(n_ - 3, seq_j)
-                + (2 * a_j + e1_j) * _s(n_ - 4, seq_j)
-                - a_j * e1_j * _s(n_ - 5, seq_j)
-            )
-            / pi_j
-        )
-    for j, l in combinations(range(n_), 2):
-        seq_jl, _ = reduced[j, l]
-        if not seq_jl:
-            continue
-        pi_jl = _pi(seq_jl)
-        s4 = _s(n_ - 4, seq_jl)
-        s5 = _s(n_ - 5, seq_jl)
-        e1_jl = _e(1, seq_jl)
-        roots = _roots(reduced, (j, l))
-        head = (e1_jl * s5 - s4) / (2 * pi_jl)
-        if head:
-            total += _cs_pair(v, j, l, roots) * head
-        weight_j = (s4 - ws[j] * s5) / pi_jl
-        if weight_j:
-            total += _cs_pair_weighted(v, j, roots) * weight_j
-        weight_l = (s4 - ws[l] * s5) / pi_jl
-        if weight_l:
-            total += _cs_pair_weighted(v, l, roots) * weight_l
-    for j, l, p in combinations(range(n_), 3):
-        seq_jlp, _ = reduced[j, l, p]
-        s_val = _s(n_ - 5, seq_jlp) if seq_jlp else Fraction(0)
-        if s_val == 0:
-            continue
-        cs = _cs_triple(v, j, l, p, _roots(reduced, (j, l, p)))
-        if cs:
-            total += -s_val / _pi(seq_jlp) * cs
-    return total
+    return _schur_gammas(v, 3)[3]
 
 
 # -- generic forms -----------------------------------------------------------
@@ -336,7 +264,7 @@ def gamma2_generic(v: WeightVector) -> Fraction:
                 )
         for idx, j in enumerate(others):
             for l in others[idx + 1:]:
-                cs = _cs_pair(v, j, l, roots[j, l])
+                cs = pair_unity_sum(ws[j], ws[l], roots[j, l])
                 if cs:
                     den_ijl = Fraction(1)
                     for p in others:
@@ -405,12 +333,12 @@ def gamma3_generic(v: WeightVector) -> Fraction:
                 den_ijl = Fraction(1)
                 for q in rest:
                     den_ijl *= ws[i] - ws[q]
-                cs = _cs_pair(v, j, l, roots[j, l])
+                cs = pair_unity_sum(ws[j], ws[l], roots[j, l])
                 if cs:
                     inner = sum(ws[p] for p in rest)
                     total += cs * _power(ws[i], n_ - 5) * inner / (2 * den_ijl)
-                cs_a = _cs_pair_weighted(v, j, roots[j, l])
-                cs_b = _cs_pair_weighted(v, l, roots[j, l])
+                cs_a = weighted_unity_sum(ws[j], roots[j, l])
+                cs_b = weighted_unity_sum(ws[l], roots[j, l])
                 if cs_a or cs_b:
                     total += (
                         _power(ws[i], n_ - 5)
@@ -421,7 +349,7 @@ def gamma3_generic(v: WeightVector) -> Fraction:
             for jdx in range(idx + 1, len(others)):
                 for kdx in range(jdx + 1, len(others)):
                     l, p = others[jdx], others[kdx]
-                    cs = _cs_triple(v, j, l, p, _roots(reduced, (j, l, p)))
+                    cs = triple_unity_sum(ws[j], ws[l], ws[p], _roots(reduced, (j, l, p)))
                     if cs:
                         den_ijlp = Fraction(1)
                         for q in others:
@@ -433,7 +361,6 @@ def gamma3_generic(v: WeightVector) -> Fraction:
 
 # -- dispatch ----------------------------------------------------------------
 
-_SCHUR_FORMS = (gamma0, gamma1, gamma2, gamma3)
 _GENERIC_FORMS = (gamma0_generic, gamma1_generic, gamma2_generic, gamma3_generic)
 
 
@@ -442,15 +369,14 @@ def gammas(v: WeightVector, upto: int = 3, method: str = "schur") -> GammaVector
     pole = v.n - 1 + v.zero_count
     if method == "series":
         return gammas_from_series(v, upto)
-    if method == "schur":
-        forms = _SCHUR_FORMS
-    elif method == "generic":
-        forms = _GENERIC_FORMS
-    else:
+    if method not in ("schur", "generic"):
         raise ValueError(f"unknown gamma method {method!r}")
     if upto > 3:
         raise ValueError("closed forms stop at gamma_3; use the series method")
-    values = tuple(forms[m](v) for m in range(upto + 1))
+    if method == "schur":
+        values = tuple(_schur_gammas(v, upto))
+    else:
+        values = tuple(_GENERIC_FORMS[m](v) for m in range(upto + 1))
     if values and values[0] <= 0:
         raise InternalInvariantViolation(
             "leading Laurent coefficient must be positive"

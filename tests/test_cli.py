@@ -283,6 +283,8 @@ class TestMainEntry:
             ["gamma", "-1,2,3", "--upto", "-2"],
             ["hilb", "-1,2,3", "--verify-depth", "-5"],
             ["scan", "--n", "2", "--max-weight", "2", "--jobs", "0", "--output", os.devnull],
+            ["hilb", "-1,2,3", "--max-denominator-degree", "-1"],
+            ["hilb", "-1,2,3", "--max-denominator-degree", "0"],
         ],
     )
     def test_out_of_range_flag_rejected(self, argv, capsys):

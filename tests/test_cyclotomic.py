@@ -20,7 +20,7 @@ from circleinv.cyclotomic import (
 )
 from circleinv.errors import NonInvertibleDenominator
 from circleinv.exact import Polynomial, _divisors
-from circleinv.laurent import _cs_pair, _cs_pair_weighted, _cs_triple, _reduced, _roots
+from circleinv.laurent import _reduced, _roots
 from circleinv.weights import validate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -217,17 +217,17 @@ class TestDedekindRoute:
             checked += 1
 
     def test_gamma_sums_match_trace_route_on_sweep(self):
-        # the sums exactly as gamma_2 and gamma_3 call them, over every
-        # pair and triple of the benchmark's sweep family
+        # the sums exactly as the gamma pass calls them, over every pair
+        # and triple of the benchmark's sweep family
         for raw in sweep_family():
             v = validate(raw)
             ws = v.weights
             for J, roots in constrained_sums(v):
                 a, b = ws[J[0]], ws[J[1]]
                 if len(J) == 2:
-                    j, l = J
-                    assert _cs_pair(v, j, l, roots) == trace_route(a, b, None, roots), raw
-                    assert _cs_pair_weighted(v, j, roots) == trace_route(a, b, None, roots, True)
-                    assert _cs_pair_weighted(v, l, roots) == trace_route(b, a, None, roots, True)
+                    assert pair_unity_sum(a, b, roots) == trace_route(a, b, None, roots), raw
+                    assert weighted_unity_sum(a, roots) == trace_route(a, b, None, roots, True)
+                    assert weighted_unity_sum(b, roots) == trace_route(b, a, None, roots, True)
                 else:
-                    assert _cs_triple(v, *J, roots) == trace_route(a, b, ws[J[2]], roots), raw
+                    c = ws[J[2]]
+                    assert triple_unity_sum(a, b, c, roots) == trace_route(a, b, c, roots), raw

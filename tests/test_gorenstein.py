@@ -4,7 +4,9 @@ from math import gcd
 
 import pytest
 
-from circleinv.errors import ZeroFunction
+from circleinv import gorenstein
+from circleinv.cli import _scan_candidates
+from circleinv.errors import InternalInvariantViolation, ZeroFunction
 from circleinv.exact import Polynomial, RationalFunction
 from circleinv.gorenstein import (
     GorensteinReport,
@@ -14,11 +16,13 @@ from circleinv.gorenstein import (
     a_invariant_closed_form,
     a_invariant_schur_form,
     analyze,
+    gamma3_relation,
     integer_obstruction,
     k1_sufficient,
     stanley_test,
 )
 from circleinv.hilbert import hilbert_series
+from circleinv.laurent import GammaVector, gammas
 from circleinv.weights import canonical_key, validate
 
 ONE = Polynomial.one()
@@ -227,6 +231,41 @@ class TestAnalyze:
                 if report.stanley_holds:
                     assert report.ratio_is_integer
                     assert report.ratio_2g1_g0 == -report.degree - report.dimension
+
+
+class TestGamma3Relation:
+    def test_examples(self):
+        # (-1, 1): Hilb = 1/(1 - t^2), gamma_k = 2^-(k+1)
+        assert gamma3_relation(F(1, 2), F(1, 4), F(1, 8), F(1, 16))
+        assert not gamma3_relation(F(1, 2), F(1, 4), F(1, 8), F(1, 8))
+        assert gamma3_relation(*gammas(validate((-3, 1, 3)), 3).values)
+
+    def test_scan_family(self):
+        # the relation is only necessary; on this family it separates the
+        # integer-ratio classes exactly
+        verdicts = {True: 0, False: 0}
+        for raw in _scan_candidates(4, 8):
+            v = validate(raw)
+            values = gammas(v, 3).values
+            if (2 * values[1] / values[0]).denominator != 1:
+                continue
+            gorenstein_verdict = analyze(v).stanley_holds
+            assert gamma3_relation(*values) == gorenstein_verdict, raw
+            verdicts[gorenstein_verdict] += 1
+        assert verdicts == {True: 502, False: 11}
+
+    def test_full_analyze_checks_the_relation(self, monkeypatch):
+        v = validate((-3, 1, 3))
+
+        def wrong_gamma3(v, upto):
+            g = gammas(v, upto)
+            values = g.values[:3] + tuple(x + 1 for x in g.values[3:])
+            return GammaVector(values=values, method=g.method, pole_order=g.pole_order)
+
+        monkeypatch.setattr(gorenstein, "gammas", wrong_gamma3)
+        assert analyze(v).stanley_holds  # the default route never reads gamma_3
+        with pytest.raises(InternalInvariantViolation):
+            analyze(v, full=True)
 
 
 class TestCor77:
