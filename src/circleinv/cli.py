@@ -66,7 +66,7 @@ def frac_json(x) -> str:
 
 
 def poly_json(p: Polynomial) -> list:
-    return [[e, frac_json(c)] for e, c in sorted(p.items())]
+    return [[e, frac_json(c)] for e, c in p.items()]
 
 
 def rf_json(f: RationalFunction) -> dict:

@@ -12,9 +12,12 @@ O(log d) Euclid steps (Rademacher-Grosswald, "Dedekind Sums", 1972).
 Moebius inversion over the divisors of each admissible exact order then
 restricts the sum to the constrained roots.
 
-Independent oracle: a sum over the primitive d-th roots of F(zeta) is a
-field trace: reduce F modulo the d-th cyclotomic polynomial and pair the
-representative with the power sums of the roots (Newton's identities).
+Independent oracle: a sum over the primitive d-th roots of
+num(zeta)/den(zeta) is a field trace.  The representative of the quotient
+is num times the inverse of den modulo the d-th cyclotomic polynomial
+(extended Euclid over Q[x]), reduced modulo that polynomial by long
+division; pairing it with the power sums of the roots (Newton's
+identities) gives the trace.
 Sums over constrained subsets of the N-th roots decompose by exact order,
 i.e. over divisors of N that are compatible with the constraints.
 Everything stays in Q.
@@ -45,7 +48,7 @@ def _power_sums(d: int) -> tuple:
     d-th roots zeta, from Newton's identities on cyclotomic_poly(d)."""
     phi = cyclotomic_poly(d)
     deg = phi.degree
-    coeffs = [phi.coefficient(i) for i in range(deg + 1)]  # monic
+    coeffs = phi.to_dense()  # monic
     ps = [Fraction(deg)]
     for i in range(1, deg):
         acc = -i * coeffs[deg - i]
@@ -55,32 +58,20 @@ def _power_sums(d: int) -> tuple:
     return tuple(ps)
 
 
-def _poly_mod(p: Polynomial, modulus: Polynomial) -> Polynomial:
-    _, r = p.divmod(modulus)
-    return r
-
-
-def _poly_gcd_ext(a: Polynomial, b: Polynomial):
-    """Extended Euclid over Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = a, b
+def invert_mod(p: Polynomial, modulus: Polynomial) -> Polynomial:
+    """Inverse of p modulo ``modulus`` over Q[x], by extended Euclid; only
+    the cofactor of p is carried (s_i * p = r_i modulo ``modulus``)."""
+    r0, r1 = p, modulus
     s0, s1 = Polynomial.one(), Polynomial.zero()
-    t0, t1 = Polynomial.zero(), Polynomial.one()
-    while not r1.is_zero():
+    while r1:
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
-
-
-def invert_mod(p: Polynomial, modulus: Polynomial) -> Polynomial:
-    """Inverse of p modulo ``modulus`` over Q[x]."""
-    g, s, _ = _poly_gcd_ext(p, modulus)
-    if g.degree != 0:
+    if r0.degree != 0:
         raise NonInvertibleDenominator(
             "denominator shares a root with the modulus"
         )
-    return _poly_mod(s * Polynomial.constant(Fraction(1) / g.coefficient(0)), modulus)
+    return (s0 * Fraction(1, r0.coefficient(0))).divmod(modulus)[1]
 
 
 @dataclass(frozen=True)
@@ -109,50 +100,6 @@ class RootConstraint:
         ]
 
 
-class CyclotomicElement:
-    """Residue class modulo Phi_d(x), with Fraction coefficients."""
-
-    __slots__ = ("order", "rep")
-
-    def __init__(self, order: int, rep: dict):
-        self.order = order
-        self.rep = dict(_poly_mod(Polynomial(rep), cyclotomic_poly(order)).items())
-
-    @staticmethod
-    def from_polynomial(order: int, p: Polynomial) -> "CyclotomicElement":
-        return CyclotomicElement(order, dict(p.items()))
-
-    def _like(self, rep: dict) -> "CyclotomicElement":
-        return CyclotomicElement(self.order, rep)
-
-    def __mul__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        rep: dict = {}
-        for ea, ca in self.rep.items():
-            for eb, cb in other.rep.items():
-                e = ea + eb
-                prod = ca * cb
-                rep[e] = rep[e] + prod if e in rep else prod
-        return self._like(rep)
-
-    def to_polynomial(self) -> Polynomial:
-        return Polynomial(self.rep)
-
-    def inverse(self) -> "CyclotomicElement":
-        inv = invert_mod(self.to_polynomial(), cyclotomic_poly(self.order))
-        return self._like(dict(inv.items()))
-
-    def trace(self) -> Fraction:
-        """Sum of the representative over the primitive roots."""
-        ps = _power_sums(self.order)
-        total = Fraction(0)
-        for e, c in self.rep.items():
-            total += c * ps[e]
-        return total
-
-    def __repr__(self):
-        return f"CyclotomicElement({Polynomial(self.rep)!r} mod Phi({self.order}))"
-
-
 def trace_sum(num: Polynomial, den: Polynomial, d: int) -> Fraction:
     """Sum of num(zeta)/den(zeta) over the primitive d-th roots of unity."""
     if d == 1:
@@ -160,9 +107,10 @@ def trace_sum(num: Polynomial, den: Polynomial, d: int) -> Fraction:
         if d1 == 0:
             raise NonInvertibleDenominator("denominator vanishes at 1")
         return num.evaluate(Fraction(1)) / d1
-    den_cls = CyclotomicElement.from_polynomial(d, den)
-    num_cls = CyclotomicElement.from_polynomial(d, num)
-    return (num_cls * den_cls.inverse()).trace()
+    phi = cyclotomic_poly(d)
+    _, rep = (num * invert_mod(den, phi)).divmod(phi)
+    ps = _power_sums(d)
+    return sum((c * ps[e] for e, c in rep.items()), Fraction(0))
 
 
 def constrained_unity_sum(num: Polynomial, den: Polynomial, constraint: RootConstraint) -> Fraction:

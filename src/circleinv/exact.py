@@ -5,11 +5,11 @@ Coefficients are integers, with ``fractions.Fraction`` only where a division
 needs it; there is no floating point anywhere.  Every engine polynomial is
 integral (section numerators, products of 1 - t^d, cyclotomic Phi_e), and by
 Gauss's lemma exact division by a monic integral Phi_e stays integral, so
-the engines compute with plain ints.  Polynomials are sparse maps
-exponent -> coefficient, because the denominators that show up here
-(products of factors 1 - t^d) have huge degree but very few terms.
+the engines compute with plain ints.  A polynomial is one dense tuple of
+coefficients, lowest degree first, with no trailing zeros: the kernel below
+builds and reads every engine polynomial as such a list.
 
-Cyclotomic work runs on one dense kernel instead.  By Moebius inversion of
+Cyclotomic work runs on that dense kernel.  By Moebius inversion of
 1 - t^e = prod_{d|e} Phi_d (with Phi_1 taken as 1 - t, the sign convention
 used throughout), Phi_e = prod_{d|e} (1 - t^d)^{mu(e/d)}, so
 prod Phi_e^{m_e} = prod (1 - t^d)^{k_d} with k_d = sum_{d|e} mu(e/d) m_e
@@ -60,38 +60,35 @@ def _quotient(a, b):
 
 
 def _from_dense(coeffs) -> "Polynomial":
-    """Polynomial with the nonzero entries of a dense coefficient list."""
-    out = Polynomial()
-    out._coeffs = {e: c if type(c) is int else _exact(c) for e, c in enumerate(coeffs) if c}
+    """Polynomial with a dense coefficient list, lowest degree first:
+    trailing zeros are stripped and integral entries become ints."""
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    out = object.__new__(Polynomial)
+    out._coeffs = tuple([c if type(c) is int else _exact(c) for c in coeffs[:n]])
     return out
 
 
-def _normalize(data: dict) -> dict:
-    """Make the non-int entries of a coefficient map int when integral."""
-    for e, c in data.items():
-        if type(c) is not int:
-            data[e] = _exact(c)
-    return data
-
-
 class Polynomial:
-    """Sparse polynomial over Q.  ``degree`` of the zero polynomial is None
-    (the "minus infinity" marker)."""
+    """Polynomial over Q, one dense coefficient tuple, lowest degree first,
+    with no trailing zeros.  ``degree`` of the zero polynomial is None (the
+    "minus infinity" marker)."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for exp, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                if exp < 0:
-                    raise ValueError("negative exponent in Polynomial")
-                c = _exact(c)
-                if c != 0:
-                    data[exp] = data.get(exp, 0) + c
-                    if data[exp] == 0:
-                        del data[exp]
-        self._coeffs = data
+        """From a map or pairs exponent -> coefficient (repeats add up)."""
+        if isinstance(coeffs, dict):
+            coeffs = coeffs.items()
+        pairs = [(e, _exact(c)) for e, c in coeffs or ()]
+        if any(e < 0 for e, _ in pairs):
+            raise ValueError("negative exponent in Polynomial")
+        dense = [0] * (max((e for e, c in pairs if c), default=-1) + 1)
+        for e, c in pairs:
+            if c:
+                dense[e] += c
+        self._coeffs = _from_dense(dense)._coeffs
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -114,15 +111,16 @@ class Polynomial:
         """1 - t^d."""
         return Polynomial({0: 1, d: -1})
 
-    def items(self):
-        return self._coeffs.items()
+    def items(self) -> list:
+        """The nonzero (exponent, coefficient) pairs, ascending."""
+        return [(e, c) for e, c in enumerate(self._coeffs) if c]
 
     def coefficient(self, exp: int):
-        return self._coeffs.get(exp, 0)
+        return self._coeffs[exp] if 0 <= exp < len(self._coeffs) else 0
 
     @property
     def degree(self):
-        return max(self._coeffs) if self._coeffs else None
+        return len(self._coeffs) - 1 if self._coeffs else None
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -134,24 +132,20 @@ class Polynomial:
         return isinstance(other, Polynomial) and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        return hash(self._coeffs)
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial()
-        out._coeffs = {e: -c for e, c in self._coeffs.items()}
+        out = object.__new__(Polynomial)
+        out._coeffs = tuple([-c for c in self._coeffs])
         return out
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        data = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            s = data.get(e, 0) + c
-            if s:
-                data[e] = s
-            else:
-                data.pop(e, None)
-        out = Polynomial()
-        out._coeffs = _normalize(data)
-        return out
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        out[: len(b)] = map(add, a, b)
+        return _from_dense(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -159,28 +153,19 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             c = _exact(other)
-            if c == 0:
-                return Polynomial.zero()
-            out = Polynomial()
-            out._coeffs = _normalize({e: v * c for e, v in self._coeffs.items()})
-            return out
-        if not self._coeffs or not other._coeffs:
-            return Polynomial.zero()
+            return _from_dense([v * c for v in self._coeffs])
         a, b = self._coeffs, other._coeffs
-        if len(a) > len(b):
+        if not a or not b:
+            return Polynomial()
+        # one pass over b per nonzero entry of the sparser operand
+        if len(a) - a.count(0) > len(b) - b.count(0):
             a, b = b, a
-        data: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                s = data.get(e, 0) + ca * cb
-                if s:
-                    data[e] = s
-                else:
-                    data.pop(e, None)
-        out = Polynomial()
-        out._coeffs = _normalize(data)
-        return out
+        width = len(b)
+        out = [0] * (len(a) + width - 1)
+        for e, c in enumerate(a):
+            if c:
+                out[e : e + width] = map(add, out[e : e + width], [c * v for v in b])
+        return _from_dense(out)
 
     __rmul__ = __mul__
 
@@ -197,17 +182,12 @@ class Polynomial:
 
     def evaluate(self, x):
         total = 0
-        for e, c in self._coeffs.items():
-            total += c * x**e
+        for c in reversed(self._coeffs):
+            total = total * x + c
         return total
 
     def to_dense(self) -> list:
-        if not self._coeffs:
-            return []
-        out = [0] * (self.degree + 1)
-        for e, c in self._coeffs.items():
-            out[e] = c
-        return out
+        return list(self._coeffs)
 
     def divmod(self, other: "Polynomial"):
         """Exact long division self = q*other + r on a dense coefficient list;
@@ -217,9 +197,9 @@ class Polynomial:
         dd = other.degree
         lead = other._coeffs[dd]
         monic = lead == 1
-        lower = [(dd - e, c) for e, c in other._coeffs.items() if e != dd]
+        lower = [(dd - e, c) for e, c in enumerate(other._coeffs[:dd]) if c]
         rem = self.to_dense()
-        q = {}
+        q = [0] * max(len(rem) - dd, 0)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if c:
@@ -228,9 +208,7 @@ class Polynomial:
                 q[i - dd] = c
                 for off, b in lower:
                     rem[i - off] -= c * b
-        quot = Polynomial()
-        quot._coeffs = q
-        return quot, _from_dense(rem[:dd])
+        return _from_dense(q), _from_dense(rem[:dd])
 
     def divide_exact(self, other: "Polynomial"):
         """Return self/other if the division is exact, else None."""
@@ -252,10 +230,7 @@ class Polynomial:
     def __repr__(self):
         if not self._coeffs:
             return "Polynomial(0)"
-        terms = []
-        for e in sorted(self._coeffs):
-            terms.append(f"{self._coeffs[e]}*t^{e}")
-        return "Polynomial(" + " + ".join(terms) + ")"
+        return "Polynomial(" + " + ".join(f"{c}*t^{e}" for e, c in self.items()) + ")"
 
 
 def _taylor_at_one(p: Polynomial, order: int) -> list:
@@ -517,7 +492,7 @@ class RationalFunction:
         out = self.numerator.to_dense()[: order + 1]
         out += [0] * (order + 1 - len(out))
         _apply_factors(out, {d: -k for d, k in _factor_exponents(self.phi_content).items()})
-        if all(type(c) is int for c in self.numerator._coeffs.values()):
+        if all(type(c) is int for c in self.numerator._coeffs):
             return out
         return [_exact(c) for c in out]
 

@@ -2,8 +2,9 @@
 
 The a-invariant is the degree of the Hilbert series.  A circle invariant
 ring is Cohen-Macaulay, so it is Gorenstein exactly when the series
-satisfies the functional equation Hilb(1/t) = (-1)^dim t^{-a} Hilb(t);
-that test is a polynomial identity on the reduced pair.  Three cheap
+satisfies the functional equation Hilb(1/t) = (-1)^dim t^{-a} Hilb(t)
+(Stanley, "Hilbert functions of graded algebras", Adv. Math. 28, 1978);
+on the reduced pair that test is a palindromy of the numerator.  Three cheap
 criteria avoid computing the series at all:
 
 * n = 2: the ring is a polynomial ring on one generator (always Gorenstein);
@@ -18,9 +19,9 @@ sufficient - ``analyze`` settles the inconclusive cases with the series.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InternalInvariantViolation, ZeroFunction
-from .exact import Polynomial, RationalFunction
-from .hilbert import hilbert_series
+from .errors import DegreeOverflow, InternalInvariantViolation, ZeroFunction
+from .exact import Polynomial, RationalFunction, _degree
+from .hilbert import DEFAULT_DEGREE_LIMIT, hilbert_series
 from .laurent import _s, gammas
 from .schur import elementary_symmetric
 from .weights import WeightVector, remove
@@ -36,23 +37,20 @@ def a_invariant(f: RationalFunction) -> int:
     return f.degree
 
 
-def _reversed_poly(p: Polynomial) -> Polynomial:
-    d = p.degree
-    return Polynomial({d - e: c for e, c in p.items()})
-
-
 def stanley_test(f: RationalFunction, dim: int) -> bool:
     """Exact functional-equation test Hilb(1/t) = (-1)^dim t^{-a} Hilb(t).
 
     Substituting 1/t turns each polynomial into its reversal times a power
     of t, and the powers cancel against t^{-a}; what remains is the
-    polynomial identity rev(num)*den == (-1)^dim num*rev(den).
+    identity rev(num)*den == (-1)^dim num*rev(den).  The reduced
+    denominator is prod Phi_e^{m_e}: every Phi_e with e > 1 is palindromic
+    and Phi_1 = 1 - t reverses to -(1 - t), so rev(den) = (-1)^{m_1} den
+    and the identity says that the numerator's coefficient list, reversed,
+    is (-1)^(dim + m_1) times itself.
     """
-    lhs = _reversed_poly(f.numerator) * f.denominator
-    rhs = f.numerator * _reversed_poly(f.denominator)
-    if dim % 2:
-        rhs = -rhs
-    return lhs == rhs
+    coeffs = f.numerator.to_dense()
+    sign = -1 if (dim + f.phi_content[1]) % 2 else 1
+    return coeffs[::-1] == [sign * c for c in coeffs]
 
 
 def a_invariant_closed_form(v: WeightVector) -> Fraction:
@@ -161,6 +159,9 @@ def _n2_series(v: WeightVector) -> RationalFunction:
     view = {span: 1}
     if v.zero_count:
         view[1] = v.zero_count
+    deg = _degree(view)
+    if deg > DEFAULT_DEGREE_LIMIT:
+        raise DegreeOverflow(f"n=2 denominator degree {deg} exceeds the limit {DEFAULT_DEGREE_LIMIT}")
     return RationalFunction.from_factored(Polynomial.one(), view)
 
 

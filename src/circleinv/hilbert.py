@@ -39,6 +39,7 @@ from .exact import (
     Polynomial,
     RationalFunction,
     _apply_factors,
+    _degree,
     _from_dense,
     present_with_factors,
 )
@@ -156,7 +157,7 @@ def hilbert_degenerate(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT
     view = Counter(
         (b - a) // gcd(a, b) for a in v.negatives for b in v.positives
     )
-    deg = sum(d * m for d, m in view.items())
+    deg = _degree(view)
     if deg > degree_limit:
         raise DegreeOverflow(
             f"pair-invariant denominator degree {deg} exceeds the limit {degree_limit}"

@@ -3,13 +3,15 @@ data of a Hironaka decomposition (parameter degrees alpha, module generator
 degrees beta), via Todd polynomials and the log-power expansion
 coefficients lambda_m(k)."""
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import OutOfRange
-from .exact import Polynomial, RationalFunction
+from .errors import DegreeOverflow, OutOfRange
+from .exact import Polynomial, RationalFunction, _degree
+from .hilbert import DEFAULT_DEGREE_LIMIT
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -168,11 +170,11 @@ def gamma_cm(ell: int, data: HironakaData) -> Fraction:
 
 
 def hilb_from_hironaka(data: HironakaData) -> RationalFunction:
-    """(sum_i t^{beta_i}) / prod_j (1 - t^{alpha_j})."""
-    num: dict = {}
-    for b in data.betas:
-        num[b] = num.get(b, 0) + 1
-    view: dict = {}
-    for a in data.alphas:
-        view[a] = view.get(a, 0) + 1
-    return RationalFunction.from_factored(Polynomial(num), view)
+    """(sum_i t^{beta_i}) / prod_j (1 - t^{alpha_j}), refused with
+    ``DegreeOverflow`` before anything is allocated when the denominator
+    degree or the largest beta exceeds the engine's degree limit."""
+    view = Counter(data.alphas)
+    for what, deg in (("denominator", _degree(view)), ("numerator", max(data.betas))):
+        if deg > DEFAULT_DEGREE_LIMIT:
+            raise DegreeOverflow(f"{what} degree {deg} exceeds the limit {DEFAULT_DEGREE_LIMIT}")
+    return RationalFunction.from_factored(Polynomial(Counter(data.betas)), view)

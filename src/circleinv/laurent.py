@@ -52,16 +52,6 @@ def _split(seq):
     return [w for w in seq if w < 0], [w for w in seq if w > 0]
 
 
-def _pi(seq) -> Fraction:
-    """prod over negative p, positive q of (p - q); empty product is 1."""
-    xs, ys = _split(seq)
-    out = Fraction(1)
-    for x in xs:
-        for y in ys:
-            out *= x - y
-    return out
-
-
 def _s(u: int, seq) -> Fraction:
     xs, ys = _split(seq)
     return partial_schur(u, xs, ys)

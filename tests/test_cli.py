@@ -305,6 +305,21 @@ class TestMainEntry:
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hilb", "-1000000000,1"],
+            ["analyze", "-1000000000,1"],
+            ["hironaka", "--alphas", "2", "--betas", "1000000000"],
+            ["hironaka", "--alphas", "1000000000", "--betas", "0"],
+            ["hironaka", "--alphas", "6000000,5000000", "--betas", "0"],
+        ],
+    )
+    def test_huge_degree_refused_before_allocating(self, argv, capsys):
+        # each would need a dense list longer than the 10^7 degree limit
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DegreeOverflow"
+
     def test_internal_value_error_exits_3(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise ValueError("construct via from_factored()")

@@ -34,6 +34,48 @@ def R(num, view):
     return RationalFunction.from_factored(num, view)
 
 
+class TestDenseNormalisation:
+    def test_cancellation_strips_trailing_zeros(self):
+        assert (P({0: 1, 3: 1}) - P({3: 1})).degree == 0
+        assert (P({2: F(1, 2)}) + P({2: F(-1, 2)})).is_zero()
+        assert (P({0: 1, 1: 1}) * P({0: 1, 1: -1}) + P({2: 1})) == Polynomial.one()
+
+    def test_zero_input(self):
+        assert P({5: 0}).is_zero()
+        assert P([(5, F(0)), (2, 0)]).degree is None
+        assert (P({4: 3}) * 0).is_zero()
+
+    def test_equal_values_have_equal_hash(self):
+        built = [
+            P({0: 2, 3: -1}),
+            P([(3, -1), (0, 1), (0, 1)]),  # repeated exponents add up
+            P({0: F(4, 2), 3: -1, 7: 0}),
+            one_minus(3) + Polynomial.one(),
+            P({0: 4, 3: -2}) * F(1, 2),
+        ]
+        for p in built:
+            assert p == built[0] and hash(p) == hash(built[0])
+            assert type(p.coefficient(0)) is int
+            assert p.items() == [(0, 2), (3, -1)]
+
+    def test_products_match_schoolbook(self):
+        rng = random.Random(13)
+        values = [0, 0, 0, 1, -1, 2, -5, F(1, 2), F(-3, 4)]
+        for _ in range(400):
+            a = [rng.choice(values) for _ in range(rng.randint(0, 12))]
+            b = [rng.choice(values) for _ in range(rng.randint(0, 30))]
+            expected = [0] * (len(a) + len(b))
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    expected[i + j] += x * y
+            while expected and expected[-1] == 0:
+                expected.pop()
+            pa, pb = P(enumerate(a)), P(enumerate(b))
+            for product in (pa * pb, pb * pa):
+                assert product.to_dense() == expected
+                assert product.degree == (len(expected) - 1 if expected else None)
+
+
 class TestPolynomial:
     def test_zero_degree_marker(self):
         assert Polynomial.zero().degree is None

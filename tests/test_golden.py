@@ -3,12 +3,15 @@
 The snapshots under ``perfbench/golden/`` hold the canonical ``rf_json``
 text of every sweep and engine-pool vector and the sha256 of the whole
 ``scan --n 4 --max-weight 8`` JSONL output (``perfbench/make_golden.py``
-writes them).  A refactor that changes any output byte fails here.
+writes them).  A refactor that changes any output byte fails here, and
+one that renames or moves a layer the traced benchmark wraps fails the
+tracer check below.
 """
 
 import gzip
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,11 @@ from circleinv import cli
 from circleinv.hilbert import hilbert_series
 from circleinv.weights import validate
 
-GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "perfbench" / "golden"
+
+sys.path.insert(0, str(ROOT))
+from perfbench.spans import LAYERS, Tracer  # noqa: E402
 
 
 def load(name: str):
@@ -44,3 +51,21 @@ def test_scan_output_matches_snapshot():
     assert len(lines) == len(recorded["lines"])
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     assert digest == recorded["sha256"]
+
+
+def test_tracer_wraps_every_layer():
+    def resolve(module: str, path: str):
+        target = sys.modules[module]
+        for attr in path.split("."):
+            target = getattr(target, attr)
+        return target
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for name, module, path in LAYERS:
+            assert hasattr(resolve(module, path), "__wrapped__"), name
+    finally:
+        tracer.uninstall()
+    for name, module, path in LAYERS:
+        assert not hasattr(resolve(module, path), "__wrapped__"), name

@@ -66,6 +66,24 @@ class TestStanley:
         g = from_view(Polynomial({0: 1, 1: 2}), {2: 1, 3: 1})
         assert not stanley_test(g, 2)
 
+    @pytest.mark.parametrize("n, max_abs", [(4, 8), (5, 4)])
+    def test_matches_product_identity(self, n, max_abs):
+        # second route for the verdict: the functional equation as the
+        # polynomial identity rev(num)*den == (-1)^dim num*rev(den)
+        def rev(p):
+            return Polynomial({p.degree - e: c for e, c in p.items()})
+
+        verdicts = {True: 0, False: 0}
+        for raw in _scan_candidates(n, max_abs):
+            v = validate(raw)
+            f = hilbert_series(v)
+            num, den = f.numerator, f.denominator
+            for dim in (v.n - 1, v.n):
+                expected = rev(num) * den == num * rev(den) * (-1) ** dim
+                assert stanley_test(f, dim) == expected, (raw, dim)
+                verdicts[expected] += 1
+        assert verdicts[True] and verdicts[False]
+
 
 class TestClosedFormAInvariant:
     def test_examples(self):

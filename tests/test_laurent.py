@@ -2,7 +2,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -185,7 +185,7 @@ class TestMildCoprimality:
     def test_gamma2_reduces_to_head_term(self):
         # when every g_j and g_{j,l} is 1 only the head term of gamma_2
         # survives; assert by comparing against the head-only evaluation
-        from circleinv.laurent import _pi, _s
+        from circleinv.laurent import _s
         from circleinv.schur import elementary_symmetric
         from circleinv.weights import remove
 
@@ -202,11 +202,13 @@ class TestMildCoprimality:
                 continue
             found += 1
             ws = v.weights
-            head = (
+            pi = prod(p - q for p in ws if p < 0 for q in ws if q > 0)
+            head = F(
                 5 * elementary_symmetric(1, ws) * _s(n - 3, ws)
                 - (elementary_symmetric(2, ws) + elementary_symmetric(1, ws) ** 2) * _s(n - 4, ws)
-                - 4 * _s(n - 2, ws)
-            ) / (12 * _pi(ws))
+                - 4 * _s(n - 2, ws),
+                12 * pi,
+            )
             assert gamma2(v) == head, raw
         assert found >= 2
 
