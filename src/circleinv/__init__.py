@@ -31,6 +31,7 @@ from .schur import (
     partial_schur_det,
     partial_schur_expansion,
     partial_schur_tableaux,
+    partial_schur_values,
 )
 from .weights import WeightVector, canonical_key, remove, validate
 
@@ -66,6 +67,7 @@ __all__ = [
     "partial_schur_det",
     "partial_schur_expansion",
     "partial_schur_tableaux",
+    "partial_schur_values",
     "remove",
     "series_at_zero",
     "stanley_test",

@@ -211,8 +211,8 @@ def cmd_analyze(args) -> int:
 def cmd_schur(args) -> int:
     xs = _parse_list(args.xs, Fraction, "--xs")
     ys = _parse_list(args.ys, Fraction, "--ys")
-    value = schur.partial_schur_expansion(args.u, xs, ys)
-    routes = {"expansion": value}
+    value = schur.partial_schur(args.u, xs, ys)
+    routes = {"remainder": value, "expansion": schur.partial_schur_expansion(args.u, xs, ys)}
     if len(set(xs)) == len(xs) and len(set(ys)) == len(ys) and xs:
         routes["determinant"] = schur.partial_schur_det(args.u, xs, ys)
     if len(xs) + len(ys) <= schur.TABLEAU_SIZE_LIMIT:

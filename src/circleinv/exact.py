@@ -34,6 +34,7 @@ threads; every operation returns a fresh value.
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
 from operator import add, lt, sub
@@ -307,13 +308,20 @@ def _mobius(n: int) -> int:
     return -mu if n > 1 else mu
 
 
+@lru_cache(maxsize=None)
+def _phi_factors(e: int) -> tuple:
+    """Phi_e = prod (1 - t^d)^{mu(e/d)} over d | e (Phi_1 = 1 - t), as the
+    pairs (d, mu(e/d)) with mu(e/d) != 0, d ascending."""
+    return tuple((d, mu) for d in _divisors(e) if (mu := _mobius(e // d)))
+
+
 def _factor_exponents(phis) -> dict:
     """The nonzero k_d with prod Phi_e^{m_e} = prod (1 - t^d)^{k_d}, Phi_1 =
     1 - t: k_d = sum of mu(e/d) m_e over the multiples e of d."""
     ks: Counter = Counter()
     for e, m in phis.items():
-        for d in _divisors(e):
-            ks[d] += _mobius(e // d) * m
+        for d, mu in _phi_factors(e):
+            ks[d] += mu * m
     return {d: k for d, k in ks.items() if k}
 
 
@@ -539,7 +547,7 @@ def _cancel_phi_content(num: Polynomial, phis: Counter):
     phis = Counter(phis)
     a = num.to_dense()
     for e in sorted(phis, reverse=True):
-        inverse = {d: -k for d, k in _factor_exponents({e: 1}).items()}
+        inverse = {d: -mu for d, mu in _phi_factors(e)}
         width = -_degree(inverse)  # phi(e)
         while phis[e] > 0 and len(a) > width:
             q = _apply_factors(a[:], inverse)

@@ -8,7 +8,9 @@ Each coefficient comes in three independent flavors:
   constrained root-of-unity sums.  One pass (``_schur_gammas``) walks the
   index sets J once - the whole vector, then |J| = 1, 2, 3 up to the
   requested order - and adds each reduced vector's term to every gamma_m
-  with m >= |J|;
+  with m >= |J|.  The S_u values take the remainder route of ``schur``
+  (``partial_schur_values``), one batched call per reduced vector; the
+  Laplace expansion, determinant and tableau routes are its oracles;
 * the generic form - partial-fraction style sums over the negative weights,
   defined only when they are pairwise distinct;
 * direct series extraction from the computed Hilbert series (the oracle the
@@ -37,7 +39,7 @@ from math import prod
 from .cyclotomic import RootConstraint, pair_unity_sum, triple_unity_sum, weighted_unity_sum
 from .errors import InternalInvariantViolation, Unstable
 from .hilbert import hilbert_series
-from .schur import _power, partial_schur
+from .schur import _power, partial_schur, partial_schur_values
 from .weights import WeightVector, remove
 
 
@@ -90,9 +92,11 @@ def _schur_gammas(v: WeightVector, upto: int) -> list:
     vectors a - J, |J| <= upto.
 
     The reduced vector of an r-element J enters gamma_m for every m >= r
-    through s[u] = S_{n-u}(a - J), u = r+2..m+2.  Its S_u values, Pi, e_1
-    and e_2 are ints, computed once, and t[m] is 24*Pi times its term in
-    gamma_m, so each term costs one Fraction.  A pair's root constraint and
+    through s[u] = S_{n-u}(a - J), u = r+2..m+2.  Its S_u values come from
+    one batched remainder-route call over the consecutive exponents
+    n-upto-2..n-r-2; they, Pi, e_1 and e_2 are exact (ints but for negative
+    exponents), computed once, and t[m] is 24*Pi times its term in gamma_m,
+    so each term costs one Fraction.  A pair's root constraint and
     pair sum serve gamma_2 and gamma_3 alike.
     """
     _require_stable(v)
@@ -105,7 +109,8 @@ def _schur_gammas(v: WeightVector, upto: int) -> list:
         if r == 1 and g <= 1:
             continue  # every term carries a factor g - 1
         xs, ys = _split(seq)
-        s = [partial_schur(n_ - u, xs, ys) if r + 2 <= u <= upto + 2 else 0 for u in range(6)]
+        s = [0] * 6
+        s[r + 2: upto + 3] = partial_schur_values(n_ - upto - 2, n_ - r - 2, xs, ys)[::-1]
         if not any(s):
             continue
         pi = prod(x - y for x in xs for y in ys)

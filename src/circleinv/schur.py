@@ -3,24 +3,39 @@
 The central object is the value S_u(xs, ys): the determinant whose first row
 holds x_i^u over the x block and zeros over the y block, followed by the
 full Vandermonde rows of all variables at exponents n-2 down to 0, divided
-by the two block Vandermonde determinants.  It is computable three ways:
+by the two block Vandermonde determinants.  It is computable four ways:
 
-* ``partial_schur_expansion`` - the route: the Laplace expansion along the
-  x-block columns, a signed sum of products of Laurent-Schur values, each
-  one Jacobi-Trudi determinant (``laurent_schur``).  It is well defined with
-  repeated entries (the singularities are removable) and stays on integers
-  when the inputs are integers and u >= 0;
+* ``partial_schur_values`` - the route: with P_X = prod (z - x_i) and
+  P_Y = prod (z - y_j), the cofactor identity
+  S_u / Pi = sum_i x_i^u / prod_{j != i} (x_i - z_j), Pi = prod (x_i - y_j),
+  is the sum of the residues of z^u / (P_X P_Y) at the roots of P_X.  By
+  Cramer's rule, and det(multiplication by P_Y mod P_X) = Res(P_X, P_Y) = Pi
+  (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 3 sec. 6), it is
+  one k x k determinant in the basis 1, z, ..., z^{k-1} of Q[z]/P_X:
+
+      S_u = det[ P_Y, z P_Y, ..., z^{k-2} P_Y | z^u ]   (columns mod P_X).
+
+  The first k-1 columns and the cofactors of the last are built once per
+  blocks; each further u is one multiplication by z mod P_X and one dot
+  product.  Negative u step with P_X(0) z^{-1} = -(P_X - P_X(0)) / z and
+  divide by a power of P_X(0) once.  The value is a polynomial in the
+  entries, so it holds at repeated entries too, and integer inputs with
+  u >= 0 give an int;
+* ``partial_schur_expansion`` - the Laplace expansion along the x-block
+  columns, a signed sum of products of Laurent-Schur values, each one
+  Jacobi-Trudi determinant (``laurent_schur``); also defined at repeated
+  entries, an independent oracle;
 * ``partial_schur_det`` - the determinant directly (blocks must be
-  repetition-free), an independent oracle;
-* ``partial_schur_tableaux`` - the same expansion with every Schur factor
-  evaluated by explicit semistandard-tableau enumeration, a second oracle.
+  repetition-free), a second oracle;
+* ``partial_schur_tableaux`` - the expansion with every Schur factor
+  evaluated by explicit semistandard-tableau enumeration, a third oracle.
 
-``partial_schur`` is the default entry point (expansion route).
+``partial_schur`` is the default entry point for one u (remainder route).
 """
-
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from operator import mul
 
 from .errors import CombinatorialExplosion, OutOfRange, RepeatedVariables, ZeroBase
 from .exact import _quotient
@@ -266,6 +281,67 @@ def partial_schur_tableaux(u: int, xs, ys, size_limit: int = TABLEAU_SIZE_LIMIT)
     return total
 
 
+# ---------------------------------------------------------------------------
+# remainder route: coefficient vectors in the basis 1, z, ..., z^{k-1} of
+# Q[z]/P_X
+
+
+def _times_z(f: list, px: list) -> list:
+    """z * f mod the monic P_X (coefficients px, lowest first, px[k] = 1)."""
+    top = f[-1]
+    return [-top * px[0]] + [c - top * p for c, p in zip(f[:-1], px[1:])]
+
+
+def _times_inverse_z(f: list, px: list) -> list:
+    """P_X(0) * f / z mod P_X, from P_X(0) z^{-1} = -(P_X - P_X(0)) / z."""
+    low, p0 = f[0], px[0]
+    return [p0 * c - low * p for c, p in zip(f[1:] + [0], px[1:])]
+
+
+def partial_schur_values(lo: int, hi: int, xs, ys) -> list:
+    """[S_lo, ..., S_hi] of the blocks by the remainder route (see the
+    module docstring); OutOfRange when hi > n - 2, ZeroBase when lo < 0 and
+    xs holds a zero."""
+    k, m = len(xs), len(ys)
+    _check_u(hi, k + m)
+    if k == 0 or hi < lo:
+        return [0] * max(hi - lo + 1, 0)
+    px = [1]
+    for x in xs:
+        px = [0, *px]
+        for i in range(len(px) - 1):
+            px[i] -= x * px[i + 1]
+    if lo < 0 and px[0] == 0:
+        raise ZeroBase("negative power of zero")
+    column = [1] + [0] * (k - 1)
+    for y in ys:
+        column = [a - y * b for a, b in zip(_times_z(column, px), column)]
+    columns = []
+    for _ in range(k - 1):
+        columns.append(column)
+        column = _times_z(column, px)
+    # cofactors of the last column: det[columns | e_i]
+    cofactors = [
+        (-1) ** (i + k - 1) * _det([[c[r] for c in columns] for r in range(k) if r != i])
+        for i in range(k)
+    ]
+    out = []
+    power = [1] + [0] * (k - 1)  # P_X(0)^s z^{-s}
+    for s in range(1, -lo + 1):
+        power = _times_inverse_z(power, px)
+        if -s <= hi:
+            out.append(_quotient(sum(map(mul, cofactors, power)), px[0] ** s))
+    out.reverse()
+    power = [1] + [0] * (k - 1)  # z^u
+    for u in range(hi + 1):
+        if u:
+            power = _times_z(power, px)
+        if u >= lo:
+            out.append(sum(map(mul, cofactors, power)))
+    return out
+
+
 def partial_schur(u: int, xs, ys):
-    """Default S_u evaluation (expansion route, safe at repeated weights)."""
-    return partial_schur_expansion(u, xs, ys)
+    """Default S_u evaluation: the remainder route, safe at repeated
+    entries."""
+    return partial_schur_values(u, u, xs, ys)[0]

@@ -27,6 +27,7 @@ from circleinv.hironaka import (
 from circleinv.laurent import gamma0, gamma1, gamma2, gamma3
 from circleinv.schur import (
     elementary_symmetric,
+    partial_schur,
     partial_schur_det,
     partial_schur_expansion,
     partial_schur_tableaux,
@@ -208,7 +209,7 @@ def test_criterion_08_schur_route_agreement():
             det = partial_schur_det(u, xs, ys)
             exp = partial_schur_expansion(u, xs, ys)
             tab = partial_schur_tableaux(u, xs, ys)
-            assert det == exp == tab, (k, m, u)
+            assert partial_schur(u, xs, ys) == det == exp == tab, (k, m, u)
             # homogeneity of degree (m-1)(k-1)+u under scaling
             c = F(rng.randint(2, 5), rng.randint(1, 3))
             deg = (m - 1) * (k - 1) + u

@@ -122,6 +122,8 @@ class TestSchurCommand:
         assert payload["value"] == "-72"
         assert payload["routes_agree"] is True
         assert "determinant" in payload["routes"]
+        assert "expansion" in payload["routes"]
+        assert "remainder" in payload["routes"]
 
     def test_repeated_inputs_skip_determinant(self):
         proc = run_cli(["schur", "--u", "0", "--xs", "-1,-1", "--ys", "1"])

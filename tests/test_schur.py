@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from circleinv.errors import CombinatorialExplosion, RepeatedVariables, ZeroBase
+from circleinv.errors import CombinatorialExplosion, OutOfRange, RepeatedVariables, ZeroBase
 from circleinv.exact import Polynomial
 from circleinv.schur import (
     elementary_symmetric,
@@ -13,6 +13,7 @@ from circleinv.schur import (
     partial_schur_det,
     partial_schur_expansion,
     partial_schur_tableaux,
+    partial_schur_values,
     schur_tableaux,
     vandermonde,
 )
@@ -193,6 +194,76 @@ class TestRouteAgreement:
 
     def test_default_route_is_expansion(self):
         assert partial_schur(0, [-1, -1], [2]) == partial_schur_expansion(0, [-1, -1], [2])
+
+
+class TestRemainderRoute:
+    def test_matches_expansion(self):
+        # repeats inside a block, values shared across blocks, Fraction
+        # entries and empty blocks, every admissible u down to -3
+        rng = random.Random(14)
+        for _ in range(150):
+            k, m = rng.randint(0, 4), rng.randint(0, 4)
+            if k + m == 0:
+                continue
+            pool = [rng.randint(-5, 5) or 1 for _ in range(3)]
+            pool.append(F(rng.choice([-7, -5, -1, 1, 3, 5]), rng.randint(2, 4)))
+            xs = [rng.choice(pool) for _ in range(k)]
+            ys = [rng.choice(pool) for _ in range(m)]
+            for u in range(-3, k + m - 1):
+                assert partial_schur(u, xs, ys) == partial_schur_expansion(u, xs, ys), (u, xs, ys)
+
+    def test_edge_blocks(self):
+        for u in range(-3, 3):
+            assert partial_schur(u, [], [1, 2, 2, 5]) == 0
+        for u in range(-3, 2):
+            xs = [F(-3, 2), -1, -1]
+            assert partial_schur(u, xs, []) == partial_schur_expansion(u, xs, [])
+        shared = ([-2, 3, 3], [3, -2])
+        for u in range(-3, 4):
+            assert partial_schur(u, *shared) == partial_schur_expansion(u, *shared)
+
+    def test_integer_inputs_stay_integer(self):
+        rng = random.Random(16)
+        for _ in range(60):
+            k, m = rng.randint(1, 4), rng.randint(0, 4)
+            xs = [rng.randint(-6, 6) for _ in range(k)]
+            ys = [rng.randint(-6, 6) for _ in range(m)]
+            for u in range(k + m - 1):
+                assert type(partial_schur(u, xs, ys)) is int
+
+    def test_batch_equals_single_calls(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            k, m = rng.randint(0, 4), rng.randint(0, 4)
+            n = k + m
+            xs = [rng.choice([-4, -3, -1, F(-1, 2), 2]) for _ in range(k)]
+            ys = [rng.choice([1, 2, 5, F(3, 2)]) for _ in range(m)]
+            lo = rng.randint(-4, max(n - 2, -4))
+            hi = rng.randint(lo - 1, max(n - 2, lo - 1))
+            batch = partial_schur_values(lo, hi, xs, ys)
+            assert batch == [partial_schur(u, xs, ys) for u in range(lo, hi + 1)]
+
+    def test_zero_base(self):
+        with pytest.raises(ZeroBase):
+            partial_schur_expansion(-1, [0, -2], [1])
+        with pytest.raises(ZeroBase):
+            partial_schur(-1, [0, -2], [1])
+        with pytest.raises(ZeroBase):
+            partial_schur_values(-2, 1, [-2, 0], [3, 4])
+        with pytest.raises(ZeroBase):
+            partial_schur(-1, [0], [])
+        # a zero entry needs no division for u >= 0
+        assert partial_schur(1, [0, -2], [1]) == partial_schur_expansion(1, [0, -2], [1])
+
+    def test_out_of_range(self):
+        with pytest.raises(OutOfRange):
+            partial_schur_expansion(2, [-1, -2], [3])
+        with pytest.raises(OutOfRange):
+            partial_schur(2, [-1, -2], [3])
+        with pytest.raises(OutOfRange):
+            partial_schur_values(-1, 2, [-1, -2], [3])
+        with pytest.raises(OutOfRange):
+            partial_schur(1, [], [3, 4])
 
 
 def _distinct_points(rng, k, m):
