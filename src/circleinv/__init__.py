@@ -30,7 +30,6 @@ from .schur import (
     partial_schur,
     partial_schur_det,
     partial_schur_expansion,
-    partial_schur_tableaux,
     partial_schur_values,
 )
 from .weights import WeightVector, canonical_key, remove, validate
@@ -66,7 +65,6 @@ __all__ = [
     "partial_schur",
     "partial_schur_det",
     "partial_schur_expansion",
-    "partial_schur_tableaux",
     "partial_schur_values",
     "remove",
     "series_at_zero",

@@ -215,8 +215,6 @@ def cmd_schur(args) -> int:
     routes = {"remainder": value, "expansion": schur.partial_schur_expansion(args.u, xs, ys)}
     if len(set(xs)) == len(xs) and len(set(ys)) == len(ys) and xs:
         routes["determinant"] = schur.partial_schur_det(args.u, xs, ys)
-    if len(xs) + len(ys) <= schur.TABLEAU_SIZE_LIMIT:
-        routes["tableaux"] = schur.partial_schur_tableaux(args.u, xs, ys)
     agree = len({v for v in routes.values()}) == 1
     _emit(
         {

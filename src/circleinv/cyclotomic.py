@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import NonInvertibleDenominator
-from .exact import Polynomial, _divisors, _expand_view, _factor_exponents, _mobius
+from .exact import Polynomial, _divisors, _expand_view, _factor_exponents, _phi_factors
 
 
 @lru_cache(maxsize=None)
@@ -153,8 +153,8 @@ def _over_admissible(constraint: RootConstraint, full) -> Fraction:
     sum_{d | e} mu(e/d) full(d)."""
     weights: dict = {}
     for e in constraint.admissible_orders():
-        for d in _divisors(e):
-            weights[d] = weights.get(d, 0) + _mobius(e // d)
+        for d, mu in _phi_factors(e):
+            weights[d] = weights.get(d, 0) + mu
     return sum((mu * full(d) for d, mu in weights.items() if mu), Fraction(0))
 
 

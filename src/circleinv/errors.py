@@ -46,10 +46,6 @@ class ZeroBase(ValidationError):
     pass
 
 
-class CombinatorialExplosion(ValidationError):
-    pass
-
-
 class OutOfRange(ValidationError):
     pass
 

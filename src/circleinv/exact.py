@@ -345,26 +345,6 @@ def _degree(ks) -> int:
     return sum(d * k for d, k in ks.items())
 
 
-def _greedy_refactor(phis: Counter):
-    """Rewrite a cyclotomic multiset as prod (1 - t^d)^mult, or None.
-
-    The largest index present must be the next d, so the choice is forced;
-    failure means no such product form exists.
-    """
-    left = Counter({e: m for e, m in phis.items() if m})
-    view: Counter = Counter()
-    while left:
-        d = max(left)
-        for e in _divisors(d):
-            if left[e] <= 0:
-                return None
-            left[e] -= 1
-            if left[e] == 0:
-                del left[e]
-        view[d] += 1
-    return view
-
-
 class RationalFunction:
     """Numerator over prod Phi_e^{m_e}, reduced by that cyclotomic content.
 
@@ -405,8 +385,11 @@ class RationalFunction:
         if num.is_zero():
             return RationalFunction.zero()
         num, phis = _cancel_phi_content(num, phis)
-        den = _expand_view(_factor_exponents(phis))
-        return RationalFunction(num, den, _greedy_refactor(phis), _reduced=True, phi_content=phis)
+        ks = _factor_exponents(phis)
+        # the k_d are unique, so the denominator is a product of (1 - t^d)
+        # factors exactly when every k_d is positive
+        view = ks if all(k > 0 for k in ks.values()) else None
+        return RationalFunction(num, _expand_view(ks), view, _reduced=True, phi_content=phis)
 
     @staticmethod
     def zero() -> "RationalFunction":

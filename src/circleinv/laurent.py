@@ -10,7 +10,7 @@ Each coefficient comes in three independent flavors:
   requested order - and adds each reduced vector's term to every gamma_m
   with m >= |J|.  The S_u values take the remainder route of ``schur``
   (``partial_schur_values``), one batched call per reduced vector; the
-  Laplace expansion, determinant and tableau routes are its oracles;
+  Laplace expansion and determinant routes are its oracles;
 * the generic form - partial-fraction style sums over the negative weights,
   defined only when they are pairwise distinct;
 * direct series extraction from the computed Hilbert series (the oracle the

@@ -3,7 +3,7 @@
 The central object is the value S_u(xs, ys): the determinant whose first row
 holds x_i^u over the x block and zeros over the y block, followed by the
 full Vandermonde rows of all variables at exponents n-2 down to 0, divided
-by the two block Vandermonde determinants.  It is computable four ways:
+by the two block Vandermonde determinants.  It is computable three ways:
 
 * ``partial_schur_values`` - the route: with P_X = prod (z - x_i) and
   P_Y = prod (z - y_j), the cofactor identity
@@ -22,13 +22,15 @@ by the two block Vandermonde determinants.  It is computable four ways:
   entries, so it holds at repeated entries too, and integer inputs with
   u >= 0 give an int;
 * ``partial_schur_expansion`` - the Laplace expansion along the x-block
-  columns, a signed sum of products of Laurent-Schur values, each one
-  Jacobi-Trudi determinant (``laurent_schur``); also defined at repeated
-  entries, an independent oracle;
+  columns, a signed sum of products of Laurent-Schur values of the x block
+  and of the y block, each one Jacobi-Trudi determinant (``laurent_schur``);
+  it shows S_u symmetric in each block separately, is defined at repeated
+  entries too, and is an independent oracle;
 * ``partial_schur_det`` - the determinant directly (blocks must be
-  repetition-free), a second oracle;
-* ``partial_schur_tableaux`` - the expansion with every Schur factor
-  evaluated by explicit semistandard-tableau enumeration, a third oracle.
+  repetition-free), the definition and a second oracle.
+
+``schur_tableaux``, the semistandard-tableau sum, is the reference the
+Jacobi-Trudi values are tested against.
 
 ``partial_schur`` is the default entry point for one u (remainder route).
 """
@@ -37,10 +39,8 @@ from itertools import combinations
 from math import prod
 from operator import mul
 
-from .errors import CombinatorialExplosion, OutOfRange, RepeatedVariables, ZeroBase
+from .errors import OutOfRange, RepeatedVariables, ZeroBase
 from .exact import _quotient
-
-TABLEAU_SIZE_LIMIT = 10
 
 
 def _power(base, exp: int):
@@ -139,22 +139,17 @@ def schur_tableaux(shape, xs):
     return total
 
 
-def _shifted(parts, xs, schur_of_partition):
-    """s_parts(xs) for a weakly decreasing signature: (prod xs)^m times the
-    Schur value of the partition parts - m, where m = min(parts, 0)."""
-    shift = min([0, *parts])
-    return _power(prod(xs), shift) * schur_of_partition([p - shift for p in parts], xs)
-
-
 def laurent_schur(parts, xs):
     """s_lambda evaluated at xs for a weakly decreasing signature (negative
-    parts allowed): one Jacobi-Trudi determinant, at repeated values too."""
+    parts allowed): (prod xs)^m times the Jacobi-Trudi value of the partition
+    lambda - m, m = min(lambda, 0); valid at repeated values too."""
     if len(parts) != len(xs):
         raise ValueError("signature length must match the variable count")
     for a, b in zip(parts, parts[1:]):
         if b > a:
             raise ValueError("signature must be weakly decreasing")
-    return _shifted(parts, xs, _jacobi_trudi)
+    shift = min([0, *parts])
+    return _power(prod(xs), shift) * _jacobi_trudi([p - shift for p in parts], xs)
 
 
 def elementary_symmetric(j: int, values) -> Fraction:
@@ -227,56 +222,18 @@ def _expansion_terms(u: int, k: int, m: int):
             yield sign, sig_x, shape_y
 
 
-def _empty_positive_block(u: int, xs):
-    """S_u(xs; ()) from the determinant without a y block.
-
-    For u >= 0 the exponent u repeats among the Vandermonde rows, so the
-    value is 0; for u < 0 it is a signed Laurent-Schur of the x block.
-    """
-    k = len(xs)
-    if u >= 0:
-        return 0
-    sig = [-1] * (k - 1) + [u]
-    return (-1) ** (k - 1) * laurent_schur(sig, xs)
-
-
 def partial_schur_expansion(u: int, xs, ys):
     """Laplace-expansion route; well defined for repeated variable values."""
     k, m = len(xs), len(ys)
     _check_u(u, k + m)
     if k == 0:
         return 0
-    if m == 0:
-        return _empty_positive_block(u, xs)
     total = 0
     for sign, sig_x, shape_y in _expansion_terms(u, k, m):
         sx = laurent_schur(sig_x, xs)
         if sx == 0:
             continue
         sy = laurent_schur(shape_y, ys)
-        total += sign * sx * sy
-    return total
-
-
-def partial_schur_tableaux(u: int, xs, ys, size_limit: int = TABLEAU_SIZE_LIMIT):
-    """Tableau route: every Schur factor is a semistandard-tableau sum."""
-    k, m = len(xs), len(ys)
-    if k + m > size_limit:
-        raise CombinatorialExplosion(
-            f"{k + m} variables exceed the tableau enumeration limit {size_limit}"
-        )
-    _check_u(u, k + m)
-    if k == 0:
-        return 0
-    if m == 0:
-        if u >= 0:
-            return 0
-        sig = [-1] * (k - 1) + [u]
-        return (-1) ** (k - 1) * _shifted(sig, xs, schur_tableaux)
-    total = 0
-    for sign, sig_x, shape_y in _expansion_terms(u, k, m):
-        sx = _shifted(sig_x, xs, schur_tableaux)
-        sy = _shifted(shape_y, ys, schur_tableaux)
         total += sign * sx * sy
     return total
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -129,6 +130,15 @@ class TestSchurCommand:
         proc = run_cli(["schur", "--u", "0", "--xs", "-1,-1", "--ys", "1"])
         payload = json.loads(proc.stdout)
         assert "determinant" not in payload["routes"]
+        assert payload["routes_agree"] is True
+
+    def test_ten_variables_in_seconds(self, capsys):
+        start = time.perf_counter()
+        argv = ["schur", "--u", "-3", "--xs", "-1,-2,-3,-4,-5", "--ys", "1,2,3,4,5"]
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 5.0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["routes"] == ["determinant", "expansion", "remainder"]
         assert payload["routes_agree"] is True
 
     @pytest.mark.parametrize(

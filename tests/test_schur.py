@@ -1,18 +1,19 @@
 import random
 import time
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
-from circleinv.errors import CombinatorialExplosion, OutOfRange, RepeatedVariables, ZeroBase
+from circleinv.errors import OutOfRange, RepeatedVariables, ZeroBase
 from circleinv.exact import Polynomial
 from circleinv.schur import (
+    _expansion_terms,
     elementary_symmetric,
     laurent_schur,
     partial_schur,
     partial_schur_det,
     partial_schur_expansion,
-    partial_schur_tableaux,
     partial_schur_values,
     schur_tableaux,
     vandermonde,
@@ -30,7 +31,8 @@ class TestVandermonde:
 
 
 class TestAlternant:
-    # the alternant rules, read through s_lambda = a_{lambda+delta} / a_delta
+    # Laurent-Schur values of signatures: small values, the shifting rule
+    # and the zero-base guard of negative parts
     def test_basic(self):
         assert laurent_schur([1, 0], [F(7), F(3)]) == 7 + 3
         assert laurent_schur([1, 1], [F(3), F(1)]) == 3
@@ -63,7 +65,8 @@ class TestLaurentSchur:
         assert laurent_schur([0, -1], [F(2), F(3)]) == F(5, 6)
 
     def test_tableau_fallback_at_repeats(self):
-        # s_(1,0)(x, x) = 2x and s_(2,1)(x, x) = 2x^3
+        # Jacobi-Trudi at repeated values: s_(1,0)(x, x) = 2x and
+        # s_(2,1)(x, x) = 2x^3
         assert laurent_schur([1, 0], [F(2), F(2)]) == 4
         assert laurent_schur([2, 1], [F(2), F(2)]) == 16
 
@@ -133,25 +136,40 @@ class TestPartialSchurExamples:
         assert partial_schur_det(1, [-1, -2], [1, 14]) == 12
 
     def test_tableaux_route(self):
-        assert partial_schur_tableaux(2, [-1, -2], [1, 14]) == -72
-        assert partial_schur_tableaux(1, [F(3)], [F(1), F(14)]) == 3
+        # every Laurent-Schur factor of the Laplace expansion for k, m <= 4
+        # and -3 <= u <= n - 2 against (prod xs)^s times the tableau sum of
+        # the partition lambda - s, s = min(lambda, 0), at repeated and
+        # Fraction entries: the expansion equals the tableau route term by
+        # term
+        signatures = set()
+        for k in range(1, 5):
+            for m in range(5):
+                for u in range(-3, k + m - 1):
+                    for _, sig_x, shape_y in _expansion_terms(u, k, m):
+                        signatures.update([tuple(sig_x), tuple(shape_y)])
+        assert len(signatures) == 238  # 237 and the empty shape of m = 0
+        rng = random.Random(18)
+        values = [-3, -1, 2, F(-1, 2), F(5, 3)]
+        for sig in sorted(signatures):
+            shift = min([0, *sig])
+            points = [[rng.choice(values)] * len(sig)]
+            points += [[rng.choice(values) for _ in sig] for _ in range(2)]
+            for xs in points:
+                tableau = F(prod(xs)) ** shift * schur_tableaux([p - shift for p in sig], xs)
+                assert laurent_schur(list(sig), xs) == tableau, (sig, xs)
 
     def test_repeated_values_expansion(self):
         # exercised at repeated points where the determinant route fails
         with pytest.raises(RepeatedVariables):
             partial_schur_det(0, [-1, -1], [1])
         value = partial_schur_expansion(0, [-1, -1], [1])
-        assert value == partial_schur_tableaux(0, [-1, -1], [1])
+        assert value == partial_schur(0, [-1, -1], [1]) == -1
 
     def test_empty_blocks(self):
         assert partial_schur_expansion(0, [], [1, 2]) == 0
         assert partial_schur_expansion(-1, [F(-2)], []) == F(-1, 2)
         assert partial_schur_expansion(0, [F(-1), F(-2)], []) == 0
         assert partial_schur_expansion(-1, [F(-1), F(-2)], []) == F(-1, 2)
-
-    def test_explosion_guard(self):
-        with pytest.raises(CombinatorialExplosion):
-            partial_schur_tableaux(0, list(range(1, 8)), list(range(8, 14)))
 
 
 class TestRouteAgreement:
@@ -164,8 +182,8 @@ class TestRouteAgreement:
                         xs, ys = _distinct_points(rng, k, m)
                         det = partial_schur_det(u, xs, ys)
                         exp = partial_schur_expansion(u, xs, ys)
-                        tab = partial_schur_tableaux(u, xs, ys)
-                        assert det == exp == tab, (k, m, u, xs, ys)
+                        rem = partial_schur(u, xs, ys)
+                        assert det == exp == rem, (k, m, u, xs, ys)
 
     def test_block_symmetry(self):
         rng = random.Random(12)
@@ -193,6 +211,8 @@ class TestRouteAgreement:
             assert scaled == factor * partial_schur_expansion(u, xs, ys)
 
     def test_default_route_is_expansion(self):
+        # the default route is the remainder route; it agrees with the
+        # expansion at repeated entries
         assert partial_schur(0, [-1, -1], [2]) == partial_schur_expansion(0, [-1, -1], [2])
 
 
