@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -296,6 +295,8 @@ def _scan_payloads(candidates, jobs: int):
     if jobs == 1:
         yield from map(_scan_one, candidates)
         return
+    from concurrent.futures import ProcessPoolExecutor  # only parallel scans pay for it
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(_scan_one, candidates, chunksize=16)
 

@@ -1,16 +1,21 @@
 """Exact sums of rational expressions over roots of unity.
 
-Primary route (the closed-form gammas use it): the sums of
-1/((1 - z^a)(1 - z^b)), z^a/((1 - z^a)^2 (1 - z^b)) and
-1/((1 - z^a)(1 - z^b)(1 - z^c)) over a constrained set of roots, in ints
-and Fractions.  With z = exp(2 pi i k/d), 1/(1 - z^a) = 1/2 + (i/2)
-cot(pi k a/d), extended by 1/2 where z^a = 1.  Over all d-th roots the
-terms with an odd number of cot factors cancel under k -> -k (Zagier,
-"Higher dimensional Dedekind sums", Math. Ann. 202, 1973), and each sum of
-two cot factors is d times a Dedekind sum, evaluated by reciprocity in
-O(log d) Euclid steps (Rademacher-Grosswald, "Dedekind Sums", 1972).
-Moebius inversion over the divisors of each admissible exact order then
-restricts the sum to the constrained roots.
+Primary route (the closed-form gammas use it): 12 times the sum of
+1/((1 - z^a)(1 - z^b)) and 24 times the sums of z^a/((1 - z^a)^2 (1 - z^b))
+and 1/((1 - z^a)(1 - z^b)(1 - z^c)) over a constrained set of roots, all in
+ints.  With z = exp(2 pi i k/d), 1/(1 - z^a) = 1/2 + (i/2) cot(pi k a/d),
+extended by 1/2 where z^a = 1.  Over all d-th roots the terms with an odd
+number of cot factors cancel under k -> -k (Zagier, "Higher dimensional
+Dedekind sums", Math. Ann. 202, 1973), and each sum of two cot factors is d
+times a Dedekind sum s(h, G), G | d.  Since 6G s(h, G) is an integer
+(Rademacher-Grosswald, "Dedekind Sums", 1972), evaluated here by
+reciprocity in O(log G) exact integer Euclid steps, the three scaled sums
+over all d-th roots are integers (the weighted form's cot^2 sum enters as
+3 times itself, g (d/g - 1)(d/g - 2), an integer too).  Moebius inversion
+over the divisors of each admissible exact order (one weight list per
+constraint, shared by its sums) then restricts the sum to the constrained
+roots.  ``pair_unity_sum`` and its siblings divide by the scale once, for
+callers that want the rational value.
 
 Independent oracle: a sum over the primitive d-th roots of
 num(zeta)/den(zeta) is a field trace.  The representative of the quotient
@@ -25,10 +30,10 @@ Everything stays in Q.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
-from .errors import NonInvertibleDenominator
+from .errors import InternalInvariantViolation, NonInvertibleDenominator
 from .exact import Polynomial, _divisors, _expand_view, _factor_exponents, _phi_factors
 
 
@@ -99,6 +104,17 @@ class RootConstraint:
             if all(d % e != 0 for d in self.excluded_suborders)
         ]
 
+    @cached_property
+    def mobius_weights(self) -> tuple:
+        """Pairs (d, w) with w != 0 such that the sum of f over the
+        constrained roots is sum w F(d), F(d) the sum of f over all d-th
+        roots: the sum over exact order e is sum_{d | e} mu(e/d) F(d)."""
+        weights: dict = {}
+        for e in self.admissible_orders():
+            for d, mu in _phi_factors(e):
+                weights[d] = weights.get(d, 0) + mu
+        return tuple((d, w) for d, w in weights.items() if w)
+
 
 def trace_sum(num: Polynomial, den: Polynomial, d: int) -> Fraction:
     """Sum of num(zeta)/den(zeta) over the primitive d-th roots of unity."""
@@ -122,74 +138,89 @@ def constrained_unity_sum(num: Polynomial, den: Polynomial, constraint: RootCons
     return total
 
 
-def dedekind_sum(h: int, k: int) -> Fraction:
-    """The Dedekind sum s(h, k) = sum over r mod k of ((r/k)) ((hr/k)), for
-    coprime h and k >= 1, by the reciprocity law
-    s(h, k) + s(k, h) = (h^2 + k^2 + 1)/(12 h k) - 1/4 in O(log k) steps."""
-    total, sign = Fraction(0), 1
+def dedekind_6k(h: int, k: int) -> int:
+    """A(h, k) = 6k s(h, k), an integer, for coprime h and k >= 1.
+
+    Multiplying the reciprocity law s(h, k) + s(k, h) = (h^2 + k^2 + 1)/(12hk)
+    - 1/4 by 12hk gives 2h A(h, k) = h^2 + k^2 + 1 - 3hk - 2k A(k mod h, h):
+    the Euclid chain of (h mod k, k) runs down to A(0, 1) = 0 and is unwound
+    back up in O(log k) exact integer divisions."""
+    chain = []
     h %= k
     while h:
-        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
-        h, k, sign = k % h, h, -sign
-    return total
+        chain.append((h, k))
+        h, k = k % h, h
+    value = 0
+    for h, k in reversed(chain):
+        value, r = divmod(h * h + k * k + 1 - 3 * h * k - 2 * k * value, 2 * h)
+        if r:
+            raise InternalInvariantViolation(f"6k s(h, k) not integral at h={h}, k={k}")
+    return value
 
 
-def _cot_dedekind(a: int, b: int, d: int) -> Fraction:
-    """T(a, b; d) / (4d), where T is the sum over k mod d of
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """The Dedekind sum s(h, k) = sum over r mod k of ((r/k)) ((hr/k)), for
+    coprime h and k >= 1."""
+    return Fraction(dedekind_6k(h, k), 6 * k)
+
+
+def _cot_dedekind(a: int, b: int, d: int) -> int:
+    """3 T(a, b; d) / 2, where T is the sum over k mod d of
     cot(pi k a/d) cot(pi k b/d), each cot read as 0 at multiples of pi.
 
     With a = a1 gcd(a, d), b = b1 gcd(b, d) and G the gcd of d/gcd(a, d)
     and d/gcd(b, d), the cot multiplication formula folds T to
-    4d s(b1 a1^-1 mod G, G).
+    4d s(b1 a1^-1 mod G, G), so 3T/2 = (d/G) A(b1 a1^-1 mod G, G).
     """
     ga, gb = gcd(a, d), gcd(b, d)
     big = gcd(d // ga, d // gb)
-    return dedekind_sum(b // gb * pow(a // ga, -1, big), big)
+    return d // big * dedekind_6k(b // gb * pow(a // ga, -1, big), big)
 
 
-def _over_admissible(constraint: RootConstraint, full) -> Fraction:
-    """Sum over the constrained roots of a function of zeta, given full(d),
-    its sum over all d-th roots: the sum over exact order e is
-    sum_{d | e} mu(e/d) full(d)."""
-    weights: dict = {}
-    for e in constraint.admissible_orders():
-        for d, mu in _phi_factors(e):
-            weights[d] = weights.get(d, 0) + mu
-    return sum((mu * full(d) for d, mu in weights.items() if mu), Fraction(0))
-
-
-def pair_unity_sum(a: int, b: int, constraint: RootConstraint) -> Fraction:
-    """Sum of 1/((1 - z^a)(1 - z^b)) over the constrained roots, none of
-    which may have z^a = 1 or z^b = 1: over all d-th roots the extended
-    sum is d/4 - T(a, b; d)/4."""
-    return _over_admissible(
-        constraint, lambda d: d * (Fraction(1, 4) - _cot_dedekind(a, b, d))
+def pair_sum_12(a: int, b: int, constraint: RootConstraint) -> int:
+    """12 times the sum of 1/((1 - z^a)(1 - z^b)) over the constrained
+    roots, none of which may have z^a = 1 or z^b = 1: over all d-th roots
+    the extended sum is d/4 - T(a, b; d)/4."""
+    return sum(
+        mu * (3 * d - 2 * _cot_dedekind(a, b, d)) for d, mu in constraint.mobius_weights
     )
 
 
-def weighted_unity_sum(a: int, constraint: RootConstraint) -> Fraction:
-    """Sum of z^a/((1 - z^a)^2 (1 - z^b)) over the constrained roots, for any
-    b with z^a != 1 and z^b != 1 on them; b drops out.  Over all d-th roots
-    the extended sum is -d/8 - C/8, where C = g (d/g - 1)(d/g - 2)/3 is the
-    sum of cot^2(pi k a/d) and g = gcd(a, d)."""
+def pair_unity_sum(a: int, b: int, constraint: RootConstraint) -> Fraction:
+    return Fraction(pair_sum_12(a, b, constraint), 12)
 
-    def full(d):
+
+def weighted_sum_24(a: int, constraint: RootConstraint) -> int:
+    """24 times the sum of z^a/((1 - z^a)^2 (1 - z^b)) over the constrained
+    roots, for any b with z^a != 1 and z^b != 1 on them; b drops out.  Over
+    all d-th roots the extended sum is -d/8 - C/8, where
+    C = g (d/g - 1)(d/g - 2)/3 is the sum of cot^2(pi k a/d) and
+    g = gcd(a, d)."""
+    total = 0
+    for d, mu in constraint.mobius_weights:
         g = gcd(a, d)
-        return Fraction(-3 * d - g * (d // g - 1) * (d // g - 2), 24)
+        total -= mu * (3 * d + g * (d // g - 1) * (d // g - 2))
+    return total
 
-    return _over_admissible(constraint, full)
+
+def weighted_unity_sum(a: int, constraint: RootConstraint) -> Fraction:
+    return Fraction(weighted_sum_24(a, constraint), 24)
+
+
+def triple_sum_24(a: int, b: int, c: int, constraint: RootConstraint) -> int:
+    """24 times the sum of 1/((1 - z^a)(1 - z^b)(1 - z^c)) over the
+    constrained roots, none of which may have z^a, z^b or z^c equal to 1:
+    over all d-th roots the extended sum is
+    d/8 - (T(a, b; d) + T(a, c; d) + T(b, c; d))/8."""
+    total = 0
+    for d, mu in constraint.mobius_weights:
+        cots = _cot_dedekind(a, b, d) + _cot_dedekind(a, c, d) + _cot_dedekind(b, c, d)
+        total += mu * (3 * d - 2 * cots)
+    return total
 
 
 def triple_unity_sum(a: int, b: int, c: int, constraint: RootConstraint) -> Fraction:
-    """Sum of 1/((1 - z^a)(1 - z^b)(1 - z^c)) over the constrained roots,
-    none of which may have z^a, z^b or z^c equal to 1: over all d-th roots
-    the extended sum is d/8 - (T(a, b; d) + T(a, c; d) + T(b, c; d))/8."""
-
-    def full(d):
-        dedekind = _cot_dedekind(a, b, d) + _cot_dedekind(a, c, d) + _cot_dedekind(b, c, d)
-        return d * (Fraction(1, 8) - dedekind / 2)
-
-    return _over_admissible(constraint, full)
+    return Fraction(triple_sum_24(a, b, c, constraint), 24)
 
 
 def gessel_harmonic(n: int) -> Fraction:

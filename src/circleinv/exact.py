@@ -283,7 +283,9 @@ def _view_phi_multiset(view: Counter) -> Counter:
     return phis
 
 
-def _divisors(n: int) -> list:
+@lru_cache(maxsize=None)
+def _divisors(n: int) -> tuple:
+    """The divisors of n, ascending."""
     small, large = [], []
     i = 1
     while i * i <= n:
@@ -292,7 +294,7 @@ def _divisors(n: int) -> list:
             if i != n // i:
                 large.append(n // i)
         i += 1
-    return small + large[::-1]
+    return (*small, *reversed(large))
 
 
 def _mobius(n: int) -> int:

@@ -8,16 +8,21 @@ Each coefficient comes in three independent flavors:
   constrained root-of-unity sums.  One pass (``_schur_gammas``) walks the
   index sets J once - the whole vector, then |J| = 1, 2, 3 up to the
   requested order - and adds each reduced vector's term to every gamma_m
-  with m >= |J|.  The S_u values take the remainder route of ``schur``
-  (``partial_schur_values``), one batched call per reduced vector; the
-  Laplace expansion and determinant routes are its oracles;
+  with m >= |J|.  The walk runs in ints: the S_u values come scaled by a
+  power of P_X(0) from the remainder route of ``schur``
+  (``scaled_schur_values``, one batched call per reduced vector; the
+  Laplace expansion and determinant routes are its oracles), the
+  root-of-unity sums scaled by 12 or 24, and each gamma_m is an int
+  numerator over an int denominator until one Fraction is built per gamma
+  at the end;
 * the generic form - partial-fraction style sums over the negative weights,
   defined only when they are pairwise distinct;
 * direct series extraction from the computed Hilbert series (the oracle the
   other two are tested against).
 
 The root-of-unity sums take the Dedekind-sum route of ``cyclotomic``
-(``pair_unity_sum``, ``weighted_unity_sum``, ``triple_unity_sum``):
+(``pair_sum_12``, ``weighted_sum_24``, ``triple_sum_24`` in the walk; their
+rational values ``pair_unity_sum`` and siblings in the generic forms):
 Zagier's cancellation of odd cot products ("Higher dimensional Dedekind
 sums", Math. Ann. 202, 1973) and Dedekind reciprocity (Rademacher-Grosswald,
 "Dedekind Sums", 1972) take each sum to O(log N) integer Euclid steps per
@@ -34,12 +39,20 @@ drop.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 
-from .cyclotomic import RootConstraint, pair_unity_sum, triple_unity_sum, weighted_unity_sum
+from .cyclotomic import (
+    RootConstraint,
+    pair_sum_12,
+    pair_unity_sum,
+    triple_sum_24,
+    triple_unity_sum,
+    weighted_sum_24,
+    weighted_unity_sum,
+)
 from .errors import InternalInvariantViolation, Unstable
 from .hilbert import hilbert_series
-from .schur import _power, partial_schur, partial_schur_values
+from .schur import _power, partial_schur, scaled_schur_values
 from .weights import WeightVector, remove
 
 
@@ -89,28 +102,31 @@ def _roots(reduced: dict, J: tuple) -> RootConstraint:
 
 def _schur_gammas(v: WeightVector, upto: int) -> list:
     """[gamma_0, ..., gamma_upto] (upto <= 3) in one walk over the reduced
-    vectors a - J, |J| <= upto.
+    vectors a - J, |J| <= upto, in integers.
 
     The reduced vector of an r-element J enters gamma_m for every m >= r
-    through s[u] = S_{n-u}(a - J), u = r+2..m+2.  Its S_u values come from
-    one batched remainder-route call over the consecutive exponents
-    n-upto-2..n-r-2; they, Pi, e_1 and e_2 are exact (ints but for negative
-    exponents), computed once, and t[m] is 24*Pi times its term in gamma_m,
-    so each term costs one Fraction.  A pair's root constraint and
-    pair sum serve gamma_2 and gamma_3 alike.
+    through s[u] = S_{n-u}(a - J), u = r+2..m+2.  One batched remainder-route
+    call over the consecutive exponents n-upto-2..n-r-2 gives them as
+    P s[u], P a power of P_X(0) (``scaled_schur_values``); with Pi, e_1,
+    e_2 and the root-of-unity sums scaled by 12 or 24 (all ints), t[m] is
+    the int 24 P Pi times its term in gamma_m.  Each gamma_m is carried as an
+    int pair (num, den) over the common denominator of its terms, so the
+    walk builds one Fraction per gamma, at the end.  A pair's root
+    constraint and pair sum serve gamma_2 and gamma_3 alike.
     """
     _require_stable(v)
     ws = v.weights
     n_ = v.n
-    out = [Fraction(0)] * (upto + 1)
+    out = [(0, 1)] * (upto + 1)
     reduced = _reduced(v, upto)
     for J, (seq, g) in [((), (ws, 1)), *reduced.items()]:
         r = len(J)
         if r == 1 and g <= 1:
             continue  # every term carries a factor g - 1
         xs, ys = _split(seq)
+        scale, values = scaled_schur_values(n_ - upto - 2, n_ - r - 2, xs, ys)
         s = [0] * 6
-        s[r + 2: upto + 3] = partial_schur_values(n_ - upto - 2, n_ - r - 2, xs, ys)[::-1]
+        s[r + 2: upto + 3] = values[::-1]
         if not any(s):
             continue
         pi = prod(x - y for x in xs for y in ys)
@@ -134,21 +150,23 @@ def _schur_gammas(v: WeightVector, upto: int) -> list:
             # identity sum_i a_i^u / prod_{j != i}(a_i - a_j) = S_u / Pi
             a, b = ws[J[0]], ws[J[1]]
             roots = _roots(reduced, J)
-            pair = pair_unity_sum(a, b, roots)
-            t[2] = -24 * s[4] * pair
+            pair = pair_sum_12(a, b, roots)
+            t[2] = -2 * s[4] * pair
             if upto == 3:
-                t[3] = 12 * (e1 * s[5] - s[4]) * pair + 24 * (
-                    weighted_unity_sum(a, roots) * (s[4] - a * s[5])
-                    + weighted_unity_sum(b, roots) * (s[4] - b * s[5])
+                t[3] = (e1 * s[5] - s[4]) * pair + (
+                    weighted_sum_24(a, roots) * (s[4] - a * s[5])
+                    + weighted_sum_24(b, roots) * (s[4] - b * s[5])
                 )
         else:
             a, b, c = (ws[j] for j in J)
-            t[3] = -24 * s[5] * triple_unity_sum(a, b, c, _roots(reduced, J))
-        den = 24 * pi
+            t[3] = -s[5] * triple_sum_24(a, b, c, _roots(reduced, J))
+        den = 24 * pi * scale
         for m in range(r, upto + 1):
             if t[m]:
-                out[m] += Fraction(t[m], den)
-    return out
+                num, common = out[m]
+                shared = gcd(common, den)
+                out[m] = (num * (den // shared) + t[m] * (common // shared), common // shared * den)
+    return [Fraction(num, den) for num, den in out]
 
 
 def gamma0(v: WeightVector) -> Fraction:

@@ -17,10 +17,12 @@ by the two block Vandermonde determinants.  It is computable three ways:
 
   The first k-1 columns and the cofactors of the last are built once per
   blocks; each further u is one multiplication by z mod P_X and one dot
-  product.  Negative u step with P_X(0) z^{-1} = -(P_X - P_X(0)) / z and
-  divide by a power of P_X(0) once.  The value is a polynomial in the
-  entries, so it holds at repeated entries too, and integer inputs with
-  u >= 0 give an int;
+  product.  A negative lowest u = -L starts the walk at P_X(0)^L z^{-L},
+  reached by L steps of P_X(0) z^{-1} = -(P_X - P_X(0)) / z, so the loop
+  (``scaled_schur_values``) yields P_X(0)^L S_u, an int for integer
+  inputs, and ``partial_schur_values`` divides by P_X(0)^L once per value.
+  The value is a polynomial in the entries, so it holds at repeated
+  entries too, and integer inputs with u >= 0 give an int;
 * ``partial_schur_expansion`` - the Laplace expansion along the x-block
   columns, a signed sum of products of Laurent-Schur values of the x block
   and of the y block, each one Jacobi-Trudi determinant (``laurent_schur``);
@@ -255,14 +257,15 @@ def _times_inverse_z(f: list, px: list) -> list:
     return [p0 * c - low * p for c, p in zip(f[1:] + [0], px[1:])]
 
 
-def partial_schur_values(lo: int, hi: int, xs, ys) -> list:
-    """[S_lo, ..., S_hi] of the blocks by the remainder route (see the
-    module docstring); OutOfRange when hi > n - 2, ZeroBase when lo < 0 and
-    xs holds a zero."""
+def scaled_schur_values(lo: int, hi: int, xs, ys) -> tuple:
+    """(P, [P S_lo, ..., P S_hi]) with P = P_X(0)^max(0, -lo), by the
+    remainder route (see the module docstring): integer inputs give ints
+    throughout.  OutOfRange when hi > n - 2, ZeroBase when lo < 0 and xs
+    holds a zero."""
     k, m = len(xs), len(ys)
     _check_u(hi, k + m)
     if k == 0 or hi < lo:
-        return [0] * max(hi - lo + 1, 0)
+        return 1, [0] * max(hi - lo + 1, 0)
     px = [1]
     for x in xs:
         px = [0, *px]
@@ -282,20 +285,23 @@ def partial_schur_values(lo: int, hi: int, xs, ys) -> list:
         (-1) ** (i + k - 1) * _det([[c[r] for c in columns] for r in range(k) if r != i])
         for i in range(k)
     ]
-    out = []
-    power = [1] + [0] * (k - 1)  # P_X(0)^s z^{-s}
-    for s in range(1, -lo + 1):
+    power = [1] + [0] * (k - 1)  # P z^u, starting at u = lo
+    for _ in range(-lo):
         power = _times_inverse_z(power, px)
-        if -s <= hi:
-            out.append(_quotient(sum(map(mul, cofactors, power)), px[0] ** s))
-    out.reverse()
-    power = [1] + [0] * (k - 1)  # z^u
-    for u in range(hi + 1):
-        if u:
-            power = _times_z(power, px)
-        if u >= lo:
-            out.append(sum(map(mul, cofactors, power)))
-    return out
+    for _ in range(lo):
+        power = _times_z(power, px)
+    out = [sum(map(mul, cofactors, power))]
+    for _ in range(lo, hi):
+        power = _times_z(power, px)
+        out.append(sum(map(mul, cofactors, power)))
+    return px[0] ** max(0, -lo), out
+
+
+def partial_schur_values(lo: int, hi: int, xs, ys) -> list:
+    """[S_lo, ..., S_hi] of the blocks: ``scaled_schur_values`` divided by
+    its scale."""
+    scale, values = scaled_schur_values(lo, hi, xs, ys)
+    return [_quotient(value, scale) for value in values]
 
 
 def partial_schur(u: int, xs, ys):

@@ -225,6 +225,13 @@ class TestScanCommand:
         )
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_process_pool_imported_lazily(self):
+        # only a scan with --jobs > 1 needs concurrent.futures
+        code = "import sys, circleinv.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestEnvironmentOverrides:
     def test_env_verify_depth(self):

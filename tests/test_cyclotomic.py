@@ -10,12 +10,16 @@ from circleinv.cyclotomic import (
     RootConstraint,
     constrained_unity_sum,
     cyclotomic_poly,
+    dedekind_6k,
     dedekind_sum,
     gessel_harmonic,
     invert_mod,
+    pair_sum_12,
     pair_unity_sum,
     trace_sum,
+    triple_sum_24,
     triple_unity_sum,
+    weighted_sum_24,
     weighted_unity_sum,
 )
 from circleinv.errors import NonInvertibleDenominator
@@ -179,6 +183,9 @@ class TestDedekindSum:
                     continue
                 expected = sum(sawtooth(F(r, k)) * sawtooth(F(h * r, k)) for r in range(k))
                 assert dedekind_sum(h, k) == expected, (h, k)
+                # the integer the gamma pass works with: 6k s(h, k)
+                assert type(dedekind_6k(h, k)) is int
+                assert dedekind_6k(h, k) == 6 * k * expected, (h, k)
 
     def test_symmetries(self):
         for k in range(1, 40):
@@ -196,6 +203,40 @@ def constrained_sums(v):
     return [(J, _roots(reduced, J)) for J in reduced if len(J) > 1 and reduced[J][0]]
 
 
+def assert_sums_match_trace_route(v, label):
+    """Over every pair and triple of v: the sums exactly as the gamma pass
+    calls them are ints equal to 12 (pair) or 24 (weighted, triple) times
+    the trace route, and their rational wrappers equal the trace route."""
+    ws = v.weights
+    for J, roots in constrained_sums(v):
+        a, b = ws[J[0]], ws[J[1]]
+        if len(J) == 2:
+            want = [
+                trace_route(a, b, None, roots),
+                trace_route(a, b, None, roots, True),
+                trace_route(b, a, None, roots, True),
+            ]
+            scales = [12, 24, 24]
+            scaled = [
+                pair_sum_12(a, b, roots),
+                weighted_sum_24(a, roots),
+                weighted_sum_24(b, roots),
+            ]
+            rational = [
+                pair_unity_sum(a, b, roots),
+                weighted_unity_sum(a, roots),
+                weighted_unity_sum(b, roots),
+            ]
+        else:
+            c = ws[J[2]]
+            want, scales = [trace_route(a, b, c, roots)], [24]
+            scaled = [triple_sum_24(a, b, c, roots)]
+            rational = [triple_unity_sum(a, b, c, roots)]
+        assert all(type(x) is int for x in scaled), (label, J, scaled)
+        assert scaled == [k * w for k, w in zip(scales, want)], (label, J)
+        assert rational == want, (label, J)
+
+
 class TestDedekindRoute:
     def test_random_vectors_match_trace_route(self):
         rng = random.Random(11)
@@ -205,31 +246,10 @@ class TestDedekindRoute:
             raw = [rng.choice([w for w in range(-12, 13) if w]) for _ in range(n)]
             if min(raw) > 0 or max(raw) < 0:
                 continue
-            v = validate(raw)
-            ws = v.weights
-            for J, roots in constrained_sums(v):
-                a, b = ws[J[0]], ws[J[1]]
-                if len(J) == 2:
-                    assert pair_unity_sum(a, b, roots) == trace_route(a, b, None, roots), (ws, J)
-                    assert weighted_unity_sum(a, roots) == trace_route(a, b, None, roots, True)
-                    assert weighted_unity_sum(b, roots) == trace_route(b, a, None, roots, True)
-                else:
-                    c = ws[J[2]]
-                    assert triple_unity_sum(a, b, c, roots) == trace_route(a, b, c, roots), (ws, J)
+            assert_sums_match_trace_route(validate(raw), raw)
             checked += 1
 
     def test_gamma_sums_match_trace_route_on_sweep(self):
-        # the sums exactly as the gamma pass calls them, over every pair
-        # and triple of the benchmark's sweep family
+        # every pair and triple of the benchmark's sweep family
         for raw in sweep_family():
-            v = validate(raw)
-            ws = v.weights
-            for J, roots in constrained_sums(v):
-                a, b = ws[J[0]], ws[J[1]]
-                if len(J) == 2:
-                    assert pair_unity_sum(a, b, roots) == trace_route(a, b, None, roots), raw
-                    assert weighted_unity_sum(a, roots) == trace_route(a, b, None, roots, True)
-                    assert weighted_unity_sum(b, roots) == trace_route(b, a, None, roots, True)
-                else:
-                    c = ws[J[2]]
-                    assert triple_unity_sum(a, b, c, roots) == trace_route(a, b, c, roots), raw
+            assert_sums_match_trace_route(validate(raw), raw)

@@ -1,4 +1,6 @@
+import cProfile
 import itertools
+import pstats
 import random
 import sys
 from fractions import Fraction as F
@@ -24,7 +26,7 @@ from circleinv.laurent import (
 from circleinv.weights import canonical_key, validate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from perfbench.workloads import engine_pool  # noqa: E402
+from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
 
 SCHUR_FORMS = (gamma0, gamma1, gamma2, gamma3)
 GENERIC_FORMS = (gamma0_generic, gamma1_generic, gamma2_generic, gamma3_generic)
@@ -179,6 +181,21 @@ class TestLargeStrides:
             series = hilbert_series(v).laurent_at_one(4).coefficients
             for m in range(4):
                 assert gammas(v, m).values == series[: m + 1], (raw, m)
+
+
+class TestIntegerWalk:
+    def test_one_fraction_per_gamma(self):
+        # the walk runs in ints and builds gamma_0..gamma_3 as Fractions only
+        # at the end; cProfile counts every Fraction construction
+        vs = [validate(raw) for raw in sweep_family()]
+        profile = cProfile.Profile()
+        profile.runcall(lambda: [gammas(v, 3) for v in vs])
+        built = sum(
+            stat[1]
+            for (path, _, name), stat in pstats.Stats(profile).stats.items()
+            if path.endswith("fractions.py") and name == "__new__"
+        )
+        assert 0 < built <= 4 * len(vs)
 
 
 class TestMildCoprimality:

@@ -15,6 +15,7 @@ from circleinv.schur import (
     partial_schur_det,
     partial_schur_expansion,
     partial_schur_values,
+    scaled_schur_values,
     schur_tableaux,
     vandermonde,
 )
@@ -250,6 +251,20 @@ class TestRemainderRoute:
             ys = [rng.randint(-6, 6) for _ in range(m)]
             for u in range(k + m - 1):
                 assert type(partial_schur(u, xs, ys)) is int
+
+    def test_scaled_values_are_integers(self):
+        # negative u too: the walk carries P_X(0)^L S_u, L = -lo, in ints
+        rng = random.Random(18)
+        for _ in range(60):
+            k, m = rng.randint(1, 4), rng.randint(0, 4)
+            xs = [rng.choice([-6, -5, -3, -2, -1, 1, 4]) for _ in range(k)]
+            ys = [rng.randint(-6, 6) for _ in range(m)]
+            lo = rng.randint(-4, k + m - 2)
+            scale, values = scaled_schur_values(lo, k + m - 2, xs, ys)
+            assert scale == prod(-x for x in xs) ** max(0, -lo)
+            assert all(type(value) is int for value in values)
+            want = [partial_schur_expansion(u, xs, ys) for u in range(lo, k + m - 1)]
+            assert values == [scale * w for w in want]
 
     def test_batch_equals_single_calls(self):
         rng = random.Random(17)
