@@ -133,7 +133,8 @@ def _emit(payload: dict):
 
 
 def cmd_hilb(args) -> int:
-    v = validate(parse_weights(args.weights))
+    weights = parse_weights(args.weights)
+    v = validate(weights)
     _at_least(args.verify_depth, 0, "--verify-depth")
     _at_least(args.max_denominator_degree, 1, "--max-denominator-degree")
     depth = args.verify_depth if args.verify_depth else None
@@ -141,7 +142,7 @@ def cmd_hilb(args) -> int:
         upto = args.verify_depth if args.verify_depth else 50
         _emit(
             {
-                "weights": parse_weights(args.weights),
+                "weights": weights,
                 "method": "oracle",
                 "coefficients": oracle_coefficients(v, upto),
             }
@@ -155,7 +156,7 @@ def cmd_hilb(args) -> int:
     )
     _emit(
         {
-            "weights": parse_weights(args.weights),
+            "weights": weights,
             "method": args.method,
             "hilbert": rf_json(f),
             "degree": f.degree,
@@ -165,7 +166,8 @@ def cmd_hilb(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    v = validate(parse_weights(args.weights))
+    weights = parse_weights(args.weights)
+    v = validate(weights)
     upto = _at_least(args.upto, 0, "--upto")
     if upto > 3 and args.gamma_method != "series":
         raise ValidationError("closed forms stop at gamma_3; use --method series")
@@ -178,7 +180,7 @@ def cmd_gamma(args) -> int:
         agree = all(g.values == reference.values for g in results.values())
         _emit(
             {
-                "weights": parse_weights(args.weights),
+                "weights": weights,
                 "gamma": [frac_json(x) for x in reference.values],
                 "pole_order": reference.pole_order,
                 "methods": sorted(results),
@@ -189,7 +191,7 @@ def cmd_gamma(args) -> int:
     g = laurent.gammas(v, upto, args.gamma_method)
     _emit(
         {
-            "weights": parse_weights(args.weights),
+            "weights": weights,
             "gamma": [frac_json(x) for x in g.values],
             "pole_order": g.pole_order,
             "method": g.method,

@@ -11,11 +11,11 @@ times a Dedekind sum s(h, G), G | d.  Since 6G s(h, G) is an integer
 (Rademacher-Grosswald, "Dedekind Sums", 1972), evaluated here by
 reciprocity in O(log G) exact integer Euclid steps, the three scaled sums
 over all d-th roots are integers (the weighted form's cot^2 sum enters as
-3 times itself, g (d/g - 1)(d/g - 2), an integer too).  Moebius inversion
-over the divisors of each admissible exact order (one weight list per
-constraint, shared by its sums) then restricts the sum to the constrained
-roots.  ``pair_unity_sum`` and its siblings divide by the scale once, for
-callers that want the rational value.
+3 times itself, g (d/g - 1)(d/g - 2), an integer too).  Inclusion-exclusion
+over the excluded subgroups restricts them to a constrained set
+{z^N = 1, z^e != 1 for e in E}: its indicator is the sum over subsets S of
+E of (-1)^|S| [z^gcd(N, S) = 1], so each sum is a signed sum over at most
+2^|E| full groups of roots (``subgroup_weights``).
 
 Independent oracle: a sum over the primitive d-th roots of
 num(zeta)/den(zeta) is a field trace.  The representative of the quotient
@@ -24,17 +24,18 @@ is num times the inverse of den modulo the d-th cyclotomic polynomial
 division; pairing it with the power sums of the roots (Newton's
 identities) gives the trace.
 Sums over constrained subsets of the N-th roots decompose by exact order,
-i.e. over divisors of N that are compatible with the constraints.
-Everything stays in Q.
+i.e. over the divisors of N that are compatible with the constraints
+(``RootConstraint.admissible_orders``).  Everything stays in Q.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import combinations
 from math import gcd
 
 from .errors import InternalInvariantViolation, NonInvertibleDenominator
-from .exact import Polynomial, _divisors, _expand_view, _factor_exponents, _phi_factors
+from .exact import Polynomial, _divisors, _expand_view, _factor_exponents
 
 
 @lru_cache(maxsize=None)
@@ -104,17 +105,6 @@ class RootConstraint:
             if all(d % e != 0 for d in self.excluded_suborders)
         ]
 
-    @cached_property
-    def mobius_weights(self) -> tuple:
-        """Pairs (d, w) with w != 0 such that the sum of f over the
-        constrained roots is sum w F(d), F(d) the sum of f over all d-th
-        roots: the sum over exact order e is sum_{d | e} mu(e/d) F(d)."""
-        weights: dict = {}
-        for e in self.admissible_orders():
-            for d, mu in _phi_factors(e):
-                weights[d] = weights.get(d, 0) + mu
-        return tuple((d, w) for d, w in weights.items() if w)
-
 
 def trace_sum(num: Polynomial, den: Polynomial, d: int) -> Fraction:
     """Sum of num(zeta)/den(zeta) over the primitive d-th roots of unity."""
@@ -158,12 +148,6 @@ def dedekind_6k(h: int, k: int) -> int:
     return value
 
 
-def dedekind_sum(h: int, k: int) -> Fraction:
-    """The Dedekind sum s(h, k) = sum over r mod k of ((r/k)) ((hr/k)), for
-    coprime h and k >= 1."""
-    return Fraction(dedekind_6k(h, k), 6 * k)
-
-
 def _cot_dedekind(a: int, b: int, d: int) -> int:
     """3 T(a, b; d) / 2, where T is the sum over k mod d of
     cot(pi k a/d) cot(pi k b/d), each cot read as 0 at multiples of pi.
@@ -177,50 +161,56 @@ def _cot_dedekind(a: int, b: int, d: int) -> int:
     return d // big * dedekind_6k(b // gb * pow(a // ga, -1, big), big)
 
 
-def pair_sum_12(a: int, b: int, constraint: RootConstraint) -> int:
+def subgroup_weights(order: int, excluded) -> tuple:
+    """Pairs (d, w) with w != 0 such that the sum of f over the roots z with
+    z^order = 1 and z^e != 1 for each e in ``excluded`` is sum w F(d), F(d)
+    the sum of f over all d-th roots.
+
+    The indicator of that set is the product of 1 - [z^e = 1] over e, i.e.
+    the sum over subsets S of ``excluded`` of (-1)^|S| [z^gcd(order, S) = 1]:
+    one gcd per subset, merged by subgroup.  order = 0 (an empty remainder)
+    admits no root."""
+    if not order:
+        return ()
+    weights: dict = {}
+    for r in range(len(excluded) + 1):
+        for subset in combinations(excluded, r):
+            d = gcd(order, *subset)
+            weights[d] = weights.get(d, 0) + (-1) ** r
+    return tuple((d, w) for d, w in weights.items() if w)
+
+
+def pair_sum_12(a: int, b: int, weights: tuple) -> int:
     """12 times the sum of 1/((1 - z^a)(1 - z^b)) over the constrained
-    roots, none of which may have z^a = 1 or z^b = 1: over all d-th roots
-    the extended sum is d/4 - T(a, b; d)/4."""
-    return sum(
-        mu * (3 * d - 2 * _cot_dedekind(a, b, d)) for d, mu in constraint.mobius_weights
-    )
+    roots given by ``weights`` (``subgroup_weights``), none of which may
+    have z^a = 1 or z^b = 1: over all d-th roots the extended sum is
+    d/4 - T(a, b; d)/4."""
+    return sum(mu * (3 * d - 2 * _cot_dedekind(a, b, d)) for d, mu in weights)
 
 
-def pair_unity_sum(a: int, b: int, constraint: RootConstraint) -> Fraction:
-    return Fraction(pair_sum_12(a, b, constraint), 12)
-
-
-def weighted_sum_24(a: int, constraint: RootConstraint) -> int:
+def weighted_sum_24(a: int, weights: tuple) -> int:
     """24 times the sum of z^a/((1 - z^a)^2 (1 - z^b)) over the constrained
     roots, for any b with z^a != 1 and z^b != 1 on them; b drops out.  Over
     all d-th roots the extended sum is -d/8 - C/8, where
     C = g (d/g - 1)(d/g - 2)/3 is the sum of cot^2(pi k a/d) and
     g = gcd(a, d)."""
     total = 0
-    for d, mu in constraint.mobius_weights:
+    for d, mu in weights:
         g = gcd(a, d)
         total -= mu * (3 * d + g * (d // g - 1) * (d // g - 2))
     return total
 
 
-def weighted_unity_sum(a: int, constraint: RootConstraint) -> Fraction:
-    return Fraction(weighted_sum_24(a, constraint), 24)
-
-
-def triple_sum_24(a: int, b: int, c: int, constraint: RootConstraint) -> int:
+def triple_sum_24(a: int, b: int, c: int, weights: tuple) -> int:
     """24 times the sum of 1/((1 - z^a)(1 - z^b)(1 - z^c)) over the
     constrained roots, none of which may have z^a, z^b or z^c equal to 1:
     over all d-th roots the extended sum is
     d/8 - (T(a, b; d) + T(a, c; d) + T(b, c; d))/8."""
     total = 0
-    for d, mu in constraint.mobius_weights:
+    for d, mu in weights:
         cots = _cot_dedekind(a, b, d) + _cot_dedekind(a, c, d) + _cot_dedekind(b, c, d)
         total += mu * (3 * d - 2 * cots)
     return total
-
-
-def triple_unity_sum(a: int, b: int, c: int, constraint: RootConstraint) -> Fraction:
-    return Fraction(triple_sum_24(a, b, c, constraint), 24)
 
 
 def gessel_harmonic(n: int) -> Fraction:

@@ -21,14 +21,17 @@ Each coefficient comes in three independent flavors:
   other two are tested against).
 
 The root-of-unity sums take the Dedekind-sum route of ``cyclotomic``
-(``pair_sum_12``, ``weighted_sum_24``, ``triple_sum_24`` in the walk; their
-rational values ``pair_unity_sum`` and siblings in the generic forms):
-Zagier's cancellation of odd cot products ("Higher dimensional Dedekind
-sums", Math. Ann. 202, 1973) and Dedekind reciprocity (Rademacher-Grosswald,
-"Dedekind Sums", 1972) take each sum to O(log N) integer Euclid steps per
-divisor of its root order N.  The trace route (``constrained_unity_sum``)
-stays in ``cyclotomic`` as their oracle.  Each pair's root constraint is
-built once and shared by its sums.
+(``pair_sum_12``, ``weighted_sum_24``, ``triple_sum_24``, ints; the generic
+forms divide them by 12 or 24): Zagier's cancellation of odd cot products
+("Higher dimensional Dedekind sums", Math. Ann. 202, 1973) and Dedekind
+reciprocity (Rademacher-Grosswald, "Dedekind Sums", 1972) take each sum to
+O(log N) integer Euclid steps per subgroup of roots.  The root set of J
+(z^{g_J} = 1, z^{g_K} != 1 for K = J minus one index) enters as
+inclusion-exclusion weights over at most 2^|J| subgroups, read off the gcd
+table of the reduced vectors (``_roots``, ``subgroup_weights``) and shared
+by the sums of a pair.  The trace route (``constrained_unity_sum``, which
+decomposes the same root set by exact order) stays in ``cyclotomic`` as
+their oracle.
 
 Conventions for reduced vectors: removing entries never re-normalizes; the
 gcd of an empty remainder is 0 and the S_u of a vector with no negative
@@ -41,19 +44,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
-from .cyclotomic import (
-    RootConstraint,
-    pair_sum_12,
-    pair_unity_sum,
-    triple_sum_24,
-    triple_unity_sum,
-    weighted_sum_24,
-    weighted_unity_sum,
-)
+from .cyclotomic import pair_sum_12, subgroup_weights, triple_sum_24, weighted_sum_24
 from .errors import InternalInvariantViolation, Unstable
 from .hilbert import hilbert_series
 from .schur import _power, partial_schur, scaled_schur_values
-from .weights import WeightVector, remove
+from .weights import WeightVector
 
 
 @dataclass(frozen=True)
@@ -77,24 +72,30 @@ def _require_stable(v: WeightVector):
         raise Unstable("gamma formulas need both signs present")
 
 
-# -- reduced vectors and their root constraints -----------------------------
+# -- reduced vectors and their root sets ------------------------------------
 
 
 def _reduced(v: WeightVector, depth: int) -> dict:
-    """remove(v, J) for every ascending index tuple J of 1..depth entries."""
-    return {
-        J: remove(v, J) for r in range(1, depth + 1) for J in combinations(range(v.n), r)
-    }
+    """(a - J, g_J) for every ascending index tuple J of 1..depth entries:
+    the weights left after dropping J, not re-normalized, and their gcd."""
+    ws = v.weights
+    out = {}
+    for r in range(1, depth + 1):
+        for J in combinations(range(v.n), r):
+            seq = tuple(w for i, w in enumerate(ws) if i not in J)
+            out[J] = (seq, gcd(*seq))
+    return out
 
 
-def _roots(reduced: dict, J: tuple) -> RootConstraint:
-    """z^{g_J} = 1 with z^{g_K} != 1 for each K that drops one index of J.
+def _roots(reduced: dict, J: tuple) -> tuple:
+    """Subgroup weights of z^{g_J} = 1 with z^{g_K} != 1 for each K that
+    drops one index of J (``subgroup_weights``).
 
     Then z^{a_j} != 1 for every j in J, since g_{J - j} = gcd(g_J, a_j).  An
     empty remainder (g_J = 0) admits no root.
     """
-    excluded = frozenset(reduced[K][1] for K in combinations(J, len(J) - 1))
-    return RootConstraint(reduced[J][1], excluded)
+    excluded = [reduced[K][1] for K in combinations(J, len(J) - 1)]
+    return subgroup_weights(reduced[J][1], excluded)
 
 
 # -- partial-Schur forms -----------------------------------------------------
@@ -111,8 +112,8 @@ def _schur_gammas(v: WeightVector, upto: int) -> list:
     e_2 and the root-of-unity sums scaled by 12 or 24 (all ints), t[m] is
     the int 24 P Pi times its term in gamma_m.  Each gamma_m is carried as an
     int pair (num, den) over the common denominator of its terms, so the
-    walk builds one Fraction per gamma, at the end.  A pair's root
-    constraint and pair sum serve gamma_2 and gamma_3 alike.
+    walk builds one Fraction per gamma, at the end.  A pair's subgroup
+    weights and pair sum serve gamma_2 and gamma_3 alike.
     """
     _require_stable(v)
     ws = v.weights
@@ -212,7 +213,7 @@ def gamma1_generic(v: WeightVector) -> Fraction:
     _require_generic(v)
     ws = v.weights
     n_ = v.n
-    gcds = [remove(v, {j})[1] for j in range(n_)]
+    gcds = [g for _, g in _reduced(v, 1).values()]
     total = Fraction(0)
     for i in range(v.k):
         den_full = Fraction(1)
@@ -277,7 +278,7 @@ def gamma2_generic(v: WeightVector) -> Fraction:
                 )
         for idx, j in enumerate(others):
             for l in others[idx + 1:]:
-                cs = pair_unity_sum(ws[j], ws[l], roots[j, l])
+                cs = Fraction(pair_sum_12(ws[j], ws[l], roots[j, l]), 12)
                 if cs:
                     den_ijl = Fraction(1)
                     for p in others:
@@ -346,12 +347,12 @@ def gamma3_generic(v: WeightVector) -> Fraction:
                 den_ijl = Fraction(1)
                 for q in rest:
                     den_ijl *= ws[i] - ws[q]
-                cs = pair_unity_sum(ws[j], ws[l], roots[j, l])
+                cs = Fraction(pair_sum_12(ws[j], ws[l], roots[j, l]), 12)
                 if cs:
                     inner = sum(ws[p] for p in rest)
                     total += cs * _power(ws[i], n_ - 5) * inner / (2 * den_ijl)
-                cs_a = weighted_unity_sum(ws[j], roots[j, l])
-                cs_b = weighted_unity_sum(ws[l], roots[j, l])
+                cs_a = Fraction(weighted_sum_24(ws[j], roots[j, l]), 24)
+                cs_b = Fraction(weighted_sum_24(ws[l], roots[j, l]), 24)
                 if cs_a or cs_b:
                     total += (
                         _power(ws[i], n_ - 5)
@@ -362,13 +363,13 @@ def gamma3_generic(v: WeightVector) -> Fraction:
             for jdx in range(idx + 1, len(others)):
                 for kdx in range(jdx + 1, len(others)):
                     l, p = others[jdx], others[kdx]
-                    cs = triple_unity_sum(ws[j], ws[l], ws[p], _roots(reduced, (j, l, p)))
+                    cs = triple_sum_24(ws[j], ws[l], ws[p], _roots(reduced, (j, l, p)))
                     if cs:
                         den_ijlp = Fraction(1)
                         for q in others:
                             if q not in (j, l, p):
                                 den_ijlp *= ws[i] - ws[q]
-                        total += -_power(ws[i], n_ - 5) * cs / den_ijlp
+                        total += -_power(ws[i], n_ - 5) * Fraction(cs, 24) / den_ijlp
     return total
 
 

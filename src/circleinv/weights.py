@@ -13,13 +13,6 @@ from math import gcd
 from .errors import Empty, Unstable
 
 
-def _gcd_all(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g
-
-
 @dataclass(frozen=True)
 class WeightVector:
     negatives: tuple  # sorted ascending, all < 0
@@ -79,7 +72,7 @@ def validate(raw) -> WeightVector:
     poss = sorted(w for w in nonzero if w > 0)
     if not negs or not poss:
         raise Unstable("weights must contain both signs")
-    scale = _gcd_all(nonzero)
+    scale = gcd(*nonzero)
     if scale > 1:
         negs = [w // scale for w in negs]
         poss = [w // scale for w in poss]
@@ -105,7 +98,7 @@ def remove(v: WeightVector, indices) -> tuple:
         if not 0 <= i < len(all_weights):
             raise IndexError(f"weight index {i} out of range")
     remaining = tuple(w for i, w in enumerate(all_weights) if i not in indices)
-    return remaining, _gcd_all(remaining)
+    return remaining, gcd(*remaining)
 
 
 def canonical_key(v: WeightVector) -> tuple:

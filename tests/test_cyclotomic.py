@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction as F
@@ -11,24 +12,22 @@ from circleinv.cyclotomic import (
     constrained_unity_sum,
     cyclotomic_poly,
     dedekind_6k,
-    dedekind_sum,
     gessel_harmonic,
     invert_mod,
     pair_sum_12,
-    pair_unity_sum,
+    subgroup_weights,
     trace_sum,
     triple_sum_24,
-    triple_unity_sum,
     weighted_sum_24,
-    weighted_unity_sum,
 )
+from circleinv.cli import _scan_candidates
 from circleinv.errors import NonInvertibleDenominator
-from circleinv.exact import Polynomial, _divisors
+from circleinv.exact import Polynomial, _divisors, _phi_factors
 from circleinv.laurent import _reduced, _roots
 from circleinv.weights import validate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from perfbench.workloads import sweep_family  # noqa: E402
+from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
 
 ONE = Polynomial.one()
 
@@ -122,16 +121,18 @@ class TestConstrainedSum:
         for n in range(2, 41):
             units = [a for a in range(1, n) if gcd(a, n) == 1]
             a, b, c = (rng.choice(units) for _ in range(3))
-            roots = RootConstraint(n, frozenset({1}))
+            roots = subgroup_weights(n, (1,))
             orders = _divisors(n)[1:]
             den = one_minus_x(a) * one_minus_x(b)
-            assert pair_unity_sum(a, b, roots) == sum(trace_sum(ONE, den, e) for e in orders)
+            assert pair_sum_12(a, b, roots) == 12 * sum(trace_sum(ONE, den, e) for e in orders)
             weighted = sum(
                 trace_sum(Polynomial.monomial(a), den * one_minus_x(a), e) for e in orders
             )
-            assert weighted_unity_sum(a, roots) == weighted
+            assert weighted_sum_24(a, roots) == 24 * weighted
             den = den * one_minus_x(c)
-            assert triple_unity_sum(a, b, c, roots) == sum(trace_sum(ONE, den, e) for e in orders)
+            assert triple_sum_24(a, b, c, roots) == 24 * sum(
+                trace_sum(ONE, den, e) for e in orders
+            )
 
     def test_galois_invariance(self):
         # replacing x by x^s for s coprime to N permutes the constrained set
@@ -182,39 +183,46 @@ class TestDedekindSum:
                 if gcd(h, k) != 1:
                     continue
                 expected = sum(sawtooth(F(r, k)) * sawtooth(F(h * r, k)) for r in range(k))
-                assert dedekind_sum(h, k) == expected, (h, k)
                 # the integer the gamma pass works with: 6k s(h, k)
                 assert type(dedekind_6k(h, k)) is int
                 assert dedekind_6k(h, k) == 6 * k * expected, (h, k)
 
     def test_symmetries(self):
+        # s(1, k) = (k - 1)(k - 2)/(12k); s(-h, k) = -s(h, k); period k in h
         for k in range(1, 40):
-            assert dedekind_sum(1, k) == F((k - 1) * (k - 2), 12 * k)
+            assert 2 * dedekind_6k(1, k) == (k - 1) * (k - 2)
             for h in range(1, 3 * k):
                 if gcd(h, k) == 1:
-                    assert dedekind_sum(-h, k) == -dedekind_sum(h, k)
-                    assert dedekind_sum(h + k, k) == dedekind_sum(h, k)
+                    assert dedekind_6k(-h, k) == -dedekind_6k(h, k)
+                    assert dedekind_6k(h + k, k) == dedekind_6k(h, k)
 
 
 def constrained_sums(v):
-    """(J, roots) for every pair and triple J of v with a nonempty remainder,
-    the root sets the closed-form gammas sum over."""
+    """(J, constraint, weights) for every pair and triple J of v with a
+    nonempty remainder, the root sets the closed-form gammas sum over: the
+    trace route's description of the set, z^{g_J} = 1 and z^{g_K} != 1 for
+    each K that drops one index of J, and the walk's subgroup weights."""
     reduced = _reduced(v, 3)
-    return [(J, _roots(reduced, J)) for J in reduced if len(J) > 1 and reduced[J][0]]
+    out = []
+    for J in reduced:
+        if len(J) > 1 and reduced[J][0]:
+            excluded = frozenset(reduced[K][1] for K in itertools.combinations(J, len(J) - 1))
+            out.append((J, RootConstraint(reduced[J][1], excluded), _roots(reduced, J)))
+    return out
 
 
 def assert_sums_match_trace_route(v, label):
     """Over every pair and triple of v: the sums exactly as the gamma pass
     calls them are ints equal to 12 (pair) or 24 (weighted, triple) times
-    the trace route, and their rational wrappers equal the trace route."""
+    the trace route."""
     ws = v.weights
-    for J, roots in constrained_sums(v):
+    for J, constraint, roots in constrained_sums(v):
         a, b = ws[J[0]], ws[J[1]]
         if len(J) == 2:
             want = [
-                trace_route(a, b, None, roots),
-                trace_route(a, b, None, roots, True),
-                trace_route(b, a, None, roots, True),
+                trace_route(a, b, None, constraint),
+                trace_route(a, b, None, constraint, True),
+                trace_route(b, a, None, constraint, True),
             ]
             scales = [12, 24, 24]
             scaled = [
@@ -222,19 +230,61 @@ def assert_sums_match_trace_route(v, label):
                 weighted_sum_24(a, roots),
                 weighted_sum_24(b, roots),
             ]
-            rational = [
-                pair_unity_sum(a, b, roots),
-                weighted_unity_sum(a, roots),
-                weighted_unity_sum(b, roots),
-            ]
         else:
             c = ws[J[2]]
-            want, scales = [trace_route(a, b, c, roots)], [24]
+            want, scales = [trace_route(a, b, c, constraint)], [24]
             scaled = [triple_sum_24(a, b, c, roots)]
-            rational = [triple_unity_sum(a, b, c, roots)]
         assert all(type(x) is int for x in scaled), (label, J, scaled)
         assert scaled == [k * w for k, w in zip(scales, want)], (label, J)
-        assert rational == want, (label, J)
+
+
+def exact_order_weights(order, excluded):
+    """The Moebius weight list of the root set, by exact order: each
+    admissible order e contributes sum_{d | e} mu(e/d) F(d)."""
+    weights = {}
+    for e in RootConstraint(order, frozenset(excluded)).admissible_orders():
+        for d, mu in _phi_factors(e):
+            weights[d] = weights.get(d, 0) + mu
+    return sorted((d, w) for d, w in weights.items() if w)
+
+
+class TestSubgroupWeights:
+    def test_examples(self):
+        # z^6 = 1, z^2 != 1, z^3 != 1: F(6) - F(2) - F(3) + F(1)
+        assert sorted(subgroup_weights(6, (2, 3))) == [(1, 1), (2, -1), (3, -1), (6, 1)]
+        # a repeated exclusion counts once
+        assert subgroup_weights(12, (4, 4)) == subgroup_weights(12, (4,)) == ((12, 1), (4, -1))
+        assert subgroup_weights(5, ()) == ((5, 1),)
+        assert subgroup_weights(5, (5,)) == ()
+
+    def test_empty_remainder_has_no_root(self):
+        for excluded in ((), (1,), (3, 3), (2, 3), (1, 2, 5)):
+            assert subgroup_weights(0, excluded) == ()
+
+    def test_match_exact_order_mobius(self):
+        # every pair and triple root set the walk builds over the benchmark
+        # families: inclusion-exclusion over the excluded subgroups gives
+        # exactly the exact-order Moebius list, since the subgroup
+        # indicators of a cyclic group are linearly independent
+        families = [sweep_family(), _scan_candidates(4, 8), engine_pool()]
+        expected = {}
+        checked = 0
+        for raw in itertools.chain(*families):
+            reduced = _reduced(validate(raw), 3)
+            for J in reduced:
+                if len(J) < 2:
+                    continue
+                order = reduced[J][1]
+                excluded = tuple(reduced[K][1] for K in itertools.combinations(J, len(J) - 1))
+                if not order:
+                    assert _roots(reduced, J) == (), (raw, J)
+                    continue
+                key = order, frozenset(excluded)
+                if key not in expected:
+                    expected[key] = exact_order_weights(order, excluded)
+                assert sorted(_roots(reduced, J)) == expected[key], (raw, J)
+                checked += 1
+        assert checked > 10000 and len(expected) > 100
 
 
 class TestDedekindRoute:

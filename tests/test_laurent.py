@@ -197,6 +197,21 @@ class TestIntegerWalk:
         )
         assert 0 < built <= 4 * len(vs)
 
+    def test_no_root_constraint_or_remove(self):
+        # the walk reads each root set's subgroup weights off its gcd table:
+        # no RootConstraint (the trace oracle's description) and no
+        # weights.remove per index set; cProfile counts every call
+        vs = [validate(raw) for raw in sweep_family()]
+        profile = cProfile.Profile()
+        profile.runcall(lambda: [gammas(v, 3) for v in vs])
+        calls = {}
+        for (path, _, name), stat in pstats.Stats(profile).stats.items():
+            module = Path(path).stem
+            calls[module, name] = calls.get((module, name), 0) + stat[1]
+        assert calls.get(("cyclotomic", "subgroup_weights"), 0) > 0
+        assert calls.get(("cyclotomic", "__post_init__"), 0) == 0
+        assert calls.get(("weights", "remove"), 0) == 0
+
 
 class TestMildCoprimality:
     def test_gamma2_reduces_to_head_term(self):
