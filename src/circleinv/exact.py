@@ -16,14 +16,18 @@ prod Phi_e^{m_e} = prod (1 - t^d)^{k_d} with k_d = sum_{d|e} mu(e/d) m_e
 (:func:`_factor_exponents`).  Multiplying a power series truncated to a
 dense list by 1 - t^d is one subtraction pass, dividing by it one running
 sum per residue class mod d (:func:`_apply_factors`).  Denominators, exact
-division by Phi_e, common denominators, section numerators, series at t=0,
-view numerators and the presentation search are such passes: only + and -,
-so ints stay ints.
+division by Phi_e, the engines' lift of section numerators to a common
+denominator, section numerators, series at t=0, view numerators and the
+presentation search are such passes: only + and -, so ints stay ints.
 
 Every denominator here is a product of cyclotomic polynomials (a Hilbert
 series is P(t) / prod (1 - t^d)), so a rational function is always the
 reduced pair num / prod Phi_e^{m_e}: it carries its content {e: m_e} and is
 reduced by cancelling each Phi_e from the numerator, with no polynomial gcd.
+A value comes out of one such reduction (:meth:`RationalFunction.from_factored`)
+and is never combined with another: there is no rational-function
+arithmetic, an engine hands its whole unreduced numerator and factored
+denominator to one reduction.
 It may also carry a *factored denominator view*, a multiset of
 (d, multiplicity) pairs standing for prod (1 - t^d)^multiplicity.  The
 reduced pair is always authoritative; the view may be unreduced.
@@ -98,19 +102,6 @@ class Polynomial:
     @staticmethod
     def one() -> "Polynomial":
         return Polynomial({0: 1})
-
-    @staticmethod
-    def constant(c) -> "Polynomial":
-        return Polynomial({0: c})
-
-    @staticmethod
-    def monomial(exp: int, c=1) -> "Polynomial":
-        return Polynomial({exp: c})
-
-    @staticmethod
-    def one_minus_power(d: int) -> "Polynomial":
-        """1 - t^d."""
-        return Polynomial({0: 1, d: -1})
 
     def items(self) -> list:
         """The nonzero (exponent, coefficient) pairs, ascending."""
@@ -352,8 +343,8 @@ class RationalFunction:
 
     ``phi_content`` is the multiset {e: m_e}; with Phi_1 taken as 1 - t the
     denominator has constant term 1, so equality is a pure structural
-    comparison.  Build values with :meth:`from_factored` or the arithmetic
-    operators.
+    comparison.  Build values with :meth:`from_factored`; there are no
+    arithmetic operators.
     """
 
     __slots__ = ("numerator", "denominator", "factored_denominator", "phi_content")
@@ -397,10 +388,6 @@ class RationalFunction:
     def zero() -> "RationalFunction":
         return RationalFunction(Polynomial.zero(), Polynomial.one(), None, _reduced=True, phi_content={})
 
-    @staticmethod
-    def one() -> "RationalFunction":
-        return RationalFunction(Polynomial.one(), Polynomial.one(), None, _reduced=True, phi_content={})
-
     # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -422,7 +409,7 @@ class RationalFunction:
             raise ZeroFunction("degree of the zero function")
         return self.numerator.degree - self.denominator.degree
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- views --------------------------------------------------------------
 
     def view_numerator(self) -> Polynomial:
         """Numerator relative to the factored denominator view.
@@ -442,39 +429,6 @@ class RationalFunction:
             raise InternalInvariantViolation("factored view does not cover the denominator")
         ks = _factor_exponents(phis - content)
         return _from_dense(_apply_factors(self.numerator.to_dense() + [0] * _degree(ks), ks))
-
-    def __neg__(self):
-        out = RationalFunction(
-            -self.numerator, self.denominator, None, _reduced=True,
-            phi_content=self.phi_content,
-        )
-        out.factored_denominator = self.factored_denominator
-        return out
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        common = self.phi_content | other.phi_content
-        # lift both numerators to the denominator prod Phi^common
-        lifted = []
-        for f in (self, other):
-            ks = _factor_exponents(common - f.phi_content)
-            lifted.append(_apply_factors(f.numerator.to_dense() + [0] * _degree(ks), ks))
-        short, num = sorted(lifted, key=len)
-        num[: len(short)] = map(add, short, num)
-        return RationalFunction._from_phi_multiset(_from_dense(num), common)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.is_zero() or other.is_zero():
-            return RationalFunction.zero()
-        return RationalFunction._from_phi_multiset(
-            self.numerator * other.numerator, self.phi_content + other.phi_content
-        )
 
     # -- expansions ----------------------------------------------------------
 

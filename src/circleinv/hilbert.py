@@ -11,7 +11,9 @@ Two routes to the series and the counting oracle they are checked against:
   below D, the denominator degree).  With two factors (every n=3 vector)
   each kept coefficient is a two-part partition count, closed by
   Popoviciu's formula (1953; Beck-Robins, Computing the Continuous
-  Discretely, ch. 1), so the source series is never built.
+  Discretely, ch. 1), so the source series is never built.  The sections
+  stay unreduced: their numerators are lifted to the union of their
+  cyclotomic contents and summed.
 
 * pair-invariant path (repeated weights on both sides): for a < 0 < b and
   g = gcd(a, b) the pair invariants x_i^{b/g} x_j^{-a/g} cut out the
@@ -23,11 +25,17 @@ Two routes to the series and the counting oracle they are checked against:
 * oracle: the m-th coefficient counts exponent vectors with weighted sum
   zero and total degree m, by dynamic programming over degree rows packed
   into single ints - no residues involved.
+
+Each zero weight is a free generator, a factor 1/(1 - t) that both engines
+add to their denominator without touching the numerator.  Each engine then
+reduces its one numerator over its one factored denominator once, by
+cyclotomic content (``RationalFunction.from_factored``).
 """
 
 from collections import Counter
 from dataclasses import dataclass, replace
 from math import comb, gcd
+from operator import add
 
 from .errors import (
     DegreeOverflow,
@@ -36,11 +44,12 @@ from .errors import (
     Unstable,
 )
 from .exact import (
-    Polynomial,
     RationalFunction,
     _apply_factors,
     _degree,
+    _factor_exponents,
     _from_dense,
+    _view_phi_multiset,
     present_with_factors,
 )
 from .weights import WeightVector
@@ -75,11 +84,13 @@ def section_problem(exponents, ratio: int) -> SectionProblem:
     return SectionProblem(sign, shift, tuple(sorted(factors)), ratio)
 
 
-def section(problem: SectionProblem, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> RationalFunction:
-    """Rational function whose series is every ratio-th coefficient of the
-    problem's source series.  With one or two factors the j-th of them is
-    sign * p(c1, c2; j*N - shift), p(c1, c2; M) = #{x, y >= 0 : c1 x + c2 y
-    = M}, each in O(1) (Popoviciu); more factors fill the source series."""
+def section(problem: SectionProblem, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> tuple:
+    """(P, view), unreduced: P / prod (1 - t^d)^mult has as its series
+    every ratio-th coefficient of the problem's source series.  With one or
+    two factors the j-th of them is sign * p(c1, c2; j*N - shift),
+    p(c1, c2; M) = #{x, y >= 0 : c1 x + c2 y = M}, each in O(1)
+    (Popoviciu); more factors fill the source series.  P is the truncation
+    of those D + 1 coefficients times the view, exact since deg P < D."""
     n_: int = problem.ratio
     den_degree = sum(problem.factors)
     if den_degree > degree_limit:
@@ -97,7 +108,7 @@ def section(problem: SectionProblem, degree_limit: int = DEFAULT_DEGREE_LIMIT) -
     else:
         ms = range(-problem.shift, den_degree * n_ - problem.shift + 1, n_)
         extracted = [problem.sign * c for c in _part_counts(problem.factors, ms)]
-    return _fit_numerator(extracted, view)
+    return _from_dense(_apply_factors(extracted, view)), view
 
 
 def _part_counts(factors: tuple, ms) -> list:
@@ -129,31 +140,38 @@ def _series_section(problem: SectionProblem, degree_limit: int) -> list:
     return series[:: problem.ratio]
 
 
-def _fit_numerator(series: list, view: Counter) -> RationalFunction:
-    """P / prod (1 - t^d)^mult, P the truncation of series * denominator to
-    len(series) coefficients (exact when deg P < len(series))."""
-    num = _from_dense(_apply_factors(list(series), view))
-    return RationalFunction.from_factored(num, view)
-
-
 def hilbert_generic(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> RationalFunction:
-    """Sum of the per-negative-weight sections (negative side must be
-    repetition-free)."""
+    """Sum of the per-negative-weight sections times 1/(1 - t)^zero_count
+    (negative side must be repetition-free), reduced once: every section
+    numerator is lifted to the union of the sections' cyclotomic contents."""
     if not v.is_generic:
         raise Unstable("negative side has repeated weights; use the degenerate route")
     ws = v.weights
-    total = RationalFunction.zero()
+    parts = []
     for i in range(v.k):
         a_i = ws[i]
         exponents = [w - a_i for j, w in enumerate(ws) if j != i]
-        total = total + section(section_problem(exponents, -a_i), degree_limit)
-    return total
+        num, view = section(section_problem(exponents, -a_i), degree_limit)
+        parts.append((num, _view_phi_multiset(view)))
+    common: Counter = Counter()
+    for _, phis in parts:
+        common |= phis
+    lifted = []
+    for num, phis in parts:
+        ks = _factor_exponents(common - phis)
+        lifted.append(_apply_factors(num.to_dense() + [0] * _degree(ks), ks))
+    total = [0] * max(map(len, lifted))
+    for a in lifted:
+        total[: len(a)] = map(add, total, a)
+    common[1] += v.zero_count
+    return RationalFunction.from_factored(_from_dense(total), _factor_exponents(common))
 
 
 def hilbert_degenerate(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> RationalFunction:
     """Pair-invariant route (valid for any stable vector; required when both
     sides carry repeats): one factor 1 - t^{(b-a)/gcd(a,b)} per coordinate
-    pair a < 0 < b, numerator fitted from the first D oracle coefficients."""
+    pair a < 0 < b, numerator fitted from the first D oracle coefficients of
+    the zero-stripped vector, then 1/(1 - t)^zero_count."""
     view = Counter(
         (b - a) // gcd(a, b) for a in v.negatives for b in v.positives
     )
@@ -163,7 +181,9 @@ def hilbert_degenerate(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT
             f"pair-invariant denominator degree {deg} exceeds the limit {degree_limit}"
         )
     coeffs = oracle_coefficients(replace(v, zero_count=0), deg - 1)
-    return _fit_numerator(coeffs, view)
+    num = _from_dense(_apply_factors(coeffs, view))
+    view[1] += v.zero_count
+    return RationalFunction.from_factored(num, view)
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +230,6 @@ def _packed_counts(ws, upto: int, width: int) -> list:
     return [(row >> (width * bits)) & mask for row in rows]
 
 
-def _with_zero_block(f: RationalFunction, zero_count: int) -> RationalFunction:
-    if zero_count == 0:
-        return f
-    return RationalFunction.from_factored(Polynomial.one(), Counter({1: zero_count})) * f
-
-
 def hilbert_series(
     v: WeightVector,
     method: str = "auto",
@@ -229,12 +243,11 @@ def hilbert_series(
     # the section engine needs a repetition-free negative side
     oriented = v if v.is_generic else v.negate()
     if method == "degenerate" or (method == "auto" and not oriented.is_generic):
-        base = hilbert_degenerate(v, degree_limit)
+        result = hilbert_degenerate(v, degree_limit)
     elif not oriented.is_generic:
         raise Unstable("both sides have repeated weights; generic path unavailable")
     else:
-        base = hilbert_generic(oriented, degree_limit)
-    result = _with_zero_block(base, v.zero_count)
+        result = hilbert_generic(oriented, degree_limit)
     result = present_with_factors(result)
     if verify_depth:
         depth = (

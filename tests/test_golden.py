@@ -3,9 +3,10 @@
 The snapshots under ``perfbench/golden/`` hold the canonical ``rf_json``
 text of every sweep and engine-pool vector and the sha256 of the whole
 ``scan --n 4 --max-weight 8`` JSONL output (``perfbench/make_golden.py``
-writes them).  A refactor that changes any output byte fails here, and
-one that renames or moves a layer the traced benchmark wraps fails the
-tracer check below.
+writes them).  Those reports carry gamma_0 and gamma_1 only, so a sha256
+recorded here pins gamma_0..gamma_3 of the same vectors.  A refactor that
+changes any output byte fails here, and one that renames or moves a layer
+the traced benchmark wraps fails the tracer check below.
 """
 
 import gzip
@@ -18,6 +19,7 @@ import pytest
 
 from circleinv import cli
 from circleinv.hilbert import hilbert_series
+from circleinv.laurent import gammas
 from circleinv.weights import validate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,6 +27,12 @@ GOLDEN = ROOT / "perfbench" / "golden"
 
 sys.path.insert(0, str(ROOT))
 from perfbench.spans import LAYERS, Tracer  # noqa: E402
+from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
+
+# sha256 of one line "gamma_0,gamma_1,gamma_2,gamma_3" (str of each Fraction)
+# per vector of sweep_family(), _scan_candidates(4, 8) and engine_pool(), in
+# that order
+GAMMAS_SHA256 = "6f8956d91c360cbee42c289b56c34bd464c7f78c4bb5565e992d5104f9784a18"
 
 
 def load(name: str):
@@ -51,6 +59,14 @@ def test_scan_output_matches_snapshot():
     assert len(lines) == len(recorded["lines"])
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     assert digest == recorded["sha256"]
+
+
+def test_gammas_match_recorded_hash():
+    vectors = [*sweep_family(), *cli._scan_candidates(4, 8), *engine_pool()]
+    digest = hashlib.sha256()
+    for raw in vectors:
+        digest.update((",".join(map(str, gammas(validate(raw), 3).values)) + "\n").encode())
+    assert digest.hexdigest() == GAMMAS_SHA256
 
 
 def test_tracer_wraps_every_layer():

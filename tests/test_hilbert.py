@@ -4,10 +4,11 @@ import subprocess
 import sys
 from collections import Counter
 from math import comb, lcm
+from pathlib import Path
 
 import pytest
 
-from circleinv import hilbert
+from circleinv import exact, hilbert
 from circleinv.cli import _scan_candidates
 from circleinv.errors import DegreeOverflow, Unstable
 from circleinv.exact import Polynomial, RationalFunction, present_with_factors
@@ -21,6 +22,9 @@ from circleinv.hilbert import (
 )
 from circleinv.weights import canonical_key, validate
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import sweep_family  # noqa: E402
+
 ONE = Polynomial.one()
 
 
@@ -30,18 +34,18 @@ def from_view(num, view):
 
 class TestSection:
     def test_identity_coefficients(self):
-        assert section(section_problem([1], 2)) == from_view(ONE, {1: 1})
+        assert from_view(*section(section_problem([1], 2))) == from_view(ONE, {1: 1})
 
     def test_double_pole(self):
         expected = from_view(Polynomial({0: 1, 1: 1}), {1: 2})
-        assert section(section_problem([1, 1], 2)) == expected
+        assert from_view(*section(section_problem([1, 1], 2))) == expected
 
     def test_stride_three(self):
-        assert section(section_problem([2], 3)) == from_view(ONE, {2: 1})
+        assert from_view(*section(section_problem([2], 3))) == from_view(ONE, {2: 1})
 
     def test_negative_exponent_normalization(self):
         # 1/((1-u^{-1})(1-u^2)(1-u^15)) sectioned at stride 1
-        f = section(section_problem([-1, 2, 15], 1))
+        f = from_view(*section(section_problem([-1, 2, 15], 1)))
         expected = from_view(Polynomial({1: -1}), {1: 1, 2: 1, 15: 1})
         assert f == expected
 
@@ -74,7 +78,7 @@ class TestSection:
             if problem.shift >= sum(problem.factors):
                 continue
             dp = hilbert._series_section(problem, 10**7)
-            assert section(problem).series_at_zero(len(dp) - 1) == dp, (exps, n_)
+            assert from_view(*section(problem)).series_at_zero(len(dp) - 1) == dp, (exps, n_)
 
 
 class TestOracle:
@@ -177,6 +181,8 @@ class TestEngines:
             (-1, -2, 1, 14),
             (-5, 2, 3),
             (-1, -1, 1),
+            (-1, 2, 3, 0),  # both engines carry 1/(1 - t) per zero weight
+            (-1, -1, 1, 0, 0),
         ]:
             v = validate(raw)
             generic = hilbert_generic(v if v.is_generic else v.negate())
@@ -190,9 +196,50 @@ class TestEngines:
             (-3, 1, 3),
             (-1, -1, 1),
             (-2, -2, 1, 1),
+            (-1, -2, 1, 14, 0),
+            (-2, -2, 1, 1, 0, 0),
         ]:
             v = validate(raw)
             assert hilbert_degenerate(v) == hilbert_series(v), raw
+
+    def test_sections_sum_to_generic_series(self):
+        # the engine lifts every section numerator to one common
+        # denominator and reduces the sum once: its series is the sum of
+        # the sections' series, on every sweep vector with two or more sections
+        checked = 0
+        for raw in sweep_family():
+            v = validate(raw)
+            v = v if v.is_generic else v.negate()
+            if not v.is_generic or v.k < 2:
+                continue
+            f = hilbert_generic(v)
+            depth = f.denominator.degree + 20
+            ws = v.weights
+            parts = [
+                from_view(*section(section_problem([w - a for w in ws if w != a], -a)))
+                for a in v.negatives
+            ]
+            expected = [sum(col) for col in zip(*(g.series_at_zero(depth) for g in parts))]
+            assert f.series_at_zero(depth) == expected, raw
+            checked += 1
+        assert checked == 190
+
+    def test_one_reduction_per_series(self, monkeypatch):
+        # each engine hands one numerator over one factored view to a
+        # single cyclotomic reduction: one _cancel_phi_content per series
+        calls = []
+        cancel = exact._cancel_phi_content
+
+        def counted(*args):
+            calls.append(args)
+            return cancel(*args)
+
+        monkeypatch.setattr(exact, "_cancel_phi_content", counted)
+        family = sweep_family()
+        for raw in family:
+            hilbert_series(validate(raw))
+        assert len(family) == 385
+        assert len(calls) == 385
 
     def test_degenerate_degree_guard(self):
         # pair denominator (1-t^2)(1-t^3)(1-t^8)(1-t^15) has degree 28
@@ -263,7 +310,7 @@ def _brute_force_view(f):
             continue
         product = ONE
         for d in ds:
-            product = product * Polynomial.one_minus_power(d)
+            product = product * Polynomial({0: 1, d: -1})
         h = (f.numerator * product).divide_exact(f.denominator)
         if all(c >= 0 for _, c in h.items()):
             return ds

@@ -335,7 +335,7 @@ class TestContinuityAtRepeats:
             for i, e in enumerate(exponents):
                 row = [xpow(0, e), xpow(1, e)]
                 row += [
-                    Polynomial.constant(F(0)) if i == 0 else Polynomial.constant(y**e)
+                    Polynomial({0: F(0)}) if i == 0 else Polynomial({0: y**e})
                     for y in y_vals
                 ]
                 rows.append(row)
@@ -343,7 +343,7 @@ class TestContinuityAtRepeats:
             v_eps = Polynomial({1: 1})  # x1 - x2 = -eps, V = -eps... sign below
             # V(xs) = x1 - x2 = -eps
             vx = Polynomial({1: -1})
-            vy = Polynomial.constant(vandermonde(y_vals))
+            vy = Polynomial({0: vandermonde(y_vals)})
             quotient = det.divide_exact(vx * vy)
             assert quotient is not None, "determinant must vanish with the Vandermonde"
             limit = quotient.coefficient(0)
@@ -362,7 +362,7 @@ def _poly_det(rows):
             for j in range(i + 1, n):
                 if seen[i] > seen[j]:
                     sign = -sign
-        term = Polynomial.constant(F(sign))
+        term = Polynomial({0: F(sign)})
         for i in range(n):
             term = term * rows[i][perm[i]]
         total = total + term
