@@ -14,11 +14,16 @@ Cyclotomic work runs on that dense kernel.  By Moebius inversion of
 used throughout), Phi_e = prod_{d|e} (1 - t^d)^{mu(e/d)}, so
 prod Phi_e^{m_e} = prod (1 - t^d)^{k_d} with k_d = sum_{d|e} mu(e/d) m_e
 (:func:`_factor_exponents`).  Multiplying a power series truncated to a
-dense list by 1 - t^d is one subtraction pass, dividing by it one running
-sum per residue class mod d (:func:`_apply_factors`).  Denominators, exact
-division by Phi_e, the engines' lift of section numerators to a common
-denominator, section numerators, series at t=0, view numerators and the
-presentation search are such passes: only + and -, so ints stay ints.
+dense list of n entries by 1 - t^d is one subtraction pass; dividing by it
+adds to each entry, in ascending order, the updated entry d places below:
+one running sum per residue class mod d when d*d < n, else one slice
+addition per block of d entries, so at most sqrt(n) Python steps
+(:func:`_apply_factors`).  Denominators, exact division by Phi_e, the
+engines' lift of section numerators to a common denominator, section
+numerators, series at t=0, view numerators and the presentation search are
+such passes: only + and -, so ints stay ints.  Whether Phi_e divides a
+numerator is decided on its fold mod t^e - 1, of e entries, before the
+full-length division (:func:`_cancel_phi_content`).
 
 Every denominator here is a product of cyclotomic polynomials (a Hilbert
 series is P(t) / prod (1 - t^d)), so a rational function is always the
@@ -319,18 +324,42 @@ def _factor_exponents(phis) -> dict:
 
 
 def _apply_factors(a: list, ks) -> list:
-    """Multiply a in place, as a power series truncated to len(a), by
-    prod (1 - t^d)^{k_d}; return a."""
+    """Multiply a in place, as a power series truncated to n = len(a), by
+    prod (1 - t^d)^{k_d}; return a.
+
+    Times 1 - t^d is one slice subtraction.  Over 1 - t^d each entry, in
+    ascending order, adds the updated entry d places below it: one running
+    sum per residue class mod d when d*d < n, else one slice addition per
+    block of d entries, each block added to the next, so a pass takes at
+    most sqrt(n) Python steps.
+    """
     n = len(a)
     for d, k in ks.items():
         if d >= n:
             continue
         for _ in range(k):  # times 1 - t^d
             a[d:] = map(sub, a[d:], a[: n - d])
-        for _ in range(-k):  # over 1 - t^d: running sums along each class mod d
-            for r in range(d):
-                a[r::d] = accumulate(a[r::d])
+        for _ in range(-k):  # over 1 - t^d
+            if d * d < n:
+                for r in range(d):
+                    a[r::d] = accumulate(a[r::d])
+            else:
+                for s in range(d, n, d):
+                    a[s : s + d] = map(add, a[s : s + d], a[s - d : s])
     return a
+
+
+def _fold(a: list, e: int) -> list:
+    """a mod (t^e - 1), len(a) >= e: entry i sums the entries of a in the
+    class of i mod e, with the kernel's rule, one sum per class when
+    e*e < len(a), else one slice addition per block of e entries."""
+    n = len(a)
+    if e * e < n:
+        return [sum(a[i::e]) for i in range(e)]
+    r = a[:e]
+    for s in range(e, n, e):
+        r[: n - s] = map(add, r, a[s : s + e])
+    return r
 
 
 def _degree(ks) -> int:
@@ -369,6 +398,10 @@ class RationalFunction:
         """num / prod (1 - t^d)^mult, reduced by cyclotomic content."""
         view = Counter(dict(view)) if not isinstance(view, Counter) else Counter(view)
         view = Counter({d: m for d, m in view.items() if m})
+        if 0 in view:
+            raise ZeroDenominator("factor 1 - t^0 = 0 in the view")
+        if any(d < 0 for d in view):
+            raise ValueError("negative degree in the view")
         return RationalFunction._from_phi_multiset(num, _view_phi_multiset(view))
 
     @staticmethod
@@ -478,10 +511,18 @@ def _cancel_phi_content(num: Polynomial, phis: Counter):
     """Divide matched cyclotomic factors out of num; return (num, remaining).
 
     Dividing by Phi_e (Phi_1 = 1 - t) applies the inverse of its factors
-    1 - t^d to a copy of the dense numerator.  The quotient has degree
-    len - 1 - phi(e), so the division is exact iff the last phi(e) entries
-    of the copy are 0.  A negative multiplicity is a numerator factor: it is
-    multiplied in, and the remaining content is the positive part.
+    1 - t^d to a copy of the dense numerator a (:func:`_divide_phi`).
+    Whether Phi_e divides a is decided first on the fold r = a mod
+    (t^e - 1) of e entries (:func:`_fold`), which is exact because Phi_e
+    divides t^e - 1; only a fold that Phi_e divides leads to the full
+    division, which must then be exact.  The fold is taken where it saves
+    work, when e > 1 and len(a) > 2e: a failed test then costs one pass
+    over a and a division of less than half its length, where a full
+    division copies a and makes at least two passes over it (over 1 - t^e,
+    and times 1 - t^(e/p) for each prime p | e).  For Phi_1 = 1 - t the
+    fold, sum(a), costs as much as the division, one running sum.  A
+    negative multiplicity is a numerator factor: it is multiplied in, and
+    the remaining content is the positive part.
     """
     phis = Counter(phis)
     a = num.to_dense()
@@ -489,16 +530,33 @@ def _cancel_phi_content(num: Polynomial, phis: Counter):
         inverse = {d: -mu for d, mu in _phi_factors(e)}
         width = -_degree(inverse)  # phi(e)
         while phis[e] > 0 and len(a) > width:
-            q = _apply_factors(a[:], inverse)
-            if any(q[-width:]):
+            folded = e > 1 and len(a) > 2 * e
+            if folded and _divide_phi(_fold(a, e), inverse, width) is None:
                 break
-            del q[-width:]
+            q = _divide_phi(a, inverse, width)
+            if q is None:
+                if folded:
+                    raise InternalInvariantViolation(f"Phi_{e} divides the fold mod t^{e} - 1 only")
+                break
             a = q
             phis[e] -= 1
     extra = _factor_exponents({e: -m for e, m in phis.items() if m < 0})
     if extra:
         a = _apply_factors(a + [0] * _degree(extra), extra)
     return _from_dense(a), +phis
+
+
+def _divide_phi(a: list, inverse: dict, width: int):
+    """The dense quotient of the polynomial a by Phi_e, or None when Phi_e
+    does not divide a; ``inverse`` is {d: -mu(e/d)}, the factors of
+    1/Phi_e, and width = phi(e).  Phi_e divides a exactly when a / Phi_e,
+    as a series truncated to len(a), ends in width zeros: the rest is the
+    quotient."""
+    q = _apply_factors(a[:], inverse)
+    if any(q[-width:]):
+        return None
+    del q[-width:]
+    return q
 
 
 def _ceil_to(n: int, step: int) -> int:

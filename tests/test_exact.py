@@ -1,9 +1,12 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import accumulate
+from math import isqrt
 
 import pytest
 
+from circleinv import exact
 from circleinv.cyclotomic import cyclotomic_poly
 from circleinv.errors import InternalInvariantViolation, ZeroDenominator, ZeroFunction
 from circleinv.exact import (
@@ -12,8 +15,13 @@ from circleinv.exact import (
     RationalFunction,
     _apply_factors,
     _cancel_phi_content,
+    _degree,
+    _divide_phi,
+    _divisors,
     _expand_view,
+    _fold,
     _mobius,
+    _phi_factors,
     degree,
     laurent_at_one,
     series_at_zero,
@@ -232,6 +240,68 @@ class TestDenseKernel:
             # dividing back is exact on the truncated series
             assert _apply_factors(times, {d: -k for d, k in ks.items()}) == dense
 
+    def test_apply_factors_matches_naive_loop(self, monkeypatch):
+        # both division branches: one running sum per class mod d when
+        # d*d < n (d calls of accumulate per factor), block additions else
+        def naive(a, ks):
+            a = a[:]
+            for d, k in ks.items():
+                for _ in range(k):
+                    for i in range(len(a) - 1, d - 1, -1):
+                        a[i] -= a[i - d]
+                for _ in range(-k):
+                    for i in range(d, len(a)):
+                        a[i] += a[i - d]
+            return a
+
+        sums = []
+        monkeypatch.setattr(exact, "accumulate", lambda xs: sums.append(1) or accumulate(xs))
+        rng = random.Random(19)
+        branches = Counter()
+        for n in (1, 2, 7, 30, 401, 2000):
+            root = isqrt(n)
+            for d in sorted({1, 2, root - 1, root, root + 1, n // 3, n - 1, n, n + 5} - {-1, 0}):
+                for k in (-2, -1, 1, 2):
+                    values = [0, 1, -1, 3, -7] + [F(1, 2), F(-2, 3)] * (k % 2)
+                    a = [rng.choice(values) for _ in range(n)]
+                    sums.clear()
+                    assert _apply_factors(a[:], {d: k}) == naive(a, {d: k}), (n, d, k)
+                    if k < 0 and d < n:
+                        branch = "classes" if d * d < n else "blocks"
+                        assert len(sums) == (-k * d if branch == "classes" else 0)
+                        branches[branch] += 1
+            ks = {rng.randint(1, n + 2): rng.choice([-2, -1, 1, 2]) for _ in range(3)}
+            a = [rng.choice([0, 1, -2, F(3, 4)]) for _ in range(n)]
+            assert _apply_factors(a[:], ks) == naive(a, ks), (n, ks)
+        assert branches["classes"] > 20 and branches["blocks"] > 20
+
+    def test_fold_decides_division(self):
+        # Phi_e divides a exactly when it divides a mod (t^e - 1), on long
+        # numerators built divisible by Phi_e, by a Phi_d with d | e or e | d,
+        # or by none, and one entry off from those
+        rng = random.Random(12)
+        outcomes = Counter()
+        for case in range(100):
+            e = rng.choice([1, 2, 3, 6, 12, 30, 44, 105, 210, 360, 997, 1000])
+            n = rng.randint(e, 2000)
+            inverse = {d: -mu for d, mu in _phi_factors(e)}
+            width = -_degree(inverse)
+            a = [rng.choice([0, 0, 1, -1, 2, F(1, 3) if case % 8 == 0 else 5]) for _ in range(n)]
+            d = rng.choice([e, e, rng.choice(_divisors(e)), 2 * e, None])
+            if d is not None:
+                phi_d = dict(_phi_factors(d))
+                top = n - _degree(phi_d)
+                if top > 0:
+                    a = _apply_factors(a[:top] + [0] * (n - top), phi_d)
+            if rng.random() < 0.25:
+                a[rng.randrange(n)] += 1
+            folded = _fold(a, e)
+            assert folded == [sum(a[i::e]) for i in range(e)]
+            divisible = _divide_phi(a, inverse, width) is not None
+            assert (_divide_phi(folded, inverse, width) is not None) == divisible, (n, e, d)
+            outcomes[divisible] += 1
+        assert outcomes[True] > 20 and outcomes[False] > 20
+
     def test_cancel_matches_divide_exact(self):
         rng = random.Random(7)
         values = [0, 1, -1, 3, F(1, 2), F(-3, 4)]
@@ -283,6 +353,18 @@ class TestReduce:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
             RationalFunction(Polynomial.one(), Polynomial.zero(), None, {}, _reduced=True)
+
+    def test_nonpositive_view_degree(self):
+        # 1 - t^0 = 0 cannot be a denominator factor, and 1 - t^d with d < 0
+        # is no polynomial
+        with pytest.raises(ZeroDenominator):
+            R(Polynomial.one(), {0: 1})
+        with pytest.raises(ZeroDenominator):
+            R(Polynomial.one(), {0: 2, 3: 1})
+        for view in ({-2: 1}, {-1: -1, 2: 1}):
+            with pytest.raises(ValueError):
+                R(Polynomial.one(), view)
+        assert R(Polynomial.one(), {0: 0, 2: 1}) == R(Polynomial.one(), {2: 1})
 
     def test_unreduced_pair_matches_reduced_series(self):
         rng = random.Random(0)

@@ -23,7 +23,7 @@ from circleinv.hilbert import (
 from circleinv.weights import canonical_key, validate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from perfbench.workloads import sweep_family  # noqa: E402
+from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
 
 ONE = Polynomial.one()
 
@@ -240,6 +240,28 @@ class TestEngines:
             hilbert_series(validate(raw))
         assert len(family) == 385
         assert len(calls) == 385
+
+    def test_failed_full_divisions_on_engine_pool(self, monkeypatch):
+        # a full-length trial division by Phi_e that fails is wasted work:
+        # the fold test rejects those before they run wherever the fold is
+        # taken (1213 failed over this pass without it)
+        class Folded(list):
+            pass
+
+        fold, divide = exact._fold, exact._divide_phi
+        failed = []
+
+        def counted(a, inverse, width):
+            q = divide(a, inverse, width)
+            if q is None and not isinstance(a, Folded):
+                failed.append(len(a))
+            return q
+
+        monkeypatch.setattr(exact, "_fold", lambda a, e: Folded(fold(a, e)))
+        monkeypatch.setattr(exact, "_divide_phi", counted)
+        for raw in engine_pool():
+            hilbert_series(validate(raw))
+        assert len(failed) == 244
 
     def test_degenerate_degree_guard(self):
         # pair denominator (1-t^2)(1-t^3)(1-t^8)(1-t^15) has degree 28
