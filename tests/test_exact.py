@@ -302,6 +302,12 @@ class TestDenseKernel:
             outcomes[divisible] += 1
         assert outcomes[True] > 20 and outcomes[False] > 20
 
+    def test_fold_and_division_check_each_other(self, monkeypatch):
+        # a fold that Phi_e divides must be followed by an exact division
+        monkeypatch.setattr(exact, "_fold", lambda a, e: [0] * e)
+        with pytest.raises(InternalInvariantViolation):
+            _cancel_phi_content(P({0: 1, 9: 1}), Counter({3: 1}))
+
     def test_cancel_matches_divide_exact(self):
         rng = random.Random(7)
         values = [0, 1, -1, 3, F(1, 2), F(-3, 4)]
