@@ -22,8 +22,11 @@ addition per block of d entries, so at most sqrt(n) Python steps
 engines' lift of section numerators to a common denominator, section
 numerators, series at t=0, view numerators and the presentation search are
 such passes: only + and -, so ints stay ints.  Whether Phi_e divides a
-numerator is decided on its fold mod t^e - 1, of e entries, before the
-full-length division (:func:`_cancel_phi_content`).
+numerator is decided on its fold mod t^e - 1, of at most e entries, which
+is taken from the fold for a multiple of e where there is one; the
+reduction then divides once per round, by the product of every Phi_e that
+divided, so the full-length divisions never fail
+(:func:`_cancel_phi_content`).
 
 Every denominator here is a product of cyclotomic polynomials (a Hilbert
 series is P(t) / prod (1 - t^d)), so a rational function is always the
@@ -44,7 +47,7 @@ threads; every operation returns a fresh value.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb, lcm
 from operator import add, lt, sub
 
@@ -76,7 +79,8 @@ def _from_dense(coeffs) -> "Polynomial":
     while n and not coeffs[n - 1]:
         n -= 1
     out = object.__new__(Polynomial)
-    out._coeffs = tuple([c if type(c) is int else _exact(c) for c in coeffs[:n]])
+    coeffs = coeffs[:n]
+    out._coeffs = tuple(coeffs if set(map(type, coeffs)) <= {int} else map(_exact, coeffs))
     return out
 
 
@@ -313,13 +317,20 @@ def _phi_factors(e: int) -> tuple:
     return tuple((d, mu) for d in _divisors(e) if (mu := _mobius(e // d)))
 
 
+@lru_cache(maxsize=None)
+def _phi_inverse(e: int) -> tuple:
+    """({d: -mu(e/d)}, phi(e)): the factors of 1/Phi_e and its degree."""
+    inverse = {d: -mu for d, mu in _phi_factors(e)}
+    return inverse, -_degree(inverse)
+
+
 def _factor_exponents(phis) -> dict:
     """The nonzero k_d with prod Phi_e^{m_e} = prod (1 - t^d)^{k_d}, Phi_1 =
     1 - t: k_d = sum of mu(e/d) m_e over the multiples e of d."""
-    ks: Counter = Counter()
+    ks = {}
     for e, m in phis.items():
         for d, mu in _phi_factors(e):
-            ks[d] += mu * m
+            ks[d] = ks.get(d, 0) + mu * m
     return {d: k for d, k in ks.items() if k}
 
 
@@ -350,9 +361,10 @@ def _apply_factors(a: list, ks) -> list:
 
 
 def _fold(a: list, e: int) -> list:
-    """a mod (t^e - 1), len(a) >= e: entry i sums the entries of a in the
-    class of i mod e, with the kernel's rule, one sum per class when
-    e*e < len(a), else one slice addition per block of e entries."""
+    """a mod (t^e - 1), a copy of a when len(a) <= e: entry i sums the
+    entries of a in the class of i mod e, with the kernel's rule, one sum
+    per class when e*e < len(a), else one slice addition per block of e
+    entries."""
     n = len(a)
     if e * e < n:
         return [sum(a[i::e]) for i in range(e)]
@@ -472,7 +484,7 @@ class RationalFunction:
         out = self.numerator.to_dense()[: order + 1]
         out += [0] * (order + 1 - len(out))
         _apply_factors(out, {d: -k for d, k in _factor_exponents(self.phi_content).items()})
-        if all(type(c) is int for c in self.numerator._coeffs):
+        if set(map(type, self.numerator._coeffs)) <= {int}:
             return out
         return [_exact(c) for c in out]
 
@@ -510,36 +522,49 @@ class RationalFunction:
 def _cancel_phi_content(num: Polynomial, phis: Counter):
     """Divide matched cyclotomic factors out of num; return (num, remaining).
 
-    Dividing by Phi_e (Phi_1 = 1 - t) applies the inverse of its factors
-    1 - t^d to a copy of the dense numerator a (:func:`_divide_phi`).
-    Whether Phi_e divides a is decided first on the fold r = a mod
-    (t^e - 1) of e entries (:func:`_fold`), which is exact because Phi_e
-    divides t^e - 1; only a fold that Phi_e divides leads to the full
-    division, which must then be exact.  The fold is taken where it saves
-    work, when e > 1 and len(a) > 2e: a failed test then costs one pass
-    over a and a division of less than half its length, where a full
-    division copies a and makes at least two passes over it (over 1 - t^e,
-    and times 1 - t^(e/p) for each prime p | e).  For Phi_1 = 1 - t the
-    fold, sum(a), costs as much as the division, one running sum.  A
-    negative multiplicity is a numerator factor: it is multiplied in, and
-    the remaining content is the positive part.
+    The work runs in rounds on the dense numerator a.  A round decides every
+    open Phi_e (Phi_1 = 1 - t), largest e first, on the fold a mod
+    (t^e - 1) of at most e entries (:func:`_fold`), which is exact because
+    Phi_e divides t^e - 1.  Since t^e - 1 divides t^e' - 1 when e | e', a
+    mod (t^e - 1) = (a mod (t^e' - 1)) mod (t^e - 1), so each fold is
+    taken from the shortest fold of the round for a multiple of e, or from
+    a when there is none; Phi_1 is decided by the sum of that fold, a(1).
+    Distinct Phi_e are coprime, so their product divides a when each of
+    them does: the round divides a once by the product of those that
+    divided (:func:`_divide_phi`), and that division must be exact.  The
+    next round decides again only the indices that divided and still have
+    multiplicity left; by unique factorization each Phi_e cancels min(m_e,
+    its multiplicity in num) times.  A negative multiplicity is a numerator
+    factor: it is multiplied in, and the remaining content is the positive
+    part.
     """
     phis = Counter(phis)
     a = num.to_dense()
-    for e in sorted(phis, reverse=True):
-        inverse = {d: -mu for d, mu in _phi_factors(e)}
-        width = -_degree(inverse)  # phi(e)
-        while phis[e] > 0 and len(a) > width:
-            folded = e > 1 and len(a) > 2 * e
-            if folded and _divide_phi(_fold(a, e), inverse, width) is None:
-                break
-            q = _divide_phi(a, inverse, width)
-            if q is None:
-                if folded:
-                    raise InternalInvariantViolation(f"Phi_{e} divides the fold mod t^{e} - 1 only")
-                break
-            a = q
+    pending = sorted((e for e, m in phis.items() if m > 0), reverse=True)
+    while pending:
+        folds = {}
+        divided = []
+        for e in pending:
+            source = a
+            for f, r in folds.items():
+                if f % e == 0 and len(r) < len(source):
+                    source = r
+            if e == 1:
+                if not sum(source):
+                    divided.append(e)
+                continue
+            folds[e] = r = _fold(source, e)
+            if _divide_phi(r, *_phi_inverse(e)) is not None:
+                divided.append(e)
+        if not divided:
+            break
+        inverse = _factor_exponents({e: -1 for e in divided})
+        a = _divide_phi(a, inverse, -_degree(inverse))
+        if a is None:
+            raise InternalInvariantViolation(f"Phi_e for e in {divided} divide the folds only")
+        for e in divided:
             phis[e] -= 1
+        pending = [e for e in divided if phis[e]]
     extra = _factor_exponents({e: -m for e, m in phis.items() if m < 0})
     if extra:
         a = _apply_factors(a + [0] * _degree(extra), extra)
@@ -547,11 +572,12 @@ def _cancel_phi_content(num: Polynomial, phis: Counter):
 
 
 def _divide_phi(a: list, inverse: dict, width: int):
-    """The dense quotient of the polynomial a by Phi_e, or None when Phi_e
-    does not divide a; ``inverse`` is {d: -mu(e/d)}, the factors of
-    1/Phi_e, and width = phi(e).  Phi_e divides a exactly when a / Phi_e,
-    as a series truncated to len(a), ends in width zeros: the rest is the
-    quotient."""
+    """The dense quotient of the polynomial a by a product of distinct
+    Phi_e, or None when that product does not divide a; ``inverse`` is
+    {d: -k_d}, the factors of its inverse (:func:`_factor_exponents`), and
+    width = sum k_d d is its degree.  The product divides a exactly when
+    a times its inverse, as a series truncated to len(a), ends in width
+    zeros: the rest is the quotient."""
     q = _apply_factors(a[:], inverse)
     if any(q[-width:]):
         return None
@@ -584,10 +610,14 @@ def present_with_factors(f: RationalFunction):
     product F * prod_chosen (1 - t^d) of the series F of f on the window
     0 .. dim*bound + deg f, as one list multiplied by (1 - t^d) in place on
     the way down and divided back on the way up.  A degree d is rejected as
-    soon as a coefficient of the next partial product is negative.  That
-    pruning is exact: if h = F * prod (1 - t^{d_i}) >= 0, every partial
-    product is h * prod_rest 1/(1 - t^d), whose coefficients are
-    nonnegative too.
+    soon as a coefficient of the next partial product is negative.  Its
+    coefficient at t^d, entry d minus entry 0 of the list, is checked first,
+    before the bookkeeping below, when d lies in the window; the rest of the
+    window only for a d that passes.  A d that fails the first pair fails
+    the window too, and the bookkeeping only caches a test that does not
+    depend on the list, so the order does not change the view.  That pruning is exact: if
+    h = F * prod (1 - t^{d_i}) >= 0, every partial product is
+    h * prod_rest 1/(1 - t^d), whose coefficients are nonnegative too.
 
     The cyclotomic bookkeeping only skips degrees that cannot complete a
     covering view.  An index e still needed in as many factors as are open
@@ -633,6 +663,8 @@ def present_with_factors(f: RationalFunction):
     def dfs(counts: tuple, slots: int, min_d: int):
         step = forced_lcm(counts, slots)
         for d in range(_ceil_to(min_d, step), bound + 1, step):
+            if d <= top and arr[d] < arr[0]:
+                continue
             after = tuple(m - 1 if m and d % e == 0 else m for e, m in zip(indices, counts))
             state = (after, slots - 1)
             if d >= failed.get(state, bound + 1):
@@ -640,7 +672,7 @@ def present_with_factors(f: RationalFunction):
             if not feasible(after, slots - 1, d):
                 failed[state] = d
                 continue
-            if any(map(lt, arr[d:], arr[: top + 1 - d])):
+            if any(map(lt, islice(arr, d, None), arr)):
                 continue
             if slots == 1:
                 return [d]

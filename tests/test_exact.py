@@ -1,8 +1,10 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from itertools import accumulate
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,9 @@ from circleinv.exact import (
 )
 from circleinv.hilbert import hilbert_series
 from circleinv.weights import validate
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
 
 
 def P(d):
@@ -192,6 +197,21 @@ def sparse_product(phis):
     return out
 
 
+def cancel_one_at_a_time(num, phis):
+    """The reduction one Phi_e at a time, the oracle of the rounds of
+    _cancel_phi_content: largest e first, one full-length division by Phi_e
+    per cancelled factor until one fails; a negative multiplicity is a
+    numerator factor."""
+    phis = Counter(phis)
+    a = num.to_dense()
+    for e in sorted(phis, reverse=True):
+        inverse = {d: -mu for d, mu in _phi_factors(e)}
+        while phis[e] > 0 and (q := _divide_phi(a, inverse, -_degree(inverse))) is not None:
+            a = q
+            phis[e] -= 1
+    return P(enumerate(a)) * sparse_product(-phis), +phis
+
+
 def random_poly(rng, values, top):
     return P({e: rng.choice(values) for e in range(rng.randint(0, top))})
 
@@ -297,16 +317,68 @@ class TestDenseKernel:
                 a[rng.randrange(n)] += 1
             folded = _fold(a, e)
             assert folded == [sum(a[i::e]) for i in range(e)]
+            # the fold of a fold mod t^(ke) - 1, which may be a copy of a
+            multiple = e * rng.choice([1, 2, 3, n // e + 1])
+            assert _fold(_fold(a, multiple), e) == folded
             divisible = _divide_phi(a, inverse, width) is not None
             assert (_divide_phi(folded, inverse, width) is not None) == divisible, (n, e, d)
             outcomes[divisible] += 1
         assert outcomes[True] > 20 and outcomes[False] > 20
 
     def test_fold_and_division_check_each_other(self, monkeypatch):
-        # a fold that Phi_e divides must be followed by an exact division
+        # a fold that Phi_e divides must be followed by an exact division,
+        # also when the round divides by several Phi_e at once
+        fold = exact._fold
+        num = phi(2) * phi(3) * P({0: 2, 1: 1})
+        assert _cancel_phi_content(num, Counter({6: 1, 3: 1, 2: 1}))[1] == Counter({6: 1})
         monkeypatch.setattr(exact, "_fold", lambda a, e: [0] * e)
         with pytest.raises(InternalInvariantViolation):
             _cancel_phi_content(P({0: 1, 9: 1}), Counter({3: 1}))
+        monkeypatch.setattr(exact, "_fold", lambda a, e: [0] * e if e == 6 else fold(a, e))
+        with pytest.raises(InternalInvariantViolation):
+            _cancel_phi_content(num, Counter({6: 1, 3: 1, 2: 1}))
+
+    def test_rounds_match_one_at_a_time(self):
+        # numerators built divisible by prod Phi_e^{m_e}, m_e <= 3, over
+        # divisor-closed index sets, some one entry off, against content of
+        # multiplicities up to 3: each round decides an index from the fold
+        # for a multiple of it and divides by several Phi_e at once
+        rng = random.Random(20)
+        values = [0, 1, -1, 2, F(1, 2)]
+        outcomes = Counter()
+        for _ in range(300):
+            roots = [rng.randint(1, 60) for _ in range(rng.randint(1, 3))]
+            indices = sorted({d for root in roots for d in _divisors(root)})
+            built = Counter({e: rng.randint(0, 3) for e in indices})
+            num = random_poly(rng, values, 12) * sparse_product(built)
+            if rng.random() < 0.2:
+                num = num + P({rng.randint(0, 40): 1})
+            if num.is_zero():
+                continue
+            phis = Counter({e: rng.randint(-1, 3) for e in indices})
+            q, left = _cancel_phi_content(num, phis)
+            assert (q, left) == cancel_one_at_a_time(num, phis), (num, phis)
+            cancelled = +phis - left
+            outcomes["several"] += len(cancelled) > 1
+            outcomes["repeated"] += any(m > 1 for m in cancelled.values())
+            outcomes["kept"] += any(left[e] < m for e, m in phis.items() if m > 0)
+        assert min(outcomes.values()) > 30, outcomes
+
+    def test_rounds_match_one_at_a_time_on_families(self, monkeypatch):
+        # every reduction of the sweep family and the engine pool
+        cancel = exact._cancel_phi_content
+        checked = []
+
+        def compared(num, phis):
+            out = cancel(num, phis)
+            assert out == cancel_one_at_a_time(num, phis), (num, phis)
+            checked.append(1)
+            return out
+
+        monkeypatch.setattr(exact, "_cancel_phi_content", compared)
+        for raw in [*sweep_family(), *engine_pool()]:
+            hilbert_series(validate(raw))
+        assert len(checked) == 385 + 157
 
     def test_cancel_matches_divide_exact(self):
         rng = random.Random(7)

@@ -242,26 +242,35 @@ class TestEngines:
         assert len(calls) == 385
 
     def test_failed_full_divisions_on_engine_pool(self, monkeypatch):
-        # a full-length trial division by Phi_e that fails is wasted work:
-        # the fold test rejects those before they run wherever the fold is
-        # taken (1213 failed over this pass without it)
+        # the folds decide every Phi_e, so a full-length division runs only
+        # on a product of Phi_e that divides: one per round of the
+        # reduction, never failing, where one division per cancelled factor
+        # would take 1048
         class Folded(list):
             pass
 
-        fold, divide = exact._fold, exact._divide_phi
-        failed = []
+        fold, divide, cancel = exact._fold, exact._divide_phi, exact._cancel_phi_content
+        full, cancelled = [], []
 
-        def counted(a, inverse, width):
+        def divided(a, inverse, width):
             q = divide(a, inverse, width)
-            if q is None and not isinstance(a, Folded):
-                failed.append(len(a))
+            if not isinstance(a, Folded):
+                # a ends in a nonzero entry, and so does an exact quotient
+                full.append(q is not None and q[-1] != 0)
             return q
 
+        def reduced(num, phis):
+            q, left = cancel(num, phis)
+            cancelled.append(sum((+Counter(phis)).values()) - sum(left.values()))
+            return q, left
+
         monkeypatch.setattr(exact, "_fold", lambda a, e: Folded(fold(a, e)))
-        monkeypatch.setattr(exact, "_divide_phi", counted)
+        monkeypatch.setattr(exact, "_divide_phi", divided)
+        monkeypatch.setattr(exact, "_cancel_phi_content", reduced)
         for raw in engine_pool():
             hilbert_series(validate(raw))
-        assert len(failed) == 244
+        assert sum(cancelled) == 1048
+        assert full == [True] * 288
 
     def test_degenerate_degree_guard(self):
         # pair denominator (1-t^2)(1-t^3)(1-t^8)(1-t^15) has degree 28
@@ -385,6 +394,16 @@ class TestPresentation:
         # a smaller degree where it is not: skipping it there loses the view
         f = present_with_factors(from_view(Polynomial(num), view))
         assert f.factored_denominator == presented
+        assert _flat_view(f) == _brute_force_view(f)
+
+    @pytest.mark.parametrize("raw, view", [((-5, 1), ((6, 1),)), ((-5, 2), ((7, 1),))])
+    def test_degrees_beyond_the_series_window(self, raw, view):
+        # the series window 0..top, top = dim * bound + deg f, ends below
+        # bound: degrees above top leave no coefficient pair to compare
+        f = hilbert_series(validate(raw))
+        bound = _present_bound(f)
+        assert f.phi_content[1] * bound + f.degree < bound
+        assert f.factored_denominator == view
         assert _flat_view(f) == _brute_force_view(f)
 
     @pytest.mark.parametrize("n, max_abs, max_bound", [(5, 3, 30), (6, 2, 24)])
