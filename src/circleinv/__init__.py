@@ -1,20 +1,11 @@
 """Exact Hilbert series, Laurent coefficients and Gorenstein diagnosis for
 invariant rings of circle weight actions."""
 
-from .exact import (
-    LaurentExpansion,
-    Polynomial,
-    RationalFunction,
-    degree,
-    laurent_at_one,
-    series_at_zero,
-)
+from .exact import LaurentExpansion, Polynomial, RationalFunction
 from .gorenstein import (
     GorensteinReport,
-    a_invariant,
     a_invariant_closed_form,
     analyze,
-    integer_obstruction,
     k1_sufficient,
     stanley_test,
 )
@@ -32,7 +23,7 @@ from .schur import (
     partial_schur_expansion,
     partial_schur_values,
 )
-from .weights import WeightVector, canonical_key, remove, validate
+from .weights import WeightVector, canonical_key, validate
 
 __all__ = [
     "GammaVector",
@@ -42,11 +33,9 @@ __all__ = [
     "Polynomial",
     "RationalFunction",
     "WeightVector",
-    "a_invariant",
     "a_invariant_closed_form",
     "analyze",
     "canonical_key",
-    "degree",
     "gamma0",
     "gamma1",
     "gamma2",
@@ -58,16 +47,12 @@ __all__ = [
     "hilbert_degenerate",
     "hilbert_generic",
     "hilbert_series",
-    "integer_obstruction",
     "k1_sufficient",
-    "laurent_at_one",
     "oracle_coefficients",
     "partial_schur",
     "partial_schur_det",
     "partial_schur_expansion",
     "partial_schur_values",
-    "remove",
-    "series_at_zero",
     "stanley_test",
     "validate",
 ]

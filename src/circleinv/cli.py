@@ -32,6 +32,8 @@ from .weights import canonical_key, validate
 ENV_PREFIX = "CIRCLEINV_"
 
 SCAN_FILTERS = ("OnlyNonGorensteinIntegerRatio", "OnlyGorenstein", "OnlyDegenerate")
+# scan refuses families with more weight combinations C(2W + n - 1, n)
+SCAN_MAX_COMBINATIONS = 10**6
 
 
 def _env(name: str, fallback):
@@ -328,6 +330,11 @@ def cmd_scan(args) -> int:
     if args.n < 2 or args.max_weight < 1:
         raise ValidationError("scan needs n >= 2 and max-weight >= 1")
     _at_least(args.jobs, 1, "--jobs")
+    m, c = 2 * args.max_weight + args.n - 1, 1
+    for i in range(min(args.n, m - args.n)):  # C(m, i) only grows: stop past the bound
+        c = c * (m - i) // (i + 1)
+        if c > SCAN_MAX_COMBINATIONS:
+            raise ValidationError(f"scan family exceeds {SCAN_MAX_COMBINATIONS} weight combinations")
     candidates = _scan_candidates(args.n, args.max_weight)
     counts = {"total": len(candidates), "Gorenstein": 0, "NotGorenstein": 0,
               "integer_ratio_not_gorenstein": 0, "errors": 0, "written": 0}

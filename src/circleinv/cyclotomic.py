@@ -211,11 +211,3 @@ def triple_sum_24(a: int, b: int, c: int, weights: tuple) -> int:
         cots = _cot_dedekind(a, b, d) + _cot_dedekind(a, c, d) + _cot_dedekind(b, c, d)
         total += mu * (3 * d - 2 * cots)
     return total
-
-
-def gessel_harmonic(n: int) -> Fraction:
-    """Sum of 1/(1 - zeta) over the nontrivial n-th roots: (n-1)/2."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return Fraction(n - 1, 2)
-

@@ -170,17 +170,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def pow(self, n: int) -> "Polynomial":
-        result = Polynomial.one()
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def evaluate(self, x):
         total = 0
         for c in reversed(self._coeffs):
@@ -210,11 +199,6 @@ class Polynomial:
                 for off, b in lower:
                     rem[i - off] -= c * b
         return _from_dense(q), _from_dense(rem[:dd])
-
-    def divide_exact(self, other: "Polynomial"):
-        """Return self/other if the division is exact, else None."""
-        q, r = self.divmod(other)
-        return None if r else q
 
     def one_multiplicity(self) -> int:
         """Multiplicity of the factor (t - 1), by repeated synthetic division."""
@@ -694,15 +678,3 @@ def present_with_factors(f: RationalFunction):
         f.numerator, f.denominator, Counter(view), _reduced=True,
         phi_content=content,
     )
-
-
-def series_at_zero(f: RationalFunction, order: int) -> list:
-    return f.series_at_zero(order)
-
-
-def laurent_at_one(f: RationalFunction, count: int) -> LaurentExpansion:
-    return f.laurent_at_one(count)
-
-
-def degree(f: RationalFunction) -> int:
-    return f.degree

@@ -1,6 +1,8 @@
 """A-invariant and Gorenstein diagnosis.
 
-The a-invariant is the degree of the Hilbert series.  A circle invariant
+The a-invariant is the degree of the Hilbert series (``f.degree``); a
+Gorenstein verdict must give 2*gamma_1/gamma_0 = -a - dim, which
+``a_invariant_closed_form`` reads off the gammas.  A circle invariant
 ring is Cohen-Macaulay, so it is Gorenstein exactly when the series
 satisfies the functional equation Hilb(1/t) = (-1)^dim t^{-a} Hilb(t)
 (Stanley, "Hilbert functions of graded algebras", Adv. Math. 28, 1978);
@@ -19,22 +21,14 @@ sufficient - ``analyze`` settles the inconclusive cases with the series.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegreeOverflow, InternalInvariantViolation, ZeroFunction
+from .errors import DegreeOverflow, InternalInvariantViolation
 from .exact import Polynomial, RationalFunction, _degree
 from .hilbert import DEFAULT_DEGREE_LIMIT, hilbert_series
-from .laurent import _s, gammas
-from .schur import elementary_symmetric
-from .weights import WeightVector, remove
+from .laurent import gammas
+from .weights import WeightVector
 
 N2_POLYNOMIAL = "N2Polynomial"
 K1_DIVISIBILITY = "K1Divisibility"
-
-
-def a_invariant(f: RationalFunction) -> int:
-    """Degree of the series: numerator degree minus denominator degree."""
-    if f.is_zero():
-        raise ZeroFunction("a-invariant of the zero function")
-    return f.degree
 
 
 def stanley_test(f: RationalFunction, dim: int) -> bool:
@@ -62,40 +56,6 @@ def a_invariant_closed_form(v: WeightVector) -> Fraction:
     """
     g0, g1 = gammas(v, 1).values
     return -2 * g1 / g0 - (v.n - 1 + v.zero_count)
-
-
-def a_invariant_schur_form(v: WeightVector) -> Fraction:
-    """The same a-invariant directly in partial-Schur terms.
-
-    The reduced-vector terms are read at the top admissible row exponent
-    n-3 for the (n-1)-entry reduced vectors; the agreement of this form
-    with ``a_invariant_closed_form`` is asserted in the test suite.
-    """
-    ws = v.weights
-    n_ = v.n
-    s2 = _s(n_ - 2, ws)
-    total = elementary_symmetric(1, ws) * _s(n_ - 3, ws)
-    for j in range(n_):
-        seq_j, g_j = remove(v, {j})
-        if g_j == 1 or not seq_j:
-            continue
-        cofactor = Fraction(1)
-        if j < v.k:
-            for q in v.positives:
-                cofactor *= ws[j] - q
-        else:
-            for p in v.negatives:
-                cofactor *= p - ws[j]
-        total += (1 - g_j) * _s(n_ - 3, seq_j) * cofactor
-    return total / s2 - n_ - v.zero_count
-
-
-def integer_obstruction(v: WeightVector):
-    """(ratio 2*gamma_1/gamma_0, ratio in Z?).  False proves NotGorenstein;
-    True is inconclusive."""
-    g0, g1 = gammas(v, 1).values
-    ratio = 2 * g1 / g0
-    return ratio, ratio.denominator == 1
 
 
 def gamma3_relation(g0, g1, g2, g3) -> bool:

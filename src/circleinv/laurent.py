@@ -47,7 +47,7 @@ from math import gcd, prod
 from .cyclotomic import pair_sum_12, subgroup_weights, triple_sum_24, weighted_sum_24
 from .errors import InternalInvariantViolation, Unstable
 from .hilbert import hilbert_series
-from .schur import _power, partial_schur, scaled_schur_values
+from .schur import _power, scaled_schur_values
 from .weights import WeightVector
 
 
@@ -60,11 +60,6 @@ class GammaVector:
 
 def _split(seq):
     return [w for w in seq if w < 0], [w for w in seq if w > 0]
-
-
-def _s(u: int, seq) -> Fraction:
-    xs, ys = _split(seq)
-    return partial_schur(u, xs, ys)
 
 
 def _require_stable(v: WeightVector):

@@ -154,20 +154,6 @@ def laurent_schur(parts, xs):
     return _power(prod(xs), shift) * _jacobi_trudi([p - shift for p in parts], xs)
 
 
-def elementary_symmetric(j: int, values) -> Fraction:
-    """E_j of the values (0 when j exceeds the variable count), always a
-    Fraction, so callers may divide it with /."""
-    if j < 0:
-        raise OutOfRange(f"elementary symmetric degree {j} out of range")
-    if j > len(values):
-        return Fraction(0)
-    dp = [Fraction(1)] + [Fraction(0)] * j
-    for v in values:
-        for d in range(j, 0, -1):
-            dp[d] += dp[d - 1] * v
-    return dp[j]
-
-
 # ---------------------------------------------------------------------------
 # partial Schur values
 

@@ -84,23 +84,6 @@ def validate(raw) -> WeightVector:
     )
 
 
-def remove(v: WeightVector, indices) -> tuple:
-    """Drop the weights at the given positions of ``v.weights``.
-
-    Returns (remaining weights, gcd of the remaining weights).  The result is
-    deliberately *not* re-normalized: reduced vectors may be unstable or
-    unfaithful, and downstream formulas need the raw gcd (0 when nothing is
-    left, |w| for a single leftover w).
-    """
-    indices = set(indices)
-    all_weights = v.weights
-    for i in indices:
-        if not 0 <= i < len(all_weights):
-            raise IndexError(f"weight index {i} out of range")
-    remaining = tuple(w for i, w in enumerate(all_weights) if i not in indices)
-    return remaining, gcd(*remaining)
-
-
 def canonical_key(v: WeightVector) -> tuple:
     """Deduplication key identifying a vector with its negation."""
     forward = tuple(sorted(v.weights))

@@ -8,13 +8,9 @@ import time
 from fractions import Fraction as F
 from math import gcd
 
-from circleinv.cyclotomic import (
-    RootConstraint,
-    constrained_unity_sum,
-    gessel_harmonic,
-)
+from circleinv.cyclotomic import RootConstraint, constrained_unity_sum
 from circleinv.exact import Polynomial, RationalFunction
-from circleinv.gorenstein import analyze, integer_obstruction, stanley_test
+from circleinv.gorenstein import a_invariant_closed_form, analyze, stanley_test
 from circleinv.hilbert import hilbert_series, oracle_coefficients
 from circleinv.hironaka import (
     HironakaData,
@@ -26,12 +22,12 @@ from circleinv.hironaka import (
 )
 from circleinv.laurent import gamma0, gamma1, gamma2, gamma3
 from circleinv.schur import (
-    elementary_symmetric,
     partial_schur,
     partial_schur_det,
     partial_schur_expansion,
 )
 from circleinv.weights import canonical_key, validate
+from helpers import elementary_symmetric
 
 ONE = Polynomial.one()
 
@@ -156,10 +152,8 @@ def test_criterion_05_counterexample_list():
 
 def test_criterion_06a_large_weights_fast_path():
     with _Criterion(6, "(-501,500,503) closed-form ratio", 1.0):
-        v = validate((-501, 500, 503))
-        ratio, is_integer = integer_obstruction(v)
-        assert abs(ratio) == F(1003, 501) and not is_integer
-        report = analyze(v)
+        report = analyze(validate((-501, 500, 503)))
+        assert abs(report.ratio_2g1_g0) == F(1003, 501) and not report.ratio_is_integer
         assert report.classification == "NotGorenstein"
 
 
@@ -168,8 +162,8 @@ def test_criterion_06b_large_weights_full_series():
         v = validate((-501, 500, 503))
         f = hilbert_series(v, verify_depth=50)
         assert f.degree == -6
-        ratio, _ = integer_obstruction(v)
-        assert ratio == F(1003, 501)
+        # -2*gamma_1/gamma_0 - dim, the value a Gorenstein ring would need
+        assert a_invariant_closed_form(v) == -F(1003, 501) - 2
 
 
 def test_criterion_07_oracle_equivalence_sweep():
@@ -276,11 +270,7 @@ def test_criterion_10_cyclotomic_layer():
         one_minus_x = Polynomial({0: 1, 1: -1})
         for n in range(1, 61):
             constraint = RootConstraint(n, frozenset({1}))
-            assert gessel_harmonic(n) == F(n - 1, 2)
-            assert (
-                constrained_unity_sum(ONE, one_minus_x, constraint)
-                == gessel_harmonic(n)
-            )
+            assert constrained_unity_sum(ONE, one_minus_x, constraint) == F(n - 1, 2)
         constraint = RootConstraint(6, frozenset({2, 3}))
         den = Polynomial({0: 1, 1: -1}) * Polynomial({0: 1, 5: -1})
         assert constrained_unity_sum(ONE, den, constraint) == 2

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -224,6 +225,30 @@ class TestScanCommand:
             ["scan", "--n", "3", "--max-weight", "4", "--jobs", "4", "--output", str(parallel)]
         )
         assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("n, max_weight", [(12, 50), (10**9, 10**9)])
+    def test_oversized_family_refused(self, n, max_weight, tmp_path, monkeypatch, capsys):
+        # refused before enumerating and before the output file is opened
+        def enumerate_family(*args):
+            raise AssertionError("the family was enumerated")
+
+        monkeypatch.setattr(cli, "_scan_candidates", enumerate_family)
+        out = tmp_path / "scan.jsonl"
+        argv = ["scan", "--n", str(n), "--max-weight", str(max_weight), "--output", str(out)]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, max_weight", [(2, 3), (3, 2), (4, 1), (5, 2)])
+    def test_bound_on_combinations_is_exact(self, n, max_weight, tmp_path, monkeypatch, capsys):
+        # C(2W + n - 1, n) combinations pass a bound of exactly that many
+        out = str(tmp_path / "scan.jsonl")
+        argv = ["scan", "--n", str(n), "--max-weight", str(max_weight), "--output", out]
+        size = comb(2 * max_weight + n - 1, n)
+        monkeypatch.setattr(cli, "SCAN_MAX_COMBINATIONS", size)
+        assert main(argv) == 0
+        monkeypatch.setattr(cli, "SCAN_MAX_COMBINATIONS", size - 1)
+        assert main(argv) == 2
 
     def test_process_pool_imported_lazily(self):
         # only a scan with --jobs > 1 needs concurrent.futures

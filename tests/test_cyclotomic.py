@@ -12,7 +12,6 @@ from circleinv.cyclotomic import (
     constrained_unity_sum,
     cyclotomic_poly,
     dedekind_6k,
-    gessel_harmonic,
     invert_mod,
     pair_sum_12,
     subgroup_weights,
@@ -148,15 +147,16 @@ class TestConstrainedSum:
 
 
 class TestGesselHarmonic:
+    # the sum of 1/(1 - z) over the nontrivial n-th roots z is (n - 1)/2
     def test_examples(self):
-        assert gessel_harmonic(1) == 0
-        assert gessel_harmonic(3) == 1
-        assert gessel_harmonic(100) == F(99, 2)
+        for n, expected in [(1, 0), (3, 1), (100, F(99, 2)), (360, F(359, 2))]:
+            c = RootConstraint(n, frozenset({1}))
+            assert constrained_unity_sum(ONE, one_minus_x(1), c) == expected
 
     def test_cross_check_constrained(self):
         for n in range(1, 61):
             c = RootConstraint(n, frozenset({1}))
-            assert gessel_harmonic(n) == constrained_unity_sum(ONE, one_minus_x(1), c)
+            assert constrained_unity_sum(ONE, one_minus_x(1), c) == F(n - 1, 2)
 
 
 class TestCyclotomicElement:

@@ -24,12 +24,10 @@ from circleinv.exact import (
     _fold,
     _mobius,
     _phi_factors,
-    degree,
-    laurent_at_one,
-    series_at_zero,
 )
 from circleinv.hilbert import hilbert_series
 from circleinv.weights import validate
+from helpers import divide_exact, power
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
@@ -104,16 +102,16 @@ class TestPolynomial:
 
     def test_divmod_exact(self):
         num = one_minus(6)
-        q = num.divide_exact(one_minus(2))
+        q = divide_exact(num, one_minus(2))
         assert q == P({0: 1, 2: 1, 4: 1})
-        assert num.divide_exact(one_minus(4)) is None
+        assert divide_exact(num, one_minus(4)) is None
         # non-monic divisor: (t^2 - 1) / (2 + 2t) = t/2 - 1/2, remainder 0
         half = P({0: F(-1, 2), 1: F(1, 2)})
         q, r = P({0: -1, 2: 1}).divmod(P({0: 2, 1: 2}))
         assert q == half and r.is_zero()
         assert all(type(c) in (int, F) for _, c in q.items())
-        assert P({0: -1, 2: 1}).divide_exact(P({0: 2, 1: 2})) == half
-        assert P({0: 1, 2: 1}).divide_exact(P({0: 2, 1: 2})) is None
+        assert divide_exact(P({0: -1, 2: 1}), P({0: 2, 1: 2})) == half
+        assert divide_exact(P({0: 1, 2: 1}), P({0: 2, 1: 2})) is None
 
     def test_divmod_sparse_high_degree(self):
         phi3 = P({0: 1, 1: 1, 2: 1})
@@ -155,7 +153,7 @@ class TestPolynomial:
             for _, c in [*q.items(), *r.items()]:
                 assert type(c) is int or c.denominator != 1
             if r.is_zero():
-                assert a.divide_exact(b) == q
+                assert divide_exact(a, b) == q
             exact = (a * b).divmod(b)
             assert exact[0] == a and exact[1].is_zero()
 
@@ -180,8 +178,8 @@ class TestPolynomial:
 
     def test_pow(self):
         p = P({0: 1, 1: 1})
-        assert p.pow(0) == Polynomial.one()
-        assert p.pow(3) == P({0: 1, 1: 3, 2: 3, 3: 1})
+        assert power(p, 0) == Polynomial.one()
+        assert power(p, 3) == P({0: 1, 1: 3, 2: 3, 3: 1})
 
 
 def phi(e):
@@ -255,7 +253,7 @@ class TestDenseKernel:
             times = _apply_factors(dense[:], ks)
             product = a
             for d, k in ks.items():
-                product = product * one_minus(d).pow(k)
+                product = product * power(one_minus(d), k)
             assert times == (product.to_dense() + [0] * n)[:n]
             # dividing back is exact on the truncated series
             assert _apply_factors(times, {d: -k for d, k in ks.items()}) == dense
@@ -392,7 +390,7 @@ class TestDenseKernel:
             for e in {*built, 1, rng.randint(1, 30)}:
                 q, left = _cancel_phi_content(num, Counter({e: 3}))
                 expected, divided = num, 0
-                while divided < 3 and (step := expected.divide_exact(phi(e))) is not None:
+                while divided < 3 and (step := divide_exact(expected, phi(e))) is not None:
                     expected, divided = step, divided + 1
                 assert q == expected and left == Counter({e: 3 - divided}), (num, e)
                 assert all(type(c) is int or c.denominator != 1 for _, c in q.items())
@@ -404,7 +402,7 @@ class TestDenseKernel:
             phis = +Counter({**phis, 1: rng.randint(0, 3)})
             expected = Polynomial.one()
             for e, m in phis.items():
-                expected = expected * cyclotomic_poly(e).pow(m)
+                expected = expected * power(cyclotomic_poly(e), m)
             expected = expected * expected.coefficient(0)  # constant term +-1
             num = P({0: 1, 1: F(1, 2)}) * P({2: 3})
             f = RationalFunction._from_phi_multiset(num, phis)
@@ -469,7 +467,7 @@ class TestReduce:
             view = Counter({rng.randint(1, 12): rng.randint(-2, 2) for _ in range(3)})
             moved = num
             for d, k in (-view).items():
-                moved = moved * one_minus(d).pow(k)
+                moved = moved * power(one_minus(d), k)
             f, g = R(num, view), R(moved, +view)
             assert f == g and f.phi_content == g.phi_content, (num, view)
 
@@ -515,24 +513,24 @@ class TestSeriesAtZero:
 
 class TestLaurentAtOne:
     def test_simple_pole(self):
-        exp = laurent_at_one(R(Polynomial.one(), {1: 1}), 3)
+        exp = R(Polynomial.one(), {1: 1}).laurent_at_one(3)
         assert exp.pole_order == 1
         assert list(exp.coefficients) == [1, 0, 0]
 
     def test_half_geometric(self):
-        exp = laurent_at_one(R(Polynomial.one(), {2: 1}), 4)
+        exp = R(Polynomial.one(), {2: 1}).laurent_at_one(4)
         assert exp.pole_order == 1
         assert list(exp.coefficients) == [F(1, 2), F(1, 4), F(1, 8), F(1, 16)]
 
     def test_double_pole(self):
-        exp = laurent_at_one(R(Polynomial.one(), {2: 1, 4: 1}), 3)
+        exp = R(Polynomial.one(), {2: 1, 4: 1}).laurent_at_one(3)
         assert exp.pole_order == 2
         assert list(exp.coefficients) == [F(1, 8), F(1, 4), F(9, 32)]
 
     def test_displayed_expansion_for_all_small_orders(self):
         # 1/(1-t^c) starts 1/c, (c-1)/(2c), (c^2-1)/(12c), (c^2-1)/(24c)
         for c in range(1, 51):
-            exp = laurent_at_one(R(Polynomial.one(), {c: 1}), 4)
+            exp = R(Polynomial.one(), {c: 1}).laurent_at_one(4)
             assert exp.pole_order == 1
             assert list(exp.coefficients) == [
                 F(1, c),
@@ -550,9 +548,9 @@ class TestLaurentAtOne:
             fg = R(num_f * num_g, view_f + view_g)
             depth = 5
             ef, eg, ep = (
-                laurent_at_one(R(num_f, view_f), depth),
-                laurent_at_one(R(num_g, view_g), depth),
-                laurent_at_one(fg, depth),
+                R(num_f, view_f).laurent_at_one(depth),
+                R(num_g, view_g).laurent_at_one(depth),
+                fg.laurent_at_one(depth),
             )
             assert ep.pole_order == ef.pole_order + eg.pole_order
             for m in range(depth):
@@ -583,7 +581,7 @@ class TestLaurentAtOne:
                 continue
             want = f.laurent_at_one(4)
             for j in range(1, 5):
-                g = RationalFunction._from_phi_multiset(f.numerator * one_minus(1).pow(j), f.phi_content)
+                g = RationalFunction._from_phi_multiset(f.numerator * power(one_minus(1), j), f.phi_content)
                 got = g.laurent_at_one(4)
                 assert got == LaurentExpansion(want.pole_order - j, want.coefficients), (f, j)
 
@@ -594,8 +592,8 @@ class TestLaurentAtOne:
 
 class TestDegree:
     def test_examples(self):
-        assert degree(R(Polynomial.one(), {5: 1})) == -5
-        assert degree(R(P({0: 1, 3: 1}), {1: 2})) == 1
+        assert R(Polynomial.one(), {5: 1}).degree == -5
+        assert R(P({0: 1, 3: 1}), {1: 2}).degree == 1
 
     def test_multiplicative(self):
         rng = random.Random(2)
@@ -603,11 +601,11 @@ class TestDegree:
             num_f, view_f = P({rng.randint(0, 3): 1, 4: 1}), Counter({rng.randint(1, 6): 1})
             num_g, view_g = Polynomial.one(), Counter({rng.randint(1, 6): 1})
             fg = R(num_f * num_g, view_f + view_g)
-            assert degree(fg) == degree(R(num_f, view_f)) + degree(R(num_g, view_g))
+            assert fg.degree == R(num_f, view_f).degree + R(num_g, view_g).degree
 
     def test_zero_function(self):
         with pytest.raises(ZeroFunction):
-            degree(RationalFunction.zero())
+            RationalFunction.zero().degree
 
 
 class TestArithmeticConsistency:
@@ -619,7 +617,7 @@ class TestArithmeticConsistency:
         # oracle: multiply by the expanded view, divide by the denominator
         def oracle(f):
             view = dict(f.factored_denominator)
-            return (f.numerator * _expand_view(view)).divide_exact(f.denominator)
+            return divide_exact(f.numerator * _expand_view(view), f.denominator)
 
         rng = random.Random(10)
         for _ in range(80):

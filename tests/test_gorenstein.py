@@ -12,18 +12,16 @@ from circleinv.gorenstein import (
     GorensteinReport,
     K1_DIVISIBILITY,
     N2_POLYNOMIAL,
-    a_invariant,
     a_invariant_closed_form,
-    a_invariant_schur_form,
     analyze,
     gamma3_relation,
-    integer_obstruction,
     k1_sufficient,
     stanley_test,
 )
 from circleinv.hilbert import hilbert_series
 from circleinv.laurent import GammaVector, gammas
 from circleinv.weights import canonical_key, validate
+from helpers import elementary_symmetric, partial_schur_of
 
 ONE = Polynomial.one()
 
@@ -43,15 +41,40 @@ def from_view(num, view):
     return RationalFunction.from_factored(num, view)
 
 
+def a_invariant_schur_form(v):
+    """The paper's a-invariant in partial-Schur terms: the reduced-vector
+    terms are read at the top admissible row exponent n-3 for the
+    (n-1)-entry reduced vectors."""
+    ws = v.weights
+    n_ = v.n
+    s2 = partial_schur_of(n_ - 2, ws)
+    total = elementary_symmetric(1, ws) * partial_schur_of(n_ - 3, ws)
+    for j in range(n_):
+        seq_j = ws[:j] + ws[j + 1 :]
+        g_j = gcd(*seq_j)
+        if g_j == 1 or not seq_j:
+            continue
+        cofactor = F(1)
+        if j < v.k:
+            for q in v.positives:
+                cofactor *= ws[j] - q
+        else:
+            for p in v.negatives:
+                cofactor *= p - ws[j]
+        total += (1 - g_j) * partial_schur_of(n_ - 3, seq_j) * cofactor
+    return total / s2 - n_ - v.zero_count
+
+
 class TestAInvariant:
+    # the a-invariant is the degree of the series
     def test_examples(self):
-        assert a_invariant(from_view(ONE, {5: 1})) == -5
-        assert a_invariant(from_view(ONE, {2: 1, 4: 1})) == -6
-        assert a_invariant(hilbert_series(validate((-1, -2, 1, 14)))) == -10
+        assert from_view(ONE, {5: 1}).degree == -5
+        assert from_view(ONE, {2: 1, 4: 1}).degree == -6
+        assert hilbert_series(validate((-1, -2, 1, 14))).degree == -10
 
     def test_zero_function(self):
         with pytest.raises(ZeroFunction):
-            a_invariant(RationalFunction.zero())
+            RationalFunction.zero().degree
 
 
 class TestStanley:
@@ -93,11 +116,12 @@ class TestClosedFormAInvariant:
 
     def test_rederivation_of_schur_form(self):
         # the reduced-vector partial Schur terms must sit at top exponent
-        # n-3; agreement with -2*gamma1/gamma0 - (n-1) across a family pins
-        # that reading down
+        # n-3; agreement with -2*gamma1/gamma0 - dim across a family pins
+        # that reading down, and every third vector again with a zero
+        # weight pins the zero_count shift
         values = [w for w in range(-6, 7) if w]
         seen = set()
-        checked = 0
+        checked = zeros = 0
         for n in (2, 3, 4):
             for combo in itertools.combinations_with_replacement(values, n):
                 if not any(w < 0 for w in combo) or not any(w > 0 for w in combo):
@@ -107,12 +131,15 @@ class TestClosedFormAInvariant:
                 if key in seen or checked > 300:
                     continue
                 seen.add(key)
-                schur_form = a_invariant_schur_form(v)
-                assert schur_form == a_invariant_closed_form(v), combo
-                # its total / s2 must stay exact: an int / int would be a float
-                assert type(schur_form) is F, combo
+                family = [v, validate(combo + (0,))] if checked % 3 == 0 else [v]
+                for u in family:
+                    schur_form = a_invariant_schur_form(u)
+                    assert schur_form == a_invariant_closed_form(u), (combo, u.zero_count)
+                    # its total / s2 must stay exact: an int / int would be a float
+                    assert type(schur_form) is F, combo
+                zeros += len(family) - 1
                 checked += 1
-        assert checked >= 300
+        assert checked >= 300 and zeros >= 100
 
     def test_three_weight_closed_form(self):
         # n=3 closed form ((a3-a1)gcd(a1,a2) + (a2-a1)gcd(a1,a3))/a1
@@ -123,17 +150,22 @@ class TestClosedFormAInvariant:
 
 
 class TestIntegerObstruction:
+    # a non-integer ratio 2*gamma_1/gamma_0 proves NotGorenstein; the report
+    # carries it, and a_invariant_closed_form is -ratio - dim
     def test_inconclusive_case(self):
-        ratio, passes = integer_obstruction(validate((-1, -2, 1, 14)))
-        assert ratio == 3 and passes
+        v = validate((-1, -2, 1, 14))
+        report = analyze(v)
+        assert report.ratio_2g1_g0 == 3 and report.ratio_is_integer
+        assert a_invariant_closed_form(v) == -3 - report.dimension
 
     def test_large_vector_fast(self):
-        ratio, passes = integer_obstruction(validate((-501, 500, 503)))
-        assert ratio == F(1003, 501) and not passes
+        report = analyze(validate((-501, 500, 503)))
+        assert report.ratio_2g1_g0 == F(1003, 501) and not report.ratio_is_integer
+        assert report.classification == "NotGorenstein" and report.hilbert is None
 
     def test_trivial(self):
-        ratio, passes = integer_obstruction(validate((-1, 1)))
-        assert ratio == 1 and passes
+        report = analyze(validate((-1, 1)))
+        assert report.ratio_2g1_g0 == 1 and report.ratio_is_integer
 
 
 class TestK1Sufficient:

@@ -21,6 +21,7 @@ from circleinv.hilbert import (
     section_problem,
 )
 from circleinv.weights import canonical_key, validate
+from helpers import divide_exact
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
@@ -342,7 +343,7 @@ def _brute_force_view(f):
         product = ONE
         for d in ds:
             product = product * Polynomial({0: 1, d: -1})
-        h = (f.numerator * product).divide_exact(f.denominator)
+        h = divide_exact(f.numerator * product, f.denominator)
         if all(c >= 0 for _, c in h.items()):
             return ds
     return None

@@ -14,7 +14,7 @@ from circleinv.hironaka import (
     stirling_first,
     todd,
 )
-from circleinv.schur import elementary_symmetric
+from helpers import elementary_symmetric
 
 
 class TestTodd:

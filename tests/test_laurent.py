@@ -12,6 +12,7 @@ import pytest
 from circleinv.errors import Unstable
 from circleinv.hilbert import hilbert_series
 from circleinv.laurent import (
+    _reduced,
     gamma0,
     gamma0_generic,
     gamma1,
@@ -24,6 +25,7 @@ from circleinv.laurent import (
     gammas_from_series,
 )
 from circleinv.weights import canonical_key, validate
+from helpers import elementary_symmetric, partial_schur_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
@@ -197,10 +199,10 @@ class TestIntegerWalk:
         )
         assert 0 < built <= 4 * len(vs)
 
-    def test_no_root_constraint_or_remove(self):
+    def test_no_root_constraint(self):
         # the walk reads each root set's subgroup weights off its gcd table:
-        # no RootConstraint (the trace oracle's description) and no
-        # weights.remove per index set; cProfile counts every call
+        # no RootConstraint (the trace oracle's description); cProfile
+        # counts every call
         vs = [validate(raw) for raw in sweep_family()]
         profile = cProfile.Profile()
         profile.runcall(lambda: [gammas(v, 3) for v in vs])
@@ -210,35 +212,38 @@ class TestIntegerWalk:
             calls[module, name] = calls.get((module, name), 0) + stat[1]
         assert calls.get(("cyclotomic", "subgroup_weights"), 0) > 0
         assert calls.get(("cyclotomic", "__post_init__"), 0) == 0
-        assert calls.get(("weights", "remove"), 0) == 0
+
+
+class TestReducedVectors:
+    def test_conventions(self):
+        # a - J keeps the order of v.weights and is never re-normalized; the
+        # gcd of an empty remainder is 0, of one leftover w it is |w|
+        v = validate((-1, 2, 2))
+        assert _reduced(v, 1)[(0,)] == ((2, 2), 2)
+        v = validate((-2, -4, 3))
+        assert v.weights == (-4, -2, 3) and _reduced(v, 1)[(2,)] == ((-4, -2), 2)
+        v = validate((-4, 12))  # normalized to (-1, 3) first
+        assert _reduced(v, 2) == {(0,): ((3,), 3), (1,): ((-1,), 1), (0, 1): ((), 0)}
 
 
 class TestMildCoprimality:
     def test_gamma2_reduces_to_head_term(self):
         # when every g_j and g_{j,l} is 1 only the head term of gamma_2
         # survives; assert by comparing against the head-only evaluation
-        from circleinv.laurent import _s
-        from circleinv.schur import elementary_symmetric
-        from circleinv.weights import remove
-
         found = 0
         for raw in [(-1, 2, 3), (-5, 2, 3), (-1, -2, 3, 5), (-3, -2, 1, 5)]:
             v = validate(raw)
             n = v.n
-            simple = all(
-                remove(v, set(pair))[1] == 1
-                for r in (1, 2)
-                for pair in itertools.combinations(range(n), r)
-            )
-            if not simple:
+            ws = v.weights
+            if any(g != 1 for _, g in _reduced(v, 2).values()):
                 continue
             found += 1
-            ws = v.weights
             pi = prod(p - q for p in ws if p < 0 for q in ws if q > 0)
+            e1, e2 = elementary_symmetric(1, ws), elementary_symmetric(2, ws)
             head = F(
-                5 * elementary_symmetric(1, ws) * _s(n - 3, ws)
-                - (elementary_symmetric(2, ws) + elementary_symmetric(1, ws) ** 2) * _s(n - 4, ws)
-                - 4 * _s(n - 2, ws),
+                5 * e1 * partial_schur_of(n - 3, ws)
+                - (e2 + e1**2) * partial_schur_of(n - 4, ws)
+                - 4 * partial_schur_of(n - 2, ws),
                 12 * pi,
             )
             assert gamma2(v) == head, raw

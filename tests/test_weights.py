@@ -5,7 +5,7 @@ import pytest
 
 from circleinv.errors import Empty, Unstable
 from circleinv.hilbert import hilbert_series
-from circleinv.weights import canonical_key, remove, validate
+from circleinv.weights import canonical_key, validate
 
 
 class TestValidate:
@@ -51,39 +51,6 @@ class TestValidate:
     def test_genericity_flags(self):
         assert validate((-1, -2, 3)).is_generic
         assert not validate((-5, -5, 2, 3)).is_generic
-
-
-class TestRemove:
-    def test_examples(self):
-        v = validate((-1, 2, 2))
-        idx = v.weights.index(-1)
-        seq, g = remove(v, {idx})
-        assert seq == (2, 2) and g == 2
-
-        v = validate((-1, -2, 1, 14))
-        seq, g = remove(v, {v.weights.index(14)})
-        assert sorted(seq) == [-2, -1, 1] and g == 1
-
-        v = validate((-3, 1, 3))
-        seq, g = remove(v, {v.weights.index(1)})
-        assert sorted(seq) == [-3, 3] and g == 3
-
-    def test_empty_and_singleton_gcd(self):
-        v = validate((-1, 1))
-        assert remove(v, {0, 1}) == ((), 0)
-        assert remove(v, {0}) == ((1,), 1)
-        v = validate((-4, 12))
-        # normalized to (-1, 3) first
-        assert remove(v, {0})[1] == 3
-
-    def test_no_renormalization(self):
-        v = validate((-2, -4, 3))
-        seq, g = remove(v, {v.weights.index(3)})
-        assert seq == (-4, -2) and g == 2  # gcd kept, not divided out
-
-    def test_bad_index(self):
-        with pytest.raises(IndexError):
-            remove(validate((-1, 1)), {5})
 
 
 class TestCanonicalKey:
