@@ -48,7 +48,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add, lt, sub
 
 from .errors import InternalInvariantViolation, ZeroDenominator, ZeroFunction
@@ -574,6 +574,12 @@ def _ceil_to(n: int, step: int) -> int:
     return -(-n // step) * step
 
 
+def _uncovered(indices, counts, d: int) -> tuple:
+    """counts after one factor (1 - t^d): each needed index dividing d is
+    covered once."""
+    return tuple(m - 1 if m and d % e == 0 else m for e, m in zip(indices, counts))
+
+
 def present_with_factors(f: RationalFunction):
     """Re-express f's denominator as exactly as many factors (1 - t^d) as its
     pole order at t = 1, with a nonnegative-coefficient numerator.
@@ -611,7 +617,9 @@ def present_with_factors(f: RationalFunction):
     is infeasible when a count exceeds the open factors or when an index, or
     L, has no multiple in [d, bound]; that can only become true as d grows,
     so the smallest d at which each state failed is remembered and larger d
-    skip it without a check.
+    skip it without a check.  The counts left after d depend only on which
+    still-needed indices divide d, that is on gcd(d, lcm of those indices),
+    so each frame builds them once per such gcd.
     """
     content = f.phi_content
     nfactors = content.get(1, 0)
@@ -646,10 +654,16 @@ def present_with_factors(f: RationalFunction):
 
     def dfs(counts: tuple, slots: int, min_d: int):
         step = forced_lcm(counts, slots)
+        # a needed index divides d exactly when it divides gcd(d, need)
+        need = lcm(*(e for e, m in zip(indices, counts) if m))
+        afters = {}
         for d in range(_ceil_to(min_d, step), bound + 1, step):
             if d <= top and arr[d] < arr[0]:
                 continue
-            after = tuple(m - 1 if m and d % e == 0 else m for e, m in zip(indices, counts))
+            key = gcd(d, need)
+            after = afters.get(key)
+            if after is None:
+                after = afters[key] = _uncovered(indices, counts, key)
             state = (after, slots - 1)
             if d >= failed.get(state, bound + 1):
                 continue

@@ -5,16 +5,23 @@ Each coefficient comes in three independent flavors:
 
 * the partial-Schur form (default) - valid for degenerate weight vectors,
   built from S_u values of the vector and its reduced vectors plus exact
-  constrained root-of-unity sums.  One pass (``_schur_gammas``) walks the
-  index sets J once - the whole vector, then |J| = 1, 2, 3 up to the
-  requested order - and adds each reduced vector's term to every gamma_m
-  with m >= |J|.  The walk runs in ints: the S_u values come scaled by a
-  power of P_X(0) from the remainder route of ``schur``
-  (``scaled_schur_values``, one batched call per reduced vector; the
-  Laplace expansion and determinant routes are its oracles), the
-  root-of-unity sums scaled by 12 or 24, and each gamma_m is an int
-  numerator over an int denominator until one Fraction is built per gamma
-  at the end;
+  constrained root-of-unity sums.  One walk (``_schur_gammas``) goes over
+  the index sets J layer by layer - the whole vector, then |J| = 1, 2, 3 up
+  to the requested order - building each layer's reduced vectors when it
+  gets there, and adds each reduced vector's term to every gamma_m with
+  m >= |J|, so gamma_r is final once layer r is done.  The walk runs in
+  ints: the S_u values come scaled by a power of P_X(0) from the remainder
+  route of ``schur`` (``scaled_schur_values``, one batched call per reduced
+  vector; the Laplace expansion and determinant routes are its oracles),
+  the root-of-unity sums scaled by 12 or 24, and each gamma_m is an int
+  numerator over an int denominator until one Fraction is built per gamma.
+  ``gammas(v, upto)`` runs the walk to layer ``upto`` in one pass.
+  ``gamma0``..``gamma3`` share a one-entry memo: the walk of the last
+  vector they were asked about, at upto = 3, advanced only as far as the
+  requested gamma_m.  A later gamma_m' of an equal vector continues that
+  walk, so gamma_0..gamma_3 asked one at a time cost one pass.  The memo is
+  read and advanced under a lock, and any exception while advancing it
+  discards it;
 * the generic form - partial-fraction style sums over the negative weights,
   defined only when they are pairwise distinct;
 * direct series extraction from the computed Hilbert series (the oracle the
@@ -43,6 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
+from threading import Lock
 
 from .cyclotomic import pair_sum_12, subgroup_weights, triple_sum_24, weighted_sum_24
 from .errors import InternalInvariantViolation, Unstable
@@ -70,12 +78,13 @@ def _require_stable(v: WeightVector):
 # -- reduced vectors and their root sets ------------------------------------
 
 
-def _reduced(v: WeightVector, depth: int) -> dict:
-    """(a - J, g_J) for every ascending index tuple J of 1..depth entries:
-    the weights left after dropping J, not re-normalized, and their gcd."""
+def _reduced(v: WeightVector, depth: int, first: int = 1) -> dict:
+    """(a - J, g_J) for every ascending index tuple J of first..depth
+    entries: the weights left after dropping J, not re-normalized, and their
+    gcd."""
     ws = v.weights
     out = {}
-    for r in range(1, depth + 1):
+    for r in range(first, depth + 1):
         for J in combinations(range(v.n), r):
             seq = tuple(w for i, w in enumerate(ws) if i not in J)
             out[J] = (seq, gcd(*seq))
@@ -96,89 +105,121 @@ def _roots(reduced: dict, J: tuple) -> tuple:
 # -- partial-Schur forms -----------------------------------------------------
 
 
-def _schur_gammas(v: WeightVector, upto: int) -> list:
-    """[gamma_0, ..., gamma_upto] (upto <= 3) in one walk over the reduced
-    vectors a - J, |J| <= upto, in integers.
+def _schur_gammas(v: WeightVector, upto: int):
+    """Generator of the running [(num, den)] of gamma_0..gamma_upto
+    (upto <= 3), yielded once after each layer r = 0..upto of the walk over
+    the reduced vectors a - J, |J| = r, in integers.
 
     The reduced vector of an r-element J enters gamma_m for every m >= r
-    through s[u] = S_{n-u}(a - J), u = r+2..m+2.  One batched remainder-route
-    call over the consecutive exponents n-upto-2..n-r-2 gives them as
-    P s[u], P a power of P_X(0) (``scaled_schur_values``); with Pi, e_1,
-    e_2 and the root-of-unity sums scaled by 12 or 24 (all ints), t[m] is
-    the int 24 P Pi times its term in gamma_m.  Each gamma_m is carried as an
-    int pair (num, den) over the common denominator of its terms, so the
-    walk builds one Fraction per gamma, at the end.  A pair's subgroup
-    weights and pair sum serve gamma_2 and gamma_3 alike.
+    through s[u] = S_{n-u}(a - J), u = r+2..m+2, so gamma_r is final once
+    layer r is done.  One batched remainder-route call over the consecutive
+    exponents n-upto-2..n-r-2 gives them as P s[u], P a power of P_X(0)
+    (``scaled_schur_values``); with Pi, e_1, e_2 and the root-of-unity sums
+    scaled by 12 or 24 (all ints), t[m] is the int 24 P Pi times its term in
+    gamma_m.  Each gamma_m is carried as an int pair (num, den) over the
+    common denominator of its terms, so a caller builds one Fraction per
+    gamma.  A layer's reduced vectors and gcds are built when the walk
+    reaches it; a pair's subgroup weights and pair sum serve gamma_2 and
+    gamma_3 alike.
     """
     _require_stable(v)
     ws = v.weights
     n_ = v.n
     out = [(0, 1)] * (upto + 1)
-    reduced = _reduced(v, upto)
-    for J, (seq, g) in [((), (ws, 1)), *reduced.items()]:
-        r = len(J)
-        if r == 1 and g <= 1:
-            continue  # every term carries a factor g - 1
-        xs, ys = _split(seq)
-        scale, values = scaled_schur_values(n_ - upto - 2, n_ - r - 2, xs, ys)
-        s = [0] * 6
-        s[r + 2: upto + 3] = values[::-1]
-        if not any(s):
-            continue
-        pi = prod(x - y for x in xs for y in ys)
-        e1 = sum(seq)
-        e2 = (e1 * e1 - sum(w * w for w in seq)) // 2
-        t = [0] * 4
-        if r == 0:
-            t[0] = -24 * s[2]
-            t[1] = 12 * (e1 * s[3] - s[2])
-            t[2] = 2 * (5 * e1 * s[3] - (e2 + e1 * e1) * s[4] - 4 * s[2])
-            t[3] = -6 * s[2] + 8 * e1 * s[3] - (3 * e2 + 2 * e1 * e1) * s[4] + e1 * e2 * s[5]
-        elif r == 1:
-            a = ws[J[0]]
-            t[1] = -12 * (g - 1) * s[3]
-            t[2] = 2 * (1 - g * g) * (s[3] - a * s[4]) + 6 * (g - 1) * (e1 * s[4] - s[3])
-            t[3] = (1 - g) * (4 * s[3] - 5 * e1 * s[4] + (e2 + e1 * e1) * s[5]) + (g * g - 1) * (
-                -2 * s[3] + (2 * a + e1) * s[4] - a * e1 * s[5]
-            )
-        elif r == 2:
-            # signs re-derived from the generic forms through the cofactor
-            # identity sum_i a_i^u / prod_{j != i}(a_i - a_j) = S_u / Pi
-            a, b = ws[J[0]], ws[J[1]]
-            roots = _roots(reduced, J)
-            pair = pair_sum_12(a, b, roots)
-            t[2] = -2 * s[4] * pair
-            if upto == 3:
-                t[3] = (e1 * s[5] - s[4]) * pair + (
-                    weighted_sum_24(a, roots) * (s[4] - a * s[5])
-                    + weighted_sum_24(b, roots) * (s[4] - b * s[5])
-                )
-        else:
-            a, b, c = (ws[j] for j in J)
-            t[3] = -s[5] * triple_sum_24(a, b, c, _roots(reduced, J))
-        den = 24 * pi * scale
-        for m in range(r, upto + 1):
-            if t[m]:
-                num, common = out[m]
-                shared = gcd(common, den)
-                out[m] = (num * (den // shared) + t[m] * (common // shared), common // shared * den)
-    return [Fraction(num, den) for num, den in out]
+    reduced = {}
+    for r in range(upto + 1):
+        layer = _reduced(v, r, r)
+        reduced.update(layer)
+        for J, (seq, g) in layer.items():
+            if r == 1 and g <= 1:
+                continue  # every term carries a factor g - 1
+            xs, ys = _split(seq)
+            scale, values = scaled_schur_values(n_ - upto - 2, n_ - r - 2, xs, ys)
+            s = [0] * 6
+            s[r + 2: upto + 3] = values[::-1]
+            if not any(s):
+                continue
+            pi = prod(x - y for x in xs for y in ys)
+            e1 = sum(seq)
+            e2 = (e1 * e1 - sum(w * w for w in seq)) // 2
+            t = [0] * 4
+            if r == 0:
+                t[0] = -24 * s[2]
+                t[1] = 12 * (e1 * s[3] - s[2])
+                t[2] = 2 * (5 * e1 * s[3] - (e2 + e1 * e1) * s[4] - 4 * s[2])
+                t[3] = -6 * s[2] + 8 * e1 * s[3] - (3 * e2 + 2 * e1 * e1) * s[4] + e1 * e2 * s[5]
+            elif r == 1:
+                a = ws[J[0]]
+                t[1] = -12 * (g - 1) * s[3]
+                t[2] = 2 * (1 - g * g) * (s[3] - a * s[4]) + 6 * (g - 1) * (e1 * s[4] - s[3])
+                t[3] = (1 - g) * (4 * s[3] - 5 * e1 * s[4] + (e2 + e1 * e1) * s[5]) + (
+                    g * g - 1
+                ) * (-2 * s[3] + (2 * a + e1) * s[4] - a * e1 * s[5])
+            elif r == 2:
+                # signs re-derived from the generic forms through the cofactor
+                # identity sum_i a_i^u / prod_{j != i}(a_i - a_j) = S_u / Pi
+                a, b = ws[J[0]], ws[J[1]]
+                roots = _roots(reduced, J)
+                pair = pair_sum_12(a, b, roots)
+                t[2] = -2 * s[4] * pair
+                if upto == 3:
+                    t[3] = (e1 * s[5] - s[4]) * pair + (
+                        weighted_sum_24(a, roots) * (s[4] - a * s[5])
+                        + weighted_sum_24(b, roots) * (s[4] - b * s[5])
+                    )
+            else:
+                a, b, c = (ws[j] for j in J)
+                t[3] = -s[5] * triple_sum_24(a, b, c, _roots(reduced, J))
+            den = 24 * pi * scale
+            for m in range(r, upto + 1):
+                if t[m]:
+                    num, common = out[m]
+                    shared = gcd(common, den)
+                    out[m] = (
+                        num * (den // shared) + t[m] * (common // shared),
+                        common // shared * den,
+                    )
+        yield out
+
+
+# The walk of the vector last asked for one gamma_m, at upto = 3, and the
+# gammas it has finished: (v, walk, [gamma_0, ..., gamma_r]).  One entry,
+# read and advanced under the lock; an exception while advancing discards
+# it, so a failed walk is never resumed.
+_memo = None
+_memo_lock = Lock()
+
+
+def _memo_gamma(v: WeightVector, m: int) -> Fraction:
+    global _memo
+    with _memo_lock:
+        if _memo is None or _memo[0] != v:
+            _memo = (v, _schur_gammas(v, 3), [])
+        _, walk, done = _memo
+        try:
+            while len(done) <= m:
+                num, den = next(walk)[len(done)]
+                done.append(Fraction(num, den))
+        except BaseException:
+            _memo = None
+            raise
+        return done[m]
 
 
 def gamma0(v: WeightVector) -> Fraction:
-    return _schur_gammas(v, 0)[0]
+    return _memo_gamma(v, 0)
 
 
 def gamma1(v: WeightVector) -> Fraction:
-    return _schur_gammas(v, 1)[1]
+    return _memo_gamma(v, 1)
 
 
 def gamma2(v: WeightVector) -> Fraction:
-    return _schur_gammas(v, 2)[2]
+    return _memo_gamma(v, 2)
 
 
 def gamma3(v: WeightVector) -> Fraction:
-    return _schur_gammas(v, 3)[3]
+    return _memo_gamma(v, 3)
 
 
 # -- generic forms -----------------------------------------------------------
@@ -376,17 +417,21 @@ _GENERIC_FORMS = (gamma0_generic, gamma1_generic, gamma2_generic, gamma3_generic
 def gammas(v: WeightVector, upto: int = 3, method: str = "schur") -> GammaVector:
     """gamma_0..gamma_upto of the Hilbert series of v."""
     pole = v.n - 1 + v.zero_count
+    if method not in ("schur", "generic", "series"):
+        raise ValueError(f"unknown gamma method {method!r}")
+    if upto < 0:
+        raise ValueError(f"gamma orders start at 0, got upto={upto}")
     if method == "series":
         return gammas_from_series(v, upto)
-    if method not in ("schur", "generic"):
-        raise ValueError(f"unknown gamma method {method!r}")
     if upto > 3:
         raise ValueError("closed forms stop at gamma_3; use the series method")
     if method == "schur":
-        values = tuple(_schur_gammas(v, upto))
+        for out in _schur_gammas(v, upto):
+            pass
+        values = tuple(Fraction(num, den) for num, den in out)
     else:
         values = tuple(_GENERIC_FORMS[m](v) for m in range(upto + 1))
-    if values and values[0] <= 0:
+    if values[0] <= 0:
         raise InternalInvariantViolation(
             "leading Laurent coefficient must be positive"
         )

@@ -24,7 +24,7 @@ from circleinv.weights import canonical_key, validate
 from helpers import divide_exact
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
+from perfbench.workloads import engine_pool, engine_vectors, sweep_family  # noqa: E402
 
 ONE = Polynomial.one()
 
@@ -406,6 +406,23 @@ class TestPresentation:
         assert f.phi_content[1] * bound + f.degree < bound
         assert f.factored_denominator == view
         assert _flat_view(f) == _brute_force_view(f)
+
+    def test_counts_built_once_per_divisor_class(self, monkeypatch):
+        # the counts left after d depend only on gcd(d, lcm of the needed
+        # indices), so each search frame builds them once per such gcd: on
+        # engine seed 1 that is 263 tuples, where one per candidate degree
+        # made 2413
+        built = []
+        uncovered = exact._uncovered
+
+        def counted(indices, counts, d):
+            built.append(d)
+            return uncovered(indices, counts, d)
+
+        monkeypatch.setattr(exact, "_uncovered", counted)
+        for raw in engine_vectors(1):
+            hilbert_series(validate(raw))
+        assert len(built) == 263
 
     @pytest.mark.parametrize("n, max_abs, max_bound", [(5, 3, 30), (6, 2, 24)])
     def test_repeated_indices_match_brute_force(self, n, max_abs, max_bound):

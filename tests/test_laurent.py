@@ -3,12 +3,14 @@ import itertools
 import pstats
 import random
 import sys
+import threading
 from fractions import Fraction as F
 from math import gcd, prod
 from pathlib import Path
 
 import pytest
 
+from circleinv import laurent
 from circleinv.errors import Unstable
 from circleinv.hilbert import hilbert_series
 from circleinv.laurent import (
@@ -24,11 +26,11 @@ from circleinv.laurent import (
     gammas,
     gammas_from_series,
 )
-from circleinv.weights import canonical_key, validate
+from circleinv.weights import WeightVector, canonical_key, validate
 from helpers import elementary_symmetric, partial_schur_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
+from perfbench.workloads import engine_pool, engine_vectors, sweep_family  # noqa: E402
 
 SCHUR_FORMS = (gamma0, gamma1, gamma2, gamma3)
 GENERIC_FORMS = (gamma0_generic, gamma1_generic, gamma2_generic, gamma3_generic)
@@ -214,6 +216,83 @@ class TestIntegerWalk:
         assert calls.get(("cyclotomic", "__post_init__"), 0) == 0
 
 
+class TestLayeredWalk:
+    @pytest.fixture
+    def schur_calls(self, monkeypatch):
+        # start from an empty memo and count the remainder-route calls
+        calls = []
+        values = laurent.scaled_schur_values
+
+        def counted(*args):
+            calls.append(args)
+            return values(*args)
+
+        monkeypatch.setattr(laurent, "_memo", None)
+        monkeypatch.setattr(laurent, "scaled_schur_values", counted)
+        return calls
+
+    def test_one_at_a_time_continues_the_walk(self, schur_calls):
+        # gamma_0..gamma_3 of one vector, asked for one at a time, walk each
+        # layer once: as many Schur calls as one gammas(v, 3) pass
+        vs = [validate(raw) for raw in sweep_family()]
+        one_at_a_time = [tuple(f(v) for f in SCHUR_FORMS) for v in vs]
+        assert len(schur_calls) == 3779
+        schur_calls.clear()
+        assert one_at_a_time == [gammas(v, 3).values for v in vs]
+        assert len(schur_calls) == 3779
+        schur_calls.clear()
+        for raw in engine_vectors(1):
+            v = validate(raw)
+            gamma0(v), gamma1(v)
+        assert len(schur_calls) == 61
+
+    def test_exception_discards_the_walk(self):
+        # a walk that raised is not resumed: the next call starts afresh
+        v = WeightVector(negatives=(), positives=(1, 2))
+        with pytest.raises(Unstable):
+            gamma0(v)
+        with pytest.raises(Unstable):
+            gamma1(v)
+        w = validate((-2, 3))
+        assert gamma1(w) == gammas(w, 1).values[1]
+
+    def test_interleaved_vectors(self):
+        v, w = validate((-3, -1, 2, 5)), validate((-4, -4, 1, 3))
+        got = [gamma0(v), gamma1(v), gamma0(w), gamma2(w), gamma2(v), gamma3(v), gamma3(w)]
+        gv, gw = gammas(v, 3).values, gammas(w, 3).values
+        assert got == [gv[0], gv[1], gw[0], gw[2], gv[2], gv[3], gw[3]]
+
+    def test_threads_with_distinct_vectors(self):
+        raws = [(-3, -1, 2, 5), (-4, -4, 1, 3), (-6, -4, 3, 9), (-2, 1, 1, 5), (-5, -1, 2, 2)]
+        vs = [validate(raw) for raw in raws]
+        expected = [gammas(v, 3).values for v in vs]
+        results = {}
+        errors = []
+
+        def worker(i):
+            try:
+                v = vs[i % len(vs)]
+                results[i] = [tuple(f(v) for f in SCHUR_FORMS) for _ in range(20)]
+            except Exception as exc:  # propagate to the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(10)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the walk
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        for i, got in results.items():
+            assert got == [expected[i % len(vs)]] * 20, raws[i % len(vs)]
+        assert len(results) == 10
+
+
 class TestReducedVectors:
     def test_conventions(self):
         # a - J keeps the order of v.weights and is never re-normalized; the
@@ -265,6 +344,11 @@ class TestDispatch:
         s = gammas_from_series(v1, 2)
         assert s.pole_order == 2  # zero weight raises the pole order
         assert s.values == gammas_from_series(v0, 2).values
+
+    @pytest.mark.parametrize("method", ["schur", "generic", "series"])
+    def test_negative_order_refused(self, method):
+        with pytest.raises(ValueError):
+            gammas(validate((-2, 3)), -1, method)
 
     def test_higher_coefficients_need_series(self):
         with pytest.raises(ValueError):
