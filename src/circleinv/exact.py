@@ -21,12 +21,13 @@ addition per block of d entries, so at most sqrt(n) Python steps
 (:func:`_apply_factors`).  Denominators, exact division by Phi_e, the
 engines' lift of section numerators to a common denominator, section
 numerators, series at t=0, view numerators and the presentation search are
-such passes: only + and -, so ints stay ints.  Whether Phi_e divides a
-numerator is decided on its fold mod t^e - 1, of at most e entries, which
-is taken from the fold for a multiple of e where there is one; the
-reduction then divides once per round, by the product of every Phi_e that
-divided, so the full-length divisions never fail
-(:func:`_cancel_phi_content`).
+such passes: only + and -, so ints stay ints.  The presentation search
+expands the series only as far as the numerators it tests
+(:func:`present_with_factors`).  Whether Phi_e divides a numerator is
+decided on its fold mod t^e - 1, of at most e entries, which is taken
+from the fold for a multiple of e where there is one; the reduction then
+divides once per round, by the product of every Phi_e that divided, so
+the full-length divisions never fail (:func:`_cancel_phi_content`).
 
 Every denominator here is a product of cyclotomic polynomials (a Hilbert
 series is P(t) / prod (1 - t^d)), so a rational function is always the
@@ -597,17 +598,27 @@ def present_with_factors(f: RationalFunction):
     f is returned unchanged only when no such view exists.
 
     It is one depth-first search over ascending d that carries the partial
-    product F * prod_chosen (1 - t^d) of the series F of f on the window
-    0 .. dim*bound + deg f, as one list multiplied by (1 - t^d) in place on
-    the way down and divided back on the way up.  A degree d is rejected as
-    soon as a coefficient of the next partial product is negative.  Its
-    coefficient at t^d, entry d minus entry 0 of the list, is checked first,
-    before the bookkeeping below, when d lies in the window; the rest of the
-    window only for a d that passes.  A d that fails the first pair fails
-    the window too, and the bookkeeping only caches a test that does not
-    depend on the list, so the order does not change the view.  That pruning is exact: if
-    h = F * prod (1 - t^{d_i}) >= 0, every partial product is
-    h * prod_rest 1/(1 - t^d), whose coefficients are nonnegative too.
+    product F * prod_chosen (1 - t^d) of the series F of f on a window
+    0 .. w, as one list multiplied by (1 - t^d) in place on the way down
+    and divided back on the way up.  A view through d has a numerator of
+    degree at least reach = sum chosen + (open factors) * d + deg f.  The
+    window starts at w = dim * deg den + deg f (deg den <= bound); when
+    reach passes it, it grows to min(top, max(reach, 2 (w + 1))), top =
+    dim * bound + deg f the largest numerator degree: F is expanded again
+    and the chosen factors are multiplied back in.  A degree d is rejected
+    as soon as a coefficient of the next partial product in the window is
+    negative.  Its coefficient at t^d, entry d minus entry 0 of the list,
+    is checked first, before the bookkeeping below, when d lies in the
+    window; the rest of the window only for a d that passes.  A d that
+    fails the first pair fails the window too, and the bookkeeping only
+    caches a test that does not depend on the list, so the order does not
+    change the view.  That pruning is exact: if h = F * prod (1 - t^{d_i})
+    >= 0, every partial product is h * prod_rest 1/(1 - t^d), whose
+    coefficients are nonnegative too.  The last factor d completes a view
+    that covers the denominator, so h is its numerator, a polynomial of
+    degree reach: d is accepted only when all of h, 0 .. reach, is
+    nonnegative, the entries below d included.  So the view is the one a
+    window of 0 .. top gives.
 
     The cyclotomic bookkeeping only skips degrees that cannot complete a
     covering view.  An index e still needed in as many factors as are open
@@ -646,19 +657,33 @@ def present_with_factors(f: RationalFunction):
             for e, m in zip(indices, counts)
         ) and _ceil_to(min_d, forced_lcm(counts, slots)) <= bound
 
-    # last index of the series window, the largest possible numerator degree
-    top = nfactors * bound + f.numerator.degree - f.denominator.degree
+    deg = f.numerator.degree - f.denominator.degree
+    # the largest possible numerator degree, the most the window can need
+    top = nfactors * bound + deg
     # (counts, slots) -> smallest min_d at which that state was infeasible;
     # feasibility only goes from true to false as min_d grows
     failed = {}
+    # the degrees multiplied into arr, outermost first
+    chosen = []
+
+    def grow(reach: int):
+        # re-expand F on a longer window and multiply the chosen factors
+        # back in, in place: every frame holds the same list
+        arr[:] = f.series_at_zero(min(top, max(reach, 2 * len(arr))))
+        _apply_factors(arr, Counter(chosen))
 
     def dfs(counts: tuple, slots: int, min_d: int):
         step = forced_lcm(counts, slots)
         # a needed index divides d exactly when it divides gcd(d, need)
         need = lcm(*(e for e, m in zip(indices, counts) if m))
+        base = sum(chosen) + deg
         afters = {}
         for d in range(_ceil_to(min_d, step), bound + 1, step):
-            if d <= top and arr[d] < arr[0]:
+            # the smallest numerator degree of a view through d
+            reach = base + slots * d
+            if reach >= len(arr):
+                grow(reach)
+            if d < len(arr) and arr[d] < arr[0]:
                 continue
             key = gcd(d, need)
             after = afters.get(key)
@@ -670,19 +695,27 @@ def present_with_factors(f: RationalFunction):
             if not feasible(after, slots - 1, d):
                 failed[state] = d
                 continue
+            if slots == 1:
+                # the view covers the denominator, so h = arr * (1 - t^d)
+                # is its numerator, of degree reach: check all of it
+                end = reach + 1
+                if min(arr[: min(d, end)]) < 0 or any(map(lt, islice(arr, d, end), arr)):
+                    continue
+                return chosen + [d]
             if any(map(lt, islice(arr, d, None), arr)):
                 continue
-            if slots == 1:
-                return [d]
+            chosen.append(d)
             _apply_factors(arr, {d: 1})
-            rest = dfs(after, slots - 1, d)
-            if rest:
-                return [d] + rest
+            view = dfs(after, slots - 1, d)
+            if view:
+                return view
             _apply_factors(arr, {d: -1})
+            chosen.pop()
         return None
 
     counts = tuple(content[e] for e in indices)
-    arr = f.series_at_zero(top)
+    # bound >= deg den, so this window is at most top
+    arr = f.series_at_zero(nfactors * f.denominator.degree + deg)
     if min(arr) < 0 or not feasible(counts, nfactors, 1):
         return f
     view = dfs(counts, nfactors, 1)

@@ -118,15 +118,13 @@ def _part_counts(factors: tuple, ms) -> list:
         return [int(m >= 0 and m % g == 0) for m in ms]
     c1, c2 = factors[0] // g, factors[1] // g
     inverse, span = pow(c1, -1, c2), c1 * c2
-    out = []
-    for m in ms:
-        if m < 0 or m % g:
-            out.append(0)
-            continue
-        m //= g
-        x = c1 * (m * inverse % c2)  # c1 x0, x0 the least x with c2 | m - c1 x
-        out.append((m - x) // span + 1 if m >= x else 0)
-    return out
+    # c1 x0 < span, x0 the least x with c2 | q - c1 x, so the count
+    # (q - c1 x0) // span + 1 is already 0 when q < c1 x0
+    return [
+        (q - c1 * (q * inverse % c2)) // span + 1 if m >= 0 and not m % g else 0
+        for m in ms
+        for q in [m // g]
+    ]
 
 
 def _series_section(problem: SectionProblem, degree_limit: int) -> list:

@@ -399,8 +399,9 @@ class TestPresentation:
 
     @pytest.mark.parametrize("raw, view", [((-5, 1), ((6, 1),)), ((-5, 2), ((7, 1),))])
     def test_degrees_beyond_the_series_window(self, raw, view):
-        # the series window 0..top, top = dim * bound + deg f, ends below
-        # bound: degrees above top leave no coefficient pair to compare
+        # the series window never passes top = dim * bound + deg f, which
+        # here ends below bound: degrees above top leave no coefficient
+        # pair to compare
         f = hilbert_series(validate(raw))
         bound = _present_bound(f)
         assert f.phi_content[1] * bound + f.degree < bound
@@ -423,6 +424,74 @@ class TestPresentation:
         for raw in engine_vectors(1):
             hilbert_series(validate(raw))
         assert len(built) == 263
+
+    @staticmethod
+    def _count_series_orders(monkeypatch) -> list:
+        # the order of every series_at_zero call, in call order
+        orders = []
+        series_at_zero = RationalFunction.series_at_zero
+
+        def counted(f, order):
+            orders.append(order)
+            return series_at_zero(f, order)
+
+        monkeypatch.setattr(RationalFunction, "series_at_zero", counted)
+        return orders
+
+    def test_window_entries(self, monkeypatch):
+        # the search expands the series only as far as the numerators it
+        # tests: 52 944 entries on engine seed 1, where one window of
+        # dim * bound + deg f entries per series took 105 167
+        orders = self._count_series_orders(monkeypatch)
+        for raw in engine_vectors(1):
+            hilbert_series(validate(raw))
+        assert sum(order + 1 for order in orders) == 52944
+
+    def test_grown_windows_match_brute_force(self, monkeypatch):
+        # a series expanded more than once had its window grown mid-search
+        orders = self._count_series_orders(monkeypatch)
+        grown = checked = 0
+        for raw in sweep_family():
+            orders.clear()
+            f = hilbert_series(validate(raw))
+            if len(orders) < 2:
+                continue
+            grown += 1
+            if _present_bound(f) <= 60:
+                assert _flat_view(f) == _brute_force_view(f), raw
+                checked += 1
+        assert grown >= 1
+        assert checked > 10
+
+    @pytest.mark.parametrize("raw", [(-12, -12, 5, 7), (-60, -60, 7, 11)])
+    def test_absent_view_stays_absent(self, raw, monkeypatch):
+        # no view exists within the bound: the search starts on a short
+        # window and grows it up to top = dim * bound + deg f on the way to
+        # proving that
+        f = hilbert_series(validate(raw))
+        orders = self._count_series_orders(monkeypatch)
+        assert present_with_factors(f) is f
+        top = f.phi_content[1] * _present_bound(f) + f.degree
+        assert orders[0] < orders[-1] == top
+
+    @pytest.mark.parametrize(
+        "num",
+        [
+            # h = num * Phi_6 = 1 + t^2 + 2t^4 - t^5 + t^6: negative below d
+            {0: 1, 1: 1, 2: 1, 4: 1},
+            # h = 1 + 2t^2 + 2t^3 + t^5 + 2t^6 - t^7: negative at its degree
+            {0: 1, 1: 1, 2: 2, 3: 3, 4: 1, 5: -1},
+        ],
+    )
+    def test_leaf_checks_the_whole_numerator(self, num):
+        # over (1 - t) Phi_2 Phi_3 the only candidate is d = 6; the start
+        # window 0..deg num shows no negative entry of the series, so only
+        # the leaf's check of all of h rejects the view
+        f = from_view(Polynomial(num), {1: -1, 2: 1, 3: 1})
+        assert f.phi_content == Counter({1: 1, 2: 1, 3: 1})
+        assert min(f.series_at_zero(f.numerator.degree)) >= 0
+        assert present_with_factors(f) is f
+        assert _brute_force_view(f) is None
 
     @pytest.mark.parametrize("n, max_abs, max_bound", [(5, 3, 30), (6, 2, 24)])
     def test_repeated_indices_match_brute_force(self, n, max_abs, max_bound):
