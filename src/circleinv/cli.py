@@ -18,6 +18,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 from . import gorenstein, hironaka, laurent, schur
 from .errors import ValidationError
@@ -27,7 +28,7 @@ from .hilbert import (
     hilbert_series,
     oracle_coefficients,
 )
-from .weights import canonical_key, validate
+from .weights import validate
 
 ENV_PREFIX = "CIRCLEINV_"
 
@@ -270,20 +271,18 @@ def _scan_representative(weights) -> tuple:
 
 
 def _scan_candidates(n: int, max_abs: int):
+    """The representatives, sorted, of the classes {v, -v} of stable
+    faithful vectors of n nonzero weights in [-max_abs, max_abs]: every
+    class has a primitive member in range (divide by the gcd), and both
+    orientations of a class give the same representative."""
     values = [w for w in range(-max_abs, max_abs + 1) if w != 0]
-    seen = set()
-    out = []
-    for combo in combinations_with_replacement(values, n):
-        if not any(w < 0 for w in combo) or not any(w > 0 for w in combo):
-            continue
-        v = validate(combo)
-        key = canonical_key(v)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(_scan_representative(v.weights))
-    out.sort()
-    return out
+    return sorted(
+        {
+            _scan_representative(combo)
+            for combo in combinations_with_replacement(values, n)
+            if combo[0] < 0 < combo[-1] and gcd(*combo) == 1
+        }
+    )
 
 
 def _scan_one(weights) -> dict:

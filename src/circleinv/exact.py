@@ -28,6 +28,12 @@ decided on its fold mod t^e - 1, of at most e entries, which is taken
 from the fold for a multiple of e where there is one; the reduction then
 divides once per round, by the product of every Phi_e that divided, so
 the full-length divisions never fail (:func:`_cancel_phi_content`).
+The expansion at t = 1 runs on ints too: p(1 - s) is repeated synthetic
+division by t - 1, one running sum per coefficient of s
+(:func:`_taylor_at_one`), and the series division carries each
+coefficient times a power of the denominator's leading entry, so
+:meth:`RationalFunction.laurent_at_one` builds one Fraction per
+coefficient.
 
 Every denominator here is a product of cyclotomic polynomials (a Hilbert
 series is P(t) / prod (1 - t^d)), so a rational function is always the
@@ -48,8 +54,8 @@ threads; every operation returns a fresh value.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
-from math import comb, gcd, lcm
+from itertools import accumulate, islice, repeat
+from math import gcd, lcm
 from operator import add, lt, sub
 
 from .errors import InternalInvariantViolation, ZeroDenominator, ZeroFunction
@@ -201,33 +207,29 @@ class Polynomial:
                     rem[i - off] -= c * b
         return _from_dense(q), _from_dense(rem[:dd])
 
-    def one_multiplicity(self) -> int:
-        """Multiplicity of the factor (t - 1), by repeated synthetic division."""
-        if self.is_zero():
-            raise ZeroFunction("zero polynomial")
-        mult = 0
-        coeffs = self.to_dense()
-        while sum(coeffs) == 0:  # value at t=1
-            # exact division by 1 - t: the quotient's top entry is 0
-            _apply_factors(coeffs, {1: -1}).pop()
-            mult += 1
-        return mult
-
     def __repr__(self):
         if not self._coeffs:
             return "Polynomial(0)"
         return "Polynomial(" + " + ".join(f"{c}*t^{e}" for e, c in self.items()) + ")"
 
 
-def _taylor_at_one(p: Polynomial, order: int) -> list:
-    """Coefficients of p(1-s) as a polynomial in s, modulo s^order."""
-    out = [0] * order
-    for e, c in p.items():
-        top = min(order - 1, e)
-        for j in range(top + 1):
-            term = c * comb(e, j)
-            out[j] += term if j % 2 == 0 else -term
-    return out
+def _taylor_at_one(p: Polynomial):
+    """The coefficients of p(1 - s) as a polynomial in s, lowest first, then
+    zeros without end.
+
+    Repeated synthetic division by t - 1 writes p = sum b_j (t - 1)^j: on
+    the coefficients highest first, one ``accumulate`` gives the suffix
+    sums, the last of them, the remainder p(1), is b_j, and the others are
+    the quotient's coefficients, highest first.  So p(1 - s) = sum (-1)^j
+    b_j s^j, in + only: ints stay ints.
+    """
+    rest = p.to_dense()[::-1]
+    sign = 1
+    while rest:
+        rest = list(accumulate(rest))
+        yield sign * rest.pop()
+        sign = -sign
+    yield from repeat(0)
 
 
 class LaurentExpansion:
@@ -237,7 +239,7 @@ class LaurentExpansion:
 
     def __init__(self, pole_order: int, coefficients):
         self.pole_order = pole_order
-        self.coefficients = tuple(Fraction(c) for c in coefficients)
+        self.coefficients = tuple(coefficients)
 
     def __eq__(self, other):
         return (
@@ -475,23 +477,39 @@ class RationalFunction:
 
     def laurent_at_one(self, count: int) -> LaurentExpansion:
         """Pole order at t=1 and the first ``count`` expansion coefficients
-        with respect to powers of (1 - t)."""
+        with respect to powers of s = 1 - t, as Fractions.
+
+        Both Taylor expansions at s = 0 are synthetic divisions in ints
+        (:func:`_taylor_at_one`), and the numerator's multiplicity alpha of
+        (1 - t) is the number of its leading zeros, counted as they come.
+        The series division modulo s^count carries C_m = c_m d0^(m+1), d0
+        the denominator's leading entry:
+
+            C_m = n_m d0^m - sum_{j=1..m} d_j C_{m-j} d0^(j-1),
+
+        so it runs in ints too, and each c_m is one Fraction(C_m, d0^(m+1)).
+        """
         if self.is_zero():
             raise ZeroFunction("Laurent expansion of the zero function")
         # (1 - t) divides the denominator exactly m_1 times (Phi_e(1) != 0
-        # for e > 1), so both leading entries below are nonzero
+        # for e > 1), so d0 below is nonzero
         beta = self.phi_content.get(1, 0)
-        alpha = self.numerator.one_multiplicity()
-        num_s = _taylor_at_one(self.numerator, alpha + count)[alpha:]
-        den_s = _taylor_at_one(self.denominator, beta + count)[beta:]
-        # series division modulo s^count
-        coeffs = []
+        num = _taylor_at_one(self.numerator)
+        alpha = 0
+        while not (lead := next(num)):
+            alpha += 1
+        num_s = [lead, *islice(num, max(count - 1, 0))]
+        den_s = list(islice(_taylor_at_one(self.denominator), beta, beta + count))
+        powers = [1]  # d0^m
+        for _ in range(count):
+            powers.append(powers[-1] * den_s[0])
+        scaled = []  # C_m
         for m in range(count):
-            acc = num_s[m]
+            acc = num_s[m] * powers[m]
             for j in range(1, m + 1):
-                acc -= den_s[j] * coeffs[m - j]
-            coeffs.append(_quotient(acc, den_s[0]))
-        return LaurentExpansion(beta - alpha, coeffs)
+                acc -= den_s[j] * scaled[m - j] * powers[j - 1]
+            scaled.append(acc)
+        return LaurentExpansion(beta - alpha, map(Fraction, scaled, powers[1:]))
 
     def __repr__(self):
         if self.factored_denominator:

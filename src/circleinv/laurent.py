@@ -15,6 +15,11 @@ Each coefficient comes in three independent flavors:
   vector; the Laplace expansion and determinant routes are its oracles),
   the root-of-unity sums scaled by 12 or 24, and each gamma_m is an int
   numerator over an int denominator until one Fraction is built per gamma.
+  The walk skips an index set J before its Schur values when its term is
+  0: when g_J <= 1, since the terms of a single index carry a factor
+  g_J - 1 and a larger J then has no root (z = 1 is excluded by each K =
+  J minus one index, as g_K divides g_J), and when the root set of a
+  larger J is empty, since its terms are sums over that set.
   ``gammas(v, upto)`` runs the walk to layer ``upto`` in one pass.
   ``gamma0``..``gamma3`` share a one-entry memo: the walk of the last
   vector they were asked about, at upto = 3, advanced only as far as the
@@ -121,6 +126,18 @@ def _schur_gammas(v: WeightVector, upto: int):
     gamma.  A layer's reduced vectors and gcds are built when the walk
     reaches it; a pair's subgroup weights and pair sum serve gamma_2 and
     gamma_3 alike.
+
+    An index set J, |J| = r >= 1, is skipped before its Schur values when
+    its term is 0, cheapest test first:
+
+    (a) g_J <= 1.  For r = 1 every term carries a factor g_J - 1, and
+        g_J = 0 only for an empty remainder.  For r >= 2 the root set of J
+        is empty: g_J = 0 admits no root, and g_J = 1 admits only z = 1,
+        which every K = J minus one index excludes, since g_K divides g_J.
+    (b) r >= 2 and the subgroup weights of J are ``()``.  Every term of J
+        is a sum over that root set (``pair_sum_12``, ``weighted_sum_24``,
+        ``triple_sum_24``), so it is 0; otherwise the weights serve the
+        term.
     """
     _require_stable(v)
     ws = v.weights
@@ -131,8 +148,12 @@ def _schur_gammas(v: WeightVector, upto: int):
         layer = _reduced(v, r, r)
         reduced.update(layer)
         for J, (seq, g) in layer.items():
-            if r == 1 and g <= 1:
-                continue  # every term carries a factor g - 1
+            if r and g <= 1:
+                continue  # (a): no root for r >= 2; a factor g - 1 for r = 1
+            if r >= 2:
+                roots = _roots(reduced, J)
+                if not roots:
+                    continue  # (b): every root-of-unity sum is 0
             xs, ys = _split(seq)
             scale, values = scaled_schur_values(n_ - upto - 2, n_ - r - 2, xs, ys)
             s = [0] * 6
@@ -159,7 +180,6 @@ def _schur_gammas(v: WeightVector, upto: int):
                 # signs re-derived from the generic forms through the cofactor
                 # identity sum_i a_i^u / prod_{j != i}(a_i - a_j) = S_u / Pi
                 a, b = ws[J[0]], ws[J[1]]
-                roots = _roots(reduced, J)
                 pair = pair_sum_12(a, b, roots)
                 t[2] = -2 * s[4] * pair
                 if upto == 3:
@@ -169,7 +189,7 @@ def _schur_gammas(v: WeightVector, upto: int):
                     )
             else:
                 a, b, c = (ws[j] for j in J)
-                t[3] = -s[5] * triple_sum_24(a, b, c, _roots(reduced, J))
+                t[3] = -s[5] * triple_sum_24(a, b, c, roots)
             den = 24 * pi * scale
             for m in range(r, upto + 1):
                 if t[m]:

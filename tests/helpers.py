@@ -3,7 +3,8 @@ them."""
 
 from fractions import Fraction
 
-from circleinv.exact import Polynomial
+from circleinv.errors import ZeroFunction
+from circleinv.exact import Polynomial, _apply_factors
 from circleinv.schur import partial_schur
 
 
@@ -37,3 +38,17 @@ def partial_schur_of(u: int, seq):
     """S_u of a weight sequence, split into its negative and positive
     blocks (0 when it has no negative entry)."""
     return partial_schur(u, [w for w in seq if w < 0], [w for w in seq if w > 0])
+
+
+def one_multiplicity(p: Polynomial) -> int:
+    """Multiplicity of the factor (t - 1) in p, by repeated synthetic
+    division."""
+    if p.is_zero():
+        raise ZeroFunction("zero polynomial")
+    mult = 0
+    coeffs = p.to_dense()
+    while sum(coeffs) == 0:  # value at t=1
+        # exact division by 1 - t: the quotient's top entry is 0
+        _apply_factors(coeffs, {1: -1}).pop()
+        mult += 1
+    return mult

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -12,7 +13,7 @@ from circleinv import cli
 from circleinv.cli import main, report_json
 from circleinv.exact import Polynomial
 from circleinv.gorenstein import analyze
-from circleinv.weights import validate
+from circleinv.weights import canonical_key, validate
 
 
 def run_cli(args, env=None):
@@ -162,6 +163,27 @@ class TestHironakaCommand:
 
 
 class TestScanCommand:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("max_weight", [1, 2, 3, 4, 5])
+    def test_candidates_match_validated_dedup(self, n, max_weight):
+        # the primitive combinations give the same classes, in the same
+        # order, as validating every stable combination and keeping the
+        # first of each canonical key
+        def by_validation():
+            values = [w for w in range(-max_weight, max_weight + 1) if w]
+            seen, out = set(), []
+            for combo in combinations_with_replacement(values, n):
+                if not any(w < 0 for w in combo) or not any(w > 0 for w in combo):
+                    continue
+                v = validate(combo)
+                key = canonical_key(v)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(cli._scan_representative(v.weights))
+            return sorted(out)
+
+        assert cli._scan_candidates(n, max_weight) == by_validation()
+
     def test_small_scan_counts(self, tmp_path):
         out = tmp_path / "scan.jsonl"
         proc = run_cli(["scan", "--n", "2", "--max-weight", "5", "--output", str(out)])

@@ -261,6 +261,14 @@ class TestSubgroupWeights:
         for excluded in ((), (1,), (3, 3), (2, 3), (1, 2, 5)):
             assert subgroup_weights(0, excluded) == ()
 
+    def test_order_one_has_no_root_once_anything_is_excluded(self):
+        # z = 1 is the only root of order 1, and z^e = 1 for every e; the
+        # gamma walk skips every J with g_J <= 1 on this
+        for excluded in ((1,), (3, 3), (2, 3), (1, 2, 5), (0, 4)):
+            assert subgroup_weights(1, excluded) == ()
+            assert subgroup_weights(0, excluded) == ()
+        assert subgroup_weights(1, ()) == ((1, 1),)
+
     def test_match_exact_order_mobius(self):
         # every pair and triple root set the walk builds over the benchmark
         # families: inclusion-exclusion over the excluded subgroups gives

@@ -1,9 +1,11 @@
+import cProfile
+import pstats
 import random
 import sys
 from collections import Counter
 from fractions import Fraction as F
-from itertools import accumulate
-from math import isqrt
+from itertools import accumulate, islice
+from math import comb, isqrt
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from circleinv.exact import (
 )
 from circleinv.hilbert import hilbert_series
 from circleinv.weights import validate
-from helpers import divide_exact, power
+from helpers import divide_exact, one_multiplicity, power
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
@@ -173,8 +175,8 @@ class TestPolynomial:
 
     def test_one_multiplicity(self):
         p = one_minus(2) * one_minus(4) * P({0: 1, 1: 1})
-        assert p.one_multiplicity() == 2
-        assert P({0: 2}).one_multiplicity() == 0
+        assert one_multiplicity(p) == 2
+        assert one_multiplicity(P({0: 2})) == 0
 
     def test_pow(self):
         p = P({0: 1, 1: 1})
@@ -588,6 +590,44 @@ class TestLaurentAtOne:
     def test_zero_function(self):
         with pytest.raises(ZeroFunction):
             RationalFunction.zero().laurent_at_one(1)
+
+    def test_taylor_at_one_matches_binomials(self):
+        # p(1 - s) = sum_e c_e (1 - s)^e by the binomial theorem, modulo s^order
+        def binomial(p, order):
+            out = [0] * order
+            for e, c in p.items():
+                for j in range(min(e, order - 1) + 1):
+                    out[j] += (-1) ** j * comb(e, j) * c
+            return out
+
+        rng = random.Random(24)
+        polys = [Polynomial.zero(), P({0: 5}), one_minus(1), one_minus(6) * one_minus(1)]
+        for _ in range(60):
+            entries = [0, 1, -1, 2, -3, 7] + ([F(1, 2), F(-2, 3)] if rng.random() < 0.5 else [])
+            p = P({e: rng.choice(entries) for e in range(rng.randint(0, 9))})
+            polys.append(p * power(one_minus(1), rng.randint(0, 3)))
+        for p in polys:
+            deg = -1 if p.is_zero() else p.degree
+            for order in (1, 2, deg + 1, deg + 4):
+                got = list(islice(exact._taylor_at_one(p), order))
+                assert got == binomial(p, order), (p, order)
+                if all(type(c) is int for _, c in p.items()):
+                    assert all(type(c) is int for c in got), (p, order)
+
+    def test_one_fraction_per_coefficient(self):
+        # the Taylor expansions and the series division run in ints, and each
+        # coefficient is built as one Fraction; cProfile counts every
+        # Fraction construction
+        fs = [hilbert_series(validate(raw)) for raw in sweep_family()]
+        profile = cProfile.Profile()
+        expansions = profile.runcall(lambda: [f.laurent_at_one(4) for f in fs])
+        built = sum(
+            stat[1]
+            for (path, _, name), stat in pstats.Stats(profile).stats.items()
+            if path.endswith("fractions.py") and name == "__new__"
+        )
+        assert 0 < built <= 4 * len(fs)
+        assert all(type(c) is F for e in expansions for c in e.coefficients)
 
 
 class TestDegree:

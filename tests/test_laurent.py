@@ -215,6 +215,19 @@ class TestIntegerWalk:
         assert calls.get(("cyclotomic", "subgroup_weights"), 0) > 0
         assert calls.get(("cyclotomic", "__post_init__"), 0) == 0
 
+    def test_root_sets_only_where_a_root_can_be(self):
+        # a pair or triple J with g_J <= 1 admits no root and builds no root
+        # set; cProfile counts every subgroup_weights call
+        vs = [validate(raw) for raw in sweep_family()]
+        profile = cProfile.Profile()
+        profile.runcall(lambda: [gammas(v, 3) for v in vs])
+        calls = sum(
+            stat[1]
+            for (path, _, name), stat in pstats.Stats(profile).stats.items()
+            if Path(path).stem == "cyclotomic" and name == "subgroup_weights"
+        )
+        assert calls == 1465
+
 
 class TestLayeredWalk:
     @pytest.fixture
@@ -236,10 +249,10 @@ class TestLayeredWalk:
         # layer once: as many Schur calls as one gammas(v, 3) pass
         vs = [validate(raw) for raw in sweep_family()]
         one_at_a_time = [tuple(f(v) for f in SCHUR_FORMS) for v in vs]
-        assert len(schur_calls) == 3779
+        assert len(schur_calls) == 1154
         schur_calls.clear()
         assert one_at_a_time == [gammas(v, 3).values for v in vs]
-        assert len(schur_calls) == 3779
+        assert len(schur_calls) == 1154
         schur_calls.clear()
         for raw in engine_vectors(1):
             v = validate(raw)
