@@ -60,15 +60,8 @@ def _one_of(*choices):
 # JSON encoding
 
 
-def frac_json(x) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def poly_json(p: Polynomial) -> list:
-    return [[e, frac_json(c)] for e, c in p.items()]
+    return [[e, str(c)] for e, c in p.items()]
 
 
 def rf_json(f: RationalFunction) -> dict:
@@ -96,9 +89,9 @@ def report_json(report: gorenstein.GorensteinReport) -> dict:
         "degenerate": report.degenerate,
         "classification": report.classification,
         "stanley_holds": report.stanley_holds,
-        "gamma0": frac_json(report.gamma0),
-        "gamma1": frac_json(report.gamma1),
-        "ratio_2g1_g0": frac_json(report.ratio_2g1_g0),
+        "gamma0": str(report.gamma0),
+        "gamma1": str(report.gamma1),
+        "ratio_2g1_g0": str(report.ratio_2g1_g0),
         "ratio_is_integer": report.ratio_is_integer,
         "a_invariant": None if report.degree is None else str(report.degree),
         "sufficient_condition_hits": list(report.sufficient_condition_hits),
@@ -184,7 +177,7 @@ def cmd_gamma(args) -> int:
         _emit(
             {
                 "weights": weights,
-                "gamma": [frac_json(x) for x in reference.values],
+                "gamma": list(map(str, reference.values)),
                 "pole_order": reference.pole_order,
                 "methods": sorted(results),
                 "methods_agree": agree,
@@ -195,7 +188,7 @@ def cmd_gamma(args) -> int:
     _emit(
         {
             "weights": weights,
-            "gamma": [frac_json(x) for x in g.values],
+            "gamma": list(map(str, g.values)),
             "pole_order": g.pole_order,
             "method": g.method,
         }
@@ -223,9 +216,9 @@ def cmd_schur(args) -> int:
     _emit(
         {
             "u": args.u,
-            "xs": [frac_json(x) for x in xs],
-            "ys": [frac_json(y) for y in ys],
-            "value": frac_json(value),
+            "xs": list(map(str, xs)),
+            "ys": list(map(str, ys)),
+            "value": str(value),
             "routes": sorted(routes),
             "routes_agree": agree,
         }
@@ -242,7 +235,7 @@ def cmd_hironaka(args) -> int:
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     upto = _at_least(args.upto, 0, "--upto")
-    values = [frac_json(hironaka.gamma_cm(ell, data)) for ell in range(upto + 1)]
+    values = [str(hironaka.gamma_cm(ell, data)) for ell in range(upto + 1)]
     _emit(
         {
             "alphas": list(data.alphas),

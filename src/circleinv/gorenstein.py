@@ -7,9 +7,11 @@ ring is Cohen-Macaulay, so it is Gorenstein exactly when the series
 satisfies the functional equation Hilb(1/t) = (-1)^dim t^{-a} Hilb(t)
 (Stanley, "Hilbert functions of graded algebras", Adv. Math. 28, 1978);
 on the reduced pair that test is a palindromy of the numerator.  Three cheap
-criteria avoid computing the series at all:
+criteria settle the verdict without the Stanley test:
 
 * n = 2: the ring is a polynomial ring on one generator (always Gorenstein);
+  its series still comes from the section engine, so ``verify_depth``
+  checks it against the oracle like any other;
 * k = 1 with a_1 dividing the sum of the positive weights: Gorenstein with a
   known a-invariant;
 * 2*gamma_1/gamma_0 not an integer: never Gorenstein.
@@ -21,9 +23,9 @@ sufficient - ``analyze`` settles the inconclusive cases with the series.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegreeOverflow, InternalInvariantViolation
-from .exact import Polynomial, RationalFunction, _degree
-from .hilbert import DEFAULT_DEGREE_LIMIT, hilbert_series
+from .errors import InternalInvariantViolation
+from .exact import RationalFunction
+from .hilbert import hilbert_series
 from .laurent import gammas
 from .weights import WeightVector
 
@@ -114,26 +116,16 @@ class GorensteinReport:
             raise InternalInvariantViolation("a sufficient condition fired on a non-Gorenstein vector")
 
 
-def _n2_series(v: WeightVector) -> RationalFunction:
-    span = v.positives[0] - v.negatives[0]
-    view = {span: 1}
-    if v.zero_count:
-        view[1] = v.zero_count
-    deg = _degree(view)
-    if deg > DEFAULT_DEGREE_LIMIT:
-        raise DegreeOverflow(f"n=2 denominator degree {deg} exceeds the limit {DEFAULT_DEGREE_LIMIT}")
-    return RationalFunction.from_factored(Polynomial.one(), view)
-
-
 def analyze(v: WeightVector, full: bool = False, verify_depth=None) -> GorensteinReport:
     """Full Gorenstein diagnosis of one validated weight vector.
 
-    Short-circuits (skipped when ``full``): n=2 and the k=1 divisibility
-    criterion prove Gorenstein without the series; a non-integer gamma
-    ratio proves NotGorenstein without the series (``hilbert``/``degree``
-    stay None in that case).  A Gorenstein verdict must satisfy
-    2*gamma_1/gamma_0 = -a - dim; with ``full`` it must also satisfy
-    ``gamma3_relation``, for which one pass computes gamma_0..gamma_3.
+    Short-circuits (skipped when ``full``): n=2 proves Gorenstein without
+    the Stanley test, and the k=1 divisibility criterion without the
+    series; a non-integer gamma ratio proves NotGorenstein without the
+    series (``hilbert``/``degree`` stay None in that case).  A Gorenstein
+    verdict must satisfy 2*gamma_1/gamma_0 = -a - dim; with ``full`` it
+    must also satisfy ``gamma3_relation``, for which one pass computes
+    gamma_0..gamma_3.
     """
     values = gammas(v, 3 if full else 1).values
     g0, g1 = values[:2]
@@ -160,7 +152,7 @@ def analyze(v: WeightVector, full: bool = False, verify_depth=None) -> Gorenstei
     )
 
     if v.n == 2 and not full:
-        f = _n2_series(v)
+        f = hilbert_series(v, verify_depth=verify_depth)
         return GorensteinReport(
             stanley_holds=True,
             classification="Gorenstein",

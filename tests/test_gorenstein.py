@@ -6,7 +6,7 @@ import pytest
 
 from circleinv import gorenstein
 from circleinv.cli import _scan_candidates
-from circleinv.errors import InternalInvariantViolation, ZeroFunction
+from circleinv.errors import InternalInvariantViolation, OracleMismatch, ZeroFunction
 from circleinv.exact import Polynomial, RationalFunction
 from circleinv.gorenstein import (
     GorensteinReport,
@@ -227,6 +227,17 @@ class TestAnalyze:
 
         r = analyze(validate((-501, 500, 503)))
         assert not r.stanley_holds and r.hilbert is None and r.degree is None
+
+    def test_n2_series_is_checked_against_the_oracle(self, monkeypatch):
+        from circleinv import hilbert
+
+        def wrong_oracle(v, upto):
+            return [2] * (upto + 1)
+
+        monkeypatch.setattr(hilbert, "oracle_coefficients", wrong_oracle)
+        analyze(validate((-2, 3)))  # no depth, no oracle
+        with pytest.raises(OracleMismatch):
+            analyze(validate((-2, 3)), verify_depth=50)
 
     def test_k1_on_negated_orientation(self):
         r = analyze(validate((1, -2, -3)))
