@@ -235,7 +235,7 @@ def cmd_hironaka(args) -> int:
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     upto = _at_least(args.upto, 0, "--upto")
-    values = [str(hironaka.gamma_cm(ell, data)) for ell in range(upto + 1)]
+    values = [str(g) for g in hironaka.gammas_cm(upto, data)]
     _emit(
         {
             "alphas": list(data.alphas),

@@ -5,22 +5,29 @@ Two routes to the series and the counting oracle they are checked against:
 * generic path: for each negative weight a_i (N = -a_i) the integrand's
   residues sum to a series section - take the power series of
   Psi_i(u) = 1/prod_{j!=i}(1 - u^{a_j - a_i}) and keep every N-th
-  coefficient.  On rational functions the section is computed by the
-  denominator substitution (1-u^c) -> (1 - t^{c/gcd(N,c)})^{gcd(N,c)} and a
-  numerator fitted to the first D+1 kept coefficients (its degree stays
-  below D, the denominator degree).  With two factors (every n=3 vector)
-  each kept coefficient is a two-part partition count, closed by
-  Popoviciu's formula (1953; Beck-Robins, Computing the Continuous
-  Discretely, ch. 1), so the source series is never built.  The sections
-  stay unreduced: their numerators are lifted to the union of their
-  cyclotomic contents and summed.
+  coefficient.  On rational functions the section gets one denominator
+  factor 1 - t^{c/g}, g = gcd(N, c), per source factor 1 - u^c: the
+  section is (1/N) sum_{zeta^N = 1} F(zeta t^{1/N}), and its pole at a root
+  of unity rho has order at most #{c : rho^{c/g} = 1}, since a zeta-term
+  with (zeta s0)^c = 1, s0^N = rho, has rho^{c/g} = 1.  The numerator is
+  fitted to the first D'+1 kept coefficients, D' = sum c/g the view's
+  degree (the section is proper, so the numerator's degree stays below
+  D').  With two factors (every n=3 vector) each kept coefficient is a
+  two-part partition count, closed by Popoviciu's formula (1953;
+  Beck-Robins, Computing the Continuous Discretely, ch. 1), so the source
+  series is never built.  The sections stay unreduced: their numerators
+  are lifted to the union of their cyclotomic contents and summed.
 
 * pair-invariant path (repeated weights on both sides): for a < 0 < b and
   g = gcd(a, b) the pair invariants x_i^{b/g} x_j^{-a/g} cut out the
   nullcone, so by Hilbert's criterion the invariant ring is a finite module
   over them and Hilbert-Serre gives Hilb = P(t) / prod (1 - t^{(b-a)/g}).
-  The a-invariant is negative (Boutot; Watanabe), so deg P < D, the
-  denominator degree, and the first D oracle coefficients fix P exactly.
+  Its coefficients are nonnegative, so |Hilb(r rho)| <= Hilb(r) for
+  0 < r < 1 and no pole order exceeds the one at t = 1, the dimension
+  n - 1: each Phi_e of that product's content is kept at most n - 1
+  times.  The a-invariant is negative (Boutot; Watanabe), so deg P < D'',
+  the capped denominator's degree, and the first D'' oracle coefficients
+  fix P exactly.
 
 * oracle: the m-th coefficient counts exponent vectors with weighted sum
   zero and total degree m, by dynamic programming over degree rows packed
@@ -29,7 +36,11 @@ Two routes to the series and the counting oracle they are checked against:
 Each zero weight is a free generator, a factor 1/(1 - t) that both engines
 add to their denominator without touching the numerator.  Each engine then
 reduces its one numerator over its one factored denominator once, by
-cyclotomic content (``RationalFunction.from_factored``).
+cyclotomic content (``RationalFunction.from_factored``); since both
+denominators are built from these pole-order bounds, few Phi_e are left
+to cancel.  The ``DegreeOverflow`` guards read the unbounded quantities
+(sum c, N sum c, the pairs' degree), so the degree limit refuses the
+same vectors whatever the bounds save.
 """
 
 from collections import Counter
@@ -86,11 +97,21 @@ def section_problem(exponents, ratio: int) -> SectionProblem:
 
 def section(problem: SectionProblem, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> tuple:
     """(P, view), unreduced: P / prod (1 - t^d)^mult has as its series
-    every ratio-th coefficient of the problem's source series.  With one or
-    two factors the j-th of them is sign * p(c1, c2; j*N - shift),
-    p(c1, c2; M) = #{x, y >= 0 : c1 x + c2 y = M}, each in O(1)
-    (Popoviciu); more factors fill the source series.  P is the truncation
-    of those D + 1 coefficients times the view, exact since deg P < D."""
+    every ratio-th coefficient of the problem's source series.
+
+    The view is one factor 1 - t^{c/g} per exponent c, g = gcd(N, c), which
+    bounds every pole of the section S(t) = (1/N) sum_{zeta^N = 1}
+    F(zeta t^{1/N}), F = sign u^shift / prod (1 - u^c): near a root of unity
+    rho, s0^N = rho, the zeta-term has a pole of order #{c : (zeta s0)^c =
+    1}, and each such c has rho^{c/g} = 1.  So S times the view is a
+    polynomial P, of degree below D' = sum c/g since S is proper, and P is
+    the truncation of the first D' + 1 kept coefficients times the view
+    (its last entry is 0; it keeps the shift inside a series filled to
+    N D', as shift < sum c <= N D').  With one or two factors the j-th of
+    them is sign * p(c1, c2; j*N - shift), p(c1, c2; M) = #{x, y >= 0 :
+    c1 x + c2 y = M}, each in O(1) (Popoviciu); more factors fill the
+    source series to N D'.  The degree guard reads sum c, the degree of the
+    source denominator."""
     n_: int = problem.ratio
     den_degree = sum(problem.factors)
     if den_degree > degree_limit:
@@ -99,16 +120,18 @@ def section(problem: SectionProblem, degree_limit: int = DEFAULT_DEGREE_LIMIT) -
         )
     if problem.shift >= den_degree:
         raise InternalInvariantViolation("section source is not proper")
-    view: Counter = Counter()
-    for c in problem.factors:
-        g = gcd(n_, c)
-        view[c // g] += g
+    view = _section_view(problem)
     if len(problem.factors) > 2:
         extracted = _series_section(problem, degree_limit)
     else:
-        ms = range(-problem.shift, den_degree * n_ - problem.shift + 1, n_)
+        ms = range(-problem.shift, _degree(view) * n_ - problem.shift + 1, n_)
         extracted = [problem.sign * c for c in _part_counts(problem.factors, ms)]
     return _from_dense(_apply_factors(extracted, view)), view
+
+
+def _section_view(problem: SectionProblem) -> Counter:
+    """One factor 1 - t^{c/gcd(N, c)} per source exponent c."""
+    return Counter(c // gcd(problem.ratio, c) for c in problem.factors)
 
 
 def _part_counts(factors: tuple, ms) -> list:
@@ -128,11 +151,12 @@ def _part_counts(factors: tuple, ms) -> list:
 
 
 def _series_section(problem: SectionProblem, degree_limit: int) -> list:
-    """Source series coefficients 0, N, ..., N*D from the whole series, O(N*D)."""
+    """Source series coefficients 0, N, ..., N*D' from the series filled to
+    N*D', D' the section view's degree; the guard reads N * sum c."""
     top = problem.ratio * sum(problem.factors)
     if top > degree_limit:
         raise DegreeOverflow(f"section series length {top} exceeds the limit {degree_limit}")
-    series = [0] * (top + 1)
+    series = [0] * (problem.ratio * _degree(_section_view(problem)) + 1)
     series[problem.shift] = problem.sign
     _apply_factors(series, {c: -m for c, m in Counter(problem.factors).items()})
     return series[:: problem.ratio]
@@ -167,21 +191,30 @@ def hilbert_generic(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT) -
 
 def hilbert_degenerate(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> RationalFunction:
     """Pair-invariant route (valid for any stable vector; required when both
-    sides carry repeats): one factor 1 - t^{(b-a)/gcd(a,b)} per coordinate
-    pair a < 0 < b, numerator fitted from the first D oracle coefficients of
-    the zero-stripped vector, then 1/(1 - t)^zero_count."""
-    view = Counter(
+    sides carry repeats), then 1/(1 - t)^zero_count.
+
+    Hilbert-Serre bounds the denominator by one factor 1 - t^{(b-a)/gcd(a,b)}
+    per coordinate pair a < 0 < b.  The series H of the zero-stripped vector
+    has nonnegative coefficients, so |H(r rho)| <= H(r) for 0 < r < 1 and
+    every root of unity rho: no pole order exceeds the one at t = 1, the
+    dimension n - 1.  So each Phi_e of the pairs' content is kept at most
+    n - 1 times, and the numerator is fitted from the first D'' =
+    sum phi(e) min(m_e, n - 1) oracle coefficients (deg P < D'', as the
+    a-invariant is negative).  The degree guard reads the pairs' degree."""
+    pairs = Counter(
         (b - a) // gcd(a, b) for a in v.negatives for b in v.positives
     )
-    deg = _degree(view)
+    deg = _degree(pairs)
     if deg > degree_limit:
         raise DegreeOverflow(
             f"pair-invariant denominator degree {deg} exceeds the limit {degree_limit}"
         )
-    coeffs = oracle_coefficients(replace(v, zero_count=0), deg - 1)
+    content = Counter({e: min(m, v.n - 1) for e, m in _view_phi_multiset(pairs).items()})
+    view = _factor_exponents(content)
+    coeffs = oracle_coefficients(replace(v, zero_count=0), _degree(view) - 1)
     num = _from_dense(_apply_factors(coeffs, view))
-    view[1] += v.zero_count
-    return RationalFunction.from_factored(num, view)
+    content[1] += v.zero_count
+    return RationalFunction.from_factored(num, _factor_exponents(content))
 
 
 # ---------------------------------------------------------------------------

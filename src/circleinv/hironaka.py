@@ -85,19 +85,26 @@ def phi(m: int, alphas, d: int) -> Fraction:
     return _phis(alphas, m)[m]
 
 
-def gamma_cm(ell: int, data: HironakaData) -> Fraction:
-    """Laurent coefficient gamma_ell of the series
-    (sum_i t^{beta_i}) / prod_j (1 - t^{alpha_j}) at t=1, with the moments
-    M_0..M_ell of the betas summed as falling factorials."""
-    phis = _phis(data.alphas, ell)
-    moments = [0] * (ell + 1)
+def gammas_cm(upto: int, data: HironakaData) -> list:
+    """Laurent coefficients gamma_0..gamma_upto of the series
+    (sum_i t^{beta_i}) / prod_j (1 - t^{alpha_j}) at t=1, from one Todd
+    product (phi_0..phi_upto) and the moments M_0..M_upto of the betas
+    summed as falling factorials."""
+    phis = _phis(data.alphas, upto)
+    moments = [0] * (upto + 1)
     for b in data.betas:
         falling = 1
-        for j in range(ell + 1):
+        for j in range(upto + 1):
             moments[j] += falling
             falling *= b - j
-    total = sum(Fraction((-1) ** j * m, factorial(j)) * phis[ell - j] for j, m in enumerate(moments))
-    return total / prod(data.alphas)
+    terms = [Fraction((-1) ** j * m, factorial(j)) for j, m in enumerate(moments)]
+    e_d = prod(data.alphas)
+    return [sum(terms[j] * phis[ell - j] for j in range(ell + 1)) / e_d for ell in range(upto + 1)]
+
+
+def gamma_cm(ell: int, data: HironakaData) -> Fraction:
+    """Laurent coefficient gamma_ell, the last of ``gammas_cm(ell, data)``."""
+    return gammas_cm(ell, data)[ell]
 
 
 def hilb_from_hironaka(data: HironakaData) -> RationalFunction:

@@ -86,13 +86,16 @@ def _require_stable(v: WeightVector):
 def _reduced(v: WeightVector, depth: int, first: int = 1) -> dict:
     """(a - J, g_J) for every ascending index tuple J of first..depth
     entries: the weights left after dropping J, not re-normalized, and their
-    gcd."""
-    ws = v.weights
+    gcd.  The remainders of the r-element J are the (n - r)-element
+    combinations of the weights, which ``combinations`` yields in the
+    reverse order of their complements J, so each layer is two C-level
+    iterations and no Python pass per J."""
+    ws, n_ = v.weights, v.n
     out = {}
-    for r in range(first, depth + 1):
-        for J in combinations(range(v.n), r):
-            seq = tuple(w for i, w in enumerate(ws) if i not in J)
-            out[J] = (seq, gcd(*seq))
+    for r in range(first, min(depth, n_) + 1):
+        rests = list(combinations(ws, n_ - r))
+        rests.reverse()
+        out.update({J: (seq, gcd(*seq)) for J, seq in zip(combinations(range(n_), r), rests)})
     return out
 
 

@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from math import comb, lcm
+from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -19,6 +19,7 @@ from circleinv.hilbert import (
     oracle_coefficients,
     section,
     section_problem,
+    verify_against_oracle,
 )
 from circleinv.weights import canonical_key, validate
 from helpers import divide_exact, one_multiplicity
@@ -80,6 +81,87 @@ class TestSection:
                 continue
             dp = hilbert._series_section(problem, 10**7)
             assert from_view(*section(problem)).series_at_zero(len(dp) - 1) == dp, (exps, n_)
+
+
+def brute_force_section(problem) -> list:
+    """Every N-th coefficient, indices 0..N * sum c, of the source series
+    sign * u^shift / prod (1 - u^c), expanded whole by the textbook
+    recurrence, one pass per factor."""
+    top = problem.ratio * sum(problem.factors)
+    series = [0] * (top + 1)
+    series[problem.shift] = problem.sign
+    for c in problem.factors:
+        for i in range(c, top + 1):
+            series[i] += series[i - c]
+    return series[:: problem.ratio]
+
+
+class TestTightSection:
+    def test_matches_brute_force_section(self):
+        # the section S and the brute-force coefficients both live over
+        # prod (1 - t^{c/g})^g, g = gcd(N, c), of degree sum c, and S is
+        # proper: equal coefficients 0..sum c mean equal series
+        rng = random.Random(26)
+        checked = 0
+        for _ in range(400):
+            exps = [rng.choice([-1, 1, 1]) * rng.randint(1, 12) for _ in range(rng.randint(1, 4))]
+            e = abs(rng.choice(exps))
+            # strides sharing factors with the exponents, and some that need not
+            n_ = rng.choice([e * rng.randint(1, 4), gcd(e, 12) * rng.randint(1, 5), rng.randint(1, 40)])
+            problem = section_problem(exps, n_)
+            if problem.shift >= sum(problem.factors):
+                continue
+            num, view = section(problem)
+            # one factor per exponent, so the view's degree is sum c/g
+            assert view == Counter(c // gcd(n_, c) for c in problem.factors), (exps, n_)
+            assert num.degree < sum(d * m for d, m in view.items())
+            kept = brute_force_section(problem)
+            assert from_view(num, view).series_at_zero(len(kept) - 1) == kept, (exps, n_)
+            checked += 1
+        assert checked > 200
+
+    def test_pair_route_past_the_uncapped_oracle_budget(self):
+        # four pairs (-80, 79) give (1 - t^159)^4; capped at the dimension
+        # n - 1 = 3, the numerator needs 477 oracle coefficients, where the
+        # 636 of one factor per pair needed more cells than the budget
+        assert 636 * (2 * 635 * 80 + 1) > hilbert.MAX_ORACLE_CELLS
+        v = validate((-80, -80, 79, 79))
+        f = hilbert_series(v)
+        assert f.factored_denominator == ((159, 3),)
+        assert f.degree == -159
+        verify_against_oracle(v, f, 60)
+
+    def test_pair_route_oracle_cells_on_engine_pool(self, monkeypatch):
+        # cells of the oracle tables the pair route fits its numerators
+        # from: 3 810 938 with the content capped at the dimension, where
+        # one factor per pair took 5 552 250
+        cells = []
+        oracle = hilbert.oracle_coefficients
+
+        def counted(v, upto):
+            cells.append((upto + 1) * (2 * upto * max(map(abs, v.weights)) + 1))
+            return oracle(v, upto)
+
+        monkeypatch.setattr(hilbert, "oracle_coefficients", counted)
+        for raw in engine_pool():
+            hilbert_series(validate(raw))
+        assert sum(cells) == 3810938
+
+    def test_cancelled_factors_on_sweep(self, monkeypatch):
+        # the reduction cancels 79 Phi_e over the sweep series, where the
+        # g-th powers of the section factors and one factor per pair left 990
+        cancelled = []
+        cancel = exact._cancel_phi_content
+
+        def reduced(num, phis):
+            q, left = cancel(num, phis)
+            cancelled.append(sum((+Counter(phis)).values()) - sum(left.values()))
+            return q, left
+
+        monkeypatch.setattr(exact, "_cancel_phi_content", reduced)
+        for raw in sweep_family():
+            hilbert_series(validate(raw))
+        assert sum(cancelled) == 79
 
 
 class TestOracle:
@@ -245,8 +327,11 @@ class TestEngines:
     def test_failed_full_divisions_on_engine_pool(self, monkeypatch):
         # the folds decide every Phi_e, so a full-length division runs only
         # on a product of Phi_e that divides: one per round of the
-        # reduction, never failing, where one division per cancelled factor
-        # would take 1048
+        # reduction, never failing.  The engines' denominators are built
+        # from a bound on the pole orders (one factor per section exponent,
+        # pair content capped at the dimension), so only 59 Phi_e are left
+        # to cancel, where the g-th powers of the section factors and one
+        # factor per pair left 1048 (in 288 full-length divisions)
         class Folded(list):
             pass
 
@@ -270,8 +355,8 @@ class TestEngines:
         monkeypatch.setattr(exact, "_cancel_phi_content", reduced)
         for raw in engine_pool():
             hilbert_series(validate(raw))
-        assert sum(cancelled) == 1048
-        assert full == [True] * 288
+        assert sum(cancelled) == 59
+        assert full == [True] * 38
 
     def test_degenerate_degree_guard(self):
         # pair denominator (1-t^2)(1-t^3)(1-t^8)(1-t^15) has degree 28

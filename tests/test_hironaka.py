@@ -4,11 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from circleinv import hironaka
+from circleinv.cli import main
 from circleinv.errors import OutOfRange
 from circleinv.exact import Polynomial, RationalFunction
 from circleinv.hironaka import (
     HironakaData,
     gamma_cm,
+    gammas_cm,
     hilb_from_hironaka,
     lambda_poly,
     phi,
@@ -202,6 +205,29 @@ class TestGammaCM:
             assert expansion.pole_order == d
             for ell in range(7):
                 assert gamma_cm(ell, data) == expansion.coefficients[ell], data
+
+
+    def test_all_orders_in_one_pass(self):
+        data = HironakaData((2, 8, 15), (0, 3, 6, 9, 9, 10, 11, 12, 12, 13, 14, 15))
+        assert gammas_cm(6, data) == [gamma_cm(ell, data) for ell in range(7)]
+        with pytest.raises(OutOfRange):
+            gammas_cm(-1, data)
+
+    def test_cli_builds_one_todd_product(self, monkeypatch, capsys):
+        # hironaka --upto 6 reads gamma_0..gamma_6 off one Todd product,
+        # where one gamma_cm call per order built seven
+        calls = []
+        todd_values = hironaka._todd_values
+
+        def counted(alphas, m):
+            calls.append(m)
+            return todd_values(alphas, m)
+
+        monkeypatch.setattr(hironaka, "_todd_values", counted)
+        betas = "0,3,6,9,9,10,11,12,12,13,14,15"
+        assert main(["hironaka", "--alphas", "2,8,15", "--betas", betas, "--upto", "6"]) == 0
+        assert calls == [6]
+        assert '"gamma":["1/20","3/40","-11/240",' in capsys.readouterr().out
 
 
 class TestHilbFromHironaka:
