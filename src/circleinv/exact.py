@@ -22,10 +22,11 @@ addition per block of d entries, so at most sqrt(n) Python steps
 engines' lift of section numerators to a common denominator, section
 numerators, series at t=0, view numerators and the presentation search are
 such passes: only + and -, so ints stay ints.  The presentation search
-expands the series only as far as the numerators it tests
-(:func:`present_with_factors`).  Whether Phi_e divides a numerator is
-decided on its fold mod t^e - 1, of at most e entries, which is taken
-from the fold for a multiple of e where there is one; the reduction then
+tests the first covering view on its numerator, one pass, before it
+expands a window of the series (:func:`present_with_factors`).  Whether
+Phi_e divides a numerator is decided on its fold mod t^e - 1, of at most e
+entries, which is taken from the fold for a multiple of e where there is
+one, by cyclic differences (:func:`_phi_divides_fold`); the reduction then
 divides once per round, by the product of every Phi_e that divided, so
 the full-length divisions never fail (:func:`_cancel_phi_content`).
 The expansion at t = 1 runs on ints too: p(1 - s) is repeated synthetic
@@ -54,6 +55,7 @@ threads; every operation returns a fresh value.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import accumulate, islice, repeat
 from math import gcd, lcm
 from operator import add, lt, sub
@@ -305,10 +307,32 @@ def _phi_factors(e: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _phi_inverse(e: int) -> tuple:
-    """({d: -mu(e/d)}, phi(e)): the factors of 1/Phi_e and its degree."""
-    inverse = {d: -mu for d, mu in _phi_factors(e)}
-    return inverse, -_degree(inverse)
+def _prime_factors(n: int) -> tuple:
+    """The distinct primes dividing n, ascending, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return (*primes, n) if n > 1 else tuple(primes)
+
+
+def _phi_divides_fold(r: list, e: int) -> bool:
+    """Whether Phi_e divides r = a mod (t^e - 1), e > 1, of at most e
+    entries.
+
+    t^e - 1 is squarefree and prod_{p | e prime} (t^{e/p} - 1) holds every
+    Phi_d with d | e except Phi_e, so Phi_e divides r exactly when that
+    product times r is 0 mod t^e - 1.  Times t^k - 1 mod t^e - 1 is one
+    rotate-and-subtract pass over the e entries.
+    """
+    r = r + [0] * (e - len(r))
+    for p in _prime_factors(e):
+        k = e // p
+        r = list(map(sub, r[-k:] + r[:-k], r))
+    return not any(r)
 
 
 def _factor_exponents(phis) -> dict:
@@ -345,6 +369,14 @@ def _apply_factors(a: list, ks) -> list:
                 for s in range(d, n, d):
                     a[s : s + d] = map(add, a[s : s + d], a[s - d : s])
     return a
+
+
+def _series(coeffs, inverse: dict, order: int) -> list:
+    """The Taylor coefficients 0..order of the numerator ``coeffs`` over
+    prod (1 - t^d)^{-inverse_d}, one kernel pass (:func:`_apply_factors`)."""
+    out = list(coeffs[: order + 1])
+    out += [0] * (order + 1 - len(out))
+    return _apply_factors(out, inverse)
 
 
 def _fold(a: list, e: int) -> list:
@@ -468,9 +500,8 @@ class RationalFunction:
         """Taylor coefficients c_0..c_order at t=0: the numerator times
         prod (1 - t^d)^{-k_d}, only + and -, so the entries are ints when the
         numerator's are."""
-        out = self.numerator.to_dense()[: order + 1]
-        out += [0] * (order + 1 - len(out))
-        _apply_factors(out, {d: -k for d, k in _factor_exponents(self.phi_content).items()})
+        inverse = {d: -k for d, k in _factor_exponents(self.phi_content).items()}
+        out = _series(self.numerator._coeffs, inverse, order)
         if set(map(type, self.numerator._coeffs)) <= {int}:
             return out
         return [_exact(c) for c in out]
@@ -531,10 +562,12 @@ def _cancel_phi_content(num: Polynomial, phis: Counter):
     Phi_e divides t^e - 1.  Since t^e - 1 divides t^e' - 1 when e | e', a
     mod (t^e - 1) = (a mod (t^e' - 1)) mod (t^e - 1), so each fold is
     taken from the shortest fold of the round for a multiple of e, or from
-    a when there is none; Phi_1 is decided by the sum of that fold, a(1).
-    Distinct Phi_e are coprime, so their product divides a when each of
-    them does: the round divides a once by the product of those that
-    divided (:func:`_divide_phi`), and that division must be exact.  The
+    a when there is none; Phi_1 is decided by the sum of that fold, a(1),
+    and every other Phi_e by omega(e) cyclic differences of its fold
+    (:func:`_phi_divides_fold`), with no division.  Distinct Phi_e are
+    coprime, so their product divides a when each of them does: the round
+    divides a once by the product of those that divided
+    (:func:`_divide_phi`), and that division must be exact.  The
     next round decides again only the indices that divided and still have
     multiplicity left; by unique factorization each Phi_e cancels min(m_e,
     its multiplicity in num) times.  A negative multiplicity is a numerator
@@ -557,7 +590,7 @@ def _cancel_phi_content(num: Polynomial, phis: Counter):
                     divided.append(e)
                 continue
             folds[e] = r = _fold(source, e)
-            if _divide_phi(r, *_phi_inverse(e)) is not None:
+            if _phi_divides_fold(r, e):
                 divided.append(e)
         if not divided:
             break
@@ -614,6 +647,34 @@ def present_with_factors(f: RationalFunction):
     prod (1 - t^{d_i}) is divisible by the denominator and leaves a
     numerator with no negative coefficient.  The search is exhaustive, so
     f is returned unchanged only when no such view exists.
+
+    The first cover is tested before any window of the series F of f is
+    expanded.  A view has h = F * prod (1 - t^{d_i}) >= 0, so
+    F * (1 - t^{d_1}) = h * prod_{i > 1} 1/(1 - t^{d_i}) >= 0 too, and its
+    coefficient at t^{d_1} is F[d_1] - F[0]: no view starts at a degree d
+    with F[d] < F[0] (the pair test; den(0) = 1).  From the content alone,
+    a search over covers finds the lexicographically first ascending tuple
+    that covers the denominator and whose first degree passes the pair
+    test.  Every smaller tuple fails to cover or starts at a degree that
+    fails the pair test, so none is a view: when the tuple's numerator h,
+    one kernel pass over the reduced numerator with k_d = its multiplicity
+    of d minus the content's, is nonnegative, it is the view.  The pair
+    test reads F only up to the first degrees it tries (at most the bound),
+    expanded by doubling.  No cover passing the pair test means no view.
+    The cover search steps, level by level, only over the candidates
+    ceil(lo / g) * g, g the lcm of the forced indices (below) and of the
+    needed indices that divide the candidate: the first d with a cover
+    after it is such a candidate, for the needed indices that divide d,
+    and the candidates come in ascending order, a candidate with no cover
+    after it sending on g times each needed index it misses.  A state
+    (remaining counts, open factors) with no cover from lo has none from a
+    larger lo, so the smallest such lo is remembered, in the memo the
+    depth-first search below reads too.  The pair test rejects a degree,
+    never its divisor pattern: a rejected d sends on d + g, the next
+    candidate with the same g.
+
+    When h has a negative coefficient, no view starts below the tuple's
+    first degree, and the depth-first search below starts there.
 
     It is one depth-first search over ascending d that carries the partial
     product F * prod_chosen (1 - t^d) of the series F of f on a window
@@ -675,19 +736,90 @@ def present_with_factors(f: RationalFunction):
             for e, m in zip(indices, counts)
         ) and _ceil_to(min_d, forced_lcm(counts, slots)) <= bound
 
+    # (counts, slots) -> smallest min_d at which that state was found to
+    # have no cover; that only goes from false to true as min_d grows
+    failed = {}
+
+    def first_cover(counts: tuple, slots: int, lo: int, rejects=None):
+        # the lexicographically first ascending slots-tuple in [lo, bound]
+        # that covers counts, or None; with rejects, the first whose first
+        # degree d has not rejects(d)
+        state = (counts, slots)
+        if lo >= failed.get(state, bound + 1):
+            return None
+        needed = [e for e, m in zip(indices, counts) if m]
+        if not needed and rejects is None:
+            return (lo,) * slots
+        if slots == 1 and rejects is None:
+            d = _ceil_to(lo, lcm(*needed))
+            if d <= bound and max(counts) == 1:
+                return (d,)
+        elif feasible(counts, slots, lo):
+            # the first d with a cover after it is ceil(lo / g) * g for g
+            # the lcm of the forced indices and of the needed indices that
+            # divide d; the candidates come in ascending order, and a d
+            # with no cover after it sends on g times each needed index
+            # that d misses
+            step = forced_lcm(counts, slots)
+            heap = [(_ceil_to(lo, step), step)]
+            seen = {step}
+            while heap:
+                d, g = heappop(heap)
+                if d > bound:
+                    break
+                if rejects and rejects(d):
+                    # this rejects the degree d, not its divisor pattern
+                    heappush(heap, (d + g, g))
+                    continue
+                rest = first_cover(_uncovered(indices, counts, d), slots - 1, d)
+                if rest is not None:
+                    return (d, *rest)
+                for e in needed:
+                    if d % e and (h := lcm(g, e)) <= bound and h not in seen:
+                        seen.add(h)
+                        heappush(heap, (_ceil_to(lo, h), h))
+        failed[state] = lo
+        return None
+
+    num = f.numerator._coeffs
+    # the content's k_d: F = num * prod (1 - t^d)^{inverse_d}
+    inverse = {d: -k for d, k in _factor_exponents(content).items()}
+    series = num[:1]
+
+    def fails_pair(d: int) -> bool:
+        # a view whose first degree is d has F[d] >= F[0]; F grows by
+        # doubling as d does
+        nonlocal series
+        if d >= len(series):
+            series = _series(num, inverse, min(bound, 2 * d))
+        return series[d] < series[0]
+
+    counts = tuple(content[e] for e in indices)
+    cover = first_cover(counts, nfactors, 1, fails_pair)
+    if cover is None:
+        return f
+    # h = num * prod (1 - t^{d_i}) / den, a polynomial: the view's numerator
+    ks = dict(inverse)
+    for d in cover:
+        ks[d] = ks.get(d, 0) + 1
+    h = list(num)
+    h += [0] * (sum(cover) - f.denominator.degree)
+    if min(_apply_factors(h, ks)) >= 0:
+        return RationalFunction(
+            f.numerator, f.denominator, Counter(cover), _reduced=True,
+            phi_content=content,
+        )
+
     deg = f.numerator.degree - f.denominator.degree
     # the largest possible numerator degree, the most the window can need
     top = nfactors * bound + deg
-    # (counts, slots) -> smallest min_d at which that state was infeasible;
-    # feasibility only goes from true to false as min_d grows
-    failed = {}
     # the degrees multiplied into arr, outermost first
     chosen = []
 
     def grow(reach: int):
         # re-expand F on a longer window and multiply the chosen factors
         # back in, in place: every frame holds the same list
-        arr[:] = f.series_at_zero(min(top, max(reach, 2 * len(arr))))
+        arr[:] = _series(num, inverse, min(top, max(reach, 2 * len(arr))))
         _apply_factors(arr, Counter(chosen))
 
     def dfs(counts: tuple, slots: int, min_d: int):
@@ -731,12 +863,12 @@ def present_with_factors(f: RationalFunction):
             chosen.pop()
         return None
 
-    counts = tuple(content[e] for e in indices)
     # bound >= deg den, so this window is at most top
-    arr = f.series_at_zero(nfactors * f.denominator.degree + deg)
-    if min(arr) < 0 or not feasible(counts, nfactors, 1):
+    arr = _series(num, inverse, nfactors * f.denominator.degree + deg)
+    if min(arr) < 0:
         return f
-    view = dfs(counts, nfactors, 1)
+    # no view starts below the cover's first degree
+    view = dfs(counts, nfactors, cover[0])
     if view is None:
         return f
     return RationalFunction(

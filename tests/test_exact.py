@@ -25,7 +25,9 @@ from circleinv.exact import (
     _expand_view,
     _fold,
     _mobius,
+    _phi_divides_fold,
     _phi_factors,
+    _prime_factors,
 )
 from circleinv.hilbert import hilbert_series
 from circleinv.weights import validate
@@ -324,6 +326,28 @@ class TestDenseKernel:
             assert (_divide_phi(folded, inverse, width) is not None) == divisible, (n, e, d)
             outcomes[divisible] += 1
         assert outcomes[True] > 20 and outcomes[False] > 20
+
+    def test_cyclic_differences_decide_the_fold(self):
+        # Phi_e divides a fold r of at most e entries exactly when r times
+        # prod_{p | e prime} (t^{e/p} - 1) is 0 mod t^e - 1: against the
+        # trial division on random folds, e <= 60, half of them built as a
+        # multiple of Phi_e
+        assert [_prime_factors(n) for n in (2, 12, 30, 49, 60)] == [(2,), (2, 3), (2, 3, 5), (7,), (2, 3, 5)]
+        rng = random.Random(2027)
+        outcomes = Counter()
+        for case in range(20000):
+            e = rng.randint(2, 60)
+            inverse = {d: -mu for d, mu in _phi_factors(e)}
+            width = -_degree(inverse)
+            n = rng.randint(1, e)
+            if case % 2 and n > width:
+                r = _apply_factors([rng.randint(-3, 3) for _ in range(n - width)] + [0] * width, dict(_phi_factors(e)))
+            else:
+                r = [rng.randint(-3, 3) for _ in range(n)]
+            divisible = _divide_phi(r, inverse, width) is not None
+            assert _phi_divides_fold(r, e) == divisible, (e, r)
+            outcomes[divisible] += 1
+        assert outcomes[True] > 3000 and outcomes[False] > 3000
 
     def test_fold_and_division_check_each_other(self, monkeypatch):
         # a fold that Phi_e divides must be followed by an exact division,

@@ -494,10 +494,10 @@ class TestPresentation:
         assert _flat_view(f) == _brute_force_view(f)
 
     def test_counts_built_once_per_divisor_class(self, monkeypatch):
-        # the counts left after d depend only on gcd(d, lcm of the needed
-        # indices), so each search frame builds them once per such gcd: on
-        # engine seed 1 that is 263 tuples, where one per candidate degree
-        # made 2413
+        # the cover search builds the counts left after d once per candidate
+        # degree it tries, and the search frames once per gcd(d, lcm of the
+        # needed indices): on engine seed 1 that is 227 tuples, where the
+        # search frames alone built 263 and one per candidate degree 2413
         built = []
         uncovered = exact._uncovered
 
@@ -508,56 +508,148 @@ class TestPresentation:
         monkeypatch.setattr(exact, "_uncovered", counted)
         for raw in engine_vectors(1):
             hilbert_series(validate(raw))
-        assert len(built) == 263
+        assert len(built) == 227
 
     @staticmethod
     def _count_series_orders(monkeypatch) -> list:
-        # the order of every series_at_zero call, in call order
+        # the order of every expansion of a series, in call order
         orders = []
-        series_at_zero = RationalFunction.series_at_zero
+        series = exact._series
 
-        def counted(f, order):
+        def counted(coeffs, inverse, order):
             orders.append(order)
-            return series_at_zero(f, order)
+            return series(coeffs, inverse, order)
 
-        monkeypatch.setattr(RationalFunction, "series_at_zero", counted)
+        monkeypatch.setattr(exact, "_series", counted)
         return orders
 
+    @staticmethod
+    def _count_search_steps(monkeypatch) -> list:
+        # one entry per candidate degree that the depth-first search looks
+        # up in its divisor classes (the only gcd call of the search)
+        steps = []
+
+        def counted(a, b):
+            steps.append(a)
+            return gcd(a, b)
+
+        monkeypatch.setattr(exact, "gcd", counted)
+        return steps
+
     def test_window_entries(self, monkeypatch):
-        # the search expands the series only as far as the numerators it
-        # tests: 52 944 entries on engine seed 1, where one window of
-        # dim * bound + deg f entries per series took 105 167
+        # the series is expanded only as far as the first degrees the cover
+        # search tests and the windows of the searches that run: 27 948
+        # entries on engine seed 1, where one window per series took
+        # 105 167 and a window grown with the search's numerators 52 944
         orders = self._count_series_orders(monkeypatch)
         for raw in engine_vectors(1):
             hilbert_series(validate(raw))
-        assert sum(order + 1 for order in orders) == 52944
+        assert sum(order + 1 for order in orders) == 27948
+
+    def test_first_cover_presents_the_engine_pool(self, monkeypatch):
+        # every view of engine_pool() is the first cover whose first degree
+        # passes the pair test: the depth-first search never runs there
+        steps = self._count_search_steps(monkeypatch)
+        presented = 0
+        for raw in engine_pool():
+            f = hilbert_series(validate(raw))
+            presented += f.factored_denominator is not None
+        assert presented == 157
+        assert steps == []
+
+    @pytest.mark.parametrize(
+        "raw, view, entries, tried",
+        [
+            ((-301, 300, 303, 307), ((601, 1), (604, 1), (608, 1)), 824, 138),
+            ((-3, -5, -7, -11, 13, 17, 19, 23), ((4, 3), (336, 1), (360, 1), (374, 1), (390, 1)), 5, 17091),
+        ],
+    )
+    def test_frontier_work_counts(self, raw, view, entries, tried, monkeypatch):
+        # the frontier vectors are presented by the cover search alone: the
+        # series entries it expands and the candidate degrees it tries
+        # (counts left after d), with no step of the depth-first search
+        orders = self._count_series_orders(monkeypatch)
+        steps = self._count_search_steps(monkeypatch)
+        built = []
+        uncovered = exact._uncovered
+        monkeypatch.setattr(exact, "_uncovered", lambda i, c, d: built.append(d) or uncovered(i, c, d))
+        f = hilbert_series(validate(raw))
+        assert f.factored_denominator == view
+        assert sum(order + 1 for order in orders) == entries
+        assert len(built) == tried
+        assert steps == []
 
     def test_grown_windows_match_brute_force(self, monkeypatch):
-        # a series expanded more than once had its window grown mid-search
+        # an expansion past both the start window dim * deg den + deg f and
+        # the bound (the most the pair test reads) is a window grown
+        # mid-search; only the vectors the first cover does not present
+        # reach the search, 10 of them grow a window and 6 have bound <= 60
         orders = self._count_series_orders(monkeypatch)
         grown = checked = 0
         for raw in sweep_family():
             orders.clear()
             f = hilbert_series(validate(raw))
-            if len(orders) < 2:
+            start = f.phi_content[1] * f.denominator.degree + f.degree
+            if max(orders, default=0) <= max(start, _present_bound(f)):
                 continue
             grown += 1
             if _present_bound(f) <= 60:
                 assert _flat_view(f) == _brute_force_view(f), raw
                 checked += 1
-        assert grown >= 1
-        assert checked > 10
+        assert (grown, checked) == (10, 6)
 
     @pytest.mark.parametrize("raw", [(-12, -12, 5, 7), (-60, -60, 7, 11)])
     def test_absent_view_stays_absent(self, raw, monkeypatch):
-        # no view exists within the bound: the search starts on a short
-        # window and grows it up to top = dim * bound + deg f on the way to
-        # proving that
+        # no view exists within the bound: no cover has a first degree d
+        # with F[d] >= F[0], which the cover search proves on a prefix of
+        # the series no longer than the bound, with no search window
         f = hilbert_series(validate(raw))
         orders = self._count_series_orders(monkeypatch)
         assert present_with_factors(f) is f
-        top = f.phi_content[1] * _present_bound(f) + f.degree
-        assert orders[0] < orders[-1] == top
+        assert orders == {(-12, -12, 5, 7): [2, 6, 34], (-60, -60, 7, 11): [2, 6, 14, 134]}[raw]
+        assert max(orders) <= _present_bound(f)
+
+    def test_pair_test_rejects_a_degree_not_its_divisor_pattern(self):
+        # F[2] < F[0], so no view starts at 2; 4 has the same divisor
+        # pattern among the indices {2, 3, 6, 7, 14} and starts the view
+        f = hilbert_series(validate((-5, -5, 1, 1, 9)))
+        assert f.factored_denominator == ((4, 1), (6, 1), (42, 2))
+        series = f.series_at_zero(4)
+        assert series[2] < series[0] <= series[4]
+        assert _flat_view(f) == _brute_force_view(f)
+
+    def test_search_starts_at_the_first_degree_of_a_failed_cover(self):
+        # the first cover (2, 2, 12) passes the pair test at 2 but leaves
+        # h = 1 - t^2 + t^4; the view (2, 4, 6) starts at the same degree,
+        # so the search must start there, not one past it
+        f = hilbert_series(validate((-5, -3, -1, 1)))
+        product = ONE
+        for d in (2, 2, 12):
+            product = product * Polynomial({0: 1, d: -1})
+        assert divide_exact(f.numerator * product, f.denominator) == Polynomial({0: 1, 2: -1, 4: 1})
+        assert f.factored_denominator == ((2, 1), (4, 1), (6, 1))
+        assert _flat_view(f) == _brute_force_view(f)
+
+    def test_random_contents_match_brute_force(self):
+        # synthetic numerators over small views, so the series need not be
+        # a Hilbert series: the pair test, the cover search and the search
+        # against the brute-force view
+        rng = random.Random(27)
+        checked = presented = 0
+        while checked < 150:
+            view = Counter(rng.choice((1, 2, 3, 4, 6)) for _ in range(rng.randint(1, 4)))
+            num = Polynomial({e: rng.choice((0, 1, 1, 2, -1)) for e in range(rng.randint(1, 8))})
+            if num.is_zero():
+                continue
+            f = from_view(num, view)
+            if not f.phi_content.get(1) or f.phi_content[1] > 3 or _present_bound(f) > 30:
+                continue
+            g = present_with_factors(f)
+            expected = _brute_force_view(f)
+            assert (_flat_view(g) if g is not f else None) == expected, (num, view)
+            checked += 1
+            presented += expected is not None
+        assert presented > 40
 
     @pytest.mark.parametrize(
         "num",
