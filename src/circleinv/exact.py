@@ -23,12 +23,14 @@ engines' lift of section numerators to a common denominator, section
 numerators, series at t=0, view numerators and the presentation search are
 such passes: only + and -, so ints stay ints.  The presentation search
 tests the first covering view on its numerator, one pass, before it
-expands a window of the series (:func:`present_with_factors`).  Whether
-Phi_e divides a numerator is decided on its fold mod t^e - 1, of at most e
-entries, which is taken from the fold for a multiple of e where there is
-one, by cyclic differences (:func:`_phi_divides_fold`); the reduction then
-divides once per round, by the product of every Phi_e that divided, so
-the full-length divisions never fail (:func:`_cancel_phi_content`).
+expands a window of the series; when that view fails, the same search over
+covers runs again with a window test at every level
+(:func:`present_with_factors`).  Whether Phi_e divides a numerator is
+decided on its fold mod t^e - 1, of at most e entries, which is taken from
+the fold for a multiple of e where there is one, by cyclic differences
+(:func:`_phi_divides_fold`); the reduction then divides once per round, by
+the product of every Phi_e that divided, so the full-length divisions
+never fail (:func:`_cancel_phi_content`).
 The expansion at t = 1 runs on ints too: p(1 - s) is repeated synthetic
 division by t - 1, one running sum per coefficient of s
 (:func:`_taylor_at_one`), and the series division carries each
@@ -57,7 +59,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import accumulate, islice, repeat
-from math import gcd, lcm
+from math import lcm
 from operator import add, lt, sub
 
 from .errors import InternalInvariantViolation, ZeroDenominator, ZeroFunction
@@ -648,68 +650,63 @@ def present_with_factors(f: RationalFunction):
     numerator with no negative coefficient.  The search is exhaustive, so
     f is returned unchanged only when no such view exists.
 
+    One cover search picks every degree.  It steps, level by level, only
+    over the candidates ceil(lo / g) * g, g the lcm of the forced indices
+    and of the needed indices that divide the candidate.  An index still
+    needed in as many factors as are open must divide every one of them
+    (forced); for the last factor that is every index still needed.  The
+    first d with a cover after it is such a candidate, and the candidates
+    come off a heap in ascending order: a d with no cover after it sends
+    on g times each needed index it misses, since the counts left after d
+    depend only on which needed indices divide it.  A d that comes off the
+    heap twice, with two steps g, has the same outcome and sends on along
+    both.  A state (remaining counts, open factors) has no cover when a
+    count exceeds the open factors, an index has no multiple in
+    [lo, bound] or no candidate has a cover after it.  That can only
+    become true as lo grows, so the smallest such lo is remembered and
+    larger lo skip the state.  A test may reject a degree d, never its
+    divisor pattern: a rejected d sends on d + g, the next candidate with
+    the same g, and a search that rejected a degree leaves no memo entry.
+
     The first cover is tested before any window of the series F of f is
     expanded.  A view has h = F * prod (1 - t^{d_i}) >= 0, so
     F * (1 - t^{d_1}) = h * prod_{i > 1} 1/(1 - t^{d_i}) >= 0 too, and its
     coefficient at t^{d_1} is F[d_1] - F[0]: no view starts at a degree d
-    with F[d] < F[0] (the pair test; den(0) = 1).  From the content alone,
-    a search over covers finds the lexicographically first ascending tuple
-    that covers the denominator and whose first degree passes the pair
-    test.  Every smaller tuple fails to cover or starts at a degree that
-    fails the pair test, so none is a view: when the tuple's numerator h,
-    one kernel pass over the reduced numerator with k_d = its multiplicity
-    of d minus the content's, is nonnegative, it is the view.  The pair
-    test reads F only up to the first degrees it tries (at most the bound),
-    expanded by doubling.  No cover passing the pair test means no view.
-    The cover search steps, level by level, only over the candidates
-    ceil(lo / g) * g, g the lcm of the forced indices (below) and of the
-    needed indices that divide the candidate: the first d with a cover
-    after it is such a candidate, for the needed indices that divide d,
-    and the candidates come in ascending order, a candidate with no cover
-    after it sending on g times each needed index it misses.  A state
-    (remaining counts, open factors) with no cover from lo has none from a
-    larger lo, so the smallest such lo is remembered, in the memo the
-    depth-first search below reads too.  The pair test rejects a degree,
-    never its divisor pattern: a rejected d sends on d + g, the next
-    candidate with the same g.
+    with F[d] < F[0] (the pair test; den(0) = 1).  The cover search with
+    the pair test on its first degree finds the lexicographically first
+    ascending tuple that covers the denominator and whose first degree
+    passes the pair test.  Every smaller tuple fails to cover or starts at
+    a degree that fails the pair test, so none is a view: when the tuple's
+    numerator h, one kernel pass over the reduced numerator with k_d = its
+    multiplicity of d minus the content's, is nonnegative, it is the view.
+    The pair test reads F only up to the first degrees it tries (at most
+    the bound), expanded by doubling.  No cover passing the pair test means
+    no view.
 
     When h has a negative coefficient, no view starts below the tuple's
-    first degree, and the depth-first search below starts there.
-
-    It is one depth-first search over ascending d that carries the partial
-    product F * prod_chosen (1 - t^d) of the series F of f on a window
-    0 .. w, as one list multiplied by (1 - t^d) in place on the way down
-    and divided back on the way up.  A view through d has a numerator of
-    degree at least reach = sum chosen + (open factors) * d + deg f.  The
-    window starts at w = dim * deg den + deg f (deg den <= bound); when
-    reach passes it, it grows to min(top, max(reach, 2 (w + 1))), top =
-    dim * bound + deg f the largest numerator degree: F is expanded again
-    and the chosen factors are multiplied back in.  A degree d is rejected
-    as soon as a coefficient of the next partial product in the window is
-    negative.  Its coefficient at t^d, entry d minus entry 0 of the list,
-    is checked first, before the bookkeeping below, when d lies in the
-    window; the rest of the window only for a d that passes.  A d that
-    fails the first pair fails the window too, and the bookkeeping only
-    caches a test that does not depend on the list, so the order does not
-    change the view.  That pruning is exact: if h = F * prod (1 - t^{d_i})
-    >= 0, every partial product is h * prod_rest 1/(1 - t^d), whose
-    coefficients are nonnegative too.  The last factor d completes a view
-    that covers the denominator, so h is its numerator, a polynomial of
-    degree reach: d is accepted only when all of h, 0 .. reach, is
-    nonnegative, the entries below d included.  So the view is the one a
-    window of 0 .. top gives.
-
-    The cyclotomic bookkeeping only skips degrees that cannot complete a
-    covering view.  An index e still needed in as many factors as are open
-    must divide every one of them, so the search steps through the multiples
-    of the lcm L of those forced indices (for the last factor, L is the lcm
-    of every index still needed).  A state (remaining counts, open factors)
-    is infeasible when a count exceeds the open factors or when an index, or
-    L, has no multiple in [d, bound]; that can only become true as d grows,
-    so the smallest d at which each state failed is remembered and larger d
-    skip it without a check.  The counts left after d depend only on which
-    still-needed indices divide d, that is on gcd(d, lcm of those indices),
-    so each frame builds them once per such gcd.
+    first degree, and the same cover search runs again from there with the
+    window test at every level.  It carries the partial product
+    F * prod_chosen (1 - t^d) on a window 0 .. w, one list multiplied by
+    (1 - t^d) in place on the way down and divided back on the way up.  A
+    degree d that passes the window test is multiplied in only when a
+    cover follows it, and the degrees after it are searched from that
+    cover's first degree, so covering is decided before any coefficient
+    after d is read.  A view through d has a numerator of degree at least
+    reach = sum chosen + (open factors) * d + deg f.  The window starts at
+    w = dim * deg den + deg f (deg den <= bound); when reach passes it, it
+    grows to min(top, max(reach, 2 (w + 1))), top = dim * bound + deg f
+    the largest numerator degree: F is expanded again and the chosen
+    factors are multiplied back in.  The window test rejects d when a
+    coefficient of the next partial product in the window is negative.
+    That is exact: if h = F * prod (1 - t^{d_i}) >= 0, every partial
+    product is h * prod_rest 1/(1 - t^d), whose coefficients are
+    nonnegative too.  A d that no view continues is a rejection, not a
+    missing cover: a later d' with its divisor pattern gives another
+    partial product and may still start a view.  The last factor d
+    completes a view that covers the denominator, so h is its numerator, a
+    polynomial of degree reach: d is accepted only when all of h,
+    0 .. reach, is nonnegative, the entries below d included.  So the view
+    is the one a window of 0 .. top gives.
     """
     content = f.phi_content
     nfactors = content.get(1, 0)
@@ -723,61 +720,72 @@ def present_with_factors(f: RationalFunction):
     # each factor (1 - t^d) covers Phi_e once for every index e dividing d
     indices = sorted(e for e in content if e > 1)
 
-    def forced_lcm(counts, slots: int) -> int:
-        # an index needing every open factor must divide each of them
-        return lcm(*(e for e, m in zip(indices, counts) if m == slots > 0))
-
-    def feasible(counts, slots: int, min_d: int) -> bool:
-        # each index still needs its multiplicity in distinct later factors
-        # and a multiple of it in [min_d, bound]; the forced indices need a
-        # common multiple there
-        return all(
-            m == 0 or (m <= slots and _ceil_to(min_d, e) <= bound)
-            for e, m in zip(indices, counts)
-        ) and _ceil_to(min_d, forced_lcm(counts, slots)) <= bound
-
-    # (counts, slots) -> smallest min_d at which that state was found to
-    # have no cover; that only goes from false to true as min_d grows
+    # (counts, slots) -> smallest lo from which that state was found to have
+    # no cover; that only goes from false to true as lo grows
     failed = {}
 
-    def first_cover(counts: tuple, slots: int, lo: int, rejects=None):
+    def first_cover(counts: tuple, slots: int, lo: int, rejects=None, window=False):
         # the lexicographically first ascending slots-tuple in [lo, bound]
         # that covers counts, or None; with rejects, the first whose first
-        # degree d has not rejects(d)
+        # degree d has not rejects(d, slots), and with window, the first
+        # whose every degree passes, each chosen degree multiplied into the
+        # window while the degrees after it are searched
         state = (counts, slots)
         if lo >= failed.get(state, bound + 1):
             return None
         needed = [e for e, m in zip(indices, counts) if m]
-        if not needed and rejects is None:
+        if not needed and (rejects is None or not slots):
             return (lo,) * slots
         if slots == 1 and rejects is None:
             d = _ceil_to(lo, lcm(*needed))
             if d <= bound and max(counts) == 1:
                 return (d,)
-        elif feasible(counts, slots, lo):
-            # the first d with a cover after it is ceil(lo / g) * g for g
-            # the lcm of the forced indices and of the needed indices that
-            # divide d; the candidates come in ascending order, and a d
-            # with no cover after it sends on g times each needed index
-            # that d misses
-            step = forced_lcm(counts, slots)
+        elif max(counts, default=0) <= slots and all(_ceil_to(lo, e) <= bound for e in needed):
+            # each index needs its multiplicity in distinct factors and a
+            # multiple in [lo, bound]; the first d with a cover after it is
+            # ceil(lo / g) * g for g the lcm of the forced indices and of
+            # the needed indices that divide d; the candidates come in
+            # ascending order, and a d with no cover after it sends on g
+            # times each needed index that d misses
+            step = lcm(*(e for e, m in zip(indices, counts) if m == slots))
             heap = [(_ceil_to(lo, step), step)]
             seen = {step}
+            last = None
             while heap:
                 d, g = heappop(heap)
                 if d > bound:
                     break
-                if rejects and rejects(d):
+                if d != last:
+                    # a second pop of d, with another step, has the same
+                    # outcome and sends on along its own step
+                    last = d
+                    rejected = rejects is not None and rejects(d, slots)
+                    if not rejected:
+                        after = _uncovered(indices, counts, d)
+                        rest = first_cover(after, slots - 1, d)
+                        if rest and window:
+                            # a cover follows d and none starts below its
+                            # first degree: search the window from there
+                            chosen.append(d)
+                            _apply_factors(arr, {d: 1})
+                            rest = first_cover(after, slots - 1, rest[0], rejects, True)
+                            if rest is None:
+                                _apply_factors(arr, {d: -1})
+                                chosen.pop()
+                                rejected = True
+                        if rest is not None:
+                            return (d, *rest)
+                if rejected:
                     # this rejects the degree d, not its divisor pattern
                     heappush(heap, (d + g, g))
                     continue
-                rest = first_cover(_uncovered(indices, counts, d), slots - 1, d)
-                if rest is not None:
-                    return (d, *rest)
                 for e in needed:
                     if d % e and (h := lcm(g, e)) <= bound and h not in seen:
                         seen.add(h)
                         heappush(heap, (_ceil_to(lo, h), h))
+            if rejects is not None:
+                # a rejection is no proof that the state has no cover
+                return None
         failed[state] = lo
         return None
 
@@ -786,7 +794,7 @@ def present_with_factors(f: RationalFunction):
     inverse = {d: -k for d, k in _factor_exponents(content).items()}
     series = num[:1]
 
-    def fails_pair(d: int) -> bool:
+    def fails_pair(d: int, slots: int) -> bool:
         # a view whose first degree is d has F[d] >= F[0]; F grows by
         # doubling as d does
         nonlocal series
@@ -816,59 +824,27 @@ def present_with_factors(f: RationalFunction):
     # the degrees multiplied into arr, outermost first
     chosen = []
 
-    def grow(reach: int):
-        # re-expand F on a longer window and multiply the chosen factors
-        # back in, in place: every frame holds the same list
-        arr[:] = _series(num, inverse, min(top, max(reach, 2 * len(arr))))
-        _apply_factors(arr, Counter(chosen))
-
-    def dfs(counts: tuple, slots: int, min_d: int):
-        step = forced_lcm(counts, slots)
-        # a needed index divides d exactly when it divides gcd(d, need)
-        need = lcm(*(e for e, m in zip(indices, counts) if m))
-        base = sum(chosen) + deg
-        afters = {}
-        for d in range(_ceil_to(min_d, step), bound + 1, step):
-            # the smallest numerator degree of a view through d
-            reach = base + slots * d
-            if reach >= len(arr):
-                grow(reach)
-            if d < len(arr) and arr[d] < arr[0]:
-                continue
-            key = gcd(d, need)
-            after = afters.get(key)
-            if after is None:
-                after = afters[key] = _uncovered(indices, counts, key)
-            state = (after, slots - 1)
-            if d >= failed.get(state, bound + 1):
-                continue
-            if not feasible(after, slots - 1, d):
-                failed[state] = d
-                continue
-            if slots == 1:
-                # the view covers the denominator, so h = arr * (1 - t^d)
-                # is its numerator, of degree reach: check all of it
-                end = reach + 1
-                if min(arr[: min(d, end)]) < 0 or any(map(lt, islice(arr, d, end), arr)):
-                    continue
-                return chosen + [d]
-            if any(map(lt, islice(arr, d, None), arr)):
-                continue
-            chosen.append(d)
-            _apply_factors(arr, {d: 1})
-            view = dfs(after, slots - 1, d)
-            if view:
-                return view
-            _apply_factors(arr, {d: -1})
-            chosen.pop()
-        return None
+    def outside_window(d: int, slots: int) -> bool:
+        # whether the next partial product arr * (1 - t^d) has a negative
+        # coefficient in the window, which is first grown to reach, the
+        # smallest numerator degree of a view through d
+        reach = sum(chosen) + slots * d + deg
+        if reach >= len(arr):
+            arr[:] = _series(num, inverse, min(top, max(reach, 2 * len(arr))))
+            _apply_factors(arr, Counter(chosen))
+        if slots > 1:
+            return any(map(lt, islice(arr, d, None), arr))
+        # the view covers the denominator, so h = arr * (1 - t^d) is its
+        # numerator, of degree reach: check all of it
+        end = reach + 1
+        return min(arr[: min(d, end)]) < 0 or any(map(lt, islice(arr, d, end), arr))
 
     # bound >= deg den, so this window is at most top
     arr = _series(num, inverse, nfactors * f.denominator.degree + deg)
     if min(arr) < 0:
         return f
     # no view starts below the cover's first degree
-    view = dfs(counts, nfactors, cover[0])
+    view = first_cover(counts, nfactors, cover[0], outside_window, True)
     if view is None:
         return f
     return RationalFunction(

@@ -1,0 +1,71 @@
+"""Print one sha256 per vector family of the Hilbert series' output.
+
+A refactor that must leave the output byte-identical is checked by running
+this script on the old and the new tree and comparing the lines:
+
+    PYTHONPATH=src python3 tests/output_hashes.py
+
+Each family hashes, per vector and in order, the canonical ``cli.rf_json``
+text of ``hilbert_series(validate(v))``, or the exception's class name when
+validation or the series raises.  The families are ``engine_pool()``,
+``sweep_family()``, ``_scan_candidates(4, 8)``, ``_scan_candidates(5, 4)``
+and RANDOM_COUNT vectors from ``random.Random(RANDOM_SEED)``: n from 2 to 6
+and each weight a nonzero integer with |w| <= 12.  The name does not start
+with ``test_``, so pytest does not collect it.
+"""
+
+import hashlib
+import json
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+
+from circleinv.cli import _scan_candidates, rf_json  # noqa: E402
+from circleinv.hilbert import hilbert_series  # noqa: E402
+from circleinv.weights import validate  # noqa: E402
+from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
+
+RANDOM_SEED = 28
+RANDOM_COUNT = 1500
+
+
+def random_vectors() -> list:
+    rng = random.Random(RANDOM_SEED)
+    weights = [w for w in range(-12, 13) if w]
+    return [tuple(rng.choice(weights) for _ in range(rng.randint(2, 6))) for _ in range(RANDOM_COUNT)]
+
+
+def output(raw) -> str:
+    try:
+        return json.dumps(rf_json(hilbert_series(validate(raw))), sort_keys=True)
+    except Exception as exc:
+        return type(exc).__name__
+
+
+FAMILIES = {
+    "engine_pool": engine_pool,
+    "sweep_family": sweep_family,
+    "scan_4_8": lambda: _scan_candidates(4, 8),
+    "scan_5_4": lambda: _scan_candidates(5, 4),
+    f"random_{RANDOM_SEED}_{RANDOM_COUNT}": random_vectors,
+}
+
+
+def main() -> None:
+    for name, family in FAMILIES.items():
+        start = time.perf_counter()
+        digest = hashlib.sha256()
+        vectors = family()
+        for raw in vectors:
+            digest.update(output(raw).encode() + b"\n")
+        elapsed = time.perf_counter() - start
+        print(f"{name} {len(vectors)} {digest.hexdigest()}  ({elapsed:.1f} s)", flush=True)
+
+
+if __name__ == "__main__":
+    main()

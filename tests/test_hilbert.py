@@ -441,6 +441,16 @@ class TestPresentation:
             ((-4, -4, -2, -2, 1, 3), ((3, 2), (4, 1), (35, 2))),
             ((-4, -3, 1, 2, 4), ((2, 1), (3, 1), (4, 1), (35, 1))),
             ((-3, -2, -1, 1, 2, 3), ((2, 3), (3, 1), (20, 1))),
+            # a degree that comes off the cover search's heap twice, with
+            # two steps, sends on along both: skipping the second pop loses
+            # the views of (-7, 10, 2, -6) and (1, 11, -8, 8, -11)
+            ((2, 1, -12, -7, -2), ((2, 1), (3, 1), (56, 1), (117, 1))),
+            ((-7, 10, 2, -6), ((4, 1), (16, 1), (153, 1))),
+            ((1, 11, -8, 8, -11), ((2, 2), (24, 1), (171, 1))),
+            # a state the window search exhausts may still have a cover, so
+            # it leaves no entry in the failed memo: writing one loses these
+            ((-6, 1, 3, -4, 9), ((3, 1), (4, 1), (5, 1), (91, 1))),
+            ((3, 4, 3, -5, 3, 8), ((5, 1), (7, 1), (16, 1), (72, 1), (104, 1))),
         ],
     )
     def test_lexicographically_first_view(self, raw, view):
@@ -493,11 +503,11 @@ class TestPresentation:
         assert f.factored_denominator == view
         assert _flat_view(f) == _brute_force_view(f)
 
-    def test_counts_built_once_per_divisor_class(self, monkeypatch):
-        # the cover search builds the counts left after d once per candidate
-        # degree it tries, and the search frames once per gcd(d, lcm of the
-        # needed indices): on engine seed 1 that is 227 tuples, where the
-        # search frames alone built 263 and one per candidate degree 2413
+    def test_counts_built_once_per_candidate_degree(self, monkeypatch):
+        # the cover search builds the counts left after d once per degree it
+        # tries: a second pop of d off the heap, with another step, reuses
+        # the outcome of the first.  On engine seed 1 that is 194 tuples,
+        # where one per pop built 227
         built = []
         uncovered = exact._uncovered
 
@@ -508,7 +518,7 @@ class TestPresentation:
         monkeypatch.setattr(exact, "_uncovered", counted)
         for raw in engine_vectors(1):
             hilbert_series(validate(raw))
-        assert len(built) == 227
+        assert len(built) == 194
 
     @staticmethod
     def _count_series_orders(monkeypatch) -> list:
@@ -525,15 +535,16 @@ class TestPresentation:
 
     @staticmethod
     def _count_search_steps(monkeypatch) -> list:
-        # one entry per candidate degree that the depth-first search looks
-        # up in its divisor classes (the only gcd call of the search)
+        # one entry per candidate degree that the window test of the search
+        # after a failed first cover reads (the only islice call of a series
+        # and its presentation)
         steps = []
 
-        def counted(a, b):
-            steps.append(a)
-            return gcd(a, b)
+        def counted(iterable, *args):
+            steps.append(args[0])
+            return itertools.islice(iterable, *args)
 
-        monkeypatch.setattr(exact, "gcd", counted)
+        monkeypatch.setattr(exact, "islice", counted)
         return steps
 
     def test_window_entries(self, monkeypatch):
@@ -548,7 +559,7 @@ class TestPresentation:
 
     def test_first_cover_presents_the_engine_pool(self, monkeypatch):
         # every view of engine_pool() is the first cover whose first degree
-        # passes the pair test: the depth-first search never runs there
+        # passes the pair test: the window search never runs there
         steps = self._count_search_steps(monkeypatch)
         presented = 0
         for raw in engine_pool():
@@ -560,14 +571,14 @@ class TestPresentation:
     @pytest.mark.parametrize(
         "raw, view, entries, tried",
         [
-            ((-301, 300, 303, 307), ((601, 1), (604, 1), (608, 1)), 824, 138),
-            ((-3, -5, -7, -11, 13, 17, 19, 23), ((4, 3), (336, 1), (360, 1), (374, 1), (390, 1)), 5, 17091),
+            ((-301, 300, 303, 307), ((601, 1), (604, 1), (608, 1)), 824, 127),
+            ((-3, -5, -7, -11, 13, 17, 19, 23), ((4, 3), (336, 1), (360, 1), (374, 1), (390, 1)), 5, 13437),
         ],
     )
     def test_frontier_work_counts(self, raw, view, entries, tried, monkeypatch):
         # the frontier vectors are presented by the cover search alone: the
         # series entries it expands and the candidate degrees it tries
-        # (counts left after d), with no step of the depth-first search
+        # (counts left after d), with no step of the window search
         orders = self._count_series_orders(monkeypatch)
         steps = self._count_search_steps(monkeypatch)
         built = []
@@ -618,11 +629,14 @@ class TestPresentation:
         assert series[2] < series[0] <= series[4]
         assert _flat_view(f) == _brute_force_view(f)
 
-    def test_search_starts_at_the_first_degree_of_a_failed_cover(self):
+    def test_search_starts_at_the_first_degree_of_a_failed_cover(self, monkeypatch):
         # the first cover (2, 2, 12) passes the pair test at 2 but leaves
         # h = 1 - t^2 + t^4; the view (2, 4, 6) starts at the same degree,
-        # so the search must start there, not one past it
+        # so the search must start there, not one past it.  The window
+        # search runs, so the step count pinned at 0 above counts here
+        steps = self._count_search_steps(monkeypatch)
         f = hilbert_series(validate((-5, -3, -1, 1)))
+        assert len(steps) > 0
         product = ONE
         for d in (2, 2, 12):
             product = product * Polynomial({0: 1, d: -1})
