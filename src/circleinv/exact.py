@@ -28,9 +28,11 @@ covers runs again with a window test at every level
 (:func:`present_with_factors`).  Whether Phi_e divides a numerator is
 decided on its fold mod t^e - 1, of at most e entries, which is taken from
 the fold for a multiple of e where there is one, by cyclic differences
-(:func:`_phi_divides_fold`); the reduction then divides once per round, by
-the product of every Phi_e that divided, so the full-length divisions
-never fail (:func:`_cancel_phi_content`).
+(:func:`_phi_divides_fold`).  A few entries of those differences, each a
+signed sum of 2^omega(e) strided sums of the numerator, rule out most
+Phi_e before any fold is taken (:func:`_phi_probe`).  The reduction then
+divides once per round, by the product of every Phi_e that divided, so
+the full-length divisions never fail (:func:`_cancel_phi_content`).
 The expansion at t = 1 runs on ints too: p(1 - s) is repeated synthetic
 division by t - 1, one running sum per coefficient of s
 (:func:`_taylor_at_one`), and the series division carries each
@@ -63,6 +65,9 @@ from math import lcm
 from operator import add, lt, sub
 
 from .errors import InternalInvariantViolation, ZeroDenominator, ZeroFunction
+
+# entries of the cyclic-difference product that _phi_probe reads before a fold
+PHI_PROBES = 4
 
 
 def _exact(value):
@@ -337,6 +342,33 @@ def _phi_divides_fold(r: list, e: int) -> bool:
     return not any(r)
 
 
+@lru_cache(maxsize=None)
+def _probe_terms(e: int) -> tuple:
+    """prod_{p | e prime} (t^{e/p} - 1) as its (exponent mod e, sign)
+    terms, one per set of primes."""
+    terms = ((0, 1),)
+    for p in _prime_factors(e):
+        terms = tuple((s + e // p, sign) for s, sign in terms) + tuple((s, -sign) for s, sign in terms)
+    return tuple((s % e, sign) for s, sign in terms)
+
+
+def _phi_probe(source: list, e: int) -> bool:
+    """False when one of the first PHI_PROBES entries of r prod_{p | e
+    prime} (t^{e/p} - 1) mod (t^e - 1), r = source mod (t^e - 1), e > 1,
+    is nonzero: then Phi_e does not divide source (the lemma of
+    :func:`_phi_divides_fold`); True says nothing.  Times t^s mod
+    t^e - 1 rotates by s, so entry j is the signed sum of r_{(j - s) mod
+    e} over the 2^omega(e) terms, and r_i is the strided sum
+    sum(source[i::e])."""
+    for j in range(min(PHI_PROBES, e)):
+        total = 0
+        for s, sign in _probe_terms(e):
+            total += sign * sum(source[(j - s) % e :: e])
+        if total:
+            return False
+    return True
+
+
 def _factor_exponents(phis) -> dict:
     """The nonzero k_d with prod Phi_e^{m_e} = prod (1 - t^d)^{k_d}, Phi_1 =
     1 - t: k_d = sum of mu(e/d) m_e over the multiples e of d."""
@@ -566,7 +598,12 @@ def _cancel_phi_content(num: Polynomial, phis: Counter):
     taken from the shortest fold of the round for a multiple of e, or from
     a when there is none; Phi_1 is decided by the sum of that fold, a(1),
     and every other Phi_e by omega(e) cyclic differences of its fold
-    (:func:`_phi_divides_fold`), with no division.  Distinct Phi_e are
+    (:func:`_phi_divides_fold`), with no division.  Before it is folded,
+    an open Phi_e, e > 1, is probed on that source: a nonzero one of the
+    first PHI_PROBES entries of the cyclic differences, each a signed sum
+    of 2^omega(e) strided sums of the source (:func:`_phi_probe`), proves
+    that Phi_e does not divide a, with no fold; only the full test says
+    that Phi_e divides.  Distinct Phi_e are
     coprime, so their product divides a when each of them does: the round
     divides a once by the product of those that divided
     (:func:`_divide_phi`), and that division must be exact.  The
@@ -590,6 +627,8 @@ def _cancel_phi_content(num: Polynomial, phis: Counter):
             if e == 1:
                 if not sum(source):
                     divided.append(e)
+                continue
+            if not _phi_probe(source, e):
                 continue
             folds[e] = r = _fold(source, e)
             if _phi_divides_fold(r, e):

@@ -9,14 +9,18 @@ Two routes to the series and the counting oracle they are checked against:
   factor 1 - t^{c/g}, g = gcd(N, c), per source factor 1 - u^c: the
   section is (1/N) sum_{zeta^N = 1} F(zeta t^{1/N}), and its pole at a root
   of unity rho has order at most #{c : rho^{c/g} = 1}, since a zeta-term
-  with (zeta s0)^c = 1, s0^N = rho, has rho^{c/g} = 1.  The numerator is
-  fitted to the first D'+1 kept coefficients, D' = sum c/g the view's
-  degree (the section is proper, so the numerator's degree stays below
-  D').  With two factors (every n=3 vector) each kept coefficient is a
-  two-part partition count, closed by Popoviciu's formula (1953;
-  Beck-Robins, Computing the Continuous Discretely, ch. 1), so the source
-  series is never built.  The sections stay unreduced: their numerators
-  are lifted to the union of their cyclotomic contents and summed.
+  with (zeta s0)^c = 1, s0^N = rho, has rho^{c/g} = 1.  The numerator
+  has degree below D' = sum c/g, the view's degree, as the section is
+  proper.  With one or two factors (every n=3 vector) it is read off the
+  lattice points of one period (Beck-Robins, Computing the Continuous
+  Discretely, ch. 1): 1/(1 - u^c) = sum_{x < N/g} u^{cx} / (1 -
+  u^{lcm(N, c)}) and u^{lcm(N, c)} = t^{c/g}, so the numerator is sign *
+  sum t^{(shift + sum c_i x_i)/N} over the box x_i < N/g_i, restricted to
+  the points with N | shift + sum c_i x_i, and the source series is never
+  built.  With more factors it is fitted to the first D'+1 kept
+  coefficients of the source series.  The sections stay unreduced: their
+  numerators are lifted to the union of their cyclotomic contents and
+  summed.
 
 * pair-invariant path (repeated weights on both sides): for a < 0 < b and
   g = gcd(a, b) the pair invariants x_i^{b/g} x_j^{-a/g} cut out the
@@ -104,15 +108,13 @@ def section(problem: SectionProblem, degree_limit: int = DEFAULT_DEGREE_LIMIT) -
     F(zeta t^{1/N}), F = sign u^shift / prod (1 - u^c): near a root of unity
     rho, s0^N = rho, the zeta-term has a pole of order #{c : (zeta s0)^c =
     1}, and each such c has rho^{c/g} = 1.  So S times the view is a
-    polynomial P, of degree below D' = sum c/g since S is proper, and P is
-    the truncation of the first D' + 1 kept coefficients times the view
-    (its last entry is 0; it keeps the shift inside a series filled to
-    N D', as shift < sum c <= N D').  With one or two factors the j-th of
-    them is sign * p(c1, c2; j*N - shift), p(c1, c2; M) = #{x, y >= 0 :
-    c1 x + c2 y = M}, each in O(1) (Popoviciu); more factors fill the
-    source series to N D'.  The degree guard reads sum c, the degree of the
-    source denominator."""
-    n_: int = problem.ratio
+    polynomial P, of degree below D' = sum c/g since S is proper.  With
+    one or two factors P is the sum over the lattice points of one period
+    (:func:`_period_numerator`); it is unique, as S and the view are.
+    With more factors P is the truncation of the first D' + 1 kept
+    coefficients times the view (its last entry is 0; it keeps the shift
+    inside a series filled to N D', as shift < sum c <= N D').  The degree
+    guard reads sum c, the degree of the source denominator."""
     den_degree = sum(problem.factors)
     if den_degree > degree_limit:
         raise DegreeOverflow(
@@ -122,11 +124,10 @@ def section(problem: SectionProblem, degree_limit: int = DEFAULT_DEGREE_LIMIT) -
         raise InternalInvariantViolation("section source is not proper")
     view = _section_view(problem)
     if len(problem.factors) > 2:
-        extracted = _series_section(problem, degree_limit)
+        num = _apply_factors(_series_section(problem, degree_limit), view)
     else:
-        ms = range(-problem.shift, _degree(view) * n_ - problem.shift + 1, n_)
-        extracted = [problem.sign * c for c in _part_counts(problem.factors, ms)]
-    return _from_dense(_apply_factors(extracted, view)), view
+        num = _period_numerator(problem, _degree(view))
+    return _from_dense(num), view
 
 
 def _section_view(problem: SectionProblem) -> Counter:
@@ -134,20 +135,29 @@ def _section_view(problem: SectionProblem) -> Counter:
     return Counter(c // gcd(problem.ratio, c) for c in problem.factors)
 
 
-def _part_counts(factors: tuple, ms) -> list:
-    """#{x >= 0 : sum c_i x_i = m} for each m in ms, with one or two parts c_i."""
-    g = gcd(*factors)
-    if len(factors) == 1:
-        return [int(m >= 0 and m % g == 0) for m in ms]
-    c1, c2 = factors[0] // g, factors[1] // g
-    inverse, span = pow(c1, -1, c2), c1 * c2
-    # c1 x0 < span, x0 the least x with c2 | q - c1 x, so the count
-    # (q - c1 x0) // span + 1 is already 0 when q < c1 x0
-    return [
-        (q - c1 * (q * inverse % c2)) // span + 1 if m >= 0 and not m % g else 0
-        for m in ms
-        for q in [m // g]
-    ]
+def _period_numerator(problem: SectionProblem, degree: int) -> list:
+    """The dense numerator, ``degree`` entries, of a one- or two-factor
+    section over its view: sign * sum t^{(shift + sum c_i x_i)/N} over
+    the lattice points 0 <= x_i < N/g_i, g_i = gcd(N, c_i), with N |
+    shift + sum c_i x_i.  The loop runs over the shorter period; the
+    other coordinate is the one solution of c2 x2 = -q mod N in
+    [0, N/g2), which exists exactly when g2 divides q.  One factor is the
+    case c1 = 0, whose period is 1.  An exponent c > N (every section of
+    a three-weight vector has one) has N/g <= c/g, so the loop takes at
+    most D' steps."""
+    n_ = problem.ratio
+    c2, *rest = sorted(problem.factors, key=lambda c: gcd(n_, c))
+    c1 = rest[0] if rest else 0
+    g2 = gcd(n_, c2)
+    period = n_ // g2
+    inverse = pow(c2 // g2, -1, period)
+    out = [0] * degree
+    # q = shift + c1 x1 for 0 <= x1 < N/g1
+    last = problem.shift + c1 * (n_ // gcd(n_, c1) - 1)
+    for q in range(problem.shift, last + 1, c1 or 1):
+        if not q % g2:
+            out[(q + c2 * (-(q // g2) * inverse % period)) // n_] += problem.sign
+    return out
 
 
 def _series_section(problem: SectionProblem, degree_limit: int) -> list:

@@ -8,10 +8,13 @@ this script on the old and the new tree and comparing the lines:
 Each family hashes, per vector and in order, the canonical ``cli.rf_json``
 text of ``hilbert_series(validate(v))``, or the exception's class name when
 validation or the series raises.  The families are ``engine_pool()``,
-``sweep_family()``, ``_scan_candidates(4, 8)``, ``_scan_candidates(5, 4)``
-and RANDOM_COUNT vectors from ``random.Random(RANDOM_SEED)``: n from 2 to 6
-and each weight a nonzero integer with |w| <= 12.  The name does not start
-with ``test_``, so pytest does not collect it.
+``sweep_family()``, ``_scan_candidates(4, 8)``, ``_scan_candidates(5, 4)``,
+RANDOM_COUNT vectors from ``random.Random(RANDOM_SEED)``: n from 2 to 6
+and each weight a nonzero integer with |w| <= 12, and THREE_WEIGHT_COUNT
+three-weight vectors from ``random.Random(THREE_WEIGHT_SEED)``: k = 1 or 2
+weights in -3000..-1 and 3 - k in 1..3000, so the sections have strides
+and periods in the thousands.  The name does not start with ``test_``, so
+pytest does not collect it.
 """
 
 import hashlib
@@ -32,12 +35,24 @@ from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
 
 RANDOM_SEED = 28
 RANDOM_COUNT = 1500
+THREE_WEIGHT_SEED = 29
+THREE_WEIGHT_COUNT = 300
 
 
 def random_vectors() -> list:
     rng = random.Random(RANDOM_SEED)
     weights = [w for w in range(-12, 13) if w]
     return [tuple(rng.choice(weights) for _ in range(rng.randint(2, 6))) for _ in range(RANDOM_COUNT)]
+
+
+def three_weight_vectors() -> list:
+    rng = random.Random(THREE_WEIGHT_SEED)
+    out = []
+    for _ in range(THREE_WEIGHT_COUNT):
+        k = rng.randint(1, 2)
+        negatives = tuple(-rng.randint(1, 3000) for _ in range(k))
+        out.append(negatives + tuple(rng.randint(1, 3000) for _ in range(3 - k)))
+    return out
 
 
 def output(raw) -> str:
@@ -53,6 +68,7 @@ FAMILIES = {
     "scan_4_8": lambda: _scan_candidates(4, 8),
     "scan_5_4": lambda: _scan_candidates(5, 4),
     f"random_{RANDOM_SEED}_{RANDOM_COUNT}": random_vectors,
+    f"three_weight_{THREE_WEIGHT_SEED}_{THREE_WEIGHT_COUNT}": three_weight_vectors,
 }
 
 

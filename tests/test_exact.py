@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction as F
 from itertools import accumulate, islice
 from math import comb, isqrt
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from circleinv.exact import (
     _mobius,
     _phi_divides_fold,
     _phi_factors,
+    _phi_probe,
     _prime_factors,
 )
 from circleinv.hilbert import hilbert_series
@@ -331,7 +333,9 @@ class TestDenseKernel:
         # Phi_e divides a fold r of at most e entries exactly when r times
         # prod_{p | e prime} (t^{e/p} - 1) is 0 mod t^e - 1: against the
         # trial division on random folds, e <= 60, half of them built as a
-        # multiple of Phi_e
+        # multiple of Phi_e.  The probe reads entries of that product from
+        # a source up to 3e long whose fold is r, r plus blocks b times
+        # t^{ke} - 1, and must never reject a fold that Phi_e divides
         assert [_prime_factors(n) for n in (2, 12, 30, 49, 60)] == [(2,), (2, 3), (2, 3, 5), (7,), (2, 3, 5)]
         rng = random.Random(2027)
         outcomes = Counter()
@@ -347,7 +351,17 @@ class TestDenseKernel:
             divisible = _divide_phi(r, inverse, width) is not None
             assert _phi_divides_fold(r, e) == divisible, (e, r)
             outcomes[divisible] += 1
+            source = r + [0] * (e - n)
+            for k in range(1, rng.randint(1, 3)):
+                b = [rng.randint(-3, 3) for _ in range(rng.randint(1, e))]
+                source[: len(b)] = map(sub, source, b)
+                source += [0] * (k * e - len(source)) + b
+            assert _fold(source, e) == r + [0] * (e - n), (e, r, source)
+            if not _phi_probe(source, e):
+                assert not divisible, (e, r, source)
+                outcomes["rejected"] += 1
         assert outcomes[True] > 3000 and outcomes[False] > 3000
+        assert outcomes["rejected"] > 0.9 * outcomes[False], outcomes
 
     def test_fold_and_division_check_each_other(self, monkeypatch):
         # a fold that Phi_e divides must be followed by an exact division,
@@ -355,6 +369,8 @@ class TestDenseKernel:
         fold = exact._fold
         num = phi(2) * phi(3) * P({0: 2, 1: 1})
         assert _cancel_phi_content(num, Counter({6: 1, 3: 1, 2: 1}))[1] == Counter({6: 1})
+        # the probe would reject Phi_3 on 1 + t^9 before the fold is read
+        monkeypatch.setattr(exact, "_phi_probe", lambda source, e: True)
         monkeypatch.setattr(exact, "_fold", lambda a, e: [0] * e)
         with pytest.raises(InternalInvariantViolation):
             _cancel_phi_content(P({0: 1, 9: 1}), Counter({3: 1}))

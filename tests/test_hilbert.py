@@ -55,18 +55,25 @@ class TestSection:
         with pytest.raises(DegreeOverflow):
             section(section_problem([10**6, 3], 5), degree_limit=10**6)
 
-    def test_two_part_count_matches_enumeration(self):
-        for c1, c2 in itertools.product(range(1, 13), repeat=2):
-            counts = Counter(
-                c1 * x + c2 * y for x in range(201 // c1 + 1) for y in range(201 // c2 + 1)
-            )
-            got = hilbert._part_counts((c1, c2), range(-5, 201))
-            for m, count in zip(range(-5, 201), got, strict=True):
-                assert count == counts[m], (c1, c2, m)
-        for c in range(1, 13):
-            assert hilbert._part_counts((c,), range(-5, 201)) == [
-                int(m >= 0 and m % c == 0) for m in range(-5, 201)
-            ]
+    def test_period_numerator_matches_brute_force(self):
+        # the lattice points of one period against the source series
+        # expanded whole, on one and two factors, both signs, any proper
+        # shift, and solved coordinates whose g2 = gcd(N, c2) may not
+        # divide the residue; the section lives over a view of degree at
+        # most sum c, so equal coefficients 0..N sum c (every N-th) mean
+        # equal series
+        rng = random.Random(29)
+        seen = Counter()
+        for _ in range(600):
+            factors = tuple(sorted(rng.randint(1, 40) for _ in range(rng.randint(1, 2))))
+            n_ = rng.choice([1, 2, 3, 4, 6, 12, rng.randint(1, 60)])
+            shift = rng.choice([0, rng.randrange(sum(factors))])
+            problem = hilbert.SectionProblem(rng.choice([-1, 1]), shift, factors, n_)
+            kept = brute_force_section(problem)
+            assert from_view(*section(problem)).series_at_zero(len(kept) - 1) == kept, problem
+            g2 = min(gcd(n_, c) for c in factors)
+            seen[len(factors), problem.sign, shift > 0, g2 > 1] += 1
+        assert len(seen) == 16 and min(seen.values()) > 10, seen
 
     def test_two_factor_section_matches_series_route(self):
         # the closed route against the series DP that serves three or more
@@ -357,6 +364,21 @@ class TestEngines:
             hilbert_series(validate(raw))
         assert sum(cancelled) == 59
         assert full == [True] * 38
+
+    def test_folds_on_engine_pool_and_sweep(self, monkeypatch):
+        # a few strided sums rule out most open Phi_e before any fold: 137
+        # folds over engine_pool() and 81 over sweep_family(), where every
+        # open Phi_e with e > 1 was folded (1115 and 1135)
+        folds = []
+        fold = exact._fold
+        monkeypatch.setattr(exact, "_fold", lambda a, e: folds.append(e) or fold(a, e))
+        counts = []
+        for family in (engine_pool, sweep_family):
+            folds.clear()
+            for raw in family():
+                hilbert_series(validate(raw))
+            counts.append(len(folds))
+        assert counts == [137, 81]
 
     def test_degenerate_degree_guard(self):
         # pair denominator (1-t^2)(1-t^3)(1-t^8)(1-t^15) has degree 28
