@@ -33,6 +33,18 @@ signed sum of 2^omega(e) strided sums of the numerator, rule out most
 Phi_e before any fold is taken (:func:`_phi_probe`).  The reduction then
 divides once per round, by the product of every Phi_e that divided, so
 the full-length divisions never fail (:func:`_cancel_phi_content`).
+An engine that has proved the pole order of a Phi_e of its view hands
+the reduction only the other indices, the open ones, to decide.  The
+section engine does so for one section, sign +1 and shift 0, at stride
+N: a Phi_e, e > 1, with at most one source exponent c outside J = {c : e
+| c/gcd(N, c)} keeps its multiplicity |J|.  For rho with rho^e = 1, some
+u0 with u0^N = rho has u0^c = 1 for every c in J, since v_p(c) >= v_p(N)
++ v_p(e) for each prime p | e; near rho, 1 - u^c ~ -(c / (N rho))
+(t - rho) does not depend on u0, so the highest-order terms differ only
+by 1/(1 - u0^c'), c' the exponent outside J, whose real part is 1/2 for
+any root of unity u0^c' != 1: they cannot cancel.  The engines hand the
+reduction their kernel's int lists, and it builds its Polynomial with no
+scan of the entries' types (:func:`_int_polynomial`).
 The expansion at t = 1 runs on ints too: p(1 - s) is repeated synthetic
 division by t - 1, one running sum per coefficient of s
 (:func:`_taylor_at_one`), and the series division carries each
@@ -90,13 +102,30 @@ def _quotient(a, b):
 
 def _from_dense(coeffs) -> "Polynomial":
     """Polynomial with a dense coefficient list, lowest degree first:
-    trailing zeros are stripped and integral entries become ints."""
+    trailing zeros are stripped and integral entries become ints.  For
+    ``Polynomial`` arithmetic, whose entries may be Fractions; the kernel's
+    int lists go through :func:`_int_polynomial`."""
     n = len(coeffs)
     while n and not coeffs[n - 1]:
         n -= 1
     out = object.__new__(Polynomial)
     coeffs = coeffs[:n]
     out._coeffs = tuple(coeffs if set(map(type, coeffs)) <= {int} else map(_exact, coeffs))
+    return out
+
+
+def _strip(a: list) -> list:
+    """a without its trailing zeros, in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _int_polynomial(a: list) -> "Polynomial":
+    """Polynomial with the dense int list a, lowest degree first, which it
+    takes over: trailing zeros are stripped, and there is no type scan."""
+    out = object.__new__(Polynomial)
+    out._coeffs = tuple(_strip(a))
     return out
 
 
@@ -267,7 +296,7 @@ class LaurentExpansion:
 
 def _expand_view(view) -> Polynomial:
     """Expand prod (1 - t^d)^mult, a polynomial (some mult may be negative)."""
-    return _from_dense(_apply_factors([1] + [0] * _degree(view), view))
+    return _int_polynomial(_apply_factors([1] + [0] * _degree(view), view))
 
 
 def _view_phi_multiset(view: Counter) -> Counter:
@@ -459,23 +488,32 @@ class RationalFunction:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_factored(num: Polynomial, view) -> "RationalFunction":
-        """num / prod (1 - t^d)^mult, reduced by cyclotomic content."""
+    def from_factored(num, view, _open=None) -> "RationalFunction":
+        """num / prod (1 - t^d)^mult, reduced by cyclotomic content.
+
+        num is a Polynomial or a dense int list, lowest degree first, which
+        is taken over (the engines hand in the list their kernel built).
+        ``_open``, when given, holds the only indices e whose Phi_e may
+        cancel; the engine that passes it has proved the pole order of
+        every other Phi_e of the view (:func:`_cancel_phi_content`)."""
         view = Counter(dict(view)) if not isinstance(view, Counter) else Counter(view)
         view = Counter({d: m for d, m in view.items() if m})
         if 0 in view:
             raise ZeroDenominator("factor 1 - t^0 = 0 in the view")
         if any(d < 0 for d in view):
             raise ValueError("negative degree in the view")
-        return RationalFunction._from_phi_multiset(num, _view_phi_multiset(view))
+        return RationalFunction._from_phi_multiset(num, _view_phi_multiset(view), _open)
 
     @staticmethod
-    def _from_phi_multiset(num: Polynomial, phis: Counter) -> "RationalFunction":
+    def _from_phi_multiset(num, phis: Counter, open_indices=None) -> "RationalFunction":
         """num / prod Phi_e^mult, reduced (Phi_1 = 1 - t, so the denominator
-        has constant term 1, the canonical scaling)."""
-        if num.is_zero():
+        has constant term 1, the canonical scaling); num as in
+        :meth:`from_factored`."""
+        if type(num) is list:
+            _strip(num)
+        if not num:
             return RationalFunction.zero()
-        num, phis = _cancel_phi_content(num, phis)
+        num, phis = _cancel_phi_content(num, phis, open_indices)
         ks = _factor_exponents(phis)
         # the k_d are unique, so the denominator is a product of (1 - t^d)
         # factors exactly when every k_d is positive
@@ -587,8 +625,14 @@ class RationalFunction:
         return f"RationalFunction({self.numerator!r} / {den})"
 
 
-def _cancel_phi_content(num: Polynomial, phis: Counter):
+def _cancel_phi_content(num, phis: Counter, open_indices=None):
     """Divide matched cyclotomic factors out of num; return (num, remaining).
+
+    num is a Polynomial, whose entries may be Fractions, or a dense int
+    list ending in a nonzero entry, which is read and never modified; the
+    quotient of an int list is built with no type scan.  When
+    ``open_indices`` is given, only those Phi_e are decided: every other
+    one keeps its multiplicity, a pole order its caller has proved.
 
     The work runs in rounds on the dense numerator a.  A round decides every
     open Phi_e (Phi_1 = 1 - t), largest e first, on the fold a mod
@@ -614,8 +658,14 @@ def _cancel_phi_content(num: Polynomial, phis: Counter):
     part.
     """
     phis = Counter(phis)
-    a = num.to_dense()
-    pending = sorted((e for e, m in phis.items() if m > 0), reverse=True)
+    if isinstance(num, Polynomial):
+        a, build = num.to_dense(), _from_dense
+    else:
+        a, build = num, _int_polynomial
+    pending = sorted(
+        (e for e, m in phis.items() if m > 0 and (open_indices is None or e in open_indices)),
+        reverse=True,
+    )
     while pending:
         folds = {}
         divided = []
@@ -645,7 +695,7 @@ def _cancel_phi_content(num: Polynomial, phis: Counter):
     extra = _factor_exponents({e: -m for e, m in phis.items() if m < 0})
     if extra:
         a = _apply_factors(a + [0] * _degree(extra), extra)
-    return _from_dense(a), +phis
+    return build(a), +phis
 
 
 def _divide_phi(a: list, inverse: dict, width: int):

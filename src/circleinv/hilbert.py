@@ -35,16 +35,23 @@ Two routes to the series and the counting oracle they are checked against:
 
 * oracle: the m-th coefficient counts exponent vectors with weighted sum
   zero and total degree m, by dynamic programming over degree rows packed
-  into single ints - no residues involved.
+  into single ints - no residues involved.  The side of smaller reach
+  shifts up first and the other side down, so only sums that can still
+  return to 0 keep a lane.
 
 Each zero weight is a free generator, a factor 1/(1 - t) that both engines
 add to their denominator without touching the numerator.  Each engine then
-reduces its one numerator over its one factored denominator once, by
-cyclotomic content (``RationalFunction.from_factored``); since both
-denominators are built from these pole-order bounds, few Phi_e are left
-to cancel.  The ``DegreeOverflow`` guards read the unbounded quantities
-(sum c, N sum c, the pairs' degree), so the degree limit refuses the
-same vectors whatever the bounds save.
+reduces its one numerator, the int list its kernel built, over its one
+factored denominator once, by cyclotomic content
+(``RationalFunction.from_factored``); since both denominators are built
+from these pole-order bounds, few Phi_e are left to cancel.  A series of
+one section (one negative weight: sign +1, shift 0) has the exact order
+of every pole but its open ones, the Phi_e, e > 1, with two or more
+source exponents c outside J = {c : e | c/g}, and only those go to the
+reduction (proof at :func:`hilbert_generic`).  The ``DegreeOverflow``
+guards read the unbounded quantities (sum c, N sum c, the pairs'
+degree), so the degree limit refuses the same vectors whatever the
+bounds save.
 """
 
 from collections import Counter
@@ -63,7 +70,6 @@ from .exact import (
     _apply_factors,
     _degree,
     _factor_exponents,
-    _from_dense,
     _view_phi_multiset,
     present_with_factors,
 )
@@ -101,7 +107,8 @@ def section_problem(exponents, ratio: int) -> SectionProblem:
 
 def section(problem: SectionProblem, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> tuple:
     """(P, view), unreduced: P / prod (1 - t^d)^mult has as its series
-    every ratio-th coefficient of the problem's source series.
+    every ratio-th coefficient of the problem's source series; P is the
+    dense int list, lowest degree first, that the kernel built.
 
     The view is one factor 1 - t^{c/g} per exponent c, g = gcd(N, c), which
     bounds every pole of the section S(t) = (1/N) sum_{zeta^N = 1}
@@ -127,7 +134,7 @@ def section(problem: SectionProblem, degree_limit: int = DEFAULT_DEGREE_LIMIT) -
         num = _apply_factors(_series_section(problem, degree_limit), view)
     else:
         num = _period_numerator(problem, _degree(view))
-    return _from_dense(num), view
+    return num, view
 
 
 def _section_view(problem: SectionProblem) -> Counter:
@@ -175,7 +182,22 @@ def _series_section(problem: SectionProblem, degree_limit: int) -> list:
 def hilbert_generic(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> RationalFunction:
     """Sum of the per-negative-weight sections times 1/(1 - t)^zero_count
     (negative side must be repetition-free), reduced once: every section
-    numerator is lifted to the union of the sections' cyclotomic contents."""
+    numerator is lifted, in place, to the union of the sections'
+    cyclotomic contents.
+
+    With one negative weight the series is one section, of sign +1 and
+    shift 0, and the reduction decides only its open indices: the e > 1
+    with two or more source exponents c outside J = {c : e | c/g}, g =
+    gcd(N, c).  Every other Phi_e keeps its view multiplicity |J| as its
+    exact pole order.  Take rho with rho^e = 1.  Some u0 with u0^N = rho
+    has u0^c = 1 for every c in J, since e | c/g gives v_p(c) >= v_p(N) +
+    v_p(e) for each prime p | e; these u0 are the terms of S with a pole
+    of order |J| at rho.  Near rho, 1 - u^c ~ -(c / (N rho)) (t - rho) for
+    c in J, whatever u0, so their leading coefficients differ only by the
+    factor 1/(1 - u0^c') of the one exponent c' outside J (or none).  As
+    u0^c' != 1 is a root of unity, Re 1/(1 - u0^c') = 1/2, so the leading
+    coefficients sum to a nonzero number and the pole keeps order |J|.
+    So an n = 3 vector, two source exponents, has no open index at all."""
     if not v.is_generic:
         raise Unstable("negative side has repeated weights; use the degenerate route")
     ws = v.weights
@@ -191,12 +213,18 @@ def hilbert_generic(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT) -
     lifted = []
     for num, phis in parts:
         ks = _factor_exponents(common - phis)
-        lifted.append(_apply_factors(num.to_dense() + [0] * _degree(ks), ks))
-    total = [0] * max(map(len, lifted))
+        num += [0] * _degree(ks)
+        lifted.append(_apply_factors(num, ks))
+    total = max(lifted, key=len)
     for a in lifted:
-        total[: len(a)] = map(add, total, a)
+        if a is not total:
+            total[: len(a)] = map(add, total, a)
+    open_indices = None
+    if v.k == 1:
+        # of the len(ws) - 1 source exponents, common[e] lie in J
+        open_indices = {e for e, m in common.items() if e > 1 and len(ws) - 1 - m >= 2}
     common[1] += v.zero_count
-    return RationalFunction.from_factored(_from_dense(total), _factor_exponents(common))
+    return RationalFunction.from_factored(total, _factor_exponents(common), _open=open_indices)
 
 
 def hilbert_degenerate(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> RationalFunction:
@@ -222,7 +250,7 @@ def hilbert_degenerate(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT
     content = Counter({e: min(m, v.n - 1) for e, m in _view_phi_multiset(pairs).items()})
     view = _factor_exponents(content)
     coeffs = oracle_coefficients(replace(v, zero_count=0), _degree(view) - 1)
-    num = _from_dense(_apply_factors(coeffs, view))
+    num = _apply_factors(coeffs, view)
     content[1] += v.zero_count
     return RationalFunction.from_factored(num, _factor_exponents(content))
 
@@ -245,30 +273,45 @@ def oracle_coefficients(v: WeightVector, upto: int) -> list:
             f"counting oracle to degree {upto} needs {cells} table cells, "
             f"above the limit {MAX_ORACLE_CELLS}"
         )
-    return _packed_counts(ws, upto, width)
+    return _packed_counts(ws, upto)
 
 
-def _packed_counts(ws, upto: int, width: int) -> list:
-    """The counting table, one int per degree row d with a lane of ``bits``
-    bits per weighted sum in [-width, width] (Kronecker substitution:
-    shifting by a lanes is multiplying by u^a).  No lane carries: every
-    count is at most comb(upto + n, n - 1), the number of monomials of
-    degree upto + 1, and no partial sum of degree <= upto leaves
-    [-width, width]."""
+def _packed_counts(ws, upto: int) -> list:
+    """Lane 0 of each row of the counting table (:func:`_count_rows`).
+    No lane carries: every count is at most comb(upto + n, n - 1), the
+    number of monomials of degree upto + 1, below 2^(bits - 1)."""
     bits = comb(upto + len(ws), len(ws) - 1).bit_length() + 1
-    rows = [1 << (width * bits)] + [0] * upto
-    for a in ws:
-        # ascending d reuses this weight's own updates: any exponent e_i >= 0
-        if a >= 0:
-            shift = a * bits
-            for d in range(1, upto + 1):
-                rows[d] += rows[d - 1] << shift
-        else:
-            shift = -a * bits
-            for d in range(1, upto + 1):
-                rows[d] += rows[d - 1] >> shift
     mask = (1 << bits) - 1
-    return [(row >> (width * bits)) & mask for row in rows]
+    return [row & mask for row in _count_rows(ws, upto, bits)]
+
+
+def _count_rows(ws, upto: int, bits: int) -> list:
+    """The counting table, one int per degree row d with a lane of ``bits``
+    bits per weighted sum s >= 0, lane 0 at bit 0 (Kronecker substitution:
+    shifting by a lanes is multiplying by u^a).
+
+    The side whose largest |w| is smaller goes first, zero weights with
+    it, and shifts up; then the other side shifts down, and a sum that
+    falls below 0 falls off the bottom, since no weight left can bring it
+    back to 0.  Sums and counts are symmetric under w -> -w, so when the
+    negative side goes first its |w| shift up.  The sums run over
+    0..upto * min(A+, A-), A+ and A- the largest |w| of each side: a row
+    has upto * min(A+, A-) + 1 lanes."""
+    up = [a for a in ws if a >= 0]
+    down = [-a for a in ws if a < 0]
+    if max(down, default=0) < max(up, default=0):
+        up, down = down + [0] * ws.count(0), [a for a in up if a]
+    rows = [1] + [0] * upto
+    # ascending d reuses this weight's own updates: any exponent e_i >= 0
+    for a in up:
+        shift = a * bits
+        for d in range(1, upto + 1):
+            rows[d] += rows[d - 1] << shift
+    for a in down:
+        shift = a * bits
+        for d in range(1, upto + 1):
+            rows[d] += rows[d - 1] >> shift
+    return rows
 
 
 def hilbert_series(

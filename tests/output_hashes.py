@@ -13,7 +13,10 @@ RANDOM_COUNT vectors from ``random.Random(RANDOM_SEED)``: n from 2 to 6
 and each weight a nonzero integer with |w| <= 12, and THREE_WEIGHT_COUNT
 three-weight vectors from ``random.Random(THREE_WEIGHT_SEED)``: k = 1 or 2
 weights in -3000..-1 and 3 - k in 1..3000, so the sections have strides
-and periods in the thousands.  The name does not start with ``test_``, so
+and periods in the thousands, and ONE_SECTION_COUNT vectors from
+``random.Random(ONE_SECTION_SEED)`` with one weight in -200..-1 and n - 1
+in 1..200, n from 4 to 6: each series is one section whose reduction
+decides only its open indices.  The name does not start with ``test_``, so
 pytest does not collect it.
 """
 
@@ -37,6 +40,8 @@ RANDOM_SEED = 28
 RANDOM_COUNT = 1500
 THREE_WEIGHT_SEED = 29
 THREE_WEIGHT_COUNT = 300
+ONE_SECTION_SEED = 30
+ONE_SECTION_COUNT = 300
 
 
 def random_vectors() -> list:
@@ -55,6 +60,14 @@ def three_weight_vectors() -> list:
     return out
 
 
+def one_section_vectors() -> list:
+    rng = random.Random(ONE_SECTION_SEED)
+    return [
+        (-rng.randint(1, 200), *(rng.randint(1, 200) for _ in range(rng.randint(4, 6) - 1)))
+        for _ in range(ONE_SECTION_COUNT)
+    ]
+
+
 def output(raw) -> str:
     try:
         return json.dumps(rf_json(hilbert_series(validate(raw))), sort_keys=True)
@@ -69,6 +82,7 @@ FAMILIES = {
     "scan_5_4": lambda: _scan_candidates(5, 4),
     f"random_{RANDOM_SEED}_{RANDOM_COUNT}": random_vectors,
     f"three_weight_{THREE_WEIGHT_SEED}_{THREE_WEIGHT_COUNT}": three_weight_vectors,
+    f"one_section_{ONE_SECTION_SEED}_{ONE_SECTION_COUNT}": one_section_vectors,
 }
 
 

@@ -31,7 +31,8 @@ from circleinv.exact import (
     _phi_probe,
     _prime_factors,
 )
-from circleinv.hilbert import hilbert_series
+from circleinv.cli import _scan_candidates
+from circleinv.hilbert import hilbert_generic, hilbert_series
 from circleinv.weights import validate
 from helpers import divide_exact, one_multiplicity, power
 
@@ -214,6 +215,16 @@ def cancel_one_at_a_time(num, phis):
             a = q
             phis[e] -= 1
     return P(enumerate(a)) * sparse_product(-phis), +phis
+
+
+def one_section_vectors(count: int, top: int, sizes=(3, 4, 5, 6), seed: int = 30) -> list:
+    """Seeded vectors with one negative weight, n from ``sizes`` and every
+    |w| <= top: their series is one section."""
+    rng = random.Random(seed)
+    return [
+        (-rng.randint(1, top), *(rng.randint(1, top) for _ in range(rng.choice(sizes) - 1)))
+        for _ in range(count)
+    ]
 
 
 def random_poly(rng, values, top):
@@ -405,20 +416,68 @@ class TestDenseKernel:
         assert min(outcomes.values()) > 30, outcomes
 
     def test_rounds_match_one_at_a_time_on_families(self, monkeypatch):
-        # every reduction of the sweep family and the engine pool
+        # every reduction of the sweep family, the engine pool, scan (4, 8)
+        # and a seeded family of one-section vectors (one negative weight,
+        # n = 3..6): given its open indices, or all of them, a reduction
+        # cancels what the full reduction one Phi_e at a time cancels, so
+        # no Phi_e outside the open indices of a one-section series ever
+        # cancels
         cancel = exact._cancel_phi_content
-        checked = []
+        checked = Counter()
 
-        def compared(num, phis):
-            out = cancel(num, phis)
-            assert out == cancel_one_at_a_time(num, phis), (num, phis)
-            checked.append(1)
+        def compared(num, phis, open_indices=None):
+            full = cancel_one_at_a_time(num if isinstance(num, Polynomial) else P(enumerate(num)), phis)
+            out = cancel(num, phis, open_indices)
+            assert out == full, (num, phis, open_indices)
+            checked[open_indices is not None] += 1
+            checked["cancelled", open_indices is not None] += sum((+Counter(phis) - out[1]).values())
             return out
 
         monkeypatch.setattr(exact, "_cancel_phi_content", compared)
-        for raw in [*sweep_family(), *engine_pool()]:
+        scan = _scan_candidates(4, 8)
+        for raw in [*sweep_family(), *engine_pool(), *scan]:
             hilbert_series(validate(raw))
-        assert len(checked) == 385 + 157
+        one_section = one_section_vectors(600, 40)
+        for raw in one_section:
+            hilbert_generic(validate(raw))
+        assert checked[True] + checked[False] == 385 + 157 + len(scan) + len(one_section)
+        # 1744 one-section series, whose open indices cancel 100 Phi_e
+        assert checked[True] == 1744 and checked["cancelled", True] == 100, checked
+
+    def test_open_indices_cancel_on_witnesses(self, monkeypatch):
+        # one-section series whose Phi_e has exactly two source exponents
+        # outside J = {c : e | c/gcd(N, c)}, stays open and cancels once
+        cancel = exact._cancel_phi_content
+        seen = []
+
+        def recorded(num, phis, open_indices=None):
+            out = cancel(num, phis, open_indices)
+            seen.append((open_indices, +Counter(phis) - out[1]))
+            return out
+
+        monkeypatch.setattr(exact, "_cancel_phi_content", recorded)
+        for raw, e in [((-12, 6, 41, 52), 2), ((-30, 10, 11, 39), 2), ((-39, 31, 34, 42, 56), 3)]:
+            seen.clear()
+            hilbert_series(validate(raw))
+            [(open_indices, cancelled)] = seen
+            assert e in open_indices and cancelled == Counter({e: 1}), (raw, seen)
+
+    def test_one_section_open_indices_on_three_weights(self, monkeypatch):
+        # two source exponents leave no index open: 4000 three-weight
+        # vectors with one negative weight, |w| <= 400, hand the reduction
+        # no index to decide, and the full reduction cancels nothing
+        cancel = exact._cancel_phi_content
+        opened = []
+
+        def recorded(num, phis, open_indices=None):
+            assert cancel(num, phis)[1] == +Counter(phis), (num, phis)
+            opened.append(open_indices)
+            return cancel(num, phis, open_indices)
+
+        monkeypatch.setattr(exact, "_cancel_phi_content", recorded)
+        for raw in one_section_vectors(4000, 400, sizes=(3,)):
+            hilbert_generic(validate(raw))
+        assert len(opened) == 4000 and not any(opened)
 
     def test_cancel_matches_divide_exact(self):
         rng = random.Random(7)

@@ -121,7 +121,7 @@ class TestTightSection:
             num, view = section(problem)
             # one factor per exponent, so the view's degree is sum c/g
             assert view == Counter(c // gcd(n_, c) for c in problem.factors), (exps, n_)
-            assert num.degree < sum(d * m for d, m in view.items())
+            assert not any(num[sum(d * m for d, m in view.items()) :])
             kept = brute_force_section(problem)
             assert from_view(num, view).series_at_zero(len(kept) - 1) == kept, (exps, n_)
             checked += 1
@@ -160,8 +160,8 @@ class TestTightSection:
         cancelled = []
         cancel = exact._cancel_phi_content
 
-        def reduced(num, phis):
-            q, left = cancel(num, phis)
+        def reduced(num, phis, open_indices=None):
+            q, left = cancel(num, phis, open_indices)
             cancelled.append(sum((+Counter(phis)).values()) - sum(left.values()))
             return q, left
 
@@ -206,6 +206,42 @@ class TestOracle:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[1, 0, 0, 1, 1, 0, 1, 1, 1]"
+
+    def test_packed_counts_match_enumeration(self):
+        # the table against brute force, zero weights included, with the
+        # positive side going first (A+ < A-), the negative side going
+        # first (A- < A+), and sides of equal reach
+        rng = random.Random(30)
+        upto = 6
+        orders = Counter()
+        for _ in range(300):
+            ws = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(rng.randint(2, 4))]
+            ws += [rng.randint(-5, -1), rng.randint(1, 5)] + [0] * rng.randint(0, 2)
+            rng.shuffle(ws)
+            # a monomial of degree d is a multiset of d coordinates
+            expected = [
+                sum(not sum(map(ws.__getitem__, monomial)) for monomial in itertools.combinations_with_replacement(range(len(ws)), d))
+                for d in range(upto + 1)
+            ]
+            assert hilbert._packed_counts(ws, upto) == expected, ws
+            reach = max(ws), -min(ws)
+            orders[(reach[0] > reach[1]) - (reach[0] < reach[1]), 0 in ws] += 1
+        assert len(orders) == 6 and min(orders.values()) > 10, orders
+
+    def test_table_keeps_lanes_that_return_to_zero(self):
+        # the side of smaller reach shifts up first, then the other side
+        # down, so a row spans upto * min(A+, A-) + 1 lanes, A+ the largest
+        # weight >= 0 and A- the largest |w| of a negative weight; the
+        # lanes of [-upto max|w|, upto max|w|] were 2 upto max|w| + 1
+        rng = random.Random(31)
+        for _ in range(200):
+            ws = [-rng.randint(1, 30), rng.randint(1, 30)]
+            ws += [rng.randint(-30, 30) for _ in range(rng.randint(0, 4))]
+            upto = rng.randint(1, 30)
+            bits = comb(upto + len(ws), len(ws) - 1).bit_length() + 1
+            lanes = upto * min(max(ws), -min(ws)) + 1
+            rows = hilbert._count_rows(ws, upto, bits)
+            assert max(row.bit_length() for row in rows) <= lanes * bits, (ws, upto)
 
     def test_zero_weights_counted(self):
         v = validate((-1, 1, 0))
@@ -331,6 +367,25 @@ class TestEngines:
         assert len(family) == 385
         assert len(calls) == 385
 
+    def test_three_weight_series_reduces_nothing(self, monkeypatch):
+        # one section over two source exponents proves every pole order of
+        # its view: the one reduction of (-501, 500, 503) runs no probe, no
+        # fold and no division
+        calls = Counter()
+        for name in ("_phi_probe", "_fold", "_divide_phi"):
+            kernel = getattr(exact, name)
+            monkeypatch.setattr(exact, name, lambda *args, name=name, kernel=kernel: calls.update([name]) or kernel(*args))
+        from_factored = RationalFunction.from_factored
+        reductions = []
+
+        def counted(*args, **kwargs):
+            reductions.append(args)
+            return from_factored(*args, **kwargs)
+
+        monkeypatch.setattr(RationalFunction, "from_factored", staticmethod(counted))
+        hilbert_series(validate((-501, 500, 503)))
+        assert not calls and len(reductions) == 1
+
     def test_failed_full_divisions_on_engine_pool(self, monkeypatch):
         # the folds decide every Phi_e, so a full-length division runs only
         # on a product of Phi_e that divides: one per round of the
@@ -352,8 +407,8 @@ class TestEngines:
                 full.append(q is not None and q[-1] != 0)
             return q
 
-        def reduced(num, phis):
-            q, left = cancel(num, phis)
+        def reduced(num, phis, open_indices=None):
+            q, left = cancel(num, phis, open_indices)
             cancelled.append(sum((+Counter(phis)).values()) - sum(left.values()))
             return q, left
 
@@ -366,9 +421,11 @@ class TestEngines:
         assert full == [True] * 38
 
     def test_folds_on_engine_pool_and_sweep(self, monkeypatch):
-        # a few strided sums rule out most open Phi_e before any fold: 137
-        # folds over engine_pool() and 81 over sweep_family(), where every
-        # open Phi_e with e > 1 was folded (1115 and 1135)
+        # a few strided sums rule out most open Phi_e before any fold, and
+        # a one-section series folds only its open indices: 59 folds over
+        # engine_pool() and 81 over sweep_family(), where every Phi_e with
+        # e > 1 was folded (1115 and 1135), and 137 over engine_pool() when
+        # one-section series still probed their proven indices
         folds = []
         fold = exact._fold
         monkeypatch.setattr(exact, "_fold", lambda a, e: folds.append(e) or fold(a, e))
@@ -378,7 +435,7 @@ class TestEngines:
             for raw in family():
                 hilbert_series(validate(raw))
             counts.append(len(folds))
-        assert counts == [137, 81]
+        assert counts == [59, 81]
 
     def test_degenerate_degree_guard(self):
         # pair denominator (1-t^2)(1-t^3)(1-t^8)(1-t^15) has degree 28
