@@ -54,15 +54,17 @@ coefficient.
 
 Every denominator here is a product of cyclotomic polynomials (a Hilbert
 series is P(t) / prod (1 - t^d)), so a rational function is always the
-reduced pair num / prod Phi_e^{m_e}: it carries its content {e: m_e} and is
-reduced by cancelling each Phi_e from the numerator, with no polynomial gcd.
-A value comes out of one such reduction (:meth:`RationalFunction.from_factored`)
-and is never combined with another: there is no rational-function
-arithmetic, an engine hands its whole unreduced numerator and factored
-denominator to one reduction.
-It may also carry a *factored denominator view*, a multiset of
+reduced pair num / prod Phi_e^{m_e}, reduced by cancelling each Phi_e from
+the numerator, with no polynomial gcd.  A value stores the numerator, its
+content {e: m_e} and an optional *factored denominator view*, a multiset of
 (d, multiplicity) pairs standing for prod (1 - t^d)^multiplicity.  The
-reduced pair is always authoritative; the view may be unreduced.
+denominator and the degree are derived from the content: the Phi_e factor
+uniquely, so the content fixes the denominator, and its degree is
+sum k_d d.  The reduced pair is always authoritative; the view may be
+unreduced.  A value comes out of one reduction
+(:meth:`RationalFunction.from_factored`) and is never combined with
+another: there is no rational-function arithmetic, an engine hands its
+whole unreduced numerator and factored denominator to one reduction.
 
 All values are immutable after construction and safe to share between
 threads; every operation returns a fresh value.
@@ -73,7 +75,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import accumulate, islice, repeat
-from math import lcm
+from math import lcm, prod
 from operator import add, lt, sub
 
 from .errors import InternalInvariantViolation, ZeroDenominator, ZeroFunction
@@ -100,25 +102,22 @@ def _quotient(a, b):
     return _exact(a / b)
 
 
-def _from_dense(coeffs) -> "Polynomial":
-    """Polynomial with a dense coefficient list, lowest degree first:
-    trailing zeros are stripped and integral entries become ints.  For
-    ``Polynomial`` arithmetic, whose entries may be Fractions; the kernel's
-    int lists go through :func:`_int_polynomial`."""
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    out = object.__new__(Polynomial)
-    coeffs = coeffs[:n]
-    out._coeffs = tuple(coeffs if set(map(type, coeffs)) <= {int} else map(_exact, coeffs))
-    return out
-
-
 def _strip(a: list) -> list:
     """a without its trailing zeros, in place."""
     while a and not a[-1]:
         a.pop()
     return a
+
+
+def _from_dense(coeffs: list) -> "Polynomial":
+    """Polynomial with the dense coefficient list coeffs, lowest degree
+    first, which it takes over: trailing zeros are stripped and integral
+    entries become ints.  For ``Polynomial`` arithmetic, whose entries may
+    be Fractions; the kernel's int lists go through :func:`_int_polynomial`."""
+    coeffs = _strip(coeffs)
+    out = object.__new__(Polynomial)
+    out._coeffs = tuple(coeffs if set(map(type, coeffs)) <= {int} else map(_exact, coeffs))
+    return out
 
 
 def _int_polynomial(a: list) -> "Polynomial":
@@ -322,26 +321,6 @@ def _divisors(n: int) -> tuple:
     return (*small, *reversed(large))
 
 
-def _mobius(n: int) -> int:
-    """The Moebius function mu(n), by trial division."""
-    mu, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return -mu if n > 1 else mu
-
-
-@lru_cache(maxsize=None)
-def _phi_factors(e: int) -> tuple:
-    """Phi_e = prod (1 - t^d)^{mu(e/d)} over d | e (Phi_1 = 1 - t), as the
-    pairs (d, mu(e/d)) with mu(e/d) != 0, d ascending."""
-    return tuple((d, mu) for d in _divisors(e) if (mu := _mobius(e // d)))
-
-
 @lru_cache(maxsize=None)
 def _prime_factors(n: int) -> tuple:
     """The distinct primes dividing n, ascending, by trial division."""
@@ -353,6 +332,20 @@ def _prime_factors(n: int) -> tuple:
                 n //= p
         p += 1
     return (*primes, n) if n > 1 else tuple(primes)
+
+
+def _mobius(n: int) -> int:
+    """The Moebius function mu(n): (-1)^omega(n) when n is the product of
+    its distinct primes (:func:`_prime_factors`), else 0."""
+    primes = _prime_factors(n)
+    return (-1) ** len(primes) if prod(primes) == n else 0
+
+
+@lru_cache(maxsize=None)
+def _phi_factors(e: int) -> tuple:
+    """Phi_e = prod (1 - t^d)^{mu(e/d)} over d | e (Phi_1 = 1 - t), as the
+    pairs (d, mu(e/d)) with mu(e/d) != 0, d ascending."""
+    return tuple((d, mu) for d in _divisors(e) if (mu := _mobius(e // d)))
 
 
 def _phi_divides_fold(r: list, e: int) -> bool:
@@ -464,67 +457,66 @@ def _degree(ks) -> int:
 class RationalFunction:
     """Numerator over prod Phi_e^{m_e}, reduced by that cyclotomic content.
 
-    ``phi_content`` is the multiset {e: m_e}; with Phi_1 taken as 1 - t the
-    denominator has constant term 1, so equality is a pure structural
-    comparison.  Build values with :meth:`from_factored`; there are no
-    arithmetic operators.
+    A value stores the numerator, the content {e: m_e} as ``phi_content``
+    and an optional factored denominator view.  The denominator and the
+    degree are derived from the content: with Phi_1 taken as 1 - t the
+    denominator has constant term 1, and the Phi_e factor uniquely, so the
+    content fixes it and equality is a pure structural comparison of
+    numerator and content.  Build values with :meth:`from_factored`; there
+    are no arithmetic operators.
     """
 
-    __slots__ = ("numerator", "denominator", "factored_denominator", "phi_content")
+    __slots__ = ("numerator", "phi_content", "factored_denominator")
 
-    def __init__(self, numerator: Polynomial, denominator: Polynomial, factored, phi_content, _reduced=False):
-        if denominator.is_zero():
-            raise ZeroDenominator("zero denominator")
+    def __init__(self, numerator: Polynomial, phi_content, factored, _reduced=False):
         if not _reduced:
             raise ValueError("construct via from_factored()")
         self.numerator = numerator
-        self.denominator = denominator
+        # the denominator is prod Phi_e^{m_e} over this multiset
+        self.phi_content = Counter(phi_content)
         self.factored_denominator = (
             tuple(sorted(factored.items())) if factored else None
         )
-        # the denominator is prod Phi_e^{m_e} over this multiset
-        self.phi_content = Counter(phi_content)
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_factored(num, view, _open=None) -> "RationalFunction":
-        """num / prod (1 - t^d)^mult, reduced by cyclotomic content.
+        """num / prod (1 - t^d)^mult, reduced by cyclotomic content (Phi_1 =
+        1 - t, so the denominator has constant term 1, the canonical
+        scaling).
 
         num is a Polynomial or a dense int list, lowest degree first, which
         is taken over (the engines hand in the list their kernel built).
         ``_open``, when given, holds the only indices e whose Phi_e may
         cancel; the engine that passes it has proved the pole order of
         every other Phi_e of the view (:func:`_cancel_phi_content`)."""
-        view = Counter(dict(view)) if not isinstance(view, Counter) else Counter(view)
-        view = Counter({d: m for d, m in view.items() if m})
+        view = {d: m for d, m in dict(view).items() if m}
         if 0 in view:
             raise ZeroDenominator("factor 1 - t^0 = 0 in the view")
         if any(d < 0 for d in view):
             raise ValueError("negative degree in the view")
-        return RationalFunction._from_phi_multiset(num, _view_phi_multiset(view), _open)
-
-    @staticmethod
-    def _from_phi_multiset(num, phis: Counter, open_indices=None) -> "RationalFunction":
-        """num / prod Phi_e^mult, reduced (Phi_1 = 1 - t, so the denominator
-        has constant term 1, the canonical scaling); num as in
-        :meth:`from_factored`."""
         if type(num) is list:
             _strip(num)
         if not num:
             return RationalFunction.zero()
-        num, phis = _cancel_phi_content(num, phis, open_indices)
+        num, phis = _cancel_phi_content(num, _view_phi_multiset(view), _open)
         ks = _factor_exponents(phis)
         # the k_d are unique, so the denominator is a product of (1 - t^d)
         # factors exactly when every k_d is positive
         view = ks if all(k > 0 for k in ks.values()) else None
-        return RationalFunction(num, _expand_view(ks), view, _reduced=True, phi_content=phis)
+        return RationalFunction(num, phis, view, _reduced=True)
 
     @staticmethod
     def zero() -> "RationalFunction":
-        return RationalFunction(Polynomial.zero(), Polynomial.one(), None, _reduced=True, phi_content={})
+        return RationalFunction(Polynomial.zero(), {}, None, _reduced=True)
 
     # -- queries ------------------------------------------------------------
+
+    @property
+    def denominator(self) -> Polynomial:
+        """prod Phi_e^{m_e}, expanded from the content on each read."""
+        return _expand_view(_factor_exponents(self.phi_content))
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
@@ -533,17 +525,17 @@ class RationalFunction:
         return (
             isinstance(other, RationalFunction)
             and self.numerator == other.numerator
-            and self.denominator == other.denominator
+            and self.phi_content == other.phi_content
         )
 
     def __hash__(self):
-        return hash((self.numerator, self.denominator))
+        return hash((self.numerator, frozenset(self.phi_content.items())))
 
     @property
     def degree(self) -> int:
         if self.is_zero():
             raise ZeroFunction("degree of the zero function")
-        return self.numerator.degree - self.denominator.degree
+        return self.numerator.degree - _degree(_factor_exponents(self.phi_content))
 
     # -- views --------------------------------------------------------------
 
@@ -801,10 +793,13 @@ def present_with_factors(f: RationalFunction):
     nfactors = content.get(1, 0)
     if nfactors == 0:
         return f
+    # the content's k_d: F = num * prod (1 - t^d)^{inverse_d}
+    inverse = {d: -k for d, k in _factor_exponents(content).items()}
+    den_degree = -_degree(inverse)
     # factor degrees may need to reach the lcm of the content indices
     # (several high-multiplicity indices can be forced into one factor)
-    cap = max(200, 2 * f.denominator.degree)
-    bound = max(f.denominator.degree, max(content), min(lcm(*content), cap))
+    cap = max(200, 2 * den_degree)
+    bound = max(den_degree, max(content), min(lcm(*content), cap))
     # Phi_1 divides every factor, so only the other indices need covering;
     # each factor (1 - t^d) covers Phi_e once for every index e dividing d
     indices = sorted(e for e in content if e > 1)
@@ -879,8 +874,6 @@ def present_with_factors(f: RationalFunction):
         return None
 
     num = f.numerator._coeffs
-    # the content's k_d: F = num * prod (1 - t^d)^{inverse_d}
-    inverse = {d: -k for d, k in _factor_exponents(content).items()}
     series = num[:1]
 
     def fails_pair(d: int, slots: int) -> bool:
@@ -900,14 +893,11 @@ def present_with_factors(f: RationalFunction):
     for d in cover:
         ks[d] = ks.get(d, 0) + 1
     h = list(num)
-    h += [0] * (sum(cover) - f.denominator.degree)
+    h += [0] * (sum(cover) - den_degree)
     if min(_apply_factors(h, ks)) >= 0:
-        return RationalFunction(
-            f.numerator, f.denominator, Counter(cover), _reduced=True,
-            phi_content=content,
-        )
+        return RationalFunction(f.numerator, content, Counter(cover), _reduced=True)
 
-    deg = f.numerator.degree - f.denominator.degree
+    deg = f.numerator.degree - den_degree
     # the largest possible numerator degree, the most the window can need
     top = nfactors * bound + deg
     # the degrees multiplied into arr, outermost first
@@ -929,14 +919,11 @@ def present_with_factors(f: RationalFunction):
         return min(arr[: min(d, end)]) < 0 or any(map(lt, islice(arr, d, end), arr))
 
     # bound >= deg den, so this window is at most top
-    arr = _series(num, inverse, nfactors * f.denominator.degree + deg)
+    arr = _series(num, inverse, nfactors * den_degree + deg)
     if min(arr) < 0:
         return f
     # no view starts below the cover's first degree
     view = first_cover(counts, nfactors, cover[0], outside_window, True)
     if view is None:
         return f
-    return RationalFunction(
-        f.numerator, f.denominator, Counter(view), _reduced=True,
-        phi_content=content,
-    )
+    return RationalFunction(f.numerator, content, Counter(view), _reduced=True)

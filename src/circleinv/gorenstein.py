@@ -92,6 +92,10 @@ def _k1_a_invariant(v: WeightVector) -> int:
 
 @dataclass
 class GorensteinReport:
+    """One vector's diagnosis.  The verdict is the Stanley test:
+    ``classification`` and ``ratio_is_integer`` are read off
+    ``stanley_holds`` and ``ratio_2g1_g0``."""
+
     weights: tuple
     zero_count: int
     faithful_scale: int
@@ -100,20 +104,24 @@ class GorensteinReport:
     gamma0: Fraction
     gamma1: Fraction
     ratio_2g1_g0: Fraction
-    ratio_is_integer: bool
     stanley_holds: bool
-    classification: str
     sufficient_condition_hits: list = field(default_factory=list)
     hilbert: RationalFunction | None = None
     degree: int | None = None
 
     def __post_init__(self):
-        if self.classification != ("Gorenstein" if self.stanley_holds else "NotGorenstein"):
-            raise InternalInvariantViolation("classification must mirror the Stanley test")
         if not self.ratio_is_integer and self.stanley_holds:
             raise InternalInvariantViolation("non-integer ratio contradicts a Gorenstein verdict")
         if self.sufficient_condition_hits and not self.stanley_holds:
             raise InternalInvariantViolation("a sufficient condition fired on a non-Gorenstein vector")
+
+    @property
+    def classification(self) -> str:
+        return "Gorenstein" if self.stanley_holds else "NotGorenstein"
+
+    @property
+    def ratio_is_integer(self) -> bool:
+        return self.ratio_2g1_g0.denominator == 1
 
 
 def analyze(v: WeightVector, full: bool = False, verify_depth=None) -> GorensteinReport:
@@ -130,7 +138,6 @@ def analyze(v: WeightVector, full: bool = False, verify_depth=None) -> Gorenstei
     values = gammas(v, 3 if full else 1).values
     g0, g1 = values[:2]
     ratio = 2 * g1 / g0
-    ratio_is_integer = ratio.denominator == 1
     dim = v.n - 1 + v.zero_count
     hits = []
     if v.n == 2:
@@ -138,7 +145,27 @@ def analyze(v: WeightVector, full: bool = False, verify_depth=None) -> Gorenstei
     if k1_sufficient(v) or k1_sufficient(v.negate()):
         hits.append(K1_DIVISIBILITY)
 
-    common = dict(
+    f = None
+    if v.n == 2 and not full:
+        f = hilbert_series(v, verify_depth=verify_depth)
+        holds, degree = True, f.degree
+    elif K1_DIVISIBILITY in hits and not full:
+        holds, degree = True, _k1_a_invariant(v if v.k == 1 else v.negate())
+    elif ratio.denominator != 1 and not full:
+        holds, degree = False, None
+    else:
+        f = hilbert_series(v, verify_depth=verify_depth)
+        degree = f.degree
+        holds = stanley_test(f, dim)
+        if holds and ratio != -degree - dim:
+            raise InternalInvariantViolation(
+                "gamma ratio violates 2*gamma1/gamma0 = -a - dim on a Gorenstein vector"
+            )
+        if holds and full and not gamma3_relation(*values):
+            raise InternalInvariantViolation(
+                "gamma_0..gamma_3 violate the functional equation on a Gorenstein vector"
+            )
+    return GorensteinReport(
         weights=v.weights,
         zero_count=v.zero_count,
         faithful_scale=v.faithful_scale,
@@ -147,52 +174,8 @@ def analyze(v: WeightVector, full: bool = False, verify_depth=None) -> Gorenstei
         gamma0=g0,
         gamma1=g1,
         ratio_2g1_g0=ratio,
-        ratio_is_integer=ratio_is_integer,
-        sufficient_condition_hits=hits,
-    )
-
-    if v.n == 2 and not full:
-        f = hilbert_series(v, verify_depth=verify_depth)
-        return GorensteinReport(
-            stanley_holds=True,
-            classification="Gorenstein",
-            hilbert=f,
-            degree=f.degree,
-            **common,
-        )
-    if K1_DIVISIBILITY in hits and not full:
-        return GorensteinReport(
-            stanley_holds=True,
-            classification="Gorenstein",
-            hilbert=None,
-            degree=_k1_a_invariant(v if v.k == 1 else v.negate()),
-            **common,
-        )
-    if not ratio_is_integer and not full:
-        return GorensteinReport(
-            stanley_holds=False,
-            classification="NotGorenstein",
-            hilbert=None,
-            degree=None,
-            **common,
-        )
-
-    f = hilbert_series(v, verify_depth=verify_depth)
-    degree = f.degree
-    holds = stanley_test(f, dim)
-    if holds and ratio != -degree - dim:
-        raise InternalInvariantViolation(
-            "gamma ratio violates 2*gamma1/gamma0 = -a - dim on a Gorenstein vector"
-        )
-    if holds and full and not gamma3_relation(*values):
-        raise InternalInvariantViolation(
-            "gamma_0..gamma_3 violate the functional equation on a Gorenstein vector"
-        )
-    return GorensteinReport(
         stanley_holds=holds,
-        classification="Gorenstein" if holds else "NotGorenstein",
+        sufficient_condition_hits=hits,
         hilbert=f,
         degree=degree,
-        **common,
     )
-

@@ -335,7 +335,7 @@ def hilbert_series(
     result = present_with_factors(result)
     if verify_depth:
         depth = (
-            max(2 * result.denominator.degree, 50)
+            max(2 * _degree(_factor_exponents(result.phi_content)), 50)
             if verify_depth == "auto"
             else int(verify_depth)
         )

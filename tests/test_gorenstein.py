@@ -259,20 +259,30 @@ class TestAnalyze:
         assert r.stanley_holds
 
     def test_report_invariants(self):
-        with pytest.raises(Exception):
+        common = dict(
+            weights=(-1, 1),
+            zero_count=0,
+            faithful_scale=1,
+            dimension=1,
+            degenerate=False,
+            gamma0=F(1, 2),
+            gamma1=F(1, 4),
+        )
+        # a non-integer ratio cannot be Gorenstein
+        with pytest.raises(InternalInvariantViolation):
+            GorensteinReport(ratio_2g1_g0=F(1, 2), stanley_holds=True, **common)
+        # a sufficient condition cannot fire on a non-Gorenstein vector
+        with pytest.raises(InternalInvariantViolation):
             GorensteinReport(
-                weights=(-1, 1),
-                zero_count=0,
-                faithful_scale=1,
-                dimension=1,
-                degenerate=False,
-                gamma0=F(1, 2),
-                gamma1=F(1, 4),
-                ratio_2g1_g0=F(1),
-                ratio_is_integer=True,
-                stanley_holds=True,
-                classification="NotGorenstein",
+                ratio_2g1_g0=F(1), stanley_holds=False, sufficient_condition_hits=[N2_POLYNOMIAL], **common
             )
+        # the verdict and the ratio's integrality are read off the stored facts
+        report = GorensteinReport(
+            ratio_2g1_g0=F(1), stanley_holds=True, sufficient_condition_hits=[N2_POLYNOMIAL], **common
+        )
+        assert report.classification == "Gorenstein" and report.ratio_is_integer is True
+        report = GorensteinReport(ratio_2g1_g0=F(3, 2), stanley_holds=False, **common)
+        assert report.classification == "NotGorenstein" and report.ratio_is_integer is False
 
     def test_gorenstein_consistency_family(self):
         # whenever Stanley holds: the ratio is an integer and matches
