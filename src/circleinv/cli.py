@@ -287,13 +287,16 @@ def _scan_one(weights) -> dict:
 
 
 def _scan_payloads(candidates, jobs: int):
-    """Reports in candidate order, each yielded as soon as it is ready."""
-    if jobs == 1:
+    """Reports in candidate order, each yielded as soon as it is ready, from
+    min(jobs, candidates, CPUs) workers, serially when that is 1: the fork
+    start method launches every worker of the pool at its first submit."""
+    workers = min(jobs, len(candidates), os.cpu_count() or 1)
+    if workers <= 1:
         yield from map(_scan_one, candidates)
         return
     from concurrent.futures import ProcessPoolExecutor  # only parallel scans pay for it
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_scan_one, candidates, chunksize=16)
 
 

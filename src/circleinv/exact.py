@@ -33,18 +33,11 @@ signed sum of 2^omega(e) strided sums of the numerator, rule out most
 Phi_e before any fold is taken (:func:`_phi_probe`).  The reduction then
 divides once per round, by the product of every Phi_e that divided, so
 the full-length divisions never fail (:func:`_cancel_phi_content`).
-An engine that has proved the pole order of a Phi_e of its view hands
-the reduction only the other indices, the open ones, to decide.  The
-section engine does so for one section, sign +1 and shift 0, at stride
-N: a Phi_e, e > 1, with at most one source exponent c outside J = {c : e
-| c/gcd(N, c)} keeps its multiplicity |J|.  For rho with rho^e = 1, some
-u0 with u0^N = rho has u0^c = 1 for every c in J, since v_p(c) >= v_p(N)
-+ v_p(e) for each prime p | e; near rho, 1 - u^c ~ -(c / (N rho))
-(t - rho) does not depend on u0, so the highest-order terms differ only
-by 1/(1 - u0^c'), c' the exponent outside J, whose real part is 1/2 for
-any root of unity u0^c' != 1: they cannot cancel.  The engines hand the
-reduction their kernel's int lists, and it builds its Polynomial with no
-scan of the entries' types (:func:`_int_polynomial`).
+An engine that has proved the pole order of a Phi_e of its view passes
+``_open``, the other indices, the only ones the reduction then decides;
+the proof for one section is at :func:`circleinv.hilbert.hilbert_generic`.
+The engines hand the reduction their kernel's int lists, and it builds
+its Polynomial with no scan of the entries' types (:func:`_int_polynomial`).
 The expansion at t = 1 runs on ints too: p(1 - s) is repeated synthetic
 division by t - 1, one running sum per coefficient of s
 (:func:`_taylor_at_one`), and the series division carries each

@@ -261,7 +261,12 @@ def hilbert_degenerate(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT
 
 def oracle_coefficients(v: WeightVector, upto: int) -> list:
     """Coefficients 0..upto of the Hilbert series, counted directly:
-    dim of degree-m invariants = #{e >= 0 : sum a_i e_i = 0, sum e_i = m}."""
+    dim of degree-m invariants = #{e >= 0 : sum a_i e_i = 0, sum e_i = m}.
+
+    Refused with ``DegreeOverflow`` before anything is allocated when the
+    table has more than ``MAX_ORACLE_CELLS`` cells, or more than 64 bits
+    per such cell: (upto + 1) rows of upto * min(A+, A-) + 1 lanes of
+    ``bits`` bits each (:func:`_count_rows`)."""
     ws = list(v.weights) + [0] * v.zero_count
     if upto < 0:
         return []
@@ -273,14 +278,21 @@ def oracle_coefficients(v: WeightVector, upto: int) -> list:
             f"counting oracle to degree {upto} needs {cells} table cells, "
             f"above the limit {MAX_ORACLE_CELLS}"
         )
-    return _packed_counts(ws, upto)
+    bits = comb(upto + len(ws), len(ws) - 1).bit_length() + 1
+    table = (upto + 1) * (upto * min(max(ws), -min(ws)) + 1) * bits
+    if table > 64 * MAX_ORACLE_CELLS:
+        raise DegreeOverflow(
+            f"counting oracle to degree {upto} needs a table of {table} bits, "
+            f"above the limit {64 * MAX_ORACLE_CELLS}"
+        )
+    return _packed_counts(ws, upto, bits)
 
 
-def _packed_counts(ws, upto: int) -> list:
+def _packed_counts(ws, upto: int, bits: int) -> list:
     """Lane 0 of each row of the counting table (:func:`_count_rows`).
     No lane carries: every count is at most comb(upto + n, n - 1), the
-    number of monomials of degree upto + 1, below 2^(bits - 1)."""
-    bits = comb(upto + len(ws), len(ws) - 1).bit_length() + 1
+    number of monomials of degree upto + 1, below 2^(bits - 1), with
+    bits = comb(upto + n, n - 1).bit_length() + 1."""
     mask = (1 << bits) - 1
     return [row & mask for row in _count_rows(ws, upto, bits)]
 

@@ -77,12 +77,10 @@ def _phis(alphas, m: int) -> list:
     return [sum(lambda_poly(n - k, k - d) * td[k] for k in range(n + 1)) for n in range(m + 1)]
 
 
-def phi(m: int, alphas, d: int) -> Fraction:
-    """phi_m = sum_k lambda_{m-k}(k-d) td_k for the given parameter degrees."""
-    alphas = tuple(alphas)
-    if d != len(alphas):
-        raise ValueError("d must equal the number of parameter degrees")
-    return _phis(alphas, m)[m]
+def phi(m: int, alphas) -> Fraction:
+    """phi_m = sum_k lambda_{m-k}(k-d) td_k for the given parameter degrees,
+    d = len(alphas)."""
+    return _phis(tuple(alphas), m)[m]
 
 
 def gammas_cm(upto: int, data: HironakaData) -> list:

@@ -27,8 +27,12 @@ Each coefficient comes in three independent flavors:
   walk, so gamma_0..gamma_3 asked one at a time cost one pass.  The memo is
   read and advanced under a lock, and any exception while advancing it
   discards it;
-* the generic form - partial-fraction style sums over the negative weights,
-  defined only when they are pairwise distinct;
+* the generic form - partial-fraction style sums over the negative weights
+  a_i, defined only when they are pairwise distinct: each term of gamma_m
+  is a_i^(n-2-m) times a symmetric sum of the weights (or a root-of-unity
+  sum of J) over the cofactor prod (a_i - a_l) of the indices l left
+  after dropping i and J (``_cofactor``); it calls nothing of the Schur
+  walk, which it checks;
 * direct series extraction from the computed Hilbert series (the oracle the
   other two are tested against).
 
@@ -53,7 +57,7 @@ drop.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd, prod
 from threading import Lock
 
@@ -254,181 +258,101 @@ def _require_generic(v: WeightVector):
         raise Unstable("generic gamma form needs pairwise distinct negative weights")
 
 
+def _cofactor(ws, i: int, drop=()) -> Fraction:
+    """prod (a_i - a_l) over every l != i not in drop, as a Fraction."""
+    return Fraction(prod(ws[i] - w for l, w in enumerate(ws) if l != i and l not in drop))
+
+
 def gamma0_generic(v: WeightVector) -> Fraction:
     _require_generic(v)
     ws = v.weights
-    n_ = v.n
-    total = Fraction(0)
-    for i in range(v.k):
-        den = Fraction(1)
-        for j in range(n_):
-            if j != i:
-                den *= ws[i] - ws[j]
-        total += -_power(ws[i], n_ - 2) / den
-    return total
+    return sum((-_power(ws[i], v.n - 2) / _cofactor(ws, i) for i in range(v.k)), Fraction(0))
 
 
 def gamma1_generic(v: WeightVector) -> Fraction:
     _require_generic(v)
     ws = v.weights
-    n_ = v.n
     gcds = [g for _, g in _reduced(v, 1).values()]
     total = Fraction(0)
     for i in range(v.k):
-        den_full = Fraction(1)
-        for l in range(n_):
-            if l != i:
-                den_full *= ws[i] - ws[l]
-        for j in range(n_):
+        p, den = _power(ws[i], v.n - 3), _cofactor(ws, i)
+        for j in range(v.n):
             if j == i:
                 continue
-            total += _power(ws[i], n_ - 3) * ws[j] / (2 * den_full)
+            total += p * ws[j] / (2 * den)
             if gcds[j] > 1:
-                den_ij = Fraction(1)
-                for l in range(n_):
-                    if l != i and l != j:
-                        den_ij *= ws[i] - ws[l]
-                total += Fraction(gcds[j] - 1, 2) * (-_power(ws[i], n_ - 3)) / den_ij
+                total += Fraction(gcds[j] - 1, 2) * -p / _cofactor(ws, i, (j,))
     return total
 
 
 def gamma2_generic(v: WeightVector) -> Fraction:
     _require_generic(v)
     ws = v.weights
-    n_ = v.n
     reduced = _reduced(v, 2)
-    gcds = [reduced[j,][1] for j in range(n_)]
-    roots = {J: _roots(reduced, J) for J in combinations(range(n_), 2)}
+    gcds = [reduced[j,][1] for j in range(v.n)]
+    roots = {J: _roots(reduced, J) for J in combinations(range(v.n), 2)}
     total = Fraction(0)
     for i in range(v.k):
-        others = [j for j in range(n_) if j != i]
-        den_full = Fraction(1)
-        for j in others:
-            den_full *= ws[i] - ws[j]
-        bracket = Fraction(0)
-        for j in others:
-            bracket += (2 * ws[i] - ws[j]) * ws[j]
-        pair_sum = Fraction(0)
-        for idx, j in enumerate(others):
-            for l in others[idx + 1:]:
-                pair_sum += ws[j] * ws[l]
-        total += _power(ws[i], n_ - 4) * (bracket - 3 * pair_sum) / (12 * den_full)
+        a = ws[i]
+        others = [j for j in range(v.n) if j != i]
+        p = _power(a, v.n - 4)
+        bracket = sum((2 * a - ws[j]) * ws[j] for j in others)
+        pairs = sum(ws[j] * ws[l] for j, l in combinations(others, 2))
+        total += p * (bracket - 3 * pairs) / (12 * _cofactor(ws, i))
         for j in others:
             if gcds[j] > 1:
-                den_ij = Fraction(1)
-                for l in others:
-                    if l != j:
-                        den_ij *= ws[i] - ws[l]
-                total += (
-                    Fraction(1 - gcds[j] ** 2, 12)
-                    * _power(ws[i], n_ - 4)
-                    * (ws[i] - ws[j])
-                    / den_ij
-                )
-                inner = Fraction(0)
-                for l in others:
-                    if l != j:
-                        inner += ws[l]
-                total += (
-                    Fraction(gcds[j] - 1, 2)
-                    * _power(ws[i], n_ - 4)
-                    * inner
-                    / (2 * den_ij)
-                )
-        for idx, j in enumerate(others):
-            for l in others[idx + 1:]:
-                cs = Fraction(pair_sum_12(ws[j], ws[l], roots[j, l]), 12)
-                if cs:
-                    den_ijl = Fraction(1)
-                    for p in others:
-                        if p != j and p != l:
-                            den_ijl *= ws[i] - ws[p]
-                    total += -_power(ws[i], n_ - 4) / den_ijl * cs
+                den = _cofactor(ws, i, (j,))
+                total += Fraction(1 - gcds[j] ** 2, 12) * p * (a - ws[j]) / den
+                rest = sum(ws[l] for l in others if l != j)
+                total += Fraction(gcds[j] - 1, 2) * p * rest / (2 * den)
+        for j, l in combinations(others, 2):
+            cs = Fraction(pair_sum_12(ws[j], ws[l], roots[j, l]), 12)
+            if cs:
+                total += -p / _cofactor(ws, i, (j, l)) * cs
     return total
 
 
 def gamma3_generic(v: WeightVector) -> Fraction:
     _require_generic(v)
     ws = v.weights
-    n_ = v.n
     reduced = _reduced(v, 3)
-    gcds = [reduced[j,][1] for j in range(n_)]
-    roots = {J: _roots(reduced, J) for J in combinations(range(n_), 2)}
+    gcds = [reduced[j,][1] for j in range(v.n)]
+    roots = {J: _roots(reduced, J) for J in combinations(range(v.n), 2)}
     total = Fraction(0)
     for i in range(v.k):
-        others = [j for j in range(n_) if j != i]
-        den_full = Fraction(1)
-        for q in others:
-            den_full *= ws[i] - ws[q]
-        triple = Fraction(0)
-        for x in range(len(others)):
-            for y in range(x + 1, len(others)):
-                for z in range(y + 1, len(others)):
-                    triple += 3 * ws[others[x]] * ws[others[y]] * ws[others[z]]
-        middle = Fraction(0)
-        for j in others:
-            for l in others:
-                if l != j:
-                    middle += ws[j] * ws[l] * (ws[l] - 2 * ws[i])
-        last = Fraction(0)
-        for j in others:
-            last += ws[i] * ws[j] * (2 * ws[i] - ws[j])
-        total += _power(ws[i], n_ - 5) * (triple + middle + last) / (24 * den_full)
+        a = ws[i]
+        others = [j for j in range(v.n) if j != i]
+        p = _power(a, v.n - 5)
+        triple = sum(3 * ws[j] * ws[l] * ws[q] for j, l, q in combinations(others, 3))
+        middle = sum(ws[j] * ws[l] * (ws[l] - 2 * a) for j, l in permutations(others, 2))
+        last = sum(a * ws[j] * (2 * a - ws[j]) for j in others)
+        total += p * (triple + middle + last) / (24 * _cofactor(ws, i))
         for j in others:
             if gcds[j] <= 1:
                 continue
             rest = [l for l in others if l != j]
-            den_ij = Fraction(1)
-            for q in rest:
-                den_ij *= ws[i] - ws[q]
-            pair = Fraction(0)
-            for x in range(len(rest)):
-                for y in range(x + 1, len(rest)):
-                    pair += ws[rest[x]] * ws[rest[y]]
-            total += Fraction(gcds[j] - 1, 2) * (
-                -_power(ws[i], n_ - 5) * pair / (4 * den_ij)
-            )
-            single = Fraction(0)
-            for l in rest:
-                single += ws[l] * (ws[l] - 2 * ws[i])
-            total += Fraction(gcds[j] - 1, 2) * (
-                -_power(ws[i], n_ - 5) * single / (12 * den_ij)
-            )
+            den = _cofactor(ws, i, (j,))
+            pairs = sum(ws[l] * ws[q] for l, q in combinations(rest, 2))
+            total += Fraction(gcds[j] - 1, 2) * (-p * pairs / (4 * den))
+            single = sum(ws[l] * (ws[l] - 2 * a) for l in rest)
+            total += Fraction(gcds[j] - 1, 2) * (-p * single / (12 * den))
             total += Fraction(gcds[j] ** 2 - 1, 24) * (
-                _power(ws[i], n_ - 5)
-                * (ws[i] - ws[j])
-                * (-ws[i] + sum(ws[l] for l in rest))
-                / den_ij
+                p * (a - ws[j]) * (-a + sum(ws[l] for l in rest)) / den
             )
-        for idx, j in enumerate(others):
-            for l in others[idx + 1:]:
-                rest = [p for p in others if p != j and p != l]
-                den_ijl = Fraction(1)
-                for q in rest:
-                    den_ijl *= ws[i] - ws[q]
-                cs = Fraction(pair_sum_12(ws[j], ws[l], roots[j, l]), 12)
-                if cs:
-                    inner = sum(ws[p] for p in rest)
-                    total += cs * _power(ws[i], n_ - 5) * inner / (2 * den_ijl)
-                cs_a = Fraction(weighted_sum_24(ws[j], roots[j, l]), 24)
-                cs_b = Fraction(weighted_sum_24(ws[l], roots[j, l]), 24)
-                if cs_a or cs_b:
-                    total += (
-                        _power(ws[i], n_ - 5)
-                        / den_ijl
-                        * ((ws[i] - ws[j]) * cs_a + (ws[i] - ws[l]) * cs_b)
-                    )
-        for idx, j in enumerate(others):
-            for jdx in range(idx + 1, len(others)):
-                for kdx in range(jdx + 1, len(others)):
-                    l, p = others[jdx], others[kdx]
-                    cs = triple_sum_24(ws[j], ws[l], ws[p], _roots(reduced, (j, l, p)))
-                    if cs:
-                        den_ijlp = Fraction(1)
-                        for q in others:
-                            if q not in (j, l, p):
-                                den_ijlp *= ws[i] - ws[q]
-                        total += -_power(ws[i], n_ - 5) * Fraction(cs, 24) / den_ijlp
+        for j, l in combinations(others, 2):
+            den = _cofactor(ws, i, (j, l))
+            cs = Fraction(pair_sum_12(ws[j], ws[l], roots[j, l]), 12)
+            if cs:
+                rest = sum(ws[q] for q in others if q not in (j, l))
+                total += cs * p * rest / (2 * den)
+            cs_a = Fraction(weighted_sum_24(ws[j], roots[j, l]), 24)
+            cs_b = Fraction(weighted_sum_24(ws[l], roots[j, l]), 24)
+            if cs_a or cs_b:
+                total += p / den * ((a - ws[j]) * cs_a + (a - ws[l]) * cs_b)
+        for j, l, q in combinations(others, 3):
+            cs = triple_sum_24(ws[j], ws[l], ws[q], _roots(reduced, (j, l, q)))
+            if cs:
+                total += -p * Fraction(cs, 24) / _cofactor(ws, i, (j, l, q))
     return total
 
 

@@ -16,8 +16,18 @@ weights in -3000..-1 and 3 - k in 1..3000, so the sections have strides
 and periods in the thousands, and ONE_SECTION_COUNT vectors from
 ``random.Random(ONE_SECTION_SEED)`` with one weight in -200..-1 and n - 1
 in 1..200, n from 4 to 6: each series is one section whose reduction
-decides only its open indices.  The name does not start with ``test_``, so
-pytest does not collect it.
+decides only its open indices.
+
+Three more lines, prefixed ``gammas_``, hash the Laurent coefficients over
+the generic orientations (v and its negation, each where its negative
+weights are pairwise distinct) of ``sweep_family()``,
+``_scan_candidates(4, 8)`` and the RANDOM_COUNT random vectors: per
+orientation, ``gammas(v, 3, "generic")`` and ``gammas(v, 3)``, each value
+with its type, or the exception's class name.  A refactor of ``laurent``
+is checked with them the same way.  A tree older than these lines is
+checked by copying this script into its ``tests/`` and running it there.
+
+The name does not start with ``test_``, so pytest does not collect it.
 """
 
 import hashlib
@@ -32,7 +42,9 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
 from circleinv.cli import _scan_candidates, rf_json  # noqa: E402
+from circleinv.errors import Unstable  # noqa: E402
 from circleinv.hilbert import hilbert_series  # noqa: E402
+from circleinv.laurent import gammas  # noqa: E402
 from circleinv.weights import validate  # noqa: E402
 from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
 
@@ -75,6 +87,27 @@ def output(raw) -> str:
         return type(exc).__name__
 
 
+def generic_orientations(family) -> list:
+    out = []
+    for raw in family:
+        try:
+            v = validate(raw)
+        except Unstable:  # one sign only: no orientation to hash
+            continue
+        out += [o for o in (v, v.negate()) if o.is_generic]
+    return out
+
+
+def gamma_output(v) -> str:
+    parts = []
+    for method in ("generic", "schur"):
+        try:
+            parts.append(" ".join(f"{type(g).__name__}:{g}" for g in gammas(v, 3, method).values))
+        except Exception as exc:
+            parts.append(type(exc).__name__)
+    return " | ".join(parts)
+
+
 FAMILIES = {
     "engine_pool": engine_pool,
     "sweep_family": sweep_family,
@@ -85,16 +118,27 @@ FAMILIES = {
     f"one_section_{ONE_SECTION_SEED}_{ONE_SECTION_COUNT}": one_section_vectors,
 }
 
+GAMMA_FAMILIES = {
+    "gammas_sweep_family": sweep_family,
+    "gammas_scan_4_8": lambda: _scan_candidates(4, 8),
+    f"gammas_random_{RANDOM_SEED}_{RANDOM_COUNT}": random_vectors,
+}
+
+
+def report(name, vectors, line) -> None:
+    start = time.perf_counter()
+    digest = hashlib.sha256()
+    for v in vectors:
+        digest.update(line(v).encode() + b"\n")
+    elapsed = time.perf_counter() - start
+    print(f"{name} {len(vectors)} {digest.hexdigest()}  ({elapsed:.1f} s)", flush=True)
+
 
 def main() -> None:
     for name, family in FAMILIES.items():
-        start = time.perf_counter()
-        digest = hashlib.sha256()
-        vectors = family()
-        for raw in vectors:
-            digest.update(output(raw).encode() + b"\n")
-        elapsed = time.perf_counter() - start
-        print(f"{name} {len(vectors)} {digest.hexdigest()}  ({elapsed:.1f} s)", flush=True)
+        report(name, family(), output)
+    for name, family in GAMMA_FAMILIES.items():
+        report(name, generic_orientations(family()), gamma_output)
 
 
 if __name__ == "__main__":

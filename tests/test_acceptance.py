@@ -252,12 +252,12 @@ def test_criterion_09_hironaka_identities():
             alphas = tuple(rng.randint(1, 6) for _ in range(d))
             e1 = elementary_symmetric(1, alphas)
             e2 = elementary_symmetric(2, alphas)
-            assert phi(0, alphas, d) == 1
-            assert phi(1, alphas, d) == F(1, 2) * (e1 - d)
-            assert phi(2, alphas, d) == F(1, 12) * (
+            assert phi(0, alphas) == 1
+            assert phi(1, alphas) == F(1, 2) * (e1 - d)
+            assert phi(2, alphas) == F(1, 12) * (
                 e2 + e1**2 - 3 * (d - 1) * e1 + F(d, 2) * (3 * d - 5)
             )
-            assert phi(3, alphas, d) == F(1, 24) * (
+            assert phi(3, alphas) == F(1, 24) * (
                 e2 * e1
                 - (d - 2) * (e2 + e1**2)
                 + F(d - 1, 2) * (3 * d - 8) * e1

@@ -248,6 +248,40 @@ class TestScanCommand:
         )
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize(
+        "n, max_weight, jobs, cpus, workers",
+        [(2, 1, 64, 8, None), (3, 3, 1, 8, None), (3, 3, 64, 1, None), (3, 3, 64, 6, 6), (3, 3, 3, 6, 3)],
+    )
+    def test_pool_size(self, n, max_weight, jobs, cpus, workers, tmp_path, monkeypatch, capsys):
+        # min(--jobs, candidates, CPUs) workers, and no pool when that is 1;
+        # a fake pool records its size and maps in process, so no worker starts
+        import concurrent.futures
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        serial, out = tmp_path / "serial.jsonl", tmp_path / "scan.jsonl"
+        argv = ["scan", "--n", str(n), "--max-weight", str(max_weight), "--output"]
+        assert main(argv + [str(serial), "--jobs", "1"]) == 0
+        sizes.clear()
+        assert main(argv + [str(out), "--jobs", str(jobs)]) == 0
+        assert sizes == ([workers] if workers else [])
+        assert out.read_bytes() == serial.read_bytes()
+
     @pytest.mark.parametrize("n, max_weight", [(12, 50), (10**9, 10**9)])
     def test_oversized_family_refused(self, n, max_weight, tmp_path, monkeypatch, capsys):
         # refused before enumerating and before the output file is opened

@@ -223,7 +223,8 @@ class TestOracle:
                 sum(not sum(map(ws.__getitem__, monomial)) for monomial in itertools.combinations_with_replacement(range(len(ws)), d))
                 for d in range(upto + 1)
             ]
-            assert hilbert._packed_counts(ws, upto) == expected, ws
+            bits = comb(upto + len(ws), len(ws) - 1).bit_length() + 1
+            assert hilbert._packed_counts(ws, upto, bits) == expected, ws
             reach = max(ws), -min(ws)
             orders[(reach[0] > reach[1]) - (reach[0] < reach[1]), 0 in ws] += 1
         assert len(orders) == 6 and min(orders.values()) > 10, orders
@@ -254,6 +255,19 @@ class TestOracle:
         monkeypatch.setattr(hilbert, "_packed_counts", must_not_run)
         with pytest.raises(DegreeOverflow):
             oracle_coefficients(validate((-501, 500, 503)), 2005)
+
+    def test_bit_budget_checked_before_allocating(self, monkeypatch):
+        # 200 weights of each sign to degree 4999: 49 995 000 cells pass the
+        # cell budget, but the 5000 rows of 4999 lanes of 2049 bits would
+        # take about 3 GB
+        def must_not_run(*args):
+            raise AssertionError("oracle table allocated past the bit budget")
+
+        monkeypatch.setattr(hilbert, "_packed_counts", must_not_run)
+        v = validate((-1,) * 200 + (1,) * 200)
+        assert 5000 * (2 * 4999 + 1) <= hilbert.MAX_ORACLE_CELLS
+        with pytest.raises(DegreeOverflow, match="bits"):
+            oracle_coefficients(v, 4999)
 
     def test_degenerate_route_inherits_cell_budget(self):
         # denominator degree 2005 is within the degree limit, but fitting

@@ -143,9 +143,9 @@ class TestStirlingForm:
 
 class TestPhi:
     def test_known_values(self):
-        assert phi(0, (2, 4), 2) == 1
-        assert phi(1, (2, 4), 2) == 2
-        assert phi(2, (2, 4), 2) == F(9, 4)
+        assert phi(0, (2, 4)) == 1
+        assert phi(1, (2, 4)) == 2
+        assert phi(2, (2, 4)) == F(9, 4)
 
     def test_closed_forms_random_tuples(self):
         rng = random.Random(31)
@@ -154,21 +154,17 @@ class TestPhi:
             alphas = tuple(rng.randint(1, 6) for _ in range(d))
             e1 = elementary_symmetric(1, alphas)
             e2 = elementary_symmetric(2, alphas)
-            assert phi(0, alphas, d) == 1
-            assert phi(1, alphas, d) == F(1, 2) * (e1 - d)
-            assert phi(2, alphas, d) == F(1, 12) * (
+            assert phi(0, alphas) == 1
+            assert phi(1, alphas) == F(1, 2) * (e1 - d)
+            assert phi(2, alphas) == F(1, 12) * (
                 e2 + e1**2 - 3 * (d - 1) * e1 + F(d, 2) * (3 * d - 5)
             )
-            assert phi(3, alphas, d) == F(1, 24) * (
+            assert phi(3, alphas) == F(1, 24) * (
                 e2 * e1
                 - (d - 2) * (e2 + e1**2)
                 + F(d - 1, 2) * (3 * d - 8) * e1
                 - F(d * (d - 2) * (d - 3), 2)
             )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            phi(1, (2, 4), 3)
 
 
 class TestGammaCM:

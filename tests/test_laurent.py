@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from circleinv import laurent
+from circleinv.cli import _scan_candidates
 from circleinv.errors import Unstable
 from circleinv.hilbert import hilbert_series
 from circleinv.laurent import (
@@ -171,6 +172,25 @@ class TestAgreement:
             assert schur_form == generic_form, v.weights
             # an int / int division anywhere would leave a float here
             assert all(type(g) is F for g in schur_form + generic_form), v.weights
+
+    def test_generic_form_agreement_n4_to_n7(self):
+        # n >= 4 reaches the gamma_3 terms that vanish or do not exist for
+        # n <= 3: the triple root-of-unity sums, and the pair sums times
+        # a_i^(n-5) and the sum of the weights left
+        rng = random.Random(32)
+        values = [w for w in range(-20, 21) if w]
+        vectors = []
+        while len(vectors) < 300:
+            raw = [rng.choice(values) for _ in range(rng.randint(4, 7))]
+            if min(raw) < 0 < max(raw):
+                v = validate(raw)
+                vectors += [o for o in (v, v.negate()) if o.is_generic][:1]
+        for raw in _scan_candidates(5, 4):
+            v = validate(raw)
+            vectors += [o for o in (v, v.negate()) if o.is_generic]
+        assert len(vectors) == 589
+        for v in vectors:
+            assert gammas(v, 3, "generic").values == gammas(v, 3).values, v.weights
 
     def test_generic_form_requires_generic(self):
         with pytest.raises(Unstable):
