@@ -32,7 +32,6 @@ from .weights import validate
 
 ENV_PREFIX = "CIRCLEINV_"
 
-SCAN_FILTERS = ("OnlyNonGorensteinIntegerRatio", "OnlyGorenstein", "OnlyDegenerate")
 # scan refuses families with more weight combinations C(2W + n - 1, n)
 SCAN_MAX_COMBINATIONS = 10**6
 
@@ -300,25 +299,21 @@ def _scan_payloads(candidates, jobs: int):
         yield from pool.map(_scan_one, candidates, chunksize=16)
 
 
+# each scan filter's predicate on a report without an error.  A class is
+# degenerate when a weight repeats on either sign side, so when any of its
+# nonzero weights repeats: the report's "degenerate" field reads only the
+# negative side, and the emitted representative may be the generic one
+SCAN_FILTERS = {
+    "OnlyNonGorensteinIntegerRatio": lambda p: (
+        p["ratio_is_integer"] and p["classification"] == "NotGorenstein"
+    ),
+    "OnlyGorenstein": lambda p: p["classification"] == "Gorenstein",
+    "OnlyDegenerate": lambda p: len(set(p["weights"])) < len(p["weights"]),
+}
+
+
 def _passes_filters(payload: dict, filters) -> bool:
-    if "error" in payload:
-        return True
-    for name in filters:
-        if name == "OnlyNonGorensteinIntegerRatio":
-            if not (payload["ratio_is_integer"] and payload["classification"] == "NotGorenstein"):
-                return False
-        elif name == "OnlyGorenstein":
-            if payload["classification"] != "Gorenstein":
-                return False
-        elif name == "OnlyDegenerate":
-            # degeneracy of the class: repeats on either sign side (the
-            # emitted representative may be the generic orientation)
-            ws = payload["weights"]
-            negs = [w for w in ws if w < 0]
-            poss = [w for w in ws if w > 0]
-            if len(set(negs)) == len(negs) and len(set(poss)) == len(poss):
-                return False
-    return True
+    return "error" in payload or all(SCAN_FILTERS[name](payload) for name in filters)
 
 
 def cmd_scan(args) -> int:
@@ -339,7 +334,7 @@ def cmd_scan(args) -> int:
                 counts["errors"] += 1
             else:
                 counts[payload["classification"]] += 1
-                if payload["ratio_is_integer"] and payload["classification"] == "NotGorenstein":
+                if SCAN_FILTERS["OnlyNonGorensteinIntegerRatio"](payload):
                     counts["integer_ratio_not_gorenstein"] += 1
             if _passes_filters(payload, args.filter):
                 handle.write(json.dumps(payload, separators=(",", ":")) + "\n")

@@ -64,6 +64,7 @@ threads; every operation returns a fresh value.
 """
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -262,24 +263,15 @@ def _taylor_at_one(p: Polynomial):
     yield from repeat(0)
 
 
+@dataclass(frozen=True)
 class LaurentExpansion:
     """Pole order and leading exact coefficients of an expansion in (1 - t)."""
 
-    __slots__ = ("pole_order", "coefficients")
+    pole_order: int
+    coefficients: tuple
 
-    def __init__(self, pole_order: int, coefficients):
-        self.pole_order = pole_order
-        self.coefficients = tuple(coefficients)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentExpansion)
-            and self.pole_order == other.pole_order
-            and self.coefficients == other.coefficients
-        )
-
-    def __repr__(self):
-        return f"LaurentExpansion(pole={self.pole_order}, {list(self.coefficients)})"
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", tuple(self.coefficients))
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +334,13 @@ def _phi_factors(e: int) -> tuple:
 
 
 def _phi_divides_fold(r: list, e: int) -> bool:
-    """Whether Phi_e divides r = a mod (t^e - 1), e > 1, of at most e
-    entries.
+    """Whether Phi_e divides r = a mod (t^e - 1), of at most e entries.
 
     t^e - 1 is squarefree and prod_{p | e prime} (t^{e/p} - 1) holds every
     Phi_d with d | e except Phi_e, so Phi_e divides r exactly when that
     product times r is 0 mod t^e - 1.  Times t^k - 1 mod t^e - 1 is one
-    rotate-and-subtract pass over the e entries.
+    rotate-and-subtract pass over the e entries.  For e = 1 the product is
+    1 and r is [a(1)].
     """
     r = r + [0] * (e - len(r))
     for p in _prime_factors(e):
@@ -369,8 +361,8 @@ def _probe_terms(e: int) -> tuple:
 
 def _phi_probe(source: list, e: int) -> bool:
     """False when one of the first PHI_PROBES entries of r prod_{p | e
-    prime} (t^{e/p} - 1) mod (t^e - 1), r = source mod (t^e - 1), e > 1,
-    is nonzero: then Phi_e does not divide source (the lemma of
+    prime} (t^{e/p} - 1) mod (t^e - 1), r = source mod (t^e - 1), is
+    nonzero: then Phi_e does not divide source (the lemma of
     :func:`_phi_divides_fold`); True says nothing.  Times t^s mod
     t^e - 1 rotates by s, so entry j is the signed sum of r_{(j - s) mod
     e} over the 2^omega(e) terms, and r_i is the strided sum
@@ -625,18 +617,17 @@ def _cancel_phi_content(num, phis: Counter, open_indices=None):
     Phi_e divides t^e - 1.  Since t^e - 1 divides t^e' - 1 when e | e', a
     mod (t^e - 1) = (a mod (t^e' - 1)) mod (t^e - 1), so each fold is
     taken from the shortest fold of the round for a multiple of e, or from
-    a when there is none; Phi_1 is decided by the sum of that fold, a(1),
-    and every other Phi_e by omega(e) cyclic differences of its fold
-    (:func:`_phi_divides_fold`), with no division.  Before it is folded,
-    an open Phi_e, e > 1, is probed on that source: a nonzero one of the
-    first PHI_PROBES entries of the cyclic differences, each a signed sum
-    of 2^omega(e) strided sums of the source (:func:`_phi_probe`), proves
-    that Phi_e does not divide a, with no fold; only the full test says
-    that Phi_e divides.  Distinct Phi_e are
-    coprime, so their product divides a when each of them does: the round
-    divides a once by the product of those that divided
-    (:func:`_divide_phi`), and that division must be exact.  The
-    next round decides again only the indices that divided and still have
+    a when there is none; each Phi_e is decided by omega(e) cyclic
+    differences of its fold (:func:`_phi_divides_fold`), with no division,
+    and Phi_1's fold is a(1).  Before it is folded, an open Phi_e is
+    probed on that source: a nonzero one of the first PHI_PROBES entries
+    of the cyclic differences, each a signed sum of 2^omega(e) strided sums
+    of the source (:func:`_phi_probe`), proves that Phi_e does not divide
+    a, with no fold; only the full test says that Phi_e divides.  Distinct
+    Phi_e are coprime, so their product divides a when each of them does:
+    the round divides a once by the product of those that divided
+    (:func:`_divide_phi`), and that division must be exact.  The next
+    round decides again only the indices that divided and still have
     multiplicity left; by unique factorization each Phi_e cancels min(m_e,
     its multiplicity in num) times.  A negative multiplicity is a numerator
     factor: it is multiplied in, and the remaining content is the positive
@@ -659,10 +650,6 @@ def _cancel_phi_content(num, phis: Counter, open_indices=None):
             for f, r in folds.items():
                 if f % e == 0 and len(r) < len(source):
                     source = r
-            if e == 1:
-                if not sum(source):
-                    divided.append(e)
-                continue
             if not _phi_probe(source, e):
                 continue
             folds[e] = r = _fold(source, e)

@@ -5,8 +5,9 @@ Gorenstein verdict must give 2*gamma_1/gamma_0 = -a - dim, which
 ``a_invariant_closed_form`` reads off the gammas.  A circle invariant
 ring is Cohen-Macaulay, so it is Gorenstein exactly when the series
 satisfies the functional equation Hilb(1/t) = (-1)^dim t^{-a} Hilb(t)
-(Stanley, "Hilbert functions of graded algebras", Adv. Math. 28, 1978);
-on the reduced pair that test is a palindromy of the numerator.  Three cheap
+(Stanley, "Hilbert functions of graded algebras", Adv. Math. 28, 1978).
+The dimension is the pole order at t = 1 (Hilbert-Serre), so on the
+reduced pair that test is a palindromy of the numerator.  Three cheap
 criteria settle the verdict without the Stanley test:
 
 * n = 2: the ring is a polynomial ring on one generator (always Gorenstein);
@@ -33,20 +34,20 @@ N2_POLYNOMIAL = "N2Polynomial"
 K1_DIVISIBILITY = "K1Divisibility"
 
 
-def stanley_test(f: RationalFunction, dim: int) -> bool:
+def stanley_test(f: RationalFunction) -> bool:
     """Exact functional-equation test Hilb(1/t) = (-1)^dim t^{-a} Hilb(t).
 
     Substituting 1/t turns each polynomial into its reversal times a power
     of t, and the powers cancel against t^{-a}; what remains is the
     identity rev(num)*den == (-1)^dim num*rev(den).  The reduced
     denominator is prod Phi_e^{m_e}: every Phi_e with e > 1 is palindromic
-    and Phi_1 = 1 - t reverses to -(1 - t), so rev(den) = (-1)^{m_1} den
-    and the identity says that the numerator's coefficient list, reversed,
-    is (-1)^(dim + m_1) times itself.
+    and Phi_1 = 1 - t reverses to -(1 - t), so rev(den) = (-1)^{m_1} den.
+    By Hilbert-Serre dim is the pole order at t = 1, which is m_1, so the
+    signs cancel and the identity says that the numerator's coefficient
+    list is a palindrome.
     """
     coeffs = f.numerator.to_dense()
-    sign = -1 if (dim + f.phi_content[1]) % 2 else 1
-    return coeffs[::-1] == [sign * c for c in coeffs]
+    return coeffs == coeffs[::-1]
 
 
 def a_invariant_closed_form(v: WeightVector) -> Fraction:
@@ -84,10 +85,13 @@ def k1_sufficient(v: WeightVector) -> bool:
     return sum(v.positives) % v.negatives[0] == 0
 
 
-def _k1_a_invariant(v: WeightVector) -> int:
-    total = sum(v.weights)
-    a1 = v.negatives[0]
-    return total // a1 - v.n - v.zero_count
+def _k1_a_invariant(v: WeightVector) -> int | None:
+    """The a-invariant that the k = 1 criterion gives, read off the
+    orientation that satisfies it, or None when neither orientation does."""
+    for u in (v, v.negate()):
+        if k1_sufficient(u):
+            return sum(u.weights) // u.negatives[0] - u.n - u.zero_count
+    return None
 
 
 @dataclass
@@ -142,21 +146,22 @@ def analyze(v: WeightVector, full: bool = False, verify_depth=None) -> Gorenstei
     hits = []
     if v.n == 2:
         hits.append(N2_POLYNOMIAL)
-    if k1_sufficient(v) or k1_sufficient(v.negate()):
+    k1_degree = _k1_a_invariant(v)
+    if k1_degree is not None:
         hits.append(K1_DIVISIBILITY)
 
     f = None
     if v.n == 2 and not full:
         f = hilbert_series(v, verify_depth=verify_depth)
         holds, degree = True, f.degree
-    elif K1_DIVISIBILITY in hits and not full:
-        holds, degree = True, _k1_a_invariant(v if v.k == 1 else v.negate())
+    elif k1_degree is not None and not full:
+        holds, degree = True, k1_degree
     elif ratio.denominator != 1 and not full:
         holds, degree = False, None
     else:
         f = hilbert_series(v, verify_depth=verify_depth)
         degree = f.degree
-        holds = stanley_test(f, dim)
+        holds = stanley_test(f)
         if holds and ratio != -degree - dim:
             raise InternalInvariantViolation(
                 "gamma ratio violates 2*gamma1/gamma0 = -a - dim on a Gorenstein vector"

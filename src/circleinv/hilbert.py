@@ -129,17 +129,12 @@ def section(problem: SectionProblem, degree_limit: int = DEFAULT_DEGREE_LIMIT) -
         )
     if problem.shift >= den_degree:
         raise InternalInvariantViolation("section source is not proper")
-    view = _section_view(problem)
+    view = Counter(c // gcd(problem.ratio, c) for c in problem.factors)
     if len(problem.factors) > 2:
-        num = _apply_factors(_series_section(problem, degree_limit), view)
+        num = _apply_factors(_series_section(problem, _degree(view), degree_limit), view)
     else:
         num = _period_numerator(problem, _degree(view))
     return num, view
-
-
-def _section_view(problem: SectionProblem) -> Counter:
-    """One factor 1 - t^{c/gcd(N, c)} per source exponent c."""
-    return Counter(c // gcd(problem.ratio, c) for c in problem.factors)
 
 
 def _period_numerator(problem: SectionProblem, degree: int) -> list:
@@ -167,13 +162,13 @@ def _period_numerator(problem: SectionProblem, degree: int) -> list:
     return out
 
 
-def _series_section(problem: SectionProblem, degree_limit: int) -> list:
+def _series_section(problem: SectionProblem, degree: int, degree_limit: int) -> list:
     """Source series coefficients 0, N, ..., N*D' from the series filled to
-    N*D', D' the section view's degree; the guard reads N * sum c."""
+    N*D', D' = ``degree`` the section view's degree; the guard reads N * sum c."""
     top = problem.ratio * sum(problem.factors)
     if top > degree_limit:
         raise DegreeOverflow(f"section series length {top} exceeds the limit {degree_limit}")
-    series = [0] * (problem.ratio * _degree(_section_view(problem)) + 1)
+    series = [0] * (problem.ratio * degree + 1)
     series[problem.shift] = problem.sign
     _apply_factors(series, {c: -m for c, m in Counter(problem.factors).items()})
     return series[:: problem.ratio]
@@ -251,8 +246,9 @@ def hilbert_degenerate(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT
     view = _factor_exponents(content)
     coeffs = oracle_coefficients(replace(v, zero_count=0), _degree(view) - 1)
     num = _apply_factors(coeffs, view)
-    content[1] += v.zero_count
-    return RationalFunction.from_factored(num, _factor_exponents(content))
+    # Phi_1 = (1 - t)^1: each zero weight adds one to k_1 alone
+    view[1] = view.get(1, 0) + v.zero_count
+    return RationalFunction.from_factored(num, view)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +281,9 @@ def oracle_coefficients(v: WeightVector, upto: int) -> list:
             f"counting oracle to degree {upto} needs a table of {table} bits, "
             f"above the limit {64 * MAX_ORACLE_CELLS}"
         )
-    return _packed_counts(ws, upto, bits)
-
-
-def _packed_counts(ws, upto: int, bits: int) -> list:
-    """Lane 0 of each row of the counting table (:func:`_count_rows`).
-    No lane carries: every count is at most comb(upto + n, n - 1), the
-    number of monomials of degree upto + 1, below 2^(bits - 1), with
-    bits = comb(upto + n, n - 1).bit_length() + 1."""
+    # lane 0 of each row; no lane carries, as every count is at most
+    # comb(upto + n, n - 1), the number of monomials of degree upto + 1,
+    # below 2^(bits - 1)
     mask = (1 << bits) - 1
     return [row & mask for row in _count_rows(ws, upto, bits)]
 

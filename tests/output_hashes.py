@@ -24,8 +24,16 @@ weights are pairwise distinct) of ``sweep_family()``,
 ``_scan_candidates(4, 8)`` and the RANDOM_COUNT random vectors: per
 orientation, ``gammas(v, 3, "generic")`` and ``gammas(v, 3)``, each value
 with its type, or the exception's class name.  A refactor of ``laurent``
-is checked with them the same way.  A tree older than these lines is
-checked by copying this script into its ``tests/`` and running it there.
+is checked with them the same way.
+
+Three lines, prefixed ``reports_``, hash the Gorenstein reports of
+``sweep_family()``, ``_scan_candidates(4, 8)`` and
+``_scan_candidates(5, 4)``: per vector, the compact JSON text of
+``report_json(analyze(validate(v)))`` and of
+``report_json(analyze(validate(v), full=True))``, each or the exception's
+class name.  A refactor of ``gorenstein`` or ``cli`` is checked with them.
+A tree older than any of these lines is checked by copying this script
+into its ``tests/`` and running it there.
 
 The name does not start with ``test_``, so pytest does not collect it.
 """
@@ -41,8 +49,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
-from circleinv.cli import _scan_candidates, rf_json  # noqa: E402
+from circleinv.cli import _scan_candidates, report_json, rf_json  # noqa: E402
 from circleinv.errors import Unstable  # noqa: E402
+from circleinv.gorenstein import analyze  # noqa: E402
 from circleinv.hilbert import hilbert_series  # noqa: E402
 from circleinv.laurent import gammas  # noqa: E402
 from circleinv.weights import validate  # noqa: E402
@@ -108,6 +117,17 @@ def gamma_output(v) -> str:
     return " | ".join(parts)
 
 
+def report_output(raw) -> str:
+    parts = []
+    for full in (False, True):
+        try:
+            report = analyze(validate(raw), full=full)
+            parts.append(json.dumps(report_json(report), separators=(",", ":")))
+        except Exception as exc:
+            parts.append(type(exc).__name__)
+    return " | ".join(parts)
+
+
 FAMILIES = {
     "engine_pool": engine_pool,
     "sweep_family": sweep_family,
@@ -122,6 +142,12 @@ GAMMA_FAMILIES = {
     "gammas_sweep_family": sweep_family,
     "gammas_scan_4_8": lambda: _scan_candidates(4, 8),
     f"gammas_random_{RANDOM_SEED}_{RANDOM_COUNT}": random_vectors,
+}
+
+REPORT_FAMILIES = {
+    "reports_sweep_family": sweep_family,
+    "reports_scan_4_8": lambda: _scan_candidates(4, 8),
+    "reports_scan_5_4": lambda: _scan_candidates(5, 4),
 }
 
 
@@ -139,6 +165,8 @@ def main() -> None:
         report(name, family(), output)
     for name, family in GAMMA_FAMILIES.items():
         report(name, generic_orientations(family()), gamma_output)
+    for name, family in REPORT_FAMILIES.items():
+        report(name, family(), report_output)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -215,6 +215,42 @@ class TestScanCommand:
             return len(set(negs)) < len(negs) or len(set(poss)) < len(poss)
 
         assert rows and all(class_degenerate(r["weights"]) for r in rows)
+
+    def test_every_filter_writes_exactly_its_classes(self, tmp_path, capsys):
+        # each filter, alone and with one other, writes the unfiltered rows
+        # that a hand-written predicate keeps (for two filters, their AND)
+        def degenerate(r):
+            negs = [w for w in r["weights"] if w < 0]
+            poss = [w for w in r["weights"] if w > 0]
+            return len(set(negs)) < len(negs) or len(set(poss)) < len(poss)
+
+        keeps = {
+            "OnlyNonGorensteinIntegerRatio": lambda r: (
+                r["ratio_is_integer"] and r["classification"] == "NotGorenstein"
+            ),
+            "OnlyGorenstein": lambda r: r["classification"] == "Gorenstein",
+            "OnlyDegenerate": degenerate,
+        }
+        argv = ["scan", "--n", "4", "--max-weight", "5", "--jobs", "1", "--output"]
+
+        def scan(filters):
+            out = tmp_path / f"scan{len(list(tmp_path.iterdir()))}.jsonl"
+            assert main(argv + [str(out)] + [f for name in filters for f in ("--filter", name)]) == 0
+            counts = json.loads(capsys.readouterr().out)["counts"]
+            return counts, out.read_text().splitlines()
+
+        counts, lines = scan([])
+        rows = list(map(json.loads, lines))
+        assert counts["total"] == len(rows) == 277 and counts["errors"] == 0
+        kept = {name: [r for r in rows if keep(r)] for name, keep in keeps.items()}
+        assert [len(kept[name]) for name in keeps] == [2, 117, 173]
+        assert counts["Gorenstein"] == 117
+        assert counts["integer_ratio_not_gorenstein"] == len(kept["OnlyNonGorensteinIntegerRatio"])
+        for size in (1, 2):
+            for filters in combinations(keeps, size):
+                _, written = scan(filters)
+                want = [line for line, r in zip(lines, rows) if all(keeps[f](r) for f in filters)]
+                assert written == want, filters
 
     def test_raising_vector_recorded(self, tmp_path, monkeypatch, capsys):
         clean = tmp_path / "clean.jsonl"

@@ -1,10 +1,12 @@
 import itertools
+import sys
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 
-from circleinv import gorenstein
+from circleinv import exact, gorenstein
 from circleinv.cli import _scan_candidates
 from circleinv.errors import InternalInvariantViolation, OracleMismatch, ZeroFunction
 from circleinv.exact import Polynomial, RationalFunction
@@ -22,6 +24,9 @@ from circleinv.hilbert import hilbert_series
 from circleinv.laurent import GammaVector, gammas
 from circleinv.weights import canonical_key, validate
 from helpers import elementary_symmetric, partial_schur_of
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
 
 ONE = Polynomial.one()
 
@@ -79,33 +84,61 @@ class TestAInvariant:
 
 class TestStanley:
     def test_examples(self):
-        assert stanley_test(from_view(ONE, {2: 1, 4: 1}), 2)
-        assert not stanley_test(hilbert_series(validate((-1, -2, 1, 14))), 3)
-        assert stanley_test(from_view(ONE, {5: 1}), 1)
+        assert stanley_test(from_view(ONE, {2: 1, 4: 1}))
+        assert not stanley_test(hilbert_series(validate((-1, -2, 1, 14))))
+        assert stanley_test(from_view(ONE, {5: 1}))
 
     def test_palindromic_numerator(self):
         f = from_view(Polynomial({0: 1, 1: 1, 2: 1}), {2: 1, 3: 1})
-        assert stanley_test(f, 2)
+        assert stanley_test(f)
         g = from_view(Polynomial({0: 1, 1: 2}), {2: 1, 3: 1})
-        assert not stanley_test(g, 2)
+        assert not stanley_test(g)
 
-    @pytest.mark.parametrize("n, max_abs", [(4, 8), (5, 4)])
-    def test_matches_product_identity(self, n, max_abs):
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda: _scan_candidates(4, 8),
+            lambda: _scan_candidates(5, 4),
+            # every sweep vector of n <= 3 with one and with two zero weights
+            lambda: [raw + zeros for raw in sweep_family() if len(raw) <= 3 for zeros in ((0,), (0, 0))],
+        ],
+        ids=["4-8", "5-4", "zeros"],
+    )
+    def test_matches_product_identity(self, family):
         # second route for the verdict: the functional equation as the
-        # polynomial identity rev(num)*den == (-1)^dim num*rev(den)
+        # polynomial identity rev(num)*den == (-1)^dim num*rev(den), at
+        # the dimension n - 1 + zero_count, which is the series' pole
+        # order at t = 1 (Hilbert-Serre), the fact stanley_test reads
         def rev(p):
             return Polynomial({p.degree - e: c for e, c in p.items()})
 
         verdicts = {True: 0, False: 0}
-        for raw in _scan_candidates(n, max_abs):
+        for raw in family():
             v = validate(raw)
             f = hilbert_series(v)
+            dim = v.n - 1 + v.zero_count
+            assert f.phi_content[1] == dim, raw
             num, den = f.numerator, f.denominator
-            for dim in (v.n - 1, v.n):
-                expected = rev(num) * den == num * rev(den) * (-1) ** dim
-                assert stanley_test(f, dim) == expected, (raw, dim)
-                verdicts[expected] += 1
+            expected = rev(num) * den == num * rev(den) * (-1) ** dim
+            assert stanley_test(f) == expected, raw
+            verdicts[expected] += 1
         assert verdicts[True] and verdicts[False]
+
+    def test_reduction_never_cancels_phi_1(self, monkeypatch):
+        # both engines build Phi_1 exactly n - 1 times, the pole order at
+        # t = 1, so no reduction of the workload families cancels it
+        cancel = exact._cancel_phi_content
+        decided = []
+
+        def recorded(num, phis, open_indices=None):
+            out = cancel(num, phis, open_indices)
+            decided.append(phis[1] - out[1][1])
+            return out
+
+        monkeypatch.setattr(exact, "_cancel_phi_content", recorded)
+        for raw in [*sweep_family(), *engine_pool(), *_scan_candidates(4, 8)]:
+            hilbert_series(validate(raw))
+        assert len(decided) == 385 + 157 + 1475 and not any(decided)
 
 
 class TestClosedFormAInvariant:
@@ -186,10 +219,27 @@ class TestK1Sufficient:
                     if v.k != 1 or not k1_sufficient(v):
                         continue
                     f = hilbert_series(v)
-                    assert stanley_test(f, v.n - 1), raw
+                    assert stanley_test(f), raw
                     assert f.degree == sum(v.weights) // v.negatives[0] - v.n, raw
                     checked += 1
         assert checked > 40
+
+    def test_k1_a_invariant_reads_the_satisfying_orientation(self):
+        # the a-invariant of the k = 1 criterion is read off the orientation
+        # that satisfies it; for n = 2 both orientations have k = 1, and
+        # (-a, 1) with a > 1 satisfies it only negated
+        families = [sweep_family(), _scan_candidates(4, 8), _scan_candidates(5, 4)]
+        families.append([(-a, 1) for a in range(1, 13)] + [(-1, b) for b in range(1, 13)])
+        checked = negated = 0
+        for raw in itertools.chain(*families):
+            v = validate(raw)
+            degree = gorenstein._k1_a_invariant(v)
+            if degree is None:
+                continue
+            assert degree == hilbert_series(v).degree, raw
+            checked += 1
+            negated += not k1_sufficient(v)
+        assert (checked, negated) == (494, 117)
 
 
 class TestAnalyze:

@@ -86,8 +86,9 @@ class TestSection:
             problem = section_problem(exps, n_)
             if problem.shift >= sum(problem.factors):
                 continue
-            dp = hilbert._series_section(problem, 10**7)
-            assert from_view(*section(problem)).series_at_zero(len(dp) - 1) == dp, (exps, n_)
+            num, view = section(problem)
+            dp = hilbert._series_section(problem, exact._degree(view), 10**7)
+            assert from_view(num, view).series_at_zero(len(dp) - 1) == dp, (exps, n_)
 
 
 def brute_force_section(problem) -> list:
@@ -208,9 +209,9 @@ class TestOracle:
         assert proc.stdout.strip() == "[1, 0, 0, 1, 1, 0, 1, 1, 1]"
 
     def test_packed_counts_match_enumeration(self):
-        # the table against brute force, zero weights included, with the
-        # positive side going first (A+ < A-), the negative side going
-        # first (A- < A+), and sides of equal reach
+        # lane 0 of the packed table against brute force, zero weights
+        # included, with the positive side going first (A+ < A-), the
+        # negative side going first (A- < A+), and sides of equal reach
         rng = random.Random(30)
         upto = 6
         orders = Counter()
@@ -223,8 +224,7 @@ class TestOracle:
                 sum(not sum(map(ws.__getitem__, monomial)) for monomial in itertools.combinations_with_replacement(range(len(ws)), d))
                 for d in range(upto + 1)
             ]
-            bits = comb(upto + len(ws), len(ws) - 1).bit_length() + 1
-            assert hilbert._packed_counts(ws, upto, bits) == expected, ws
+            assert oracle_coefficients(validate(ws), upto) == expected, ws
             reach = max(ws), -min(ws)
             orders[(reach[0] > reach[1]) - (reach[0] < reach[1]), 0 in ws] += 1
         assert len(orders) == 6 and min(orders.values()) > 10, orders
@@ -252,7 +252,7 @@ class TestOracle:
         def must_not_run(*args):
             raise AssertionError("oracle table allocated past the cell budget")
 
-        monkeypatch.setattr(hilbert, "_packed_counts", must_not_run)
+        monkeypatch.setattr(hilbert, "_count_rows", must_not_run)
         with pytest.raises(DegreeOverflow):
             oracle_coefficients(validate((-501, 500, 503)), 2005)
 
@@ -263,7 +263,7 @@ class TestOracle:
         def must_not_run(*args):
             raise AssertionError("oracle table allocated past the bit budget")
 
-        monkeypatch.setattr(hilbert, "_packed_counts", must_not_run)
+        monkeypatch.setattr(hilbert, "_count_rows", must_not_run)
         v = validate((-1,) * 200 + (1,) * 200)
         assert 5000 * (2 * 4999 + 1) <= hilbert.MAX_ORACLE_CELLS
         with pytest.raises(DegreeOverflow, match="bits"):
