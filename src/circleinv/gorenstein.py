@@ -87,8 +87,9 @@ def k1_sufficient(v: WeightVector) -> bool:
 
 def _k1_a_invariant(v: WeightVector) -> int | None:
     """The a-invariant that the k = 1 criterion gives, read off the
-    orientation that satisfies it, or None when neither orientation does."""
-    for u in (v, v.negate()):
+    orientation that satisfies it, or None when neither orientation does.
+    The negation has k = v.m, so it is built only when v.m == 1."""
+    for u in (v, v.negate()) if v.m == 1 else (v,):
         if k1_sufficient(u):
             return sum(u.weights) // u.negatives[0] - u.n - u.zero_count
     return None

@@ -7,9 +7,13 @@ Each coefficient comes in three independent flavors:
   built from S_u values of the vector and its reduced vectors plus exact
   constrained root-of-unity sums.  One walk (``_schur_gammas``) goes over
   the index sets J layer by layer - the whole vector, then |J| = 1, 2, 3 up
-  to the requested order - building each layer's reduced vectors when it
-  gets there, and adds each reduced vector's term to every gamma_m with
-  m >= |J|, so gamma_r is final once layer r is done.  The walk runs in
+  to the requested order - and adds each reduced vector's term to every
+  gamma_m with m >= |J|, so gamma_r is final once layer r is done.  It
+  builds only what it reads: layer 0 takes its blocks straight from the
+  vector's negatives and positives, a later layer builds its remainders
+  and gcds in one flat pass when the walk gets there (``_layer``) and cuts
+  each remainder into its blocks by index, and e_2, which only gamma_2
+  and gamma_3 read, is built only for upto >= 2.  The walk runs in
   ints: the S_u values come scaled by a power of P_X(0) from the remainder
   route of ``schur`` (``scaled_schur_values``, one batched call per reduced
   vector; the Laplace expansion and determinant routes are its oracles),
@@ -55,10 +59,12 @@ entries is 0, which silently kills exactly the terms that the derivations
 drop.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product, starmap
 from math import gcd, prod
+from operator import sub
 from threading import Lock
 
 from .cyclotomic import pair_sum_12, subgroup_weights, triple_sum_24, weighted_sum_24
@@ -75,10 +81,6 @@ class GammaVector:
     pole_order: int
 
 
-def _split(seq):
-    return [w for w in seq if w < 0], [w for w in seq if w > 0]
-
-
 def _require_stable(v: WeightVector):
     if v.k < 1 or v.m < 1:
         raise Unstable("gamma formulas need both signs present")
@@ -87,19 +89,27 @@ def _require_stable(v: WeightVector):
 # -- reduced vectors and their root sets ------------------------------------
 
 
+def _layer(ws: tuple, r: int) -> tuple:
+    """(Js, rests, gcds) of the r-element index sets J of ws, ascending:
+    the weights a - J left after dropping J, not re-normalized, and their
+    gcds.  The remainders are the (len(ws) - r)-element combinations of the
+    weights, which ``combinations`` yields in the reverse order of their
+    complements J, so a layer is three C-level passes and no Python pass
+    per J.  A layer past len(ws) is empty."""
+    if r > len(ws):
+        return [], [], []
+    rests = list(combinations(ws, len(ws) - r))
+    rests.reverse()
+    return list(combinations(range(len(ws)), r)), rests, list(starmap(gcd, rests))
+
+
 def _reduced(v: WeightVector, depth: int, first: int = 1) -> dict:
     """(a - J, g_J) for every ascending index tuple J of first..depth
-    entries: the weights left after dropping J, not re-normalized, and their
-    gcd.  The remainders of the r-element J are the (n - r)-element
-    combinations of the weights, which ``combinations`` yields in the
-    reverse order of their complements J, so each layer is two C-level
-    iterations and no Python pass per J."""
-    ws, n_ = v.weights, v.n
+    entries (``_layer``)."""
     out = {}
-    for r in range(first, min(depth, n_) + 1):
-        rests = list(combinations(ws, n_ - r))
-        rests.reverse()
-        out.update({J: (seq, gcd(*seq)) for J, seq in zip(combinations(range(n_), r), rests)})
+    for r in range(first, depth + 1):
+        Js, rests, gcds = _layer(v.weights, r)
+        out.update(zip(Js, zip(rests, gcds)))
     return out
 
 
@@ -130,9 +140,17 @@ def _schur_gammas(v: WeightVector, upto: int):
     scaled by 12 or 24 (all ints), t[m] is the int 24 P Pi times its term in
     gamma_m.  Each gamma_m is carried as an int pair (num, den) over the
     common denominator of its terms, so a caller builds one Fraction per
-    gamma.  A layer's reduced vectors and gcds are built when the walk
-    reaches it; a pair's subgroup weights and pair sum serve gamma_2 and
+    gamma.  A pair's subgroup weights and pair sum serve gamma_2 and
     gamma_3 alike.
+
+    The walk builds only what it reads.  Layer 0 takes its blocks straight
+    from ``v.negatives`` and ``v.positives``.  A layer r >= 1 builds its
+    remainders and gcds in one flat pass (``_layer``) when the walk
+    reaches it, and keeps the gcds for the root sets (``_roots``) only
+    when upto >= 2; a remainder keeps the negatives first, so its x block
+    is its first k - |J cap negatives| entries, and J is ascending, so
+    ``bisect_left(J, k)`` counts the negatives it drops.  e_2 enters only
+    gamma_2 and gamma_3, so it is built only when upto >= 2.
 
     An index set J, |J| = r >= 1, is skipped before its Schur values when
     its term is 0, cheapest test first:
@@ -147,42 +165,53 @@ def _schur_gammas(v: WeightVector, upto: int):
         term.
     """
     _require_stable(v)
-    ws = v.weights
-    n_ = v.n
+    ws, k, n_ = v.weights, v.k, v.n
     out = [(0, 1)] * (upto + 1)
     reduced = {}
     for r in range(upto + 1):
-        layer = _reduced(v, r, r)
-        reduced.update(layer)
-        for J, (seq, g) in layer.items():
-            if r and g <= 1:
-                continue  # (a): no root for r >= 2; a factor g - 1 for r = 1
-            if r >= 2:
-                roots = _roots(reduced, J)
-                if not roots:
-                    continue  # (b): every root-of-unity sum is 0
-            xs, ys = _split(seq)
+        if r:
+            Js, rests, gcds = _layer(ws, r)
+            if upto >= 2:  # only the root sets of layers 2 and 3 read gcds
+                reduced.update(zip(Js, zip(rests, gcds)))
+            layer = zip(Js, rests, gcds)
+        else:
+            layer = (((), ws, 0),)
+        for J, seq, g in layer:
+            if r:
+                if g <= 1:
+                    continue  # (a): no root for r >= 2; a factor g - 1 for r = 1
+                if r >= 2:
+                    roots = _roots(reduced, J)
+                    if not roots:
+                        continue  # (b): every root-of-unity sum is 0
+                cut = k - bisect_left(J, k)
+                xs, ys = seq[:cut], seq[cut:]
+            else:
+                xs, ys = v.negatives, v.positives
             scale, values = scaled_schur_values(n_ - upto - 2, n_ - r - 2, xs, ys)
             s = [0] * 6
             s[r + 2: upto + 3] = values[::-1]
             if not any(s):
                 continue
-            pi = prod(x - y for x in xs for y in ys)
+            pi = prod(starmap(sub, product(xs, ys)))
             e1 = sum(seq)
-            e2 = (e1 * e1 - sum(w * w for w in seq)) // 2
+            if upto >= 2:
+                e2 = (e1 * e1 - sum(w * w for w in seq)) // 2
             t = [0] * 4
             if r == 0:
                 t[0] = -24 * s[2]
                 t[1] = 12 * (e1 * s[3] - s[2])
-                t[2] = 2 * (5 * e1 * s[3] - (e2 + e1 * e1) * s[4] - 4 * s[2])
-                t[3] = -6 * s[2] + 8 * e1 * s[3] - (3 * e2 + 2 * e1 * e1) * s[4] + e1 * e2 * s[5]
+                if upto >= 2:
+                    t[2] = 2 * (5 * e1 * s[3] - (e2 + e1 * e1) * s[4] - 4 * s[2])
+                    t[3] = -6 * s[2] + 8 * e1 * s[3] - (3 * e2 + 2 * e1 * e1) * s[4] + e1 * e2 * s[5]
             elif r == 1:
                 a = ws[J[0]]
                 t[1] = -12 * (g - 1) * s[3]
-                t[2] = 2 * (1 - g * g) * (s[3] - a * s[4]) + 6 * (g - 1) * (e1 * s[4] - s[3])
-                t[3] = (1 - g) * (4 * s[3] - 5 * e1 * s[4] + (e2 + e1 * e1) * s[5]) + (
-                    g * g - 1
-                ) * (-2 * s[3] + (2 * a + e1) * s[4] - a * e1 * s[5])
+                if upto >= 2:
+                    t[2] = 2 * (1 - g * g) * (s[3] - a * s[4]) + 6 * (g - 1) * (e1 * s[4] - s[3])
+                    t[3] = (1 - g) * (4 * s[3] - 5 * e1 * s[4] + (e2 + e1 * e1) * s[5]) + (
+                        g * g - 1
+                    ) * (-2 * s[3] + (2 * a + e1) * s[4] - a * e1 * s[5])
             elif r == 2:
                 # signs re-derived from the generic forms through the cofactor
                 # identity sum_i a_i^u / prod_{j != i}(a_i - a_j) = S_u / Pi

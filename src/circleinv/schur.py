@@ -16,11 +16,15 @@ by the two block Vandermonde determinants.  It is computable three ways:
       S_u = det[ P_Y, z P_Y, ..., z^{k-2} P_Y | z^u ]   (columns mod P_X).
 
   The first k-1 columns and the cofactors of the last are built once per
-  blocks; each further u is one multiplication by z mod P_X and one dot
-  product.  A negative lowest u = -L starts the walk at P_X(0)^L z^{-L},
-  reached by L steps of P_X(0) z^{-1} = -(P_X - P_X(0)) / z, so the loop
-  (``scaled_schur_values``) yields P_X(0)^L S_u, an int for integer
-  inputs, and ``partial_schur_values`` divides by P_X(0)^L once per value.
+  blocks, and only what is read: a single x (k = 1) has no column, so P_Y
+  is reduced mod P_X only for k >= 2, and the minors of size 0 and 1 are
+  read off, so Bareiss elimination (``_det``) runs only for k >= 3.  Each
+  further u is one multiplication by z mod P_X, a pass over the
+  coefficients of P_X below z^k, and one dot product.  A negative lowest
+  u = -L starts the walk at P_X(0)^L z^{-L}, reached by L steps of
+  P_X(0) z^{-1} = -(P_X - P_X(0)) / z, so the loop (``scaled_schur_values``)
+  yields P_X(0)^L S_u, an int for integer inputs, and
+  ``partial_schur_values`` divides by P_X(0)^L once per value.
   The value is a polynomial in the entries, so it holds at repeated
   entries too, and integer inputs with u >= 0 give an int;
 * ``partial_schur_expansion`` - the Laplace expansion along the x-block
@@ -231,12 +235,6 @@ def partial_schur_expansion(u: int, xs, ys):
 # Q[z]/P_X
 
 
-def _times_z(f: list, px: list) -> list:
-    """z * f mod the monic P_X (coefficients px, lowest first, px[k] = 1)."""
-    top = f[-1]
-    return [-top * px[0]] + [c - top * p for c, p in zip(f[:-1], px[1:])]
-
-
 def _times_inverse_z(f: list, px: list) -> list:
     """P_X(0) * f / z mod P_X, from P_X(0) z^{-1} = -(P_X - P_X(0)) / z."""
     low, p0 = f[0], px[0]
@@ -247,7 +245,8 @@ def scaled_schur_values(lo: int, hi: int, xs, ys) -> tuple:
     """(P, [P S_lo, ..., P S_hi]) with P = P_X(0)^max(0, -lo), by the
     remainder route (see the module docstring): integer inputs give ints
     throughout.  OutOfRange when hi > n - 2, ZeroBase when lo < 0 and xs
-    holds a zero."""
+    holds a zero.  z f mod P_X is one pass over the coefficients p_i of
+    P_X below z^k: the entry of z^i becomes f_{i-1} - f_{k-1} p_i."""
     k, m = len(xs), len(ys)
     _check_u(hi, k + m)
     if k == 0 or hi < lo:
@@ -259,27 +258,36 @@ def scaled_schur_values(lo: int, hi: int, xs, ys) -> tuple:
             px[i] -= x * px[i + 1]
     if lo < 0 and px[0] == 0:
         raise ZeroBase("negative power of zero")
-    column = [1] + [0] * (k - 1)
-    for y in ys:
-        column = [a - y * b for a, b in zip(_times_z(column, px), column)]
+    below = px[:k]  # P_X - z^k
     columns = []
-    for _ in range(k - 1):
+    if k > 1:
+        column = [1] + [0] * (k - 1)
+        for y in ys:  # P_Y mod P_X, one factor z - y at a time
+            top = column[-1]
+            column = [b - top * p - y * a for a, b, p in zip(column, [0, *column], below)]
         columns.append(column)
-        column = _times_z(column, px)
-    # cofactors of the last column: det[columns | e_i]
-    cofactors = [
-        (-1) ** (i + k - 1) * _det([[c[r] for c in columns] for r in range(k) if r != i])
-        for i in range(k)
-    ]
-    power = [1] + [0] * (k - 1)  # P z^u, starting at u = lo
+        for _ in range(k - 2):
+            top = column[-1]
+            column = [b - top * p for b, p in zip([0, *column], below)]
+            columns.append(column)
+    # cofactors of the last column: det[columns | e_i], minors of size 0
+    # and 1 read off
+    rows = list(zip(*columns))
+    cofactors, sign = [], (-1) ** (k - 1)
+    for i in range(k):
+        minor = rows[:i] + rows[i + 1:]
+        cofactors.append(sign * (_det(minor) if k > 2 else minor[0][0] if minor else 1))
+        sign = -sign
+    power = [1] + [0] * (k - 1)  # P z^u, from u = min(lo, 0)
     for _ in range(-lo):
         power = _times_inverse_z(power, px)
-    for _ in range(lo):
-        power = _times_z(power, px)
-    out = [sum(map(mul, cofactors, power))]
-    for _ in range(lo, hi):
-        power = _times_z(power, px)
-        out.append(sum(map(mul, cofactors, power)))
+    out = []
+    for u in range(min(lo, 0), hi + 1):
+        if u >= lo:
+            out.append(sum(map(mul, cofactors, power)))
+        if u < hi:
+            top = power[-1]
+            power = [b - top * p for b, p in zip([0, *power], below)]
     return px[0] ** max(0, -lo), out
 
 

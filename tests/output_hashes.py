@@ -32,6 +32,13 @@ Three lines, prefixed ``reports_``, hash the Gorenstein reports of
 ``report_json(analyze(validate(v)))`` and of
 ``report_json(analyze(validate(v), full=True))``, each or the exception's
 class name.  A refactor of ``gorenstein`` or ``cli`` is checked with them.
+
+Two lines, prefixed ``schur_gammas_``, hash the partial-Schur walk at every
+order over every vector of ``sweep_family()`` and
+``_scan_candidates(4, 8)``, repeated negative weights included: per
+vector, ``gammas(validate(v), u)`` for u = 0..3, each value with its type,
+or the exception's class name.  A refactor of the walk or of
+``schur.scaled_schur_values`` is checked with them.
 A tree older than any of these lines is checked by copying this script
 into its ``tests/`` and running it there.
 
@@ -128,6 +135,17 @@ def report_output(raw) -> str:
     return " | ".join(parts)
 
 
+def schur_gamma_output(raw) -> str:
+    parts = []
+    for upto in range(4):
+        try:
+            values = gammas(validate(raw), upto).values
+            parts.append(" ".join(f"{type(g).__name__}:{g}" for g in values))
+        except Exception as exc:
+            parts.append(type(exc).__name__)
+    return " | ".join(parts)
+
+
 FAMILIES = {
     "engine_pool": engine_pool,
     "sweep_family": sweep_family,
@@ -150,6 +168,11 @@ REPORT_FAMILIES = {
     "reports_scan_5_4": lambda: _scan_candidates(5, 4),
 }
 
+SCHUR_GAMMA_FAMILIES = {
+    "schur_gammas_sweep_family": sweep_family,
+    "schur_gammas_scan_4_8": lambda: _scan_candidates(4, 8),
+}
+
 
 def report(name, vectors, line) -> None:
     start = time.perf_counter()
@@ -167,6 +190,8 @@ def main() -> None:
         report(name, generic_orientations(family()), gamma_output)
     for name, family in REPORT_FAMILIES.items():
         report(name, family(), report_output)
+    for name, family in SCHUR_GAMMA_FAMILIES.items():
+        report(name, family(), schur_gamma_output)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from circleinv import laurent
+from circleinv import laurent, schur
 from circleinv.cli import _scan_candidates
 from circleinv.errors import Unstable
 from circleinv.hilbert import hilbert_series
@@ -250,6 +250,40 @@ class TestIntegerWalk:
         assert calls == 1465
 
 
+class TestLeanWalk:
+    def test_every_upto_is_a_prefix(self):
+        # the exponent window lo = n - upto - 2 and the P_X(0)^L scale move
+        # with upto, and the walk builds e_2 only for upto >= 2; every upto
+        # still gives the prefix of the full walk, repeated weights included
+        families = [sweep_family(), _scan_candidates(5, 4), engine_pool()]
+        vectors = [validate(raw) for raw in itertools.chain(*families)]
+        for v in vectors:
+            full = gammas(v, 3).values
+            for u in range(3):
+                assert gammas(v, u).values == full[: u + 1], (v, u)
+        assert (len(vectors), sum(not v.is_generic for v in vectors)) == (858, 280)
+
+    def test_kernel_work(self, monkeypatch):
+        # gamma_0 and gamma_1 over the scan family: blocks with k <= 2 read
+        # their cofactors off, so no Bareiss determinant runs
+        calls = {"det": 0, "schur": 0}
+        det, values = schur._det, laurent.scaled_schur_values
+
+        def counted_det(rows):
+            calls["det"] += 1
+            return det(rows)
+
+        def counted_values(*args):
+            calls["schur"] += 1
+            return values(*args)
+
+        monkeypatch.setattr(schur, "_det", counted_det)
+        monkeypatch.setattr(laurent, "scaled_schur_values", counted_values)
+        for raw in _scan_candidates(4, 8):
+            gammas(validate(raw), 1)
+        assert calls == {"det": 0, "schur": 1992}
+
+
 class TestLayeredWalk:
     @pytest.fixture
     def schur_calls(self, monkeypatch):
@@ -358,21 +392,20 @@ class TestReducedVectors:
                 assert _reduced(v, v.n + 1, first) == expected, v
 
     def test_no_python_pass_per_index_set(self):
-        # a gammas(v, 3) pass over sweep runs no generator inside _reduced:
-        # each layer is two C-level combinations, where one generator per
+        # a gammas(v, 3) pass over sweep builds each layer r = 1..3 with one
+        # _layer call and runs no generator or comprehension inside it: each
+        # layer is C-level combinations and gcds, where one generator per
         # index set took 15 485 steps to build 5085 remainders
-        lines, start = inspect.getsourcelines(laurent._reduced)
+        lines, start = inspect.getsourcelines(laurent._layer)
         vs = [validate(raw) for raw in sweep_family()]
         profile = cProfile.Profile()
         profile.runcall(lambda: [gammas(v, 3) for v in vs])
-        generators = [
-            (line, stat[1])
+        inside = [
+            (name, stat[1])
             for (path, line, name), stat in pstats.Stats(profile).stats.items()
-            if Path(path).stem == "laurent"
-            and start < line < start + len(lines)
-            and name == "<genexpr>"
+            if Path(path).stem == "laurent" and start <= line < start + len(lines)
         ]
-        assert generators == []
+        assert inside == [("_layer", 3 * len(vs))]
 
 
 class TestMildCoprimality:
