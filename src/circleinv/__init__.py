@@ -16,7 +16,7 @@ from .hilbert import (
     oracle_coefficients,
 )
 from .hironaka import HironakaData, gamma_cm, hilb_from_hironaka
-from .laurent import GammaVector, gamma0, gamma1, gamma2, gamma3, gammas, gammas_from_series
+from .laurent import GammaVector, gamma0, gamma1, gamma2, gamma3, gammas
 from .schur import (
     partial_schur,
     partial_schur_det,
@@ -42,7 +42,6 @@ __all__ = [
     "gamma3",
     "gamma_cm",
     "gammas",
-    "gammas_from_series",
     "hilb_from_hironaka",
     "hilbert_degenerate",
     "hilbert_generic",

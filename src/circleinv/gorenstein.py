@@ -7,18 +7,19 @@ ring is Cohen-Macaulay, so it is Gorenstein exactly when the series
 satisfies the functional equation Hilb(1/t) = (-1)^dim t^{-a} Hilb(t)
 (Stanley, "Hilbert functions of graded algebras", Adv. Math. 28, 1978).
 The dimension is the pole order at t = 1 (Hilbert-Serre), so on the
-reduced pair that test is a palindromy of the numerator.  Three cheap
-criteria settle the verdict without the Stanley test:
+reduced pair that test is a palindromy of the numerator.  Two cheap
+criteria settle the verdict without the series:
 
-* n = 2: the ring is a polynomial ring on one generator (always Gorenstein);
-  its series still comes from the section engine, so ``verify_depth``
-  checks it against the oracle like any other;
 * k = 1 with a_1 dividing the sum of the positive weights: Gorenstein with a
   known a-invariant;
 * 2*gamma_1/gamma_0 not an integer: never Gorenstein.
 
-The integer ratio 2*gamma_1/gamma_0 being an integer is necessary but not
-sufficient - ``analyze`` settles the inconclusive cases with the series.
+An integer ratio is necessary but not sufficient, so ``analyze`` settles
+the other cases with the series and the Stanley test.  n = 2 (a polynomial
+ring on one generator, always Gorenstein) is flagged but takes the series
+route too, since the report carries its series; ``verify_depth`` checks
+that series against the oracle like any other.  Whichever route gives a
+Gorenstein verdict, the ratio identity is checked once after it.
 """
 
 from dataclasses import dataclass, field
@@ -58,7 +59,7 @@ def a_invariant_closed_form(v: WeightVector) -> Fraction:
     shift the dimension but not the gamma ratio.
     """
     g0, g1 = gammas(v, 1).values
-    return -2 * g1 / g0 - (v.n - 1 + v.zero_count)
+    return -2 * g1 / g0 - v.dimension
 
 
 def gamma3_relation(g0, g1, g2, g3) -> bool:
@@ -91,7 +92,7 @@ def _k1_a_invariant(v: WeightVector) -> int | None:
     The negation has k = v.m, so it is built only when v.m == 1."""
     for u in (v, v.negate()) if v.m == 1 else (v,):
         if k1_sufficient(u):
-            return sum(u.weights) // u.negatives[0] - u.n - u.zero_count
+            return sum(u.weights) // u.negatives[0] - u.dimension - 1
     return None
 
 
@@ -132,18 +133,19 @@ class GorensteinReport:
 def analyze(v: WeightVector, full: bool = False, verify_depth=None) -> GorensteinReport:
     """Full Gorenstein diagnosis of one validated weight vector.
 
-    Short-circuits (skipped when ``full``): n=2 proves Gorenstein without
-    the Stanley test, and the k=1 divisibility criterion without the
-    series; a non-integer gamma ratio proves NotGorenstein without the
-    series (``hilbert``/``degree`` stay None in that case).  A Gorenstein
-    verdict must satisfy 2*gamma_1/gamma_0 = -a - dim; with ``full`` it
-    must also satisfy ``gamma3_relation``, for which one pass computes
-    gamma_0..gamma_3.
+    Short-circuits (skipped when ``full`` and for n = 2): the k=1
+    divisibility criterion proves Gorenstein without the series, and a
+    non-integer gamma ratio proves NotGorenstein without it
+    (``hilbert`` stays None, and ``degree`` too in the second case); every
+    other case takes the series and the Stanley test.  Every Gorenstein
+    verdict, short-circuit or not, must then satisfy 2*gamma_1/gamma_0 =
+    -a - dim; with ``full`` it must also satisfy ``gamma3_relation``, for
+    which one pass computes gamma_0..gamma_3.
     """
     values = gammas(v, 3 if full else 1).values
     g0, g1 = values[:2]
     ratio = 2 * g1 / g0
-    dim = v.n - 1 + v.zero_count
+    dim = v.dimension
     hits = []
     if v.n == 2:
         hits.append(N2_POLYNOMIAL)
@@ -152,25 +154,21 @@ def analyze(v: WeightVector, full: bool = False, verify_depth=None) -> Gorenstei
         hits.append(K1_DIVISIBILITY)
 
     f = None
-    if v.n == 2 and not full:
+    if full or v.n == 2 or (k1_degree is None and ratio.denominator == 1):
         f = hilbert_series(v, verify_depth=verify_depth)
-        holds, degree = True, f.degree
-    elif k1_degree is not None and not full:
+        holds, degree = stanley_test(f), f.degree
+    elif k1_degree is not None:
         holds, degree = True, k1_degree
-    elif ratio.denominator != 1 and not full:
-        holds, degree = False, None
     else:
-        f = hilbert_series(v, verify_depth=verify_depth)
-        degree = f.degree
-        holds = stanley_test(f)
-        if holds and ratio != -degree - dim:
-            raise InternalInvariantViolation(
-                "gamma ratio violates 2*gamma1/gamma0 = -a - dim on a Gorenstein vector"
-            )
-        if holds and full and not gamma3_relation(*values):
-            raise InternalInvariantViolation(
-                "gamma_0..gamma_3 violate the functional equation on a Gorenstein vector"
-            )
+        holds, degree = False, None
+    if holds and ratio != -degree - dim:
+        raise InternalInvariantViolation(
+            "gamma ratio violates 2*gamma1/gamma0 = -a - dim on a Gorenstein vector"
+        )
+    if holds and full and not gamma3_relation(*values):
+        raise InternalInvariantViolation(
+            "gamma_0..gamma_3 violate the functional equation on a Gorenstein vector"
+        )
     return GorensteinReport(
         weights=v.weights,
         zero_count=v.zero_count,

@@ -35,10 +35,16 @@ Each coefficient comes in three independent flavors:
   a_i, defined only when they are pairwise distinct: each term of gamma_m
   is a_i^(n-2-m) times a symmetric sum of the weights (or a root-of-unity
   sum of J) over the cofactor prod (a_i - a_l) of the indices l left
-  after dropping i and J (``_cofactor``); it calls nothing of the Schur
-  walk, which it checks;
+  after dropping i and J (``_cofactor``).  One pass (``_generic_gammas``)
+  builds the reduced vectors, gcds, root sets and root-of-unity sums once,
+  builds each cofactor once, adds each term to its gamma_m and skips the
+  terms of a gamma_m past upto; it calls nothing of the Schur walk, which
+  it checks;
 * direct series extraction from the computed Hilbert series (the oracle the
   other two are tested against).
+
+``gammas(v, upto, method)`` dispatches the three routes, each one pass,
+and checks gamma_0 > 0 on all of them.
 
 The root-of-unity sums take the Dedekind-sum route of ``cyclotomic``
 (``pair_sum_12``, ``weighted_sum_24``, ``triple_sum_24``, ints; the generic
@@ -103,11 +109,11 @@ def _layer(ws: tuple, r: int) -> tuple:
     return list(combinations(range(len(ws)), r)), rests, list(starmap(gcd, rests))
 
 
-def _reduced(v: WeightVector, depth: int, first: int = 1) -> dict:
-    """(a - J, g_J) for every ascending index tuple J of first..depth
-    entries (``_layer``)."""
+def _reduced(v: WeightVector, depth: int) -> dict:
+    """(a - J, g_J) for every ascending index tuple J of 1..depth entries
+    (``_layer``)."""
     out = {}
-    for r in range(first, depth + 1):
+    for r in range(1, depth + 1):
         Js, rests, gcds = _layer(v.weights, r)
         out.update(zip(Js, zip(rests, gcds)))
     return out
@@ -281,145 +287,114 @@ def gamma3(v: WeightVector) -> Fraction:
 # -- generic forms -----------------------------------------------------------
 
 
-def _require_generic(v: WeightVector):
-    _require_stable(v)
-    if not v.is_generic:
-        raise Unstable("generic gamma form needs pairwise distinct negative weights")
-
-
 def _cofactor(ws, i: int, drop=()) -> Fraction:
     """prod (a_i - a_l) over every l != i not in drop, as a Fraction."""
     return Fraction(prod(ws[i] - w for l, w in enumerate(ws) if l != i and l not in drop))
 
 
-def gamma0_generic(v: WeightVector) -> Fraction:
-    _require_generic(v)
-    ws = v.weights
-    return sum((-_power(ws[i], v.n - 2) / _cofactor(ws, i) for i in range(v.k)), Fraction(0))
+def _generic_gammas(v: WeightVector, upto: int) -> tuple:
+    """gamma_0..gamma_upto (upto <= 3) by the generic forms, in one pass.
 
-
-def gamma1_generic(v: WeightVector) -> Fraction:
-    _require_generic(v)
-    ws = v.weights
-    gcds = [g for _, g in _reduced(v, 1).values()]
-    total = Fraction(0)
-    for i in range(v.k):
-        p, den = _power(ws[i], v.n - 3), _cofactor(ws, i)
-        for j in range(v.n):
-            if j == i:
-                continue
-            total += p * ws[j] / (2 * den)
-            if gcds[j] > 1:
-                total += Fraction(gcds[j] - 1, 2) * -p / _cofactor(ws, i, (j,))
-    return total
-
-
-def gamma2_generic(v: WeightVector) -> Fraction:
-    _require_generic(v)
-    ws = v.weights
-    reduced = _reduced(v, 2)
-    gcds = [reduced[j,][1] for j in range(v.n)]
-    roots = {J: _roots(reduced, J) for J in combinations(range(v.n), 2)}
-    total = Fraction(0)
-    for i in range(v.k):
-        a = ws[i]
-        others = [j for j in range(v.n) if j != i]
-        p = _power(a, v.n - 4)
-        bracket = sum((2 * a - ws[j]) * ws[j] for j in others)
-        pairs = sum(ws[j] * ws[l] for j, l in combinations(others, 2))
-        total += p * (bracket - 3 * pairs) / (12 * _cofactor(ws, i))
-        for j in others:
-            if gcds[j] > 1:
-                den = _cofactor(ws, i, (j,))
-                total += Fraction(1 - gcds[j] ** 2, 12) * p * (a - ws[j]) / den
-                rest = sum(ws[l] for l in others if l != j)
-                total += Fraction(gcds[j] - 1, 2) * p * rest / (2 * den)
-        for j, l in combinations(others, 2):
-            cs = Fraction(pair_sum_12(ws[j], ws[l], roots[j, l]), 12)
-            if cs:
-                total += -p / _cofactor(ws, i, (j, l)) * cs
-    return total
-
-
-def gamma3_generic(v: WeightVector) -> Fraction:
-    _require_generic(v)
-    ws = v.weights
-    reduced = _reduced(v, 3)
-    gcds = [reduced[j,][1] for j in range(v.n)]
-    roots = {J: _roots(reduced, J) for J in combinations(range(v.n), 2)}
-    total = Fraction(0)
+    The reduced vectors to depth upto, their gcds and root sets, and the
+    root-of-unity sums of each pair and triple J with a root (which do not
+    depend on i) are built once.  Each negative index i then builds its
+    cofactor over i and J once for every J it reads and adds each term to
+    its gamma_m: the head terms over the weights left after dropping i, the
+    terms of a single j with g_j > 1, of a pair and of a triple.  The
+    gamma_2 and gamma_3 terms are skipped when upto is below them.
+    """
+    _require_stable(v)
+    if not v.is_generic:
+        raise Unstable("generic gamma form needs pairwise distinct negative weights")
+    ws, n = v.weights, v.n
+    reduced = _reduced(v, upto)
+    gcds = {J[0]: g for J, (_, g) in reduced.items() if len(J) == 1 and g > 1}
+    pairs, triples = {}, {}
+    for J in reduced:
+        if len(J) < 2 or not (roots := _roots(reduced, J)):
+            continue
+        if len(J) == 3:
+            triples[J] = Fraction(triple_sum_24(*(ws[j] for j in J), roots), 24)
+            continue
+        a, b = ws[J[0]], ws[J[1]]
+        weighted = [Fraction(weighted_sum_24(w, roots), 24) for w in (a, b)] if upto == 3 else []
+        pairs[J] = (Fraction(pair_sum_12(a, b, roots), 12), weighted)
+    total = [Fraction(0)] * (upto + 1)
     for i in range(v.k):
         a = ws[i]
-        others = [j for j in range(v.n) if j != i]
-        p = _power(a, v.n - 5)
-        triple = sum(3 * ws[j] * ws[l] * ws[q] for j, l, q in combinations(others, 3))
-        middle = sum(ws[j] * ws[l] * (ws[l] - 2 * a) for j, l in permutations(others, 2))
-        last = sum(a * ws[j] * (2 * a - ws[j]) for j in others)
-        total += p * (triple + middle + last) / (24 * _cofactor(ws, i))
+        p = [_power(a, n - 2 - m) for m in range(upto + 1)]
+        others = [j for j in range(n) if j != i]
+        left = sum(ws[j] for j in others)
+        den = _cofactor(ws, i)
+        total[0] -= p[0] / den
+        if upto >= 1:
+            total[1] += p[1] * left / (2 * den)
+        if upto >= 2:
+            bracket = sum((2 * a - ws[j]) * ws[j] for j in others)
+            e2 = sum(ws[j] * ws[l] for j, l in combinations(others, 2))
+            total[2] += p[2] * (bracket - 3 * e2) / (12 * den)
+        if upto == 3:
+            e3 = sum(ws[j] * ws[l] * ws[q] for j, l, q in combinations(others, 3))
+            middle = sum(ws[j] * ws[l] * (ws[l] - 2 * a) for j, l in permutations(others, 2))
+            last = sum(a * ws[j] * (2 * a - ws[j]) for j in others)
+            total[3] += p[3] * (3 * e3 + middle + last) / (24 * den)
         for j in others:
-            if gcds[j] <= 1:
+            if j not in gcds:
                 continue
-            rest = [l for l in others if l != j]
-            den = _cofactor(ws, i, (j,))
-            pairs = sum(ws[l] * ws[q] for l, q in combinations(rest, 2))
-            total += Fraction(gcds[j] - 1, 2) * (-p * pairs / (4 * den))
-            single = sum(ws[l] * (ws[l] - 2 * a) for l in rest)
-            total += Fraction(gcds[j] - 1, 2) * (-p * single / (12 * den))
-            total += Fraction(gcds[j] ** 2 - 1, 24) * (
-                p * (a - ws[j]) * (-a + sum(ws[l] for l in rest)) / den
-            )
-        for j, l in combinations(others, 2):
-            den = _cofactor(ws, i, (j, l))
-            cs = Fraction(pair_sum_12(ws[j], ws[l], roots[j, l]), 12)
-            if cs:
-                rest = sum(ws[q] for q in others if q not in (j, l))
-                total += cs * p * rest / (2 * den)
-            cs_a = Fraction(weighted_sum_24(ws[j], roots[j, l]), 24)
-            cs_b = Fraction(weighted_sum_24(ws[l], roots[j, l]), 24)
-            if cs_a or cs_b:
-                total += p / den * ((a - ws[j]) * cs_a + (a - ws[l]) * cs_b)
-        for j, l, q in combinations(others, 3):
-            cs = triple_sum_24(ws[j], ws[l], ws[q], _roots(reduced, (j, l, q)))
-            if cs:
-                total += -p * Fraction(cs, 24) / _cofactor(ws, i, (j, l, q))
-    return total
+            g, b, den = gcds[j], ws[j], _cofactor(ws, i, (j,))
+            total[1] -= Fraction(g - 1, 2) * p[1] / den
+            if upto >= 2:
+                total[2] += (Fraction(1 - g * g, 12) * (a - b) + Fraction(g - 1, 4) * (left - b)) * p[2] / den
+            if upto == 3:
+                rest = [ws[l] for l in others if l != j]
+                rest_pairs = sum(x * y for x, y in combinations(rest, 2))
+                single = sum(x * (x - 2 * a) for x in rest)
+                total[3] -= Fraction((g - 1) * (3 * rest_pairs + single), 24) * p[3] / den
+                total[3] += Fraction(g * g - 1, 24) * p[3] * (a - b) * (left - b - a) / den
+        for J, (pair, weighted) in pairs.items():
+            if i in J:
+                continue
+            j, l = J
+            den = _cofactor(ws, i, J)
+            total[2] -= p[2] * pair / den
+            if upto == 3:
+                total[3] += pair * p[3] * (left - ws[j] - ws[l]) / (2 * den)
+                total[3] += p[3] * ((a - ws[j]) * weighted[0] + (a - ws[l]) * weighted[1]) / den
+        for J, triple in triples.items():
+            if i not in J:
+                total[3] -= p[3] * triple / _cofactor(ws, i, J)
+    return tuple(total)
 
 
 # -- dispatch ----------------------------------------------------------------
 
-_GENERIC_FORMS = (gamma0_generic, gamma1_generic, gamma2_generic, gamma3_generic)
-
 
 def gammas(v: WeightVector, upto: int = 3, method: str = "schur") -> GammaVector:
-    """gamma_0..gamma_upto of the Hilbert series of v."""
-    pole = v.n - 1 + v.zero_count
+    """gamma_0..gamma_upto of the Hilbert series of v, each route in one
+    pass: the partial-Schur walk ("schur"), the generic forms ("generic";
+    upto <= 3 for both) or the Laurent expansion of the computed series
+    ("series", any upto).  Every route must give gamma_0 > 0, and the
+    series' pole order must be the dimension."""
+    pole = v.dimension
     if method not in ("schur", "generic", "series"):
         raise ValueError(f"unknown gamma method {method!r}")
     if upto < 0:
         raise ValueError(f"gamma orders start at 0, got upto={upto}")
-    if method == "series":
-        return gammas_from_series(v, upto)
-    if upto > 3:
+    if upto > 3 and method != "series":
         raise ValueError("closed forms stop at gamma_3; use the series method")
     if method == "schur":
         for out in _schur_gammas(v, upto):
             pass
         values = tuple(Fraction(num, den) for num, den in out)
+    elif method == "generic":
+        values = _generic_gammas(v, upto)
     else:
-        values = tuple(_GENERIC_FORMS[m](v) for m in range(upto + 1))
+        expansion = hilbert_series(v).laurent_at_one(upto + 1)
+        if expansion.pole_order != pole:
+            raise InternalInvariantViolation("series pole order differs from the dimension")
+        values = expansion.coefficients
     if values[0] <= 0:
         raise InternalInvariantViolation(
             "leading Laurent coefficient must be positive"
         )
     return GammaVector(values=values, method=method, pole_order=pole)
-
-
-def gammas_from_series(v: WeightVector, upto: int) -> GammaVector:
-    """Independent route: expand the computed Hilbert series at t=1."""
-    f = hilbert_series(v)
-    expansion = f.laurent_at_one(upto + 1)
-    return GammaVector(
-        values=expansion.coefficients,
-        method="series",
-        pole_order=expansion.pole_order,
-    )

@@ -10,7 +10,7 @@ are pairwise distinct.
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import Empty, Unstable
+from .errors import Empty, Unstable, ValidationError
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,12 @@ class WeightVector:
     @property
     def n(self) -> int:
         return len(self.negatives) + len(self.positives)
+
+    @property
+    def dimension(self) -> int:
+        """Krull dimension of the invariant ring: n - 1 for the nonzero
+        weights plus one free generator per zero weight."""
+        return self.n - 1 + self.zero_count
 
     @property
     def weights(self) -> tuple:
@@ -57,6 +63,7 @@ class WeightVector:
 def validate(raw) -> WeightVector:
     """Canonicalize a raw weight sequence.
 
+    Every weight must be an int (a float, a string or a bool is refused).
     Zeros are stripped into ``zero_count``, the gcd of the rest is divided
     out (recorded in ``faithful_scale``) and both sign classes must be
     nonempty, otherwise the action has no stable orbits.
@@ -64,6 +71,9 @@ def validate(raw) -> WeightVector:
     raw = tuple(raw)
     if not raw:
         raise Empty("no weights given")
+    for w in raw:
+        if type(w) is not int:  # not isinstance: a bool is an int, but no weight
+            raise ValidationError(f"weights must be integers, got {w!r}")
     zeros = sum(1 for w in raw if w == 0)
     nonzero = [w for w in raw if w != 0]
     if not nonzero:

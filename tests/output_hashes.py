@@ -22,8 +22,8 @@ Three more lines, prefixed ``gammas_``, hash the Laurent coefficients over
 the generic orientations (v and its negation, each where its negative
 weights are pairwise distinct) of ``sweep_family()``,
 ``_scan_candidates(4, 8)`` and the RANDOM_COUNT random vectors: per
-orientation, ``gammas(v, 3, "generic")`` and ``gammas(v, 3)``, each value
-with its type, or the exception's class name.  A refactor of ``laurent``
+orientation, ``gammas(v, u, "generic")`` for u = 0..3 and ``gammas(v, 3)``,
+each value with its type, or the exception's class name.  A refactor of ``laurent``
 is checked with them the same way.
 
 Three lines, prefixed ``reports_``, hash the Gorenstein reports of
@@ -116,9 +116,9 @@ def generic_orientations(family) -> list:
 
 def gamma_output(v) -> str:
     parts = []
-    for method in ("generic", "schur"):
+    for upto, method in [(u, "generic") for u in range(4)] + [(3, "schur")]:
         try:
-            parts.append(" ".join(f"{type(g).__name__}:{g}" for g in gammas(v, 3, method).values))
+            parts.append(" ".join(f"{type(g).__name__}:{g}" for g in gammas(v, upto, method).values))
         except Exception as exc:
             parts.append(type(exc).__name__)
     return " | ".join(parts)

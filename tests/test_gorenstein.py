@@ -289,6 +289,21 @@ class TestAnalyze:
         with pytest.raises(OracleMismatch):
             analyze(validate((-2, 3)), verify_depth=50)
 
+    def test_k1_verdict_is_checked_against_the_ratio(self, monkeypatch):
+        # the k = 1 short-circuit settles the verdict without the series;
+        # its a-invariant must still satisfy 2*gamma_1/gamma_0 = -a - dim
+        true_degree = gorenstein._k1_a_invariant
+
+        def off_by_one(v):
+            degree = true_degree(v)
+            return None if degree is None else degree - 1
+
+        v = validate((-2, 1, 3))
+        assert K1_DIVISIBILITY in analyze(v).sufficient_condition_hits
+        monkeypatch.setattr(gorenstein, "_k1_a_invariant", off_by_one)
+        with pytest.raises(InternalInvariantViolation):
+            analyze(v)
+
     def test_k1_on_negated_orientation(self):
         r = analyze(validate((1, -2, -3)))
         assert K1_DIVISIBILITY in r.sufficient_condition_hits

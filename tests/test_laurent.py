@@ -18,15 +18,10 @@ from circleinv.hilbert import hilbert_series
 from circleinv.laurent import (
     _reduced,
     gamma0,
-    gamma0_generic,
     gamma1,
-    gamma1_generic,
     gamma2,
-    gamma2_generic,
     gamma3,
-    gamma3_generic,
     gammas,
-    gammas_from_series,
 )
 from circleinv.weights import WeightVector, canonical_key, validate
 from helpers import elementary_symmetric, partial_schur_of
@@ -35,7 +30,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import engine_pool, engine_vectors, sweep_family  # noqa: E402
 
 SCHUR_FORMS = (gamma0, gamma1, gamma2, gamma3)
-GENERIC_FORMS = (gamma0_generic, gamma1_generic, gamma2_generic, gamma3_generic)
 
 
 class TestPinnedValues:
@@ -60,11 +54,11 @@ class TestPinnedValues:
         assert gamma3(validate((-1, -1, 1))) == F(1, 8)
 
     def test_series_examples(self):
-        g = gammas_from_series(validate((-3, 1, 3)), 2)
+        g = gammas(validate((-3, 1, 3)), 2, "series")
         assert list(g.values) == [F(1, 8), F(1, 4), F(9, 32)]
-        g = gammas_from_series(validate((-1, -2, 1, 14)), 1)
+        g = gammas(validate((-1, -2, 1, 14)), 1, "series")
         assert list(g.values) == [F(1, 20), F(3, 40)]
-        g = gammas_from_series(validate((-2, 3)), 3)
+        g = gammas(validate((-2, 3)), 3, "series")
         assert list(g.values) == [F(1, 5), F(2, 5), F(2, 5), F(1, 5)]
 
 
@@ -151,7 +145,7 @@ class TestAgreement:
 
     def test_formulas_match_series(self):
         for v in self._canonical_family(4, (2, 3), limit=None):
-            series = gammas_from_series(v, 3)
+            series = gammas(v, 3, "series")
             forms = tuple(f(v) for f in SCHUR_FORMS)
             assert forms == series.values, v.weights
             assert series.pole_order == v.n - 1
@@ -159,7 +153,7 @@ class TestAgreement:
 
     def test_formulas_match_series_n4_sample(self):
         for v in self._canonical_family(5, (4,), limit=60):
-            series = gammas_from_series(v, 3)
+            series = gammas(v, 3, "series")
             forms = tuple(f(v) for f in SCHUR_FORMS)
             assert forms == series.values, v.weights
 
@@ -168,7 +162,7 @@ class TestAgreement:
             if not v.is_generic:
                 continue
             schur_form = tuple(f(v) for f in SCHUR_FORMS)
-            generic_form = tuple(f(v) for f in GENERIC_FORMS)
+            generic_form = gammas(v, 3, "generic").values
             assert schur_form == generic_form, v.weights
             # an int / int division anywhere would leave a float here
             assert all(type(g) is F for g in schur_form + generic_form), v.weights
@@ -194,7 +188,7 @@ class TestAgreement:
 
     def test_generic_form_requires_generic(self):
         with pytest.raises(Unstable):
-            gamma2_generic(validate((-1, -1, 1)))
+            gammas(validate((-1, -1, 1)), 2, "generic")
 
 
 class TestLargeStrides:
@@ -254,13 +248,16 @@ class TestLeanWalk:
     def test_every_upto_is_a_prefix(self):
         # the exponent window lo = n - upto - 2 and the P_X(0)^L scale move
         # with upto, and the walk builds e_2 only for upto >= 2; every upto
-        # still gives the prefix of the full walk, repeated weights included
+        # still gives the prefix of the full walk, repeated weights included.
+        # The generic pass skips the terms past upto: on the generic
+        # orientations it gives the same prefixes
         families = [sweep_family(), _scan_candidates(5, 4), engine_pool()]
         vectors = [validate(raw) for raw in itertools.chain(*families)]
         for v in vectors:
             full = gammas(v, 3).values
-            for u in range(3):
-                assert gammas(v, u).values == full[: u + 1], (v, u)
+            for method in ("schur", "generic") if v.is_generic else ("schur",):
+                for u in range(4):
+                    assert gammas(v, u, method).values == full[: u + 1], (v, u, method)
         assert (len(vectors), sum(not v.is_generic for v in vectors)) == (858, 280)
 
     def test_kernel_work(self, monkeypatch):
@@ -383,13 +380,13 @@ class TestReducedVectors:
                 vectors.append(validate(raw))
         for v in vectors:
             ws = v.weights
-            for first in range(v.n + 1):
-                expected = {}
-                for r in range(first, v.n + 1):
-                    for J in itertools.combinations(range(v.n), r):
+            expected = {}
+            for depth in range(v.n + 2):
+                for J in itertools.combinations(range(v.n), depth):
+                    if depth:
                         seq = tuple(w for i, w in enumerate(ws) if i not in J)
                         expected[J] = (seq, gcd(*seq))
-                assert _reduced(v, v.n + 1, first) == expected, v
+                assert _reduced(v, depth) == expected, (v, depth)
 
     def test_no_python_pass_per_index_set(self):
         # a gammas(v, 3) pass over sweep builds each layer r = 1..3 with one
@@ -444,9 +441,9 @@ class TestDispatch:
         v0 = validate((-2, 3))
         v1 = validate((-2, 3, 0))
         assert tuple(f(v1) for f in SCHUR_FORMS) == tuple(f(v0) for f in SCHUR_FORMS)
-        s = gammas_from_series(v1, 2)
+        s = gammas(v1, 2, "series")
         assert s.pole_order == 2  # zero weight raises the pole order
-        assert s.values == gammas_from_series(v0, 2).values
+        assert s.values == gammas(v0, 2, "series").values
 
     @pytest.mark.parametrize("method", ["schur", "generic", "series"])
     def test_negative_order_refused(self, method):

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from circleinv.errors import Empty, Unstable
+from circleinv.errors import Empty, Unstable, ValidationError
 from circleinv.hilbert import hilbert_series
 from circleinv.weights import canonical_key, validate
 
@@ -33,6 +33,13 @@ class TestValidate:
     def test_empty(self):
         with pytest.raises(Empty):
             validate(())
+
+    def test_non_int_weights(self):
+        # a float, a string or a bool is no weight, even where it compares
+        # or divides like one
+        for raw in [(1.5, -2), ("1", -2), (True, -1)]:
+            with pytest.raises(ValidationError):
+                validate(raw)
 
     def test_zero_stripping(self):
         v = validate((0, -1, 2, 0))
