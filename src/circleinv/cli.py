@@ -4,7 +4,9 @@ Subcommands: hilb, gamma, analyze, schur, hironaka, scan.  All output is
 deterministic UTF-8 JSON on stdout (rationals as "p/q" strings, polynomials
 as sorted [exponent, coefficient] pairs, factored denominators as
 [d, multiplicity] pairs).  Bad input (a ``ValidationError``) exits 2 and
-any other failure exits 3, with a structured error object on stderr.
+any other failure exits 3, with a structured error object on stderr.  The
+library refuses bad arguments itself; only --max-denominator-degree and
+--jobs, whose ranges no library function checks, are checked here.
 
 Flag defaults can be overridden with environment variables: CIRCLEINV_METHOD
 and CIRCLEINV_MAX_DENOMINATOR_DEGREE (hilb), CIRCLEINV_VERIFY_DEPTH (hilb,
@@ -64,18 +66,11 @@ def poly_json(p: Polynomial) -> list:
 
 
 def rf_json(f: RationalFunction) -> dict:
-    if f.factored_denominator is not None:
-        view = [list(pair) for pair in f.factored_denominator]
-        den = _expand_view(dict(f.factored_denominator))
-        num = f.view_numerator()
-    else:
-        view = None
-        den = f.denominator
-        num = f.numerator
+    view = f.factored_denominator
     return {
-        "numerator": poly_json(num),
-        "factored_denominator": view,
-        "denominator": poly_json(den),
+        "numerator": poly_json(f.view_numerator()),
+        "factored_denominator": None if view is None else [list(pair) for pair in view],
+        "denominator": poly_json(f.denominator if view is None else _expand_view(dict(view))),
     }
 
 
@@ -113,10 +108,9 @@ def parse_weights(tokens) -> list:
     return [w for token in tokens for w in _parse_list(token, int, "weights")]
 
 
-def _at_least(value: int, least: int, flag: str) -> int:
+def _at_least(value: int, least: int, flag: str):
     if value < least:
         raise ValidationError(f"{flag} must be at least {least}, got {value}")
-    return value
 
 
 def _emit(payload: dict):
@@ -130,23 +124,20 @@ def _emit(payload: dict):
 def cmd_hilb(args) -> int:
     weights = parse_weights(args.weights)
     v = validate(weights)
-    _at_least(args.verify_depth, 0, "--verify-depth")
     _at_least(args.max_denominator_degree, 1, "--max-denominator-degree")
-    depth = args.verify_depth if args.verify_depth else None
     if args.method == "oracle":
-        upto = args.verify_depth if args.verify_depth else 50
         _emit(
             {
                 "weights": weights,
                 "method": "oracle",
-                "coefficients": oracle_coefficients(v, upto),
+                "coefficients": oracle_coefficients(v, args.verify_depth or 50),
             }
         )
         return 0
     f = hilbert_series(
         v,
         method=args.method,
-        verify_depth=depth,
+        verify_depth=args.verify_depth,
         degree_limit=args.max_denominator_degree,
     )
     _emit(
@@ -163,14 +154,11 @@ def cmd_hilb(args) -> int:
 def cmd_gamma(args) -> int:
     weights = parse_weights(args.weights)
     v = validate(weights)
-    upto = _at_least(args.upto, 0, "--upto")
-    if upto > 3 and args.gamma_method != "series":
-        raise ValidationError("closed forms stop at gamma_3; use --method series")
     if args.gamma_method == "all":
-        results = {"schur": laurent.gammas(v, upto, "schur")}
+        results = {"schur": laurent.gammas(v, args.upto, "schur")}
         if v.is_generic:
-            results["generic"] = laurent.gammas(v, upto, "generic")
-        results["series"] = laurent.gammas(v, upto, "series")
+            results["generic"] = laurent.gammas(v, args.upto, "generic")
+        results["series"] = laurent.gammas(v, args.upto, "series")
         reference = results["schur"]
         agree = all(g.values == reference.values for g in results.values())
         _emit(
@@ -183,7 +171,7 @@ def cmd_gamma(args) -> int:
             }
         )
         return 0
-    g = laurent.gammas(v, upto, args.gamma_method)
+    g = laurent.gammas(v, args.upto, args.gamma_method)
     _emit(
         {
             "weights": weights,
@@ -197,9 +185,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_analyze(args) -> int:
     v = validate(parse_weights(args.weights))
-    _at_least(args.verify_depth, 0, "--verify-depth")
-    depth = args.verify_depth if args.verify_depth else None
-    report = gorenstein.analyze(v, full=args.full, verify_depth=depth)
+    report = gorenstein.analyze(v, full=args.full, verify_depth=args.verify_depth)
     _emit(report_json(report))
     return 0
 
@@ -226,15 +212,11 @@ def cmd_schur(args) -> int:
 
 
 def cmd_hironaka(args) -> int:
-    try:
-        data = hironaka.HironakaData(
-            tuple(_parse_list(args.alphas, int, "--alphas")),
-            tuple(_parse_list(args.betas, int, "--betas")),
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-    upto = _at_least(args.upto, 0, "--upto")
-    values = [str(g) for g in hironaka.gammas_cm(upto, data)]
+    data = hironaka.HironakaData(
+        tuple(_parse_list(args.alphas, int, "--alphas")),
+        tuple(_parse_list(args.betas, int, "--betas")),
+    )
+    values = [str(g) for g in hironaka.gammas_cm(args.upto, data)]
     _emit(
         {
             "alphas": list(data.alphas),

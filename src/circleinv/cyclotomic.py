@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
-from .errors import InternalInvariantViolation, NonInvertibleDenominator
+from .errors import InternalInvariantViolation, NonInvertibleDenominator, ValidationError
 from .exact import Polynomial, _divisors, _expand_view, _factor_exponents
 
 
@@ -43,7 +43,7 @@ def cyclotomic_poly(d: int) -> Polynomial:
     """The d-th cyclotomic polynomial, expanded from its factors
     prod_{e|d} (1 - x^e)^{mu(d/e)} (d > 1); Phi_1 = x - 1."""
     if d < 1:
-        raise ValueError("cyclotomic index must be positive")
+        raise ValidationError("cyclotomic index must be positive")
     phi = _expand_view(_factor_exponents({d: 1}))
     return -phi if d == 1 else phi
 
@@ -91,7 +91,7 @@ class RootConstraint:
     def __post_init__(self):
         for d in self.excluded_suborders:
             if self.ambient_order % d != 0:
-                raise ValueError("excluded suborder must divide the ambient order")
+                raise ValidationError("excluded suborder must divide the ambient order")
 
     def admissible_orders(self) -> list:
         """Exact orders e | N whose roots satisfy every constraint.

@@ -1,8 +1,10 @@
 """Exception hierarchy.
 
-``ValidationError`` subclasses signal bad input (CLI exit code 2);
-``InternalError`` subclasses signal an engine bug caught by a consistency
-check (CLI exit code 3).
+``ValidationError`` and its subclasses signal bad input (CLI exit code 2);
+the library raises them itself wherever it refuses a caller's argument,
+and a ``ValidationError`` is also a ``ValueError``.  ``InternalError``
+subclasses signal an engine bug caught by a consistency check (CLI exit
+code 3).
 """
 
 
@@ -10,7 +12,7 @@ class CircleInvError(Exception):
     pass
 
 
-class ValidationError(CircleInvError):
+class ValidationError(CircleInvError, ValueError):
     pass
 
 

@@ -72,7 +72,7 @@ from itertools import accumulate, islice, repeat
 from math import lcm, prod
 from operator import add, lt, sub
 
-from .errors import InternalInvariantViolation, ZeroDenominator, ZeroFunction
+from .errors import InternalInvariantViolation, ValidationError, ZeroDenominator, ZeroFunction
 
 # entries of the cyclic-difference product that _phi_probe reads before a fold
 PHI_PROBES = 4
@@ -135,7 +135,7 @@ class Polynomial:
             coeffs = coeffs.items()
         pairs = [(e, _exact(c)) for e, c in coeffs or ()]
         if any(e < 0 for e, _ in pairs):
-            raise ValueError("negative exponent in Polynomial")
+            raise ValidationError("negative exponent in Polynomial")
         dense = [0] * (max((e for e, c in pairs if c), default=-1) + 1)
         for e, c in pairs:
             if c:
@@ -480,7 +480,7 @@ class RationalFunction:
         if 0 in view:
             raise ZeroDenominator("factor 1 - t^0 = 0 in the view")
         if any(d < 0 for d in view):
-            raise ValueError("negative degree in the view")
+            raise ValidationError("negative degree in the view")
         if type(num) is list:
             _strip(num)
         if not num:

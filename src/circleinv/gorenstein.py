@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import InternalInvariantViolation
 from .exact import RationalFunction
-from .hilbert import hilbert_series
+from .hilbert import _check_verify_depth, hilbert_series
 from .laurent import gammas
 from .weights import WeightVector
 
@@ -140,8 +140,10 @@ def analyze(v: WeightVector, full: bool = False, verify_depth=None) -> Gorenstei
     other case takes the series and the Stanley test.  Every Gorenstein
     verdict, short-circuit or not, must then satisfy 2*gamma_1/gamma_0 =
     -a - dim; with ``full`` it must also satisfy ``gamma3_relation``, for
-    which one pass computes gamma_0..gamma_3.
+    which one pass computes gamma_0..gamma_3.  ``verify_depth`` is checked
+    first, so a short-circuit refuses a bad depth as the series route does.
     """
+    _check_verify_depth(verify_depth)
     values = gammas(v, 3 if full else 1).values
     g0, g1 = values[:2]
     ratio = 2 * g1 / g0

@@ -64,6 +64,7 @@ from .errors import (
     InternalInvariantViolation,
     OracleMismatch,
     Unstable,
+    ValidationError,
 )
 from .exact import (
     RationalFunction,
@@ -259,13 +260,14 @@ def oracle_coefficients(v: WeightVector, upto: int) -> list:
     """Coefficients 0..upto of the Hilbert series, counted directly:
     dim of degree-m invariants = #{e >= 0 : sum a_i e_i = 0, sum e_i = m}.
 
-    Refused with ``DegreeOverflow`` before anything is allocated when the
-    table has more than ``MAX_ORACLE_CELLS`` cells, or more than 64 bits
-    per such cell: (upto + 1) rows of upto * min(A+, A-) + 1 lanes of
-    ``bits`` bits each (:func:`_count_rows`)."""
-    ws = list(v.weights) + [0] * v.zero_count
+    Refused with ``ValidationError`` when upto < 0, and with
+    ``DegreeOverflow`` before anything is allocated when the table has
+    more than ``MAX_ORACLE_CELLS`` cells, or more than 64 bits per such
+    cell: (upto + 1) rows of upto * min(A+, A-) + 1 lanes of ``bits``
+    bits each (:func:`_count_rows`)."""
     if upto < 0:
-        return []
+        raise ValidationError(f"oracle degrees start at 0, got upto={upto}")
+    ws = list(v.weights) + [0] * v.zero_count
     amax = max(abs(w) for w in ws)
     width = upto * amax
     cells = (upto + 1) * (2 * width + 1)
@@ -317,6 +319,13 @@ def _count_rows(ws, upto: int, bits: int) -> list:
     return rows
 
 
+def _check_verify_depth(depth):
+    """Refuse an oracle cross-check depth other than None, "auto" or an
+    int >= 0 (a bool is an int, but no depth); 0 checks nothing."""
+    if depth is not None and depth != "auto" and (type(depth) is not int or depth < 0):
+        raise ValidationError(f"verify_depth must be None, 'auto' or an int >= 0, got {depth!r}")
+
+
 def hilbert_series(
     v: WeightVector,
     method: str = "auto",
@@ -324,15 +333,16 @@ def hilbert_series(
     degree_limit: int = DEFAULT_DEGREE_LIMIT,
 ) -> RationalFunction:
     """Dispatcher: generic path when one side is repetition-free (negating
-    if needed), pair-invariant route otherwise; optional oracle cross-check."""
+    if needed), pair-invariant route otherwise; optional oracle cross-check
+    of ``verify_depth`` coefficients ("auto" picks the depth), which is
+    checked before anything is computed."""
+    _check_verify_depth(verify_depth)
     if method not in ("auto", "generic", "degenerate"):
-        raise ValueError(f"unknown method {method!r}")
+        raise ValidationError(f"unknown method {method!r}")
     # the section engine needs a repetition-free negative side
     oriented = v if v.is_generic else v.negate()
     if method == "degenerate" or (method == "auto" and not oriented.is_generic):
         result = hilbert_degenerate(v, degree_limit)
-    elif not oriented.is_generic:
-        raise Unstable("both sides have repeated weights; generic path unavailable")
     else:
         result = hilbert_generic(oriented, degree_limit)
     result = present_with_factors(result)
@@ -340,7 +350,7 @@ def hilbert_series(
         depth = (
             max(2 * _degree(_factor_exponents(result.phi_content)), 50)
             if verify_depth == "auto"
-            else int(verify_depth)
+            else verify_depth
         )
         verify_against_oracle(v, result, depth)
     return result

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .errors import DegreeOverflow, OutOfRange
+from .errors import DegreeOverflow, OutOfRange, ValidationError
 from .exact import Polynomial, RationalFunction, _degree
 from .hilbert import DEFAULT_DEGREE_LIMIT
 
@@ -26,11 +26,11 @@ class HironakaData:
 
     def __post_init__(self):
         if not self.alphas or not self.betas:
-            raise ValueError("need at least one parameter and one generator degree")
+            raise ValidationError("need at least one parameter and one generator degree")
         if any(a < 1 for a in self.alphas):
-            raise ValueError("parameter degrees must be positive")
+            raise ValidationError("parameter degrees must be positive")
         if any(b < 0 for b in self.betas):
-            raise ValueError("generator degrees must be nonnegative")
+            raise ValidationError("generator degrees must be nonnegative")
 
 
 def _todd_values(alphas, m: int) -> list:

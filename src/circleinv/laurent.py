@@ -74,7 +74,7 @@ from operator import sub
 from threading import Lock
 
 from .cyclotomic import pair_sum_12, subgroup_weights, triple_sum_24, weighted_sum_24
-from .errors import InternalInvariantViolation, Unstable
+from .errors import InternalInvariantViolation, Unstable, ValidationError
 from .hilbert import hilbert_series
 from .schur import _power, scaled_schur_values
 from .weights import WeightVector
@@ -377,11 +377,11 @@ def gammas(v: WeightVector, upto: int = 3, method: str = "schur") -> GammaVector
     series' pole order must be the dimension."""
     pole = v.dimension
     if method not in ("schur", "generic", "series"):
-        raise ValueError(f"unknown gamma method {method!r}")
+        raise ValidationError(f"unknown gamma method {method!r}")
     if upto < 0:
-        raise ValueError(f"gamma orders start at 0, got upto={upto}")
+        raise ValidationError(f"gamma orders start at 0, got upto={upto}")
     if upto > 3 and method != "series":
-        raise ValueError("closed forms stop at gamma_3; use the series method")
+        raise ValidationError("closed forms stop at gamma_3; use the series method")
     if method == "schur":
         for out in _schur_gammas(v, upto):
             pass

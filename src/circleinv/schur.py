@@ -45,7 +45,7 @@ from itertools import combinations
 from math import prod
 from operator import mul
 
-from .errors import OutOfRange, RepeatedVariables, ZeroBase
+from .errors import OutOfRange, RepeatedVariables, ValidationError, ZeroBase
 from .exact import _quotient
 
 
@@ -119,7 +119,7 @@ def schur_tableaux(shape, xs):
     rows = [p for p in shape if p > 0]
     for a, b in zip(rows, rows[1:]):
         if b > a:
-            raise ValueError("shape must be weakly decreasing")
+            raise ValidationError("shape must be weakly decreasing")
     if not rows:
         return 1
     total = 0
@@ -150,10 +150,10 @@ def laurent_schur(parts, xs):
     parts allowed): (prod xs)^m times the Jacobi-Trudi value of the partition
     lambda - m, m = min(lambda, 0); valid at repeated values too."""
     if len(parts) != len(xs):
-        raise ValueError("signature length must match the variable count")
+        raise ValidationError("signature length must match the variable count")
     for a, b in zip(parts, parts[1:]):
         if b > a:
-            raise ValueError("signature must be weakly decreasing")
+            raise ValidationError("signature must be weakly decreasing")
     shift = min([0, *parts])
     return _power(prod(xs), shift) * _jacobi_trudi([p - shift for p in parts], xs)
 

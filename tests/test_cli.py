@@ -29,6 +29,12 @@ def run_cli(args, env=None):
     return proc
 
 
+def numbered(cases):
+    """Each (argv, expected) case as a pytest param named argv<i>, the id a
+    one-argument list would give it."""
+    return [pytest.param(*case, id=f"argv{i}") for i, case in enumerate(cases)]
+
+
 class TestHilbCommand:
     def test_gorenstein_example(self):
         proc = run_cli(["hilb", "-3,1,3"])
@@ -414,18 +420,27 @@ class TestMainEntry:
         assert run_cli(argv).returncode == 2
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["gamma", "-1,2,3", "--upto", "-2"],
-            ["hilb", "-1,2,3", "--verify-depth", "-5"],
-            ["scan", "--n", "2", "--max-weight", "2", "--jobs", "0", "--output", os.devnull],
-            ["hilb", "-1,2,3", "--max-denominator-degree", "-1"],
-            ["hilb", "-1,2,3", "--max-denominator-degree", "0"],
-        ],
+        "argv, error",
+        numbered(
+            [
+                (["gamma", "-1,2,3", "--upto", "-2"], "ValidationError"),
+                (["hilb", "-1,2,3", "--verify-depth", "-5"], "ValidationError"),
+                (
+                    ["scan", "--n", "2", "--max-weight", "2", "--jobs", "0", "--output", os.devnull],
+                    "ValidationError",
+                ),
+                (["hilb", "-1,2,3", "--max-denominator-degree", "-1"], "ValidationError"),
+                (["hilb", "-1,2,3", "--max-denominator-degree", "0"], "ValidationError"),
+                (["analyze", "-2,1,3", "--verify-depth", "-5"], "ValidationError"),
+                (["hilb", "-1,2,3", "--method", "oracle", "--verify-depth", "-5"], "ValidationError"),
+                (["hironaka", "--alphas", "2,4", "--betas", "0", "--upto", "-1"], "OutOfRange"),
+            ]
+        ),
     )
-    def test_out_of_range_flag_rejected(self, argv, capsys):
+    def test_out_of_range_flag_rejected(self, argv, error, capsys):
+        # the library refuses each of these itself, with its own error class
         assert main(argv) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+        assert json.loads(capsys.readouterr().err)["error"] == error
 
     @pytest.mark.parametrize(
         "argv",
@@ -435,6 +450,7 @@ class TestMainEntry:
             ["schur", "--u", "1", "--xs", "-1", "--ys", "a"],
             ["hironaka", "--alphas", "0", "--betas", "1"],
             ["gamma", "-1,2,3", "--upto", "4"],
+            ["gamma", "-1,2,3", "--upto", "4", "--method", "all"],
         ],
     )
     def test_bad_input_is_validation_error(self, argv, capsys):

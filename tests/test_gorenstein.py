@@ -8,7 +8,12 @@ import pytest
 
 from circleinv import exact, gorenstein
 from circleinv.cli import _scan_candidates
-from circleinv.errors import InternalInvariantViolation, OracleMismatch, ZeroFunction
+from circleinv.errors import (
+    InternalInvariantViolation,
+    OracleMismatch,
+    ValidationError,
+    ZeroFunction,
+)
 from circleinv.exact import Polynomial, RationalFunction
 from circleinv.gorenstein import (
     GorensteinReport,
@@ -303,6 +308,14 @@ class TestAnalyze:
         monkeypatch.setattr(gorenstein, "_k1_a_invariant", off_by_one)
         with pytest.raises(InternalInvariantViolation):
             analyze(v)
+
+    @pytest.mark.parametrize("raw", [(-2, 1, 3), (-501, 500, 503)])
+    def test_short_circuit_refuses_a_bad_depth(self, raw):
+        # a k = 1 hit and a non-integer ratio: neither computes the series
+        v = validate(raw)
+        assert analyze(v).hilbert is None
+        with pytest.raises(ValidationError):
+            analyze(v, verify_depth=-5)
 
     def test_k1_on_negated_orientation(self):
         r = analyze(validate((1, -2, -3)))

@@ -10,7 +10,7 @@ import pytest
 
 from circleinv import exact, hilbert
 from circleinv.cli import _scan_candidates
-from circleinv.errors import DegreeOverflow, Unstable
+from circleinv.errors import DegreeOverflow, Unstable, ValidationError
 from circleinv.exact import Polynomial, RationalFunction, present_with_factors
 from circleinv.hilbert import (
     hilbert_degenerate,
@@ -177,6 +177,10 @@ class TestOracle:
         assert oracle_coefficients(validate((-1, 1)), 2)[2] == 1
         assert oracle_coefficients(validate((-1, -2, 1, 14)), 9)[9] == 3
         assert oracle_coefficients(validate((-1, 2, 3)), 7)[7] == 1
+
+    def test_negative_degree_refused(self):
+        with pytest.raises(ValidationError):
+            oracle_coefficients(validate((-1, 2, 3)), -1)
 
     def test_matches_brute_force_enumeration(self):
         upto = 8
@@ -461,6 +465,12 @@ class TestEngines:
         assert f.degree == -10
         f = hilbert_series(validate((-2, -2, 1, 3)), verify_depth="auto")
         assert not f.is_zero()
+
+    @pytest.mark.parametrize("depth", [-5, 0.5, True])
+    def test_bad_verify_depth_refused(self, depth):
+        # each was taken for a depth and the series returned unchecked
+        with pytest.raises(ValidationError):
+            hilbert_series(validate((-1, 2, 3)), verify_depth=depth)
 
 
 class TestSweep:
