@@ -5,12 +5,9 @@ deterministic UTF-8 JSON on stdout (rationals as "p/q" strings, polynomials
 as sorted [exponent, coefficient] pairs, factored denominators as
 [d, multiplicity] pairs).  Bad input (a ``ValidationError``) exits 2 and
 any other failure exits 3, with a structured error object on stderr.  The
-library refuses bad arguments itself; only --max-denominator-degree and
---jobs, whose ranges no library function checks, are checked here.
-
-Flag defaults can be overridden with environment variables: CIRCLEINV_METHOD
-and CIRCLEINV_MAX_DENOMINATOR_DEGREE (hilb), CIRCLEINV_VERIFY_DEPTH (hilb,
-analyze) and CIRCLEINV_JOBS (scan).
+library refuses bad arguments itself; only scan's --n, --max-weight and
+--jobs, which no library function reads, are checked here.  Every setting
+is a flag with a fixed default.
 """
 
 import argparse
@@ -25,36 +22,11 @@ from math import gcd
 from . import gorenstein, hironaka, laurent, schur
 from .errors import ValidationError
 from .exact import Polynomial, RationalFunction, _expand_view
-from .hilbert import (
-    DEFAULT_DEGREE_LIMIT,
-    hilbert_series,
-    oracle_coefficients,
-)
+from .hilbert import hilbert_series, oracle_coefficients
 from .weights import validate
-
-ENV_PREFIX = "CIRCLEINV_"
 
 # scan refuses families with more weight combinations C(2W + n - 1, n)
 SCAN_MAX_COMBINATIONS = 10**6
-
-
-def _env(name: str, fallback):
-    # argparse converts a string default with the flag's type, and only for
-    # the chosen subcommand, so a bad value is a usage error there alone
-    return os.environ.get(ENV_PREFIX + name, fallback)
-
-
-def _one_of(*choices):
-    """A flag type that checks ``choices``: argparse checks them on a parsed
-    flag but not on a string default, where an environment override lands."""
-
-    def check(text: str) -> str:
-        if text not in choices:
-            listed = ", ".join(map(repr, choices))
-            raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {listed})")
-        return text
-
-    return check
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +80,6 @@ def parse_weights(tokens) -> list:
     return [w for token in tokens for w in _parse_list(token, int, "weights")]
 
 
-def _at_least(value: int, least: int, flag: str):
-    if value < least:
-        raise ValidationError(f"{flag} must be at least {least}, got {value}")
-
-
 def _emit(payload: dict):
     sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
@@ -124,7 +91,6 @@ def _emit(payload: dict):
 def cmd_hilb(args) -> int:
     weights = parse_weights(args.weights)
     v = validate(weights)
-    _at_least(args.max_denominator_degree, 1, "--max-denominator-degree")
     if args.method == "oracle":
         _emit(
             {
@@ -134,12 +100,7 @@ def cmd_hilb(args) -> int:
             }
         )
         return 0
-    f = hilbert_series(
-        v,
-        method=args.method,
-        verify_depth=args.verify_depth,
-        degree_limit=args.max_denominator_degree,
-    )
+    f = hilbert_series(v, method=args.method, verify_depth=args.verify_depth)
     _emit(
         {
             "weights": weights,
@@ -301,7 +262,8 @@ def _passes_filters(payload: dict, filters) -> bool:
 def cmd_scan(args) -> int:
     if args.n < 2 or args.max_weight < 1:
         raise ValidationError("scan needs n >= 2 and max-weight >= 1")
-    _at_least(args.jobs, 1, "--jobs")
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     m, c = 2 * args.max_weight + args.n - 1, 1
     for i in range(min(args.n, m - args.n)):  # C(m, i) only grows: stop past the bound
         c = c * (m - i) // (i + 1)
@@ -347,23 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--verify-depth",
         type=int,
-        default=_env("VERIFY_DEPTH", 0),
+        default=0,
         help="cross-check this many leading series coefficients against the counting oracle (0 disables)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hilb", parents=[verify], help="Hilbert series as an exact rational function")
     p.add_argument("weights", nargs="+", help="comma- or space-separated integer weights")
-    methods = ("auto", "generic", "degenerate", "oracle")
-    p.add_argument(
-        "--method", choices=methods, type=_one_of(*methods), default=_env("METHOD", "auto")
-    )
-    p.add_argument(
-        "--max-denominator-degree",
-        type=int,
-        default=_env("MAX_DENOMINATOR_DEGREE", DEFAULT_DEGREE_LIMIT),
-        help="hard ceiling for constructed denominator degrees",
-    )
+    p.add_argument("--method", choices=("auto", "generic", "degenerate", "oracle"), default="auto")
     _allow_weight_tokens(p)
     p.set_defaults(func=cmd_hilb)
 
@@ -399,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hironaka)
 
     p = sub.add_parser("scan", help="batch survey of weight vectors")
-    p.add_argument("--jobs", type=int, default=_env("JOBS", 1), help="parallel workers")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-weight", type=int, required=True)
     p.add_argument("--filter", action="append", choices=SCAN_FILTERS, default=[])

@@ -62,3 +62,10 @@ class InternalInvariantViolation(InternalError):
 
 class OracleMismatch(InternalError):
     pass
+
+
+def check_int(what: str, value):
+    """Refuse with ``ValidationError`` a ``value`` that is not an int: not
+    isinstance, since a bool is an int but no count, degree or weight."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an int, got {value!r}")

@@ -49,9 +49,10 @@ one section (one negative weight: sign +1, shift 0) has the exact order
 of every pole but its open ones, the Phi_e, e > 1, with two or more
 source exponents c outside J = {c : e | c/g}, and only those go to the
 reduction (proof at :func:`hilbert_generic`).  The ``DegreeOverflow``
-guards read the unbounded quantities (sum c, N sum c, the pairs'
-degree), so the degree limit refuses the same vectors whatever the
-bounds save.
+guards (:func:`_check_degree`) hold them to the fixed ``DEGREE_LIMIT`` of
+10^7, as the oracle is held to its fixed cell budget.  They read the
+unbounded quantities (sum c, N sum c, the pairs' degree), so the limit
+refuses the same vectors whatever the bounds save.
 """
 
 from collections import Counter
@@ -65,6 +66,7 @@ from .errors import (
     OracleMismatch,
     Unstable,
     ValidationError,
+    check_int,
 )
 from .exact import (
     RationalFunction,
@@ -76,7 +78,8 @@ from .exact import (
 )
 from .weights import WeightVector
 
-DEFAULT_DEGREE_LIMIT = 10**7
+# largest denominator degree or series length the engines may build
+DEGREE_LIMIT = 10**7
 # counting-table cells (degree rows x weighted-sum lanes) the oracle may allocate
 MAX_ORACLE_CELLS = 5 * 10**7
 
@@ -106,7 +109,14 @@ def section_problem(exponents, ratio: int) -> SectionProblem:
     return SectionProblem(sign, shift, tuple(sorted(factors)), ratio)
 
 
-def section(problem: SectionProblem, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> tuple:
+def _check_degree(what: str, degree: int):
+    """Refuse with ``DegreeOverflow`` a ``degree`` above ``DEGREE_LIMIT``,
+    before anything of that size is allocated."""
+    if degree > DEGREE_LIMIT:
+        raise DegreeOverflow(f"{what} {degree} exceeds the limit {DEGREE_LIMIT}")
+
+
+def section(problem: SectionProblem) -> tuple:
     """(P, view), unreduced: P / prod (1 - t^d)^mult has as its series
     every ratio-th coefficient of the problem's source series; P is the
     dense int list, lowest degree first, that the kernel built.
@@ -124,15 +134,12 @@ def section(problem: SectionProblem, degree_limit: int = DEFAULT_DEGREE_LIMIT) -
     inside a series filled to N D', as shift < sum c <= N D').  The degree
     guard reads sum c, the degree of the source denominator."""
     den_degree = sum(problem.factors)
-    if den_degree > degree_limit:
-        raise DegreeOverflow(
-            f"section denominator degree {den_degree} exceeds the limit {degree_limit}"
-        )
+    _check_degree("section denominator degree", den_degree)
     if problem.shift >= den_degree:
         raise InternalInvariantViolation("section source is not proper")
     view = Counter(c // gcd(problem.ratio, c) for c in problem.factors)
     if len(problem.factors) > 2:
-        num = _apply_factors(_series_section(problem, _degree(view), degree_limit), view)
+        num = _apply_factors(_series_section(problem, _degree(view)), view)
     else:
         num = _period_numerator(problem, _degree(view))
     return num, view
@@ -163,19 +170,17 @@ def _period_numerator(problem: SectionProblem, degree: int) -> list:
     return out
 
 
-def _series_section(problem: SectionProblem, degree: int, degree_limit: int) -> list:
+def _series_section(problem: SectionProblem, degree: int) -> list:
     """Source series coefficients 0, N, ..., N*D' from the series filled to
     N*D', D' = ``degree`` the section view's degree; the guard reads N * sum c."""
-    top = problem.ratio * sum(problem.factors)
-    if top > degree_limit:
-        raise DegreeOverflow(f"section series length {top} exceeds the limit {degree_limit}")
+    _check_degree("section series length", problem.ratio * sum(problem.factors))
     series = [0] * (problem.ratio * degree + 1)
     series[problem.shift] = problem.sign
     _apply_factors(series, {c: -m for c, m in Counter(problem.factors).items()})
     return series[:: problem.ratio]
 
 
-def hilbert_generic(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> RationalFunction:
+def hilbert_generic(v: WeightVector) -> RationalFunction:
     """Sum of the per-negative-weight sections times 1/(1 - t)^zero_count
     (negative side must be repetition-free), reduced once: every section
     numerator is lifted, in place, to the union of the sections'
@@ -201,7 +206,7 @@ def hilbert_generic(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT) -
     for i in range(v.k):
         a_i = ws[i]
         exponents = [w - a_i for j, w in enumerate(ws) if j != i]
-        num, view = section(section_problem(exponents, -a_i), degree_limit)
+        num, view = section(section_problem(exponents, -a_i))
         parts.append((num, _view_phi_multiset(view)))
     common: Counter = Counter()
     for _, phis in parts:
@@ -223,7 +228,7 @@ def hilbert_generic(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT) -
     return RationalFunction.from_factored(total, _factor_exponents(common), _open=open_indices)
 
 
-def hilbert_degenerate(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> RationalFunction:
+def hilbert_degenerate(v: WeightVector) -> RationalFunction:
     """Pair-invariant route (valid for any stable vector; required when both
     sides carry repeats), then 1/(1 - t)^zero_count.
 
@@ -238,11 +243,7 @@ def hilbert_degenerate(v: WeightVector, degree_limit: int = DEFAULT_DEGREE_LIMIT
     pairs = Counter(
         (b - a) // gcd(a, b) for a in v.negatives for b in v.positives
     )
-    deg = _degree(pairs)
-    if deg > degree_limit:
-        raise DegreeOverflow(
-            f"pair-invariant denominator degree {deg} exceeds the limit {degree_limit}"
-        )
+    _check_degree("pair-invariant denominator degree", _degree(pairs))
     content = Counter({e: min(m, v.n - 1) for e, m in _view_phi_multiset(pairs).items()})
     view = _factor_exponents(content)
     coeffs = oracle_coefficients(replace(v, zero_count=0), _degree(view) - 1)
@@ -260,11 +261,12 @@ def oracle_coefficients(v: WeightVector, upto: int) -> list:
     """Coefficients 0..upto of the Hilbert series, counted directly:
     dim of degree-m invariants = #{e >= 0 : sum a_i e_i = 0, sum e_i = m}.
 
-    Refused with ``ValidationError`` when upto < 0, and with
+    Refused with ``ValidationError`` when upto is no int or is < 0, and with
     ``DegreeOverflow`` before anything is allocated when the table has
     more than ``MAX_ORACLE_CELLS`` cells, or more than 64 bits per such
     cell: (upto + 1) rows of upto * min(A+, A-) + 1 lanes of ``bits``
     bits each (:func:`_count_rows`)."""
+    check_int("upto", upto)
     if upto < 0:
         raise ValidationError(f"oracle degrees start at 0, got upto={upto}")
     ws = list(v.weights) + [0] * v.zero_count
@@ -321,17 +323,15 @@ def _count_rows(ws, upto: int, bits: int) -> list:
 
 def _check_verify_depth(depth):
     """Refuse an oracle cross-check depth other than None, "auto" or an
-    int >= 0 (a bool is an int, but no depth); 0 checks nothing."""
-    if depth is not None and depth != "auto" and (type(depth) is not int or depth < 0):
+    int >= 0 (:func:`check_int`); 0 checks nothing."""
+    if depth is None or depth == "auto":
+        return
+    check_int("verify_depth", depth)
+    if depth < 0:
         raise ValidationError(f"verify_depth must be None, 'auto' or an int >= 0, got {depth!r}")
 
 
-def hilbert_series(
-    v: WeightVector,
-    method: str = "auto",
-    verify_depth=None,
-    degree_limit: int = DEFAULT_DEGREE_LIMIT,
-) -> RationalFunction:
+def hilbert_series(v: WeightVector, method: str = "auto", verify_depth=None) -> RationalFunction:
     """Dispatcher: generic path when one side is repetition-free (negating
     if needed), pair-invariant route otherwise; optional oracle cross-check
     of ``verify_depth`` coefficients ("auto" picks the depth), which is
@@ -342,9 +342,9 @@ def hilbert_series(
     # the section engine needs a repetition-free negative side
     oriented = v if v.is_generic else v.negate()
     if method == "degenerate" or (method == "auto" and not oriented.is_generic):
-        result = hilbert_degenerate(v, degree_limit)
+        result = hilbert_degenerate(v)
     else:
-        result = hilbert_generic(oriented, degree_limit)
+        result = hilbert_generic(oriented)
     result = present_with_factors(result)
     if verify_depth:
         depth = (

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .errors import DegreeOverflow, OutOfRange, ValidationError
+from .errors import OutOfRange, ValidationError, check_int
 from .exact import Polynomial, RationalFunction, _degree
-from .hilbert import DEFAULT_DEGREE_LIMIT
+from .hilbert import _check_degree
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -87,7 +87,9 @@ def gammas_cm(upto: int, data: HironakaData) -> list:
     """Laurent coefficients gamma_0..gamma_upto of the series
     (sum_i t^{beta_i}) / prod_j (1 - t^{alpha_j}) at t=1, from one Todd
     product (phi_0..phi_upto) and the moments M_0..M_upto of the betas
-    summed as falling factorials."""
+    summed as falling factorials.  An upto that is no int is refused with
+    ``ValidationError``, a negative one with ``OutOfRange``."""
+    check_int("upto", upto)
     phis = _phis(data.alphas, upto)
     moments = [0] * (upto + 1)
     for b in data.betas:
@@ -108,9 +110,8 @@ def gamma_cm(ell: int, data: HironakaData) -> Fraction:
 def hilb_from_hironaka(data: HironakaData) -> RationalFunction:
     """(sum_i t^{beta_i}) / prod_j (1 - t^{alpha_j}), refused with
     ``DegreeOverflow`` before anything is allocated when the denominator
-    degree or the largest beta exceeds the engine's degree limit."""
+    degree or the largest beta exceeds the engines' ``DEGREE_LIMIT``."""
     view = Counter(data.alphas)
-    for what, deg in (("denominator", _degree(view)), ("numerator", max(data.betas))):
-        if deg > DEFAULT_DEGREE_LIMIT:
-            raise DegreeOverflow(f"{what} degree {deg} exceeds the limit {DEFAULT_DEGREE_LIMIT}")
+    _check_degree("denominator degree", _degree(view))
+    _check_degree("numerator degree", max(data.betas))
     return RationalFunction.from_factored(Polynomial(Counter(data.betas)), view)

@@ -74,7 +74,7 @@ from operator import sub
 from threading import Lock
 
 from .cyclotomic import pair_sum_12, subgroup_weights, triple_sum_24, weighted_sum_24
-from .errors import InternalInvariantViolation, Unstable, ValidationError
+from .errors import InternalInvariantViolation, Unstable, ValidationError, check_int
 from .hilbert import hilbert_series
 from .schur import _power, scaled_schur_values
 from .weights import WeightVector
@@ -378,6 +378,7 @@ def gammas(v: WeightVector, upto: int = 3, method: str = "schur") -> GammaVector
     pole = v.dimension
     if method not in ("schur", "generic", "series"):
         raise ValidationError(f"unknown gamma method {method!r}")
+    check_int("upto", upto)
     if upto < 0:
         raise ValidationError(f"gamma orders start at 0, got upto={upto}")
     if upto > 3 and method != "series":

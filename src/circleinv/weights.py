@@ -10,7 +10,7 @@ are pairwise distinct.
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import Empty, Unstable, ValidationError
+from .errors import Empty, Unstable, check_int
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ def validate(raw) -> WeightVector:
     if not raw:
         raise Empty("no weights given")
     for w in raw:
-        if type(w) is not int:  # not isinstance: a bool is an int, but no weight
-            raise ValidationError(f"weights must be integers, got {w!r}")
+        check_int("each weight", w)
     zeros = sum(1 for w in raw if w == 0)
     nonzero = [w for w in raw if w != 0]
     if not nonzero:

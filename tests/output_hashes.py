@@ -39,6 +39,12 @@ order over every vector of ``sweep_family()`` and
 vector, ``gammas(validate(v), u)`` for u = 0..3, each value with its type,
 or the exception's class name.  A refactor of the walk or of
 ``schur.scaled_schur_values`` is checked with them.
+
+One line, ``cli_argv``, runs each argv of CLI_ARGVS through ``cli.main``
+in process and hashes its exit code, its stdout and the error name on its
+stderr (``usage`` for an argparse error).  The table covers every
+subcommand and the argvs the library refuses, the vectors past the degree
+limit included.  A refactor of ``cli`` or of a refusal is checked with it.
 A tree older than any of these lines is checked by copying this script
 into its ``tests/`` and running it there.
 
@@ -46,16 +52,20 @@ The name does not start with ``test_``, so pytest does not collect it.
 """
 
 import hashlib
+import io
 import json
+import os
 import random
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
+from circleinv import cli  # noqa: E402
 from circleinv.cli import _scan_candidates, report_json, rf_json  # noqa: E402
 from circleinv.errors import Unstable  # noqa: E402
 from circleinv.gorenstein import analyze  # noqa: E402
@@ -146,6 +156,74 @@ def schur_gamma_output(raw) -> str:
     return " | ".join(parts)
 
 
+def cli_output(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
+    try:
+        error = json.loads(err.getvalue())["error"] if err.getvalue() else ""
+    except ValueError:
+        error = "usage"
+    return f"{code} {error} {out.getvalue()}"
+
+
+CLI_ARGVS = [
+    ["hilb", "-3,1,3"],
+    ["hilb", "-1,2,3", "--method", "oracle"],
+    ["hilb", "-1,2,3", "--method", "oracle", "--verify-depth", "8"],
+    ["hilb", "-1,-2,1,14", "--method", "generic"],
+    ["hilb", "-1,-2,1,14", "--method", "generic", "--verify-depth", "30"],
+    ["hilb", "-2,-2,3,3", "--method", "generic"],
+    ["hilb", "-2,-2,3,3", "--method", "degenerate"],
+    ["hilb", "-1,-2,1,14", "--method", "degenerate", "--verify-depth", "30"],
+    ["hilb", "-1,-2,4,8", "--verify-depth", "20"],
+    ["hilb", "-2", "3"],
+    ["hilb", "-1,2,3", "--method", "abc"],
+    ["gamma", "-1,-2,1,14", "--method", "all"],
+    ["gamma", "-2,3", "--method", "all"],
+    ["gamma", "-2,-2,1,3", "--method", "all"],
+    ["gamma", "-1,1", "--method", "series", "--upto", "5"],
+    ["gamma", "-1,-2,1,14", "--upto", "1"],
+    ["analyze", "-3,1,3"],
+    ["analyze", "-3,1,3", "--full"],
+    ["analyze", "-1,-2,4,8", "--full"],
+    ["analyze", "-1,-2,1,14", "--full", "--verify-depth", "20"],
+    ["schur", "--u", "2", "--xs", "-1,-2", "--ys", "1,14"],
+    ["schur", "--u", "1", "--xs", "1,1", "--ys", "2"],
+    ["hironaka", "--alphas", "2,4", "--betas", "0,3"],
+    ["hironaka", "--alphas", "2,8,15", "--betas", "0,5,10", "--upto", "6"],
+    ["scan", "--n", "3", "--max-weight", "2", "--output", os.devnull],
+    # refused argvs
+    ["hilb", "1,x,-3"],
+    ["hilb", "1,2,3"],
+    ["hilb", "7"],
+    ["analyze", "0,0"],
+    ["gamma", "-1,2,3", "--upto", "-2"],
+    ["gamma", "-1,2,3", "--upto", "4"],
+    ["gamma", "-1,2,3", "--upto", "4", "--method", "all"],
+    ["hilb", "-1,2,3", "--verify-depth", "-5"],
+    ["hilb", "-1,2,3", "--method", "oracle", "--verify-depth", "-5"],
+    ["analyze", "-2,1,3", "--verify-depth", "-5"],
+    ["hironaka", "--alphas", "2,4", "--betas", "0", "--upto", "-1"],
+    ["hironaka", "--alphas", "0", "--betas", "1"],
+    ["schur", "--u", "1", "--xs", "1/0", "--ys", "1"],
+    ["scan", "--n", "2", "--max-weight", "2", "--jobs", "0", "--output", os.devnull],
+    ["hilb", "-501,500,503", "--method", "oracle", "--verify-depth", "2005"],
+    # past the degree limit
+    ["hilb", "-1,10000001"],
+    ["hilb", "-1,-2,1,10000000"],
+    ["hilb", "-1,-2,1,10000000", "--method", "degenerate"],
+    ["hilb", "-3001,3000,3003,3007"],
+    ["analyze", "-3001,3000,3003,3007", "--full"],
+    ["gamma", "-3001,3000,3003,3007", "--method", "series"],
+    ["hironaka", "--alphas", "10000001", "--betas", "0"],
+    ["hironaka", "--alphas", "2", "--betas", "10000001"],
+]
+
+
 FAMILIES = {
     "engine_pool": engine_pool,
     "sweep_family": sweep_family,
@@ -192,6 +270,7 @@ def main() -> None:
         report(name, family(), report_output)
     for name, family in SCHUR_GAMMA_FAMILIES.items():
         report(name, family(), schur_gamma_output)
+    report("cli_argv", CLI_ARGVS, cli_output)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,13 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 from circleinv.errors import ValidationError
+from circleinv.hilbert import oracle_coefficients
+from circleinv.hironaka import HironakaData, gammas_cm
+from circleinv.laurent import gammas
+from circleinv.weights import validate
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "circleinv"
 
@@ -35,3 +41,19 @@ def test_no_plain_value_error_raised():
         for scope in plain_value_error_raises(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == [("exact.py", "RationalFunction.__init__")]
+
+
+@pytest.mark.parametrize("upto", [True, 1.5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda upto: gammas(validate((-1, 2, 3)), upto),
+        lambda upto: oracle_coefficients(validate((-1, 2, 3)), upto),
+        lambda upto: gammas_cm(upto, HironakaData((2, 4), (0,))),
+    ],
+    ids=["gammas", "oracle_coefficients", "gammas_cm"],
+)
+def test_non_int_upto_refused(call, upto):
+    # True was taken for 1 and 1.5 raised TypeError (exit 3)
+    with pytest.raises(ValidationError, match="upto must be an int"):
+        call(upto)

@@ -52,8 +52,16 @@ class TestSection:
         assert f == expected
 
     def test_degree_guard(self):
-        with pytest.raises(DegreeOverflow):
-            section(section_problem([10**6, 3], 5), degree_limit=10**6)
+        # the source denominator's degree 10^7 + 3 is past the limit
+        with pytest.raises(DegreeOverflow, match="section denominator degree"):
+            section(section_problem([10**7, 3], 5))
+
+    def test_series_length_guard(self):
+        # three source exponents 6001, 6004, 6008 (degree 18 013, within the
+        # limit) at stride 3001: the series filled to 3001 * 18 013 =
+        # 54 057 013 is refused before it is allocated
+        with pytest.raises(DegreeOverflow, match="section series length 54057013"):
+            hilbert_series(validate((-3001, 3000, 3003, 3007)))
 
     def test_period_numerator_matches_brute_force(self):
         # the lattice points of one period against the source series
@@ -87,7 +95,7 @@ class TestSection:
             if problem.shift >= sum(problem.factors):
                 continue
             num, view = section(problem)
-            dp = hilbert._series_section(problem, exact._degree(view), 10**7)
+            dp = hilbert._series_section(problem, exact._degree(view))
             assert from_view(num, view).series_at_zero(len(dp) - 1) == dp, (exps, n_)
 
 
@@ -456,9 +464,10 @@ class TestEngines:
         assert counts == [59, 81]
 
     def test_degenerate_degree_guard(self):
-        # pair denominator (1-t^2)(1-t^3)(1-t^8)(1-t^15) has degree 28
-        with pytest.raises(DegreeOverflow):
-            hilbert_degenerate(validate((-1, -2, 1, 14)), degree_limit=10)
+        # the pair denominator (1-t^2)(1-t^3)(1-t^(10^7+1))(1-t^5000001)
+        # has degree 15 000 007
+        with pytest.raises(DegreeOverflow, match="pair-invariant denominator degree 15000007"):
+            hilbert_degenerate(validate((-1, -2, 1, 10**7)))
 
     def test_oracle_verification_hook(self):
         f = hilbert_series(validate((-1, -2, 1, 14)), verify_depth=40)
