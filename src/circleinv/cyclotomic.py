@@ -18,66 +18,32 @@ E of (-1)^|S| [z^gcd(N, S) = 1], so each sum is a signed sum over at most
 2^|E| full groups of roots (``subgroup_weights``).
 
 Independent oracle: a sum over the primitive d-th roots of
-num(zeta)/den(zeta) is a field trace.  The representative of the quotient
-is num times the inverse of den modulo the d-th cyclotomic polynomial
-(extended Euclid over Q[x]), reduced modulo that polynomial by long
-division; pairing it with the power sums of the roots (Newton's
-identities) gives the trace.
-Sums over constrained subsets of the N-th roots decompose by exact order,
-i.e. over the divisors of N that are compatible with the constraints
-(``RootConstraint.admissible_orders``).  Everything stays in Q.
+num(zeta)/den(zeta) is a field trace, taken in Z[x]/(x^d - 1).  The
+product adj of the conjugates den(x^j), j a unit mod d other than 1, has
+den(zeta) adj(zeta) = N, the norm of den(zeta), at every primitive zeta,
+so the sum is Tr(num adj) / N with Tr(den adj) = phi(d) N; the trace of
+x^k is Ramanujan's sum c_d(k) (``trace_sum``).  Sums over constrained
+subsets of the N-th roots decompose by exact order, i.e. over the divisors
+of N that are compatible with the constraints
+(``RootConstraint.admissible_orders``).  Everything runs in ints up to one
+Fraction per order.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from operator import add, mul
 
-from .errors import InternalInvariantViolation, NonInvertibleDenominator, ValidationError
-from .exact import Polynomial, _divisors, _expand_view, _factor_exponents
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(d: int) -> Polynomial:
-    """The d-th cyclotomic polynomial, expanded from its factors
-    prod_{e|d} (1 - x^e)^{mu(d/e)} (d > 1); Phi_1 = x - 1."""
-    if d < 1:
-        raise ValidationError("cyclotomic index must be positive")
-    phi = _expand_view(_factor_exponents({d: 1}))
-    return -phi if d == 1 else phi
+from .errors import InternalInvariantViolation, NonInvertibleDenominator, ValidationError, check_int
+from .exact import Polynomial, _divisors, _fold, _mobius
 
 
-@lru_cache(maxsize=None)
-def _power_sums(d: int) -> tuple:
-    """(p_0, ..., p_{deg-1}) where p_i is the sum of zeta^i over primitive
-    d-th roots zeta, from Newton's identities on cyclotomic_poly(d)."""
-    phi = cyclotomic_poly(d)
-    deg = phi.degree
-    coeffs = phi.to_dense()  # monic
-    ps = [Fraction(deg)]
-    for i in range(1, deg):
-        acc = -i * coeffs[deg - i]
-        for j in range(1, i):
-            acc -= coeffs[deg - j] * ps[i - j]
-        ps.append(Fraction(acc))
-    return tuple(ps)
-
-
-def invert_mod(p: Polynomial, modulus: Polynomial) -> Polynomial:
-    """Inverse of p modulo ``modulus`` over Q[x], by extended Euclid; only
-    the cofactor of p is carried (s_i * p = r_i modulo ``modulus``)."""
-    r0, r1 = p, modulus
-    s0, s1 = Polynomial.one(), Polynomial.zero()
-    while r1:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
-        raise NonInvertibleDenominator(
-            "denominator shares a root with the modulus"
-        )
-    return (s0 * Fraction(1, r0.coefficient(0))).divmod(modulus)[1]
+def _check_order(what: str, n):
+    """Refuse with ``ValidationError`` a root order that is no int >= 1."""
+    check_int(what, n)
+    if n < 1:
+        raise ValidationError(f"{what} must be positive, got {n}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +55,9 @@ class RootConstraint:
     excluded_suborders: frozenset
 
     def __post_init__(self):
+        _check_order("ambient order", self.ambient_order)
         for d in self.excluded_suborders:
+            _check_order("excluded suborder", d)
             if self.ambient_order % d != 0:
                 raise ValidationError("excluded suborder must divide the ambient order")
 
@@ -106,17 +74,51 @@ class RootConstraint:
         ]
 
 
+def _conjugate_product(den: list, d: int) -> list:
+    """prod den(x^j) mod x^d - 1 over the units j mod d other than 1, for
+    den already reduced mod x^d - 1 (d entries).  Each factor is one
+    rotated copy of the product per nonzero entry of den: x^i becomes
+    x^(i j mod d)."""
+    adj = [1] + [0] * (d - 1)
+    terms = [(i, c) for i, c in enumerate(den) if c]
+    for j in range(2, d):
+        if gcd(j, d) == 1:
+            out = [0] * d
+            for i, c in terms:
+                s = i * j % d
+                out = list(map(add, out, [c * v for v in adj[-s:] + adj[:-s]]))
+            adj = out
+    return adj
+
+
+def _cycle(p: Polynomial, d: int) -> list:
+    """p mod x^d - 1, d entries."""
+    r = _fold(p.to_dense(), d)
+    return r + [0] * (d - len(r))
+
+
+def _trace(a: list, b: list, ramanujan: list) -> int:
+    """Tr(a b) for a and b mod x^d - 1: the sum of a_i b_t c_d(i + t)."""
+    return sum(x * sum(map(mul, b, ramanujan[i:] + ramanujan[:i])) for i, x in enumerate(a) if x)
+
+
 def trace_sum(num: Polynomial, den: Polynomial, d: int) -> Fraction:
-    """Sum of num(zeta)/den(zeta) over the primitive d-th roots of unity."""
-    if d == 1:
-        d1 = den.evaluate(Fraction(1))
-        if d1 == 0:
-            raise NonInvertibleDenominator("denominator vanishes at 1")
-        return num.evaluate(Fraction(1)) / d1
-    phi = cyclotomic_poly(d)
-    _, rep = (num * invert_mod(den, phi)).divmod(phi)
-    ps = _power_sums(d)
-    return sum((c * ps[e] for e, c in rep.items()), Fraction(0))
+    """Sum of num(zeta)/den(zeta) over the primitive d-th roots of unity.
+
+    adj = prod den(x^j) over the units j mod d other than 1
+    (:func:`_conjugate_product`) gives den(zeta) adj(zeta) = N, the norm of
+    den(zeta), at every primitive zeta, so the sum is Tr(num adj) / N and
+    Tr(den adj) = phi(d) N.  Tr(x^k) is Ramanujan's sum c_d(k), the sum of
+    e mu(d/e) over e | gcd(d, k), and c_d(0) = phi(d).  All in ints.
+    """
+    _check_order("root order", d)
+    ramanujan = [sum(e * _mobius(d // e) for e in _divisors(gcd(d, k))) for k in range(d)]
+    num, den = _cycle(num, d), _cycle(den, d)
+    adj = _conjugate_product(den, d)
+    norm = _trace(den, adj, ramanujan) // ramanujan[0]
+    if not norm:
+        raise NonInvertibleDenominator("denominator vanishes at a primitive root")
+    return Fraction(_trace(num, adj, ramanujan), norm)
 
 
 def constrained_unity_sum(num: Polynomial, den: Polynomial, constraint: RootConstraint) -> Fraction:

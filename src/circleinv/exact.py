@@ -1,13 +1,15 @@
 """Exact univariate arithmetic: polynomials, rational functions and their
 expansions at t=0 and t=1.
 
-Coefficients are integers, with ``fractions.Fraction`` only where a division
-needs it; there is no floating point anywhere.  Every engine polynomial is
-integral (section numerators, products of 1 - t^d, cyclotomic Phi_e), and by
-Gauss's lemma exact division by a monic integral Phi_e stays integral, so
-the engines compute with plain ints.  A polynomial is one dense tuple of
-coefficients, lowest degree first, with no trailing zeros: the kernel below
-builds and reads every engine polynomial as such a list.
+Coefficients are ints; there is no floating point anywhere, and the only
+``fractions.Fraction`` values are the Laurent coefficients at t = 1.  Every
+engine polynomial is integral (section numerators, products of 1 - t^d,
+cyclotomic Phi_e), and by Gauss's lemma exact division by a monic integral
+Phi_e stays integral, so the engines compute with plain ints.  A polynomial
+is one dense tuple of int coefficients, lowest degree first, with no
+trailing zeros: the kernel below builds and reads every engine polynomial
+as such a list.  ``Polynomial`` has no arithmetic and refuses a coefficient
+that is no int; every product or quotient is a kernel pass on a list.
 
 Cyclotomic work runs on that dense kernel.  By Moebius inversion of
 1 - t^e = prod_{d|e} Phi_d (with Phi_1 taken as 1 - t, the sign convention
@@ -37,7 +39,7 @@ An engine that has proved the pole order of a Phi_e of its view passes
 ``_open``, the other indices, the only ones the reduction then decides;
 the proof for one section is at :func:`circleinv.hilbert.hilbert_generic`.
 The engines hand the reduction their kernel's int lists, and it builds
-its Polynomial with no scan of the entries' types (:func:`_int_polynomial`).
+its Polynomial with no type scan (:func:`_int_polynomial`).
 The expansion at t = 1 runs on ints too: p(1 - s) is repeated synthetic
 division by t - 1, one running sum per coefficient of s
 (:func:`_taylor_at_one`), and the series division carries each
@@ -72,28 +74,10 @@ from itertools import accumulate, islice, repeat
 from math import lcm, prod
 from operator import add, lt, sub
 
-from .errors import InternalInvariantViolation, ValidationError, ZeroDenominator, ZeroFunction
+from .errors import InternalInvariantViolation, ValidationError, ZeroDenominator, ZeroFunction, check_int
 
 # entries of the cyclic-difference product that _phi_probe reads before a fold
 PHI_PROBES = 4
-
-
-def _exact(value):
-    """value as an int when it is integral, else as a Fraction."""
-    if type(value) is int:
-        return value
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
-def _quotient(a, b):
-    """a / b exactly: an int when b divides a, else a Fraction (never the
-    float that / gives on two ints)."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return _exact(a / b)
 
 
 def _strip(a: list) -> list:
@@ -101,17 +85,6 @@ def _strip(a: list) -> list:
     while a and not a[-1]:
         a.pop()
     return a
-
-
-def _from_dense(coeffs: list) -> "Polynomial":
-    """Polynomial with the dense coefficient list coeffs, lowest degree
-    first, which it takes over: trailing zeros are stripped and integral
-    entries become ints.  For ``Polynomial`` arithmetic, whose entries may
-    be Fractions; the kernel's int lists go through :func:`_int_polynomial`."""
-    coeffs = _strip(coeffs)
-    out = object.__new__(Polynomial)
-    out._coeffs = tuple(coeffs if set(map(type, coeffs)) <= {int} else map(_exact, coeffs))
-    return out
 
 
 def _int_polynomial(a: list) -> "Polynomial":
@@ -123,24 +96,28 @@ def _int_polynomial(a: list) -> "Polynomial":
 
 
 class Polynomial:
-    """Polynomial over Q, one dense coefficient tuple, lowest degree first,
-    with no trailing zeros.  ``degree`` of the zero polynomial is None (the
-    "minus infinity" marker)."""
+    """Polynomial over Z, one dense tuple of int coefficients, lowest degree
+    first, with no trailing zeros.  ``degree`` of the zero polynomial is
+    None (the "minus infinity" marker)."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=None):
-        """From a map or pairs exponent -> coefficient (repeats add up)."""
+        """From a map or pairs exponent -> coefficient (repeats add up); an
+        exponent or coefficient that is no int raises ``ValidationError``."""
         if isinstance(coeffs, dict):
             coeffs = coeffs.items()
-        pairs = [(e, _exact(c)) for e, c in coeffs or ()]
-        if any(e < 0 for e, _ in pairs):
-            raise ValidationError("negative exponent in Polynomial")
+        pairs = list(coeffs or ())
+        for e, c in pairs:
+            check_int("exponent", e)
+            check_int("coefficient", c)
+            if e < 0:
+                raise ValidationError("negative exponent in Polynomial")
         dense = [0] * (max((e for e, c in pairs if c), default=-1) + 1)
         for e, c in pairs:
             if c:
                 dense[e] += c
-        self._coeffs = _from_dense(dense)._coeffs
+        self._coeffs = tuple(_strip(dense))
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -173,70 +150,8 @@ class Polynomial:
     def __hash__(self):
         return hash(self._coeffs)
 
-    def __neg__(self) -> "Polynomial":
-        out = object.__new__(Polynomial)
-        out._coeffs = tuple([-c for c in self._coeffs])
-        return out
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        out[: len(b)] = map(add, a, b)
-        return _from_dense(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            c = _exact(other)
-            return _from_dense([v * c for v in self._coeffs])
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return Polynomial()
-        # one pass over b per nonzero entry of the sparser operand
-        if len(a) - a.count(0) > len(b) - b.count(0):
-            a, b = b, a
-        width = len(b)
-        out = [0] * (len(a) + width - 1)
-        for e, c in enumerate(a):
-            if c:
-                out[e : e + width] = map(add, out[e : e + width], [c * v for v in b])
-        return _from_dense(out)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, x):
-        total = 0
-        for c in reversed(self._coeffs):
-            total = total * x + c
-        return total
-
     def to_dense(self) -> list:
         return list(self._coeffs)
-
-    def divmod(self, other: "Polynomial"):
-        """Exact long division self = q*other + r on a dense coefficient list;
-        q and r have int coefficients wherever they are integral."""
-        if other.is_zero():
-            raise ZeroDenominator("division by the zero polynomial")
-        dd = other.degree
-        lead = other._coeffs[dd]
-        monic = lead == 1
-        lower = [(dd - e, c) for e, c in enumerate(other._coeffs[:dd]) if c]
-        rem = self.to_dense()
-        q = [0] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                if not monic or type(c) is not int:
-                    c = _quotient(c, lead)
-                q[i - dd] = c
-                for off, b in lower:
-                    rem[i - off] -= c * b
-        return _from_dense(q), _from_dense(rem[:dd])
 
     def __repr__(self):
         if not self._coeffs:
@@ -471,8 +386,8 @@ class RationalFunction:
         1 - t, so the denominator has constant term 1, the canonical
         scaling).
 
-        num is a Polynomial or a dense int list, lowest degree first, which
-        is taken over (the engines hand in the list their kernel built).
+        num is a dense int list, lowest degree first, which is taken over
+        (the engines hand in the list their kernel built).
         ``_open``, when given, holds the only indices e whose Phi_e may
         cancel; the engine that passes it has proved the pole order of
         every other Phi_e of the view (:func:`_cancel_phi_content`)."""
@@ -481,9 +396,7 @@ class RationalFunction:
             raise ZeroDenominator("factor 1 - t^0 = 0 in the view")
         if any(d < 0 for d in view):
             raise ValidationError("negative degree in the view")
-        if type(num) is list:
-            _strip(num)
-        if not num:
+        if not _strip(num):
             return RationalFunction.zero()
         num, phis = _cancel_phi_content(num, _view_phi_multiset(view), _open)
         ks = _factor_exponents(phis)
@@ -541,19 +454,15 @@ class RationalFunction:
         if content - phis:
             raise InternalInvariantViolation("factored view does not cover the denominator")
         ks = _factor_exponents(phis - content)
-        return _from_dense(_apply_factors(self.numerator.to_dense() + [0] * _degree(ks), ks))
+        return _int_polynomial(_apply_factors(self.numerator.to_dense() + [0] * _degree(ks), ks))
 
     # -- expansions ----------------------------------------------------------
 
     def series_at_zero(self, order: int) -> list:
-        """Taylor coefficients c_0..c_order at t=0: the numerator times
-        prod (1 - t^d)^{-k_d}, only + and -, so the entries are ints when the
-        numerator's are."""
+        """Taylor coefficients c_0..c_order at t=0, ints: the numerator
+        times prod (1 - t^d)^{-k_d}, only + and -."""
         inverse = {d: -k for d, k in _factor_exponents(self.phi_content).items()}
-        out = _series(self.numerator._coeffs, inverse, order)
-        if set(map(type, self.numerator._coeffs)) <= {int}:
-            return out
-        return [_exact(c) for c in out]
+        return _series(self.numerator._coeffs, inverse, order)
 
     def laurent_at_one(self, count: int) -> LaurentExpansion:
         """Pole order at t=1 and the first ``count`` expansion coefficients
@@ -605,9 +514,8 @@ class RationalFunction:
 def _cancel_phi_content(num, phis: Counter, open_indices=None):
     """Divide matched cyclotomic factors out of num; return (num, remaining).
 
-    num is a Polynomial, whose entries may be Fractions, or a dense int
-    list ending in a nonzero entry, which is read and never modified; the
-    quotient of an int list is built with no type scan.  When
+    num is a dense int list ending in a nonzero entry, which is read and
+    never modified; the quotient is built with no type scan.  When
     ``open_indices`` is given, only those Phi_e are decided: every other
     one keeps its multiplicity, a pole order its caller has proved.
 
@@ -634,10 +542,7 @@ def _cancel_phi_content(num, phis: Counter, open_indices=None):
     part.
     """
     phis = Counter(phis)
-    if isinstance(num, Polynomial):
-        a, build = num.to_dense(), _from_dense
-    else:
-        a, build = num, _int_polynomial
+    a = num
     pending = sorted(
         (e for e, m in phis.items() if m > 0 and (open_indices is None or e in open_indices)),
         reverse=True,
@@ -667,7 +572,7 @@ def _cancel_phi_content(num, phis: Counter, open_indices=None):
     extra = _factor_exponents({e: -m for e, m in phis.items() if m < 0})
     if extra:
         a = _apply_factors(a + [0] * _degree(extra), extra)
-    return build(a), +phis
+    return _int_polynomial(a), +phis
 
 
 def _divide_phi(a: list, inverse: dict, width: int):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .errors import OutOfRange, ValidationError, check_int
-from .exact import Polynomial, RationalFunction, _degree
+from .exact import RationalFunction, _degree
 from .hilbert import _check_degree
 
 _F0 = Fraction(0)
@@ -27,6 +27,10 @@ class HironakaData:
     def __post_init__(self):
         if not self.alphas or not self.betas:
             raise ValidationError("need at least one parameter and one generator degree")
+        for a in self.alphas:
+            check_int("parameter degree", a)
+        for b in self.betas:
+            check_int("generator degree", b)
         if any(a < 1 for a in self.alphas):
             raise ValidationError("parameter degrees must be positive")
         if any(b < 0 for b in self.betas):
@@ -114,4 +118,7 @@ def hilb_from_hironaka(data: HironakaData) -> RationalFunction:
     view = Counter(data.alphas)
     _check_degree("denominator degree", _degree(view))
     _check_degree("numerator degree", max(data.betas))
-    return RationalFunction.from_factored(Polynomial(Counter(data.betas)), view)
+    num = [0] * (max(data.betas) + 1)
+    for b in data.betas:
+        num[b] += 1
+    return RationalFunction.from_factored(num, view)

@@ -45,8 +45,19 @@ from itertools import combinations
 from math import prod
 from operator import mul
 
-from .errors import OutOfRange, RepeatedVariables, ValidationError, ZeroBase
-from .exact import _quotient
+from .errors import OutOfRange, RepeatedVariables, ValidationError, ZeroBase, check_int
+
+
+def _quotient(a, b):
+    """a / b exactly: an int when it is integral, else a Fraction (never the
+    float that / gives on two ints)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _power(base, exp: int):
@@ -163,6 +174,7 @@ def laurent_schur(parts, xs):
 
 
 def _check_u(u: int, n: int):
+    check_int("u", u)
     if u > n - 2:
         raise OutOfRange(f"u={u} exceeds the admissible maximum {n - 2}")
 

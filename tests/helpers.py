@@ -1,10 +1,11 @@
 """Reference helpers shared by the test files; the package itself never needs
 them."""
 
+import operator
 from fractions import Fraction
 
 from circleinv.errors import ZeroFunction
-from circleinv.exact import Polynomial, _apply_factors
+from circleinv.exact import Polynomial, _apply_factors, _strip
 from circleinv.schur import partial_schur
 
 
@@ -20,18 +21,43 @@ def elementary_symmetric(j: int, values) -> Fraction:
     return dp[j]
 
 
-def power(p: Polynomial, n: int) -> Polynomial:
-    """p^n for n >= 0 by repeated multiplication."""
-    result = Polynomial.one()
-    for _ in range(n):
-        result = result * p
-    return result
+def add(*ps) -> list:
+    """The sum of dense coefficient lists, lowest degree first."""
+    out = [0] * max(map(len, ps), default=0)
+    for p in ps:
+        out[: len(p)] = map(operator.add, out, p)
+    return _strip(out)
 
 
-def divide_exact(a: Polynomial, b: Polynomial):
-    """a/b if b divides a, else None."""
-    q, r = a.divmod(b)
-    return None if r else q
+def mul(*ps) -> list:
+    """The product of dense coefficient lists, lowest degree first."""
+    out = [1]
+    for p in ps:
+        product = [0] * (len(out) + len(p) - 1)
+        for i, c in enumerate(out):
+            for j, v in enumerate(p):
+                product[i + j] += c * v
+        out = product
+    return _strip(out)
+
+
+def power(p: list, n: int) -> list:
+    """p^n for n >= 0."""
+    return mul(*[p] * n)
+
+
+def divide_exact(a: list, b: list):
+    """a / b over Z for dense lists, b ending in a nonzero entry, or None
+    when b does not divide a with an integral quotient."""
+    rem, width = list(a), len(b) - 1
+    q = [0] * max(len(rem) - width, 0)
+    for i in reversed(range(len(q))):
+        q[i], r = divmod(rem[i + width], b[-1])
+        if r:
+            return None
+        for j, v in enumerate(b):
+            rem[i + j] -= q[i] * v
+    return None if any(rem) else _strip(q)
 
 
 def partial_schur_of(u: int, seq):

@@ -45,6 +45,16 @@ in process and hashes its exit code, its stdout and the error name on its
 stderr (``usage`` for an argparse error).  The table covers every
 subcommand and the argvs the library refuses, the vectors past the degree
 limit included.  A refactor of ``cli`` or of a refusal is checked with it.
+
+One line, ``trace_oracle_sweep``, hashes the trace oracle over every pair
+and triple root set of ``sweep_family()``: per vector, in order, the
+``constrained_unity_sum`` values that ``tests/test_cyclotomic.py``'s
+``trace_route`` builds (1/((1 - x^a)(1 - x^b)), x^a/((1 - x^a)^2 (1 - x^b))
+both ways round, 1/((1 - x^a)(1 - x^b)(1 - x^c)), exponents mod the
+ambient order), each or the exception's class name.  Its denominators are
+multiplied by a local helper on int lists, so the line needs nothing of
+``Polynomial`` but its constructor.  A refactor of the oracle is checked
+with it.
 A tree older than any of these lines is checked by copying this script
 into its ``tests/`` and running it there.
 
@@ -59,6 +69,7 @@ import random
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,10 +78,12 @@ sys.path.insert(0, str(ROOT))
 
 from circleinv import cli  # noqa: E402
 from circleinv.cli import _scan_candidates, report_json, rf_json  # noqa: E402
+from circleinv.cyclotomic import RootConstraint, constrained_unity_sum  # noqa: E402
 from circleinv.errors import Unstable  # noqa: E402
+from circleinv.exact import Polynomial  # noqa: E402
 from circleinv.gorenstein import analyze  # noqa: E402
 from circleinv.hilbert import hilbert_series  # noqa: E402
-from circleinv.laurent import gammas  # noqa: E402
+from circleinv.laurent import _reduced, gammas  # noqa: E402
 from circleinv.weights import validate  # noqa: E402
 from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
 
@@ -168,6 +181,37 @@ def cli_output(argv) -> str:
     except ValueError:
         error = "usage"
     return f"{code} {error} {out.getvalue()}"
+
+
+def _times_one_minus(p: list, e: int) -> list:
+    """p (1 - x^e) on dense int lists, lowest degree first."""
+    out = p + [0] * e
+    for i, c in enumerate(p):
+        out[i + e] -= c
+    return out
+
+
+def trace_oracle_output(raw) -> str:
+    v = validate(raw)
+    reduced = _reduced(v, 3)
+    parts = []
+    for J, (rest, order) in reduced.items():
+        if len(J) < 2 or not rest:
+            continue
+        a, b, *c = (v.weights[j] % order for j in J)
+        # (numerator exponent or None for 1, denominator factors 1 - x^e)
+        terms = [(None, [a, b, *c])] if c else [(None, [a, b]), (a, [a, a, b]), (b, [b, b, a])]
+        try:
+            roots = RootConstraint(order, frozenset(reduced[K][1] for K in combinations(J, len(J) - 1)))
+            for top, factors in terms:
+                den = [1]
+                for e in factors:
+                    den = _times_one_minus(den, e)
+                num = Polynomial({0 if top is None else top: 1})
+                parts.append(str(constrained_unity_sum(num, Polynomial(enumerate(den)), roots)))
+        except Exception as exc:
+            parts.append(type(exc).__name__)
+    return " ".join(parts)
 
 
 CLI_ARGVS = [
@@ -271,6 +315,7 @@ def main() -> None:
     for name, family in SCHUR_GAMMA_FAMILIES.items():
         report(name, family(), schur_gamma_output)
     report("cli_argv", CLI_ARGVS, cli_output)
+    report("trace_oracle_sweep", sweep_family(), trace_oracle_output)
 
 
 if __name__ == "__main__":

@@ -118,7 +118,7 @@ class TestAnalyzeCommand:
         assert F(payload["ratio_2g1_g0"]) == report.ratio_2g1_g0
         assert payload["stanley_holds"] == report.stanley_holds
         assert int(payload["a_invariant"]) == report.degree
-        numerator = Polynomial({int(e): F(c) for e, c in payload["hilbert"]["numerator"]})
+        numerator = Polynomial({int(e): int(c) for e, c in payload["hilbert"]["numerator"]})
         assert numerator == report.hilbert.view_numerator()
         assert [tuple(p) for p in payload["hilbert"]["factored_denominator"]] == list(
             report.hilbert.factored_denominator

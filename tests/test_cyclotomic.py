@@ -9,10 +9,10 @@ import pytest
 
 from circleinv.cyclotomic import (
     RootConstraint,
+    _conjugate_product,
+    _cycle,
     constrained_unity_sum,
-    cyclotomic_poly,
     dedekind_6k,
-    invert_mod,
     pair_sum_12,
     subgroup_weights,
     trace_sum,
@@ -21,18 +21,32 @@ from circleinv.cyclotomic import (
 )
 from circleinv.cli import _scan_candidates
 from circleinv.errors import NonInvertibleDenominator
-from circleinv.exact import Polynomial, _divisors, _phi_factors
+from circleinv.exact import (
+    Polynomial,
+    _divisors,
+    _expand_view,
+    _factor_exponents,
+    _fold,
+    _phi_divides_fold,
+    _phi_factors,
+)
 from circleinv.laurent import _reduced, _roots
 from circleinv.weights import validate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
+from helpers import add, mul  # noqa: E402
 
 ONE = Polynomial.one()
 
 
 def one_minus_x(e):
-    return Polynomial({0: 1, e: -1})
+    return Polynomial({0: 1, e: -1}).to_dense()
+
+
+def poly(*factors):
+    """The Polynomial of the product of dense lists."""
+    return Polynomial(enumerate(mul(*factors)))
 
 
 def trace_route(a, b, c, roots, weighted=False):
@@ -40,74 +54,77 @@ def trace_route(a, b, c, roots, weighted=False):
     third factor when c is None), or of x^a/((1-x^a)^2 (1-x^b)) when
     weighted, with exponents reduced mod the ambient order."""
     n = roots.ambient_order
-    num, den = ONE, one_minus_x(a % n) * one_minus_x(b % n)
+    num, den = ONE, [one_minus_x(a % n), one_minus_x(b % n)]
     if weighted:
-        num, den = Polynomial({a % n: 1}), den * one_minus_x(a % n)
+        num, den = Polynomial({a % n: 1}), den + [one_minus_x(a % n)]
     elif c is not None:
-        den = den * one_minus_x(c % n)
-    return constrained_unity_sum(num, den, roots)
+        den.append(one_minus_x(c % n))
+    return constrained_unity_sum(num, poly(*den), roots)
+
+
+def cyclotomic(d):
+    """Phi_d as the kernel expands it, Phi_1 = 1 - t."""
+    return _expand_view(_factor_exponents({d: 1})).to_dense()
 
 
 class TestCyclotomicPoly:
     def test_small_values(self):
-        assert cyclotomic_poly(1) == Polynomial({0: -1, 1: 1})
-        assert cyclotomic_poly(4) == Polynomial({0: 1, 2: 1})
-        assert cyclotomic_poly(6) == Polynomial({0: 1, 1: -1, 2: 1})
+        assert cyclotomic(1) == [1, -1]
+        assert cyclotomic(4) == [1, 0, 1]
+        assert cyclotomic(6) == [1, -1, 1]
 
     def test_primes(self):
         for p in (2, 3, 5, 7, 11, 13, 97):
-            assert cyclotomic_poly(p) == Polynomial({i: 1 for i in range(p)})
+            assert cyclotomic(p) == [1] * p
 
     def test_twice_an_odd_prime(self):
         # Phi_2p(t) = Phi_p(-t)
         for p in (3, 5, 7, 11, 13, 97):
-            assert cyclotomic_poly(2 * p) == Polynomial({i: (-1) ** i for i in range(p)})
+            assert cyclotomic(2 * p) == [(-1) ** i for i in range(p)]
 
     def test_divisor_product(self):
+        # 1 - t^d = prod_{e | d} Phi_e
         for d in range(1, 61):
-            product = Polynomial.one()
-            for e in _divisors(d):
-                product = product * cyclotomic_poly(e)
-            assert product == Polynomial({0: -1, d: 1})
+            assert _factor_exponents(dict.fromkeys(_divisors(d), 1)) == {d: 1}
+            assert poly(*map(cyclotomic, _divisors(d))) == Polynomial({0: 1, d: -1})
 
 
 class TestTraceSum:
     def test_examples(self):
-        assert trace_sum(ONE, one_minus_x(1), 4) == 1
+        assert trace_sum(ONE, poly(one_minus_x(1)), 4) == 1
         assert trace_sum(Polynomial({1: 1}), ONE, 6) == 1  # Moebius mu(6)
         assert trace_sum(ONE, ONE, 5) == 4  # phi(5)
 
     def test_results_are_rational(self):
         for d in (3, 8, 12):
-            value = trace_sum(Polynomial({2: 1}), one_minus_x(1), d)
+            value = trace_sum(Polynomial({2: 1}), poly(one_minus_x(1)), d)
             assert isinstance(value, F)
 
     def test_invertible_even_power(self):
         # 1 - x^2 equals 2 at the primitive 4th roots
-        assert trace_sum(ONE, one_minus_x(2), 4) == 1
+        assert trace_sum(ONE, poly(one_minus_x(2)), 4) == 1
 
     def test_non_invertible(self):
         # x^d = 1 on the primitive d-th roots, so 1 - x^d is not invertible
         with pytest.raises(NonInvertibleDenominator):
-            trace_sum(ONE, one_minus_x(4), 4)
+            trace_sum(ONE, poly(one_minus_x(4)), 4)
         with pytest.raises(NonInvertibleDenominator):
-            trace_sum(ONE, one_minus_x(3), 3)
+            trace_sum(ONE, poly(one_minus_x(3)), 3)
 
 
 
 class TestConstrainedSum:
     def test_single_root(self):
         c = RootConstraint(2, frozenset({1}))
-        assert constrained_unity_sum(ONE, one_minus_x(1), c) == F(1, 2)
+        assert constrained_unity_sum(ONE, poly(one_minus_x(1)), c) == F(1, 2)
 
     def test_primitive_sixth_roots(self):
         c = RootConstraint(6, frozenset({2, 3}))
-        den = one_minus_x(1) * one_minus_x(5)
-        assert constrained_unity_sum(ONE, den, c) == 2
+        assert constrained_unity_sum(ONE, poly(one_minus_x(1), one_minus_x(5)), c) == 2
 
     def test_gessel_identity(self):
         c = RootConstraint(12, frozenset({1}))
-        assert constrained_unity_sum(ONE, one_minus_x(1), c) == F(11, 2)
+        assert constrained_unity_sum(ONE, poly(one_minus_x(1)), c) == F(11, 2)
 
     def test_excluded_must_divide(self):
         with pytest.raises(ValueError):
@@ -122,13 +139,12 @@ class TestConstrainedSum:
             a, b, c = (rng.choice(units) for _ in range(3))
             roots = subgroup_weights(n, (1,))
             orders = _divisors(n)[1:]
-            den = one_minus_x(a) * one_minus_x(b)
+            den = poly(one_minus_x(a), one_minus_x(b))
             assert pair_sum_12(a, b, roots) == 12 * sum(trace_sum(ONE, den, e) for e in orders)
-            weighted = sum(
-                trace_sum(Polynomial({a: 1}), den * one_minus_x(a), e) for e in orders
-            )
+            den = poly(one_minus_x(a), one_minus_x(b), one_minus_x(a))
+            weighted = sum(trace_sum(Polynomial({a: 1}), den, e) for e in orders)
             assert weighted_sum_24(a, roots) == 24 * weighted
-            den = den * one_minus_x(c)
+            den = poly(one_minus_x(a), one_minus_x(b), one_minus_x(c))
             assert triple_sum_24(a, b, c, roots) == 24 * sum(
                 trace_sum(ONE, den, e) for e in orders
             )
@@ -151,22 +167,26 @@ class TestGesselHarmonic:
     def test_examples(self):
         for n, expected in [(1, 0), (3, 1), (100, F(99, 2)), (360, F(359, 2))]:
             c = RootConstraint(n, frozenset({1}))
-            assert constrained_unity_sum(ONE, one_minus_x(1), c) == expected
+            assert constrained_unity_sum(ONE, poly(one_minus_x(1)), c) == expected
 
     def test_cross_check_constrained(self):
         for n in range(1, 61):
             c = RootConstraint(n, frozenset({1}))
-            assert constrained_unity_sum(ONE, one_minus_x(1), c) == F(n - 1, 2)
+            assert constrained_unity_sum(ONE, poly(one_minus_x(1)), c) == F(n - 1, 2)
 
 
 class TestCyclotomicElement:
-    """Field arithmetic of the trace oracle: residues modulo Phi_d."""
+    """Field arithmetic of the trace oracle: residues modulo x^d - 1."""
 
     def test_inverse_roundtrip(self):
-        phi = cyclotomic_poly(12)
-        elem = Polynomial({0: F(2), 1: F(1)})
-        inv = invert_mod(elem, phi)
-        assert (elem * inv).divmod(phi)[1] == Polynomial.one()
+        # elem times the product of its other conjugates is its norm mod
+        # Phi_d: N(2 + zeta_12) = Phi_12(-2) = 13, and Phi_12 divides
+        # elem adj - 13, decided on its fold mod x^12 - 1
+        for d, elem, norm in ((12, [2, 1], 13), (5, [1, -1], 5), (1, [3, 4], 7), (9, [1, 1, 1], 9)):
+            elem = _cycle(Polynomial(enumerate(elem)), d)
+            product = _fold(mul(elem, _conjugate_product(elem, d)), d)
+            assert _phi_divides_fold(add(product, [-norm]), d), (d, elem)
+            assert not _phi_divides_fold(add(product, [1 - norm]), d), (d, elem)
 
     def test_trace_of_one(self):
         assert trace_sum(ONE, ONE, 7) == 6

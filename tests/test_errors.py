@@ -2,14 +2,18 @@
 ``ValidationError`` (CLI exit code 2), which is also a ``ValueError``."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from circleinv.cyclotomic import RootConstraint, trace_sum
 from circleinv.errors import ValidationError
+from circleinv.exact import Polynomial
 from circleinv.hilbert import oracle_coefficients
-from circleinv.hironaka import HironakaData, gammas_cm
+from circleinv.hironaka import HironakaData, gammas_cm, hilb_from_hironaka
 from circleinv.laurent import gammas
+from circleinv.schur import partial_schur
 from circleinv.weights import validate
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "circleinv"
@@ -57,3 +61,50 @@ def test_non_int_upto_refused(call, upto):
     # True was taken for 1 and 1.5 raised TypeError (exit 3)
     with pytest.raises(ValidationError, match="upto must be an int"):
         call(upto)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # 0.1 was taken as 3602879701896397/36028797018963968
+        lambda: Polynomial({0: 0.1}),
+        lambda: Polynomial({0: Fraction(1, 2)}),
+        lambda: Polynomial({0: True}),
+        # a TypeError (exit 3)
+        lambda: Polynomial({1.5: 1}),
+        # the float alpha dropped out: the series 1
+        lambda: hilb_from_hironaka(HironakaData((2.5,), (0,))),
+        # read as alpha = 1
+        lambda: HironakaData((True,), (0,)),
+        # a TypeError (exit 3)
+        lambda: HironakaData((2,), (1.5,)),
+        # a ZeroDivisionError (exit 3)
+        lambda: RootConstraint(6, frozenset({0})),
+        # summed to 0
+        lambda: RootConstraint(-6, frozenset()),
+        lambda: trace_sum(Polynomial.one(), Polynomial.one(), 0),
+        lambda: trace_sum(Polynomial.one(), Polynomial.one(), 2.0),
+        # answered as for u = 1
+        lambda: partial_schur(True, [1, 2], [3]),
+        # OutOfRange with "u=1.5 exceeds the admissible maximum 0"
+        lambda: partial_schur(1.5, [1], [2]),
+    ],
+    ids=[
+        "polynomial_float",
+        "polynomial_fraction",
+        "polynomial_bool",
+        "polynomial_float_exponent",
+        "hironaka_float_alpha",
+        "hironaka_bool_alpha",
+        "hironaka_float_beta",
+        "root_constraint_zero_suborder",
+        "root_constraint_negative_order",
+        "trace_sum_order_zero",
+        "trace_sum_float_order",
+        "partial_schur_bool_u",
+        "partial_schur_float_u",
+    ],
+)
+def test_bad_argument_refused(call):
+    with pytest.raises(ValidationError, match="must be an int|must be positive"):
+        call()

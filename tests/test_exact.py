@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from circleinv import exact
-from circleinv.cyclotomic import cyclotomic_poly
 from circleinv.errors import InternalInvariantViolation, ZeroDenominator, ZeroFunction
 from circleinv.exact import (
     LaurentExpansion,
@@ -31,11 +30,12 @@ from circleinv.exact import (
     _phi_factors,
     _phi_probe,
     _prime_factors,
+    _strip,
 )
 from circleinv.cli import _scan_candidates
 from circleinv.hilbert import hilbert_generic, hilbert_series
 from circleinv.weights import validate
-from helpers import divide_exact, one_multiplicity, power
+from helpers import add, divide_exact, mul, one_multiplicity, power
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
@@ -46,53 +46,38 @@ def P(d):
 
 
 def one_minus(e):
-    return Polynomial({0: 1, e: -1})
+    return [1] + [0] * (e - 1) + [-1]
 
 
 def R(num, view):
-    return RationalFunction.from_factored(num, view)
+    """from_factored on a copy of num, a dense list or a Polynomial."""
+    return RationalFunction.from_factored(num.to_dense() if isinstance(num, Polynomial) else list(num), view)
 
 
 class TestDenseNormalisation:
     def test_cancellation_strips_trailing_zeros(self):
-        assert (P({0: 1, 3: 1}) - P({3: 1})).degree == 0
-        assert (P({2: F(1, 2)}) + P({2: F(-1, 2)})).is_zero()
-        assert (P({0: 1, 1: 1}) * P({0: 1, 1: -1}) + P({2: 1})) == Polynomial.one()
+        assert P([(0, 1), (3, 1), (3, -1)]).degree == 0
+        assert P([(2, 1), (2, -1)]).is_zero()
+        assert R([1, 0, 0, 0], {1: 1}).numerator == Polynomial.one()
+        assert R(add(mul([1, 1], [1, -1]), [0, 0, 1], [0, 0, 0, 0]), {}).numerator == Polynomial.one()
 
     def test_zero_input(self):
         assert P({5: 0}).is_zero()
-        assert P([(5, F(0)), (2, 0)]).degree is None
-        assert (P({4: 3}) * 0).is_zero()
+        assert P([(5, 0), (2, 0)]).degree is None
+        assert R([0, 0, 0], {1: 1}).is_zero()
 
     def test_equal_values_have_equal_hash(self):
         built = [
             P({0: 2, 3: -1}),
             P([(3, -1), (0, 1), (0, 1)]),  # repeated exponents add up
-            P({0: F(4, 2), 3: -1, 7: 0}),
-            one_minus(3) + Polynomial.one(),
-            P({0: 4, 3: -2}) * F(1, 2),
+            P({0: 2, 3: -1, 7: 0}),
+            P(enumerate(add(one_minus(3), [1]))),
+            R(mul([2, 0, 0, -1], one_minus(2)), {2: 1}).numerator,
         ]
         for p in built:
             assert p == built[0] and hash(p) == hash(built[0])
             assert type(p.coefficient(0)) is int
             assert p.items() == [(0, 2), (3, -1)]
-
-    def test_products_match_schoolbook(self):
-        rng = random.Random(13)
-        values = [0, 0, 0, 1, -1, 2, -5, F(1, 2), F(-3, 4)]
-        for _ in range(400):
-            a = [rng.choice(values) for _ in range(rng.randint(0, 12))]
-            b = [rng.choice(values) for _ in range(rng.randint(0, 30))]
-            expected = [0] * (len(a) + len(b))
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    expected[i + j] += x * y
-            while expected and expected[-1] == 0:
-                expected.pop()
-            pa, pb = P(enumerate(a)), P(enumerate(b))
-            for product in (pa * pb, pb * pa):
-                assert product.to_dense() == expected
-                assert product.degree == (len(expected) - 1 if expected else None)
 
 
 class TestPolynomial:
@@ -101,106 +86,63 @@ class TestPolynomial:
         assert Polynomial.one().degree == 0
         assert not Polynomial({3: 0})  # dropped zero coefficient
 
+    # the list helpers the tests below multiply and divide with
+
     def test_arithmetic(self):
-        a = P({0: 1, 2: 3})
-        b = P({1: -1, 2: -3})
-        assert (a + b) == P({0: 1, 1: -1})
-        assert (a - a).is_zero()
-        assert a * b == P({1: -1, 2: -3, 3: -3, 4: -9})
+        a, b = [1, 0, 3], [0, -1, -3]
+        assert add(a, b) == [1, -1]
+        assert add(a, mul([-1], a)) == []
+        assert mul(a, b) == [0, -1, -3, -3, -9]
 
     def test_divmod_exact(self):
         num = one_minus(6)
-        q = divide_exact(num, one_minus(2))
-        assert q == P({0: 1, 2: 1, 4: 1})
+        assert divide_exact(num, one_minus(2)) == [1, 0, 1, 0, 1]
         assert divide_exact(num, one_minus(4)) is None
-        # non-monic divisor: (t^2 - 1) / (2 + 2t) = t/2 - 1/2, remainder 0
-        half = P({0: F(-1, 2), 1: F(1, 2)})
-        q, r = P({0: -1, 2: 1}).divmod(P({0: 2, 1: 2}))
-        assert q == half and r.is_zero()
-        assert all(type(c) in (int, F) for _, c in q.items())
-        assert divide_exact(P({0: -1, 2: 1}), P({0: 2, 1: 2})) == half
-        assert divide_exact(P({0: 1, 2: 1}), P({0: 2, 1: 2})) is None
+        # over Z: (t^2 - 1) / (2 + 2t) = (t - 1)/2 is no integral quotient
+        assert divide_exact([-1, 0, 1], [2, 2]) is None
+        assert divide_exact([-2, 0, 2], [2, 2]) == [-1, 1]
 
     def test_divmod_sparse_high_degree(self):
-        phi3 = P({0: 1, 1: 1, 2: 1})
-        q, r = (one_minus(997) * one_minus(3)).divmod(phi3)
-        assert q == one_minus(997) * one_minus(1) and r.is_zero()
+        q = divide_exact(mul(one_minus(997), one_minus(3)), [1, 1, 1])
+        assert q == mul(one_minus(997), one_minus(1))
 
     def test_divmod_small_dividend(self):
-        a = P({0: 3, 2: F(1, 2)})
-        q, r = a.divmod(one_minus(5))
-        assert q.is_zero() and r == a
-        q, r = Polynomial.zero().divmod(P({0: 2, 3: 1}))
-        assert q.is_zero() and r.is_zero()
-
-    def test_divmod_non_monic_fraction_quotient(self):
-        # (t^3 + 1) = (t^2/3 - t/9 + 1/27)(3t + 1) + 26/27
-        q, r = P({0: 1, 3: 1}).divmod(P({0: 1, 1: 3}))
-        assert q == P({0: F(1, 27), 1: F(-1, 9), 2: F(1, 3)})
-        assert r == P({0: F(26, 27)})
-
-    def test_divmod_int_when_integral(self):
-        # Fraction inputs whose remainder and part of whose quotient are integral
-        q, r = P({1: F(3, 2), 2: F(1, 2)}).divmod(P({0: 1, 1: 1}))
-        assert q == P({0: 1, 1: F(1, 2)}) and r == P({0: -1})
-        assert type(q.coefficient(0)) is int and type(r.coefficient(0)) is int
-        q, r = P({0: F(5, 2), 1: 1, 2: F(1, 2)}).divmod(P({0: 1, 1: 1}))
-        assert r == P({0: 2}) and type(r.coefficient(0)) is int
+        assert divide_exact([3, 0, 5], one_minus(5)) is None
+        assert divide_exact([], [2, 0, 0, 1]) == []
 
     def test_divmod_round_trip(self):
         rng = random.Random(3)
-        values = [0, 1, -1, 2, -3, F(1, 2), F(-2, 3), 7]
+        values = [0, 1, -1, 2, -3, 7]
         for _ in range(300):
-            a = P({e: rng.choice(values) for e in rng.sample(range(40), rng.randint(0, 8))})
-            b = P({e: rng.choice(values[1:]) for e in rng.sample(range(12), rng.randint(1, 4))})
-            if b.is_zero():
-                continue
-            q, r = a.divmod(b)
-            assert q * b + r == a
-            assert r.is_zero() or r.degree < b.degree
-            for _, c in [*q.items(), *r.items()]:
-                assert type(c) is int or c.denominator != 1
-            if r.is_zero():
-                assert divide_exact(a, b) == q
-            exact = (a * b).divmod(b)
-            assert exact[0] == a and exact[1].is_zero()
-
-    def test_add_mul_int_when_integral(self):
-        half = P({0: F(1, 2)})
-        for p in (half + half, half * P({0: 2}), half * 2, P({1: F(1, 3)}) * P({2: 3})):
-            assert p.items() and all(type(c) is int for _, c in p.items())
-        assert (half + half).coefficient(0) == 1
-        mixed = P({0: F(1, 2), 1: F(1, 3)}) + P({0: F(1, 2), 1: 1})
-        assert mixed == P({0: 1, 1: F(4, 3)}) and type(mixed.coefficient(0)) is int
+            a = P({e: rng.choice(values) for e in rng.sample(range(40), rng.randint(0, 8))}).to_dense()
+            b = P({e: rng.choice(values[1:]) for e in rng.sample(range(12), rng.randint(1, 4))}).to_dense()
+            assert divide_exact(mul(a, b), b) == a
+            q = divide_exact(a, b)
+            if q is not None:
+                assert mul(q, b) == a
 
     def test_integer_coefficients_stay_int(self):
-        assert type(P({0: F(4, 2)}).coefficient(0)) is int
         f = hilbert_series(validate((-1, -2, 1, 14)))
         for poly in (f.numerator, f.denominator):
             assert all(type(c) is int for _, c in poly.items())
 
     def test_one_multiplicity(self):
-        p = one_minus(2) * one_minus(4) * P({0: 1, 1: 1})
+        p = P(enumerate(mul(one_minus(2), one_minus(4), [1, 1])))
         assert one_multiplicity(p) == 2
         assert one_multiplicity(P({0: 2})) == 0
 
     def test_pow(self):
-        p = P({0: 1, 1: 1})
-        assert power(p, 0) == Polynomial.one()
-        assert power(p, 3) == P({0: 1, 1: 3, 2: 3, 3: 1})
+        assert power([1, 1], 0) == [1]
+        assert power([1, 1], 3) == [1, 3, 3, 1]
 
 
 def phi(e):
     """Phi_e in the sign convention of the cyclotomic content: Phi_1 = 1 - t."""
-    return one_minus(1) if e == 1 else cyclotomic_poly(e)
+    return _expand_view(_factor_exponents({e: 1})).to_dense()
 
 
 def sparse_product(phis):
-    out = Polynomial.one()
-    for e, m in phis.items():
-        for _ in range(m):
-            out = out * phi(e)
-    return out
+    return mul(*(phi(e) for e, m in phis.items() for _ in range(m)))
 
 
 def cancel_one_at_a_time(num, phis):
@@ -209,13 +151,13 @@ def cancel_one_at_a_time(num, phis):
     per cancelled factor until one fails; a negative multiplicity is a
     numerator factor."""
     phis = Counter(phis)
-    a = num.to_dense()
+    a = list(num)
     for e in sorted(phis, reverse=True):
         inverse = {d: -mu for d, mu in _phi_factors(e)}
         while phis[e] > 0 and (q := _divide_phi(a, inverse, -_degree(inverse))) is not None:
             a = q
             phis[e] -= 1
-    return P(enumerate(a)) * sparse_product(-phis), +phis
+    return P(enumerate(mul(a, sparse_product(-phis)))), +phis
 
 
 def one_section_vectors(count: int, top: int, sizes=(3, 4, 5, 6), seed: int = 30) -> list:
@@ -229,7 +171,7 @@ def one_section_vectors(count: int, top: int, sizes=(3, 4, 5, 6), seed: int = 30
 
 
 def random_poly(rng, values, top):
-    return P({e: rng.choice(values) for e in range(rng.randint(0, top))})
+    return _strip([rng.choice(values) for _ in range(rng.randint(0, top))])
 
 
 def random_factored(rng, values):
@@ -239,8 +181,8 @@ def random_factored(rng, values):
     view = Counter({rng.choice([1, 2, 3, 4, 6, 9, 10, 12, 15]): rng.randint(1, 3) for _ in range(rng.randint(1, 4))})
     num = random_poly(rng, values, 12)
     if rng.random() < 0.5:
-        num = num * phi(rng.choice([1, 2, 3, 4, 6]))
-    return RationalFunction.from_factored(num, view), view
+        num = mul(num, phi(rng.choice([1, 2, 3, 4, 6])))
+    return R(num, view), view
 
 
 def series_by_recurrence(f, order):
@@ -262,17 +204,15 @@ class TestDenseKernel:
 
     def test_apply_factors_matches_sparse_products(self):
         rng = random.Random(6)
-        values = [0, 1, -1, 2, -5, F(1, 2), F(-2, 3)]
+        values = [0, 1, -1, 2, -5, 3, -4]
         for _ in range(100):
             a = random_poly(rng, values, 30)
             ks = {rng.randint(1, 12): rng.randint(1, 3) for _ in range(rng.randint(1, 3))}
             n = rng.randint(1, 40)
-            dense = (a.to_dense() + [0] * n)[:n]
+            dense = (a + [0] * n)[:n]
             times = _apply_factors(dense[:], ks)
-            product = a
-            for d, k in ks.items():
-                product = product * power(one_minus(d), k)
-            assert times == (product.to_dense() + [0] * n)[:n]
+            product = mul(a, *(power(one_minus(d), k) for d, k in ks.items()))
+            assert times == (product + [0] * n)[:n]
             # dividing back is exact on the truncated series
             assert _apply_factors(times, {d: -k for d, k in ks.items()}) == dense
 
@@ -379,13 +319,13 @@ class TestDenseKernel:
         # a fold that Phi_e divides must be followed by an exact division,
         # also when the round divides by several Phi_e at once
         fold = exact._fold
-        num = phi(2) * phi(3) * P({0: 2, 1: 1})
+        num = mul(phi(2), phi(3), [2, 1])
         assert _cancel_phi_content(num, Counter({6: 1, 3: 1, 2: 1}))[1] == Counter({6: 1})
         # the probe would reject Phi_3 on 1 + t^9 before the fold is read
         monkeypatch.setattr(exact, "_phi_probe", lambda source, e: True)
         monkeypatch.setattr(exact, "_fold", lambda a, e: [0] * e)
         with pytest.raises(InternalInvariantViolation):
-            _cancel_phi_content(P({0: 1, 9: 1}), Counter({3: 1}))
+            _cancel_phi_content([1] + [0] * 8 + [1], Counter({3: 1}))
         monkeypatch.setattr(exact, "_fold", lambda a, e: [0] * e if e == 6 else fold(a, e))
         with pytest.raises(InternalInvariantViolation):
             _cancel_phi_content(num, Counter({6: 1, 3: 1, 2: 1}))
@@ -396,16 +336,16 @@ class TestDenseKernel:
         # multiplicities up to 3: each round decides an index from the fold
         # for a multiple of it and divides by several Phi_e at once
         rng = random.Random(20)
-        values = [0, 1, -1, 2, F(1, 2)]
+        values = [0, 1, -1, 2, 3]
         outcomes = Counter()
         for _ in range(300):
             roots = [rng.randint(1, 60) for _ in range(rng.randint(1, 3))]
             indices = sorted({d for root in roots for d in _divisors(root)})
             built = Counter({e: rng.randint(0, 3) for e in indices})
-            num = random_poly(rng, values, 12) * sparse_product(built)
+            num = mul(random_poly(rng, values, 12), sparse_product(built))
             if rng.random() < 0.2:
-                num = num + P({rng.randint(0, 40): 1})
-            if num.is_zero():
+                num = add(num, [0] * rng.randint(0, 40) + [1])
+            if not num:
                 continue
             phis = Counter({e: rng.randint(-1, 3) for e in indices})
             q, left = _cancel_phi_content(num, phis)
@@ -427,7 +367,7 @@ class TestDenseKernel:
         checked = Counter()
 
         def compared(num, phis, open_indices=None):
-            full = cancel_one_at_a_time(num if isinstance(num, Polynomial) else P(enumerate(num)), phis)
+            full = cancel_one_at_a_time(num, phis)
             out = cancel(num, phis, open_indices)
             assert out == full, (num, phis, open_indices)
             checked[open_indices is not None] += 1
@@ -482,39 +422,37 @@ class TestDenseKernel:
 
     def test_cancel_matches_divide_exact(self):
         rng = random.Random(7)
-        values = [0, 1, -1, 3, F(1, 2), F(-3, 4)]
+        values = [0, 1, -1, 3, 2, -4]
         for _ in range(150):
             built = Counter({rng.randint(1, 30): rng.randint(1, 2) for _ in range(rng.randint(0, 3))})
             built[1] += rng.randint(0, 2)
-            num = random_poly(rng, values, 8) * sparse_product(built)
-            if num.is_zero():
+            num = mul(random_poly(rng, values, 8), sparse_product(built))
+            if not num:
                 continue
             for e in {*built, 1, rng.randint(1, 30)}:
                 q, left = _cancel_phi_content(num, Counter({e: 3}))
                 expected, divided = num, 0
                 while divided < 3 and (step := divide_exact(expected, phi(e))) is not None:
                     expected, divided = step, divided + 1
-                assert q == expected and left == Counter({e: 3 - divided}), (num, e)
-                assert all(type(c) is int or c.denominator != 1 for _, c in q.items())
+                assert q.to_dense() == expected and left == Counter({e: 3 - divided}), (num, e)
+                assert all(type(c) is int for _, c in q.items())
 
     def test_denominator_is_the_scaled_phi_product(self):
         rng = random.Random(8)
         for _ in range(60):
             phis = Counter({rng.randint(1, 30): rng.randint(1, 3) for _ in range(rng.randint(1, 4))})
             phis = +Counter({**phis, 1: rng.randint(0, 3)})
-            expected = Polynomial.one()
-            for e, m in phis.items():
-                expected = expected * power(cyclotomic_poly(e), m)
-            expected = expected * expected.coefficient(0)  # constant term +-1
-            num = P({0: 1, 1: F(1, 2)}) * P({2: 3})
-            f = RationalFunction.from_factored(num, _factor_exponents(phis))
-            assert f.denominator == expected and f.phi_content == phis
-            assert f.degree == f.numerator.degree - expected.degree
+            expected = sparse_product(phis)
+            assert expected[0] == 1  # Phi_e(0) = 1 for e > 1, Phi_1 = 1 - t
+            num = mul([1, 2], [0, 0, 3])
+            f = R(num, _factor_exponents(phis))
+            assert f.denominator.to_dense() == expected and f.phi_content == phis
+            assert f.degree == f.numerator.degree - (len(expected) - 1)
             # a numerator sharing a factor cancels it from the denominator
             e = rng.choice(list(phis))
-            g = RationalFunction.from_factored(num * phi(e), _factor_exponents(phis))
-            assert g.numerator == num
-            assert g.denominator == sparse_product(phis - Counter({e: 1}))
+            g = R(mul(num, phi(e)), _factor_exponents(phis))
+            assert g.numerator.to_dense() == num
+            assert g.denominator.to_dense() == sparse_product(phis - Counter({e: 1}))
             assert g.phi_content == phis - Counter({e: 1})
 
 
@@ -525,7 +463,7 @@ class TestReduce:
         assert f.denominator == Polynomial.one()
 
     def test_already_reduced_keeps_view(self):
-        f = R(Polynomial.one(), {2: 1, 4: 1})
+        f = R([1], {2: 1, 4: 1})
         assert f.numerator == Polynomial.one()
         assert f.factored_denominator == ((2, 1), (4, 1))
 
@@ -533,72 +471,63 @@ class TestReduce:
         # 1 - t^0 = 0 cannot be a denominator factor, and 1 - t^d with d < 0
         # is no polynomial
         with pytest.raises(ZeroDenominator):
-            R(Polynomial.one(), {0: 1})
+            R([1], {0: 1})
         with pytest.raises(ZeroDenominator):
-            R(Polynomial.one(), {0: 2, 3: 1})
+            R([1], {0: 2, 3: 1})
         for view in ({-2: 1}, {-1: -1, 2: 1}):
             with pytest.raises(ValueError):
-                R(Polynomial.one(), view)
-        assert R(Polynomial.one(), {0: 0, 2: 1}) == R(Polynomial.one(), {2: 1})
+                R([1], view)
+        assert R([1], {0: 0, 2: 1}) == R([1], {2: 1})
 
     def test_unreduced_pair_matches_reduced_series(self):
         # (1 + t)/(1 - t^2) reduces to 1/(1 - t): the same numerator and content
-        f, g = R(P({0: 1, 1: 1}), {2: 1}), R(Polynomial.one(), {1: 1})
+        f, g = R([1, 1], {2: 1}), R([1], {1: 1})
         assert f == g and hash(f) == hash(g)
         rng = random.Random(0)
         for _ in range(25):
-            num = P({e: rng.randint(-3, 3) for e in range(rng.randint(1, 4))})
-            if num.is_zero():
+            num = _strip([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
+            if not num:
                 continue
             view = Counter([rng.randint(1, 4), rng.randint(1, 4)])
             d = rng.randint(1, 3)
             f = R(num, view)
-            g = R(num * one_minus(d), view + Counter({d: 1}))
+            g = R(mul(num, one_minus(d)), view + Counter({d: 1}))
             assert f == g
             assert f.series_at_zero(12) == g.series_at_zero(12)
 
     def test_negative_multiplicity_is_a_numerator_factor(self):
-        f = R(Polynomial.one(), {2: -1})
-        assert f.numerator == one_minus(2) and f.denominator == Polynomial.one()
+        f = R([1], {2: -1})
+        assert f.numerator.to_dense() == one_minus(2) and f.denominator == Polynomial.one()
         assert not f.phi_content
         rng = random.Random(9)
         for _ in range(60):
-            num = random_poly(rng, [0, 1, -1, 2, F(1, 2)], 5)
-            if num.is_zero():
+            num = random_poly(rng, [0, 1, -1, 2, 3], 5)
+            if not num:
                 continue
             view = Counter({rng.randint(1, 12): rng.randint(-2, 2) for _ in range(3)})
-            moved = num
-            for d, k in (-view).items():
-                moved = moved * power(one_minus(d), k)
+            moved = mul(num, *(power(one_minus(d), k) for d, k in (-view).items()))
             f, g = R(num, view), R(moved, +view)
             assert f == g and f.phi_content == g.phi_content, (num, view)
 
 
 class TestSeriesAtZero:
     def test_geometric(self):
-        f = R(Polynomial.one(), {1: 1})
+        f = R([1], {1: 1})
         assert f.series_at_zero(3) == [1, 1, 1, 1]
 
     def test_two_part_counts(self):
-        f = R(Polynomial.one(), {3: 1, 4: 1})
+        f = R([1], {3: 1, 4: 1})
         assert f.series_at_zero(7) == [1, 0, 0, 1, 1, 0, 1, 1]
 
     def test_shifted(self):
-        f = R(P({0: 1, 1: 1}), {1: 2})
+        f = R([1, 1], {1: 2})
         assert f.series_at_zero(3) == [1, 3, 5, 7]
-
-    def test_fraction_numerator_int_when_integral(self):
-        f = R(P({0: F(1, 2), 1: F(1, 2)}), {1: 1})
-        out = f.series_at_zero(3)
-        assert out == [F(1, 2), 1, 1, 1]
-        assert [type(c) for c in out] == [F, int, int, int]
 
     def test_kernel_matches_recurrence(self):
         rng = random.Random(9)
         checked = 0
         for trial in range(120):
-            ints = trial % 2 == 0
-            values = [0, 1, -1, 4, -7] if ints else [0, 1, -1, F(1, 2), F(-5, 3), F(3, 2)]
+            values = [0, 1, -1, 4, -7] if trial % 2 == 0 else [0, 1, -1, 2, -5, 3]
             f, _ = random_factored(rng, values)
             if f.is_zero():
                 continue
@@ -606,33 +535,31 @@ class TestSeriesAtZero:
             for order in (0, deg // 2, deg, deg + 1, deg + f.denominator.degree + 7):
                 out = f.series_at_zero(order)
                 assert out == series_by_recurrence(f, order), (f, order)
-                assert all(type(c) is int or c.denominator != 1 for c in out), (f, order)
-                if ints:
-                    assert all(type(c) is int for c in out)
+                assert all(type(c) is int for c in out), (f, order)
             checked += 1
         assert checked > 100
 
 
 class TestLaurentAtOne:
     def test_simple_pole(self):
-        exp = R(Polynomial.one(), {1: 1}).laurent_at_one(3)
+        exp = R([1], {1: 1}).laurent_at_one(3)
         assert exp.pole_order == 1
         assert list(exp.coefficients) == [1, 0, 0]
 
     def test_half_geometric(self):
-        exp = R(Polynomial.one(), {2: 1}).laurent_at_one(4)
+        exp = R([1], {2: 1}).laurent_at_one(4)
         assert exp.pole_order == 1
         assert list(exp.coefficients) == [F(1, 2), F(1, 4), F(1, 8), F(1, 16)]
 
     def test_double_pole(self):
-        exp = R(Polynomial.one(), {2: 1, 4: 1}).laurent_at_one(3)
+        exp = R([1], {2: 1, 4: 1}).laurent_at_one(3)
         assert exp.pole_order == 2
         assert list(exp.coefficients) == [F(1, 8), F(1, 4), F(9, 32)]
 
     def test_displayed_expansion_for_all_small_orders(self):
         # 1/(1-t^c) starts 1/c, (c-1)/(2c), (c^2-1)/(12c), (c^2-1)/(24c)
         for c in range(1, 51):
-            exp = R(Polynomial.one(), {c: 1}).laurent_at_one(4)
+            exp = R([1], {c: 1}).laurent_at_one(4)
             assert exp.pole_order == 1
             assert list(exp.coefficients) == [
                 F(1, c),
@@ -645,9 +572,9 @@ class TestLaurentAtOne:
         rng = random.Random(1)
         for _ in range(20):
             num_f, view_f = P({0: 1, rng.randint(1, 3): rng.randint(1, 3)}), Counter({rng.randint(1, 5): 1})
-            num_g, view_g = Polynomial.one(), Counter([rng.randint(1, 5), rng.randint(1, 4)])
+            num_g, view_g = [1], Counter([rng.randint(1, 5), rng.randint(1, 4)])
             # f * g is one reduction of the product numerator over both views
-            fg = R(num_f * num_g, view_f + view_g)
+            fg = R(mul(num_f.to_dense(), num_g), view_f + view_g)
             depth = 5
             ef, eg, ep = (
                 R(num_f, view_f).laurent_at_one(depth),
@@ -678,14 +605,12 @@ class TestLaurentAtOne:
         # also once j exceeds the (1 - t)-multiplicity of the denominator
         rng = random.Random(11)
         for _ in range(40):
-            f, _ = random_factored(rng, [0, 1, -1, 2, F(1, 3)])
+            f, _ = random_factored(rng, [0, 1, -1, 2, 3])
             if f.is_zero():
                 continue
             want = f.laurent_at_one(4)
             for j in range(1, 5):
-                g = RationalFunction.from_factored(
-                    f.numerator * power(one_minus(1), j), _factor_exponents(f.phi_content)
-                )
+                g = R(mul(f.numerator.to_dense(), power(one_minus(1), j)), _factor_exponents(f.phi_content))
                 got = g.laurent_at_one(4)
                 assert got == LaurentExpansion(want.pole_order - j, want.coefficients), (f, j)
 
@@ -703,18 +628,17 @@ class TestLaurentAtOne:
             return out
 
         rng = random.Random(24)
-        polys = [Polynomial.zero(), P({0: 5}), one_minus(1), one_minus(6) * one_minus(1)]
+        polys = [[], [5], one_minus(1), mul(one_minus(6), one_minus(1))]
         for _ in range(60):
-            entries = [0, 1, -1, 2, -3, 7] + ([F(1, 2), F(-2, 3)] if rng.random() < 0.5 else [])
-            p = P({e: rng.choice(entries) for e in range(rng.randint(0, 9))})
-            polys.append(p * power(one_minus(1), rng.randint(0, 3)))
-        for p in polys:
+            entries = [0, 1, -1, 2, -3, 7] + ([4, -5] if rng.random() < 0.5 else [])
+            p = [rng.choice(entries) for _ in range(rng.randint(0, 9))]
+            polys.append(mul(p, power(one_minus(1), rng.randint(0, 3))))
+        for p in map(P, map(enumerate, polys)):
             deg = -1 if p.is_zero() else p.degree
             for order in (1, 2, deg + 1, deg + 4):
                 got = list(islice(exact._taylor_at_one(p), order))
                 assert got == binomial(p, order), (p, order)
-                if all(type(c) is int for _, c in p.items()):
-                    assert all(type(c) is int for c in got), (p, order)
+                assert all(type(c) is int for c in got), (p, order)
 
     def test_one_fraction_per_coefficient(self):
         # the Taylor expansions and the series division run in ints, and each
@@ -734,15 +658,15 @@ class TestLaurentAtOne:
 
 class TestDegree:
     def test_examples(self):
-        assert R(Polynomial.one(), {5: 1}).degree == -5
+        assert R([1], {5: 1}).degree == -5
         assert R(P({0: 1, 3: 1}), {1: 2}).degree == 1
 
     def test_multiplicative(self):
         rng = random.Random(2)
         for _ in range(20):
             num_f, view_f = P({rng.randint(0, 3): 1, 4: 1}), Counter({rng.randint(1, 6): 1})
-            num_g, view_g = Polynomial.one(), Counter({rng.randint(1, 6): 1})
-            fg = R(num_f * num_g, view_f + view_g)
+            num_g, view_g = [1], Counter({rng.randint(1, 6): 1})
+            fg = R(mul(num_f.to_dense(), num_g), view_f + view_g)
             assert fg.degree == R(num_f, view_f).degree + R(num_g, view_g).degree
 
     def test_zero_function(self):
@@ -752,34 +676,36 @@ class TestDegree:
 
 class TestArithmeticConsistency:
     def test_view_numerator_consistency(self):
-        f = R(Polynomial.one(), {2: 1, 4: 1})
+        f = R([1], {2: 1, 4: 1})
         assert f.view_numerator() == f.numerator
 
     def test_view_numerator_matches_multiply_divide(self):
         # oracle: multiply by the expanded view, divide by the denominator
         def oracle(f):
             view = dict(f.factored_denominator)
-            return divide_exact(f.numerator * _expand_view(view), f.denominator)
+            return divide_exact(
+                mul(f.numerator.to_dense(), _expand_view(view).to_dense()), f.denominator.to_dense()
+            )
 
         rng = random.Random(10)
         for _ in range(80):
-            f, view = random_factored(rng, [0, 1, -1, 3, F(1, 2), F(-2, 3)])
+            f, view = random_factored(rng, [0, 1, -1, 3, 2, -4])
             if f.is_zero():
                 continue
             if f.factored_denominator is not None:
-                assert f.view_numerator() == oracle(f)
+                assert f.view_numerator().to_dense() == oracle(f)
             # any view covering the unreduced one covers the denominator
             wider = view + Counter({rng.randint(1, 12): rng.randint(0, 2)})
             g = RationalFunction(f.numerator, f.phi_content, wider, _reduced=True)
             out = g.view_numerator()
-            assert out == oracle(g)
-            assert all(type(c) is int or c.denominator != 1 for _, c in out.items())
+            assert out.to_dense() == oracle(g)
+            assert all(type(c) is int for _, c in out.items())
         for raw in [(-4, -4, -2, -2, 1, 3), (-4, -3, 1, 2, 4), (-3, -2, -1, 1, 2, 3), (-2, -1, 1, 3)]:
             f = hilbert_series(validate(raw))
-            assert f.view_numerator() == oracle(f), raw
+            assert f.view_numerator().to_dense() == oracle(f), raw
 
     def test_view_numerator_uncovered_view(self):
-        f = RationalFunction.from_factored(Polynomial.one(), {2: 1, 3: 1})
+        f = R([1], {2: 1, 3: 1})
         g = RationalFunction(f.numerator, f.phi_content, {2: 2}, _reduced=True)
         with pytest.raises(InternalInvariantViolation):
             g.view_numerator()

@@ -22,7 +22,7 @@ from circleinv.hilbert import (
     verify_against_oracle,
 )
 from circleinv.weights import canonical_key, validate
-from helpers import divide_exact, one_multiplicity
+from helpers import divide_exact, mul, one_multiplicity
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import engine_pool, engine_vectors, sweep_family  # noqa: E402
@@ -31,7 +31,8 @@ ONE = Polynomial.one()
 
 
 def from_view(num, view):
-    return RationalFunction.from_factored(num, view)
+    """from_factored on num, a dense list or a Polynomial."""
+    return RationalFunction.from_factored(num.to_dense() if isinstance(num, Polynomial) else num, view)
 
 
 class TestSection:
@@ -537,11 +538,9 @@ def _brute_force_view(f):
         covered = Counter(e for d in ds for e in content if d % e == 0)
         if any(covered[e] < m for e, m in content.items()):
             continue
-        product = ONE
-        for d in ds:
-            product = product * Polynomial({0: 1, d: -1})
-        h = divide_exact(f.numerator * product, f.denominator)
-        if all(c >= 0 for _, c in h.items()):
+        product = mul(f.numerator.to_dense(), *([1] + [0] * (d - 1) + [-1] for d in ds))
+        h = divide_exact(product, f.denominator.to_dense())
+        if min(h) >= 0:
             return ds
     return None
 
@@ -749,10 +748,8 @@ class TestPresentation:
         steps = self._count_search_steps(monkeypatch)
         f = hilbert_series(validate((-5, -3, -1, 1)))
         assert len(steps) > 0
-        product = ONE
-        for d in (2, 2, 12):
-            product = product * Polynomial({0: 1, d: -1})
-        assert divide_exact(f.numerator * product, f.denominator) == Polynomial({0: 1, 2: -1, 4: 1})
+        product = mul(f.numerator.to_dense(), *([1] + [0] * (d - 1) + [-1] for d in (2, 2, 12)))
+        assert divide_exact(product, f.denominator.to_dense()) == [1, 0, -1, 0, 1]
         assert f.factored_denominator == ((2, 1), (4, 1), (6, 1))
         assert _flat_view(f) == _brute_force_view(f)
 

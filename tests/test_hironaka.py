@@ -7,7 +7,7 @@ import pytest
 from circleinv import hironaka
 from circleinv.cli import main
 from circleinv.errors import OutOfRange
-from circleinv.exact import Polynomial, RationalFunction
+from circleinv.exact import RationalFunction
 from circleinv.hironaka import (
     HironakaData,
     gamma_cm,
@@ -229,10 +229,10 @@ class TestGammaCM:
 class TestHilbFromHironaka:
     def test_examples(self):
         assert hilb_from_hironaka(HironakaData((2, 4), (0,))) == (
-            RationalFunction.from_factored(Polynomial.one(), {2: 1, 4: 1})
+            RationalFunction.from_factored([1], {2: 1, 4: 1})
         )
         f = hilb_from_hironaka(HironakaData((1,), (0, 1)))
-        assert f == RationalFunction.from_factored(Polynomial({0: 1, 1: 1}), {1: 1})
+        assert f == RationalFunction.from_factored([1, 1], {1: 1})
 
     def test_four_weight_series_as_decomposition(self):
         betas = (0, 3, 6, 9, 9, 10, 11, 12, 12, 13, 14, 15)

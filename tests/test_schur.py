@@ -6,7 +6,6 @@ from math import prod
 import pytest
 
 from circleinv.errors import OutOfRange, RepeatedVariables, ZeroBase
-from circleinv.exact import Polynomial
 from circleinv.schur import (
     _expansion_terms,
     laurent_schur,
@@ -18,7 +17,7 @@ from circleinv.schur import (
     schur_tableaux,
     vandermonde,
 )
-from helpers import divide_exact, elementary_symmetric, power
+from helpers import add, divide_exact, elementary_symmetric, mul, power
 
 
 class TestVandermonde:
@@ -315,18 +314,17 @@ class TestContinuityAtRepeats:
         # det route at xs = (a, a + eps): the ratio is a polynomial in eps
         # whose value at eps = 0 must equal the expansion route at (a, a)
         for a, y_vals, u in [
-            (F(-1), [F(1)], 0),
-            (F(-2), [F(3)], 1),
-            (F(-1), [F(1), F(2)], 2),
-            (F(-3), [F(2)], -1),
+            (-1, [1], 0),
+            (-2, [3], 1),
+            (-1, [1, 2], 2),
+            (-3, [2], -1),
         ]:
             k, m = 2, len(y_vals)
             n = k + m
-            # rows as polynomials in eps: x1 = a, x2 = a + eps
+            # rows as polynomials in eps, dense lists: x1 = a, x2 = a + eps
             def xpow(base_shift, e):
-                # (a + eps*base_shift)^e as a Polynomial in eps
-                p = Polynomial({0: a, 1: base_shift})
-                return power(p, e) if e >= 0 else None
+                # (a + eps*base_shift)^e as a polynomial in eps
+                return power([a, base_shift], e) if e >= 0 else None
 
             exponents = [u] + list(range(n - 2, -1, -1))
             if u < 0:
@@ -334,19 +332,13 @@ class TestContinuityAtRepeats:
             rows = []
             for i, e in enumerate(exponents):
                 row = [xpow(0, e), xpow(1, e)]
-                row += [
-                    Polynomial({0: F(0)}) if i == 0 else Polynomial({0: y**e})
-                    for y in y_vals
-                ]
+                row += [[] if i == 0 else [y**e] for y in y_vals]
                 rows.append(row)
             det = _poly_det(rows)
-            v_eps = Polynomial({1: 1})  # x1 - x2 = -eps, V = -eps... sign below
             # V(xs) = x1 - x2 = -eps
-            vx = Polynomial({1: -1})
-            vy = Polynomial({0: vandermonde(y_vals)})
-            quotient = divide_exact(det, vx * vy)
+            quotient = divide_exact(det, mul([0, -1], [vandermonde(y_vals)]))
             assert quotient is not None, "determinant must vanish with the Vandermonde"
-            limit = quotient.coefficient(0)
+            limit = quotient[0] if quotient else 0
             assert limit == partial_schur_expansion(u, [a, a], y_vals)
 
 
@@ -354,7 +346,7 @@ def _poly_det(rows):
     import itertools
 
     n = len(rows)
-    total = Polynomial.zero()
+    total = []
     for perm in itertools.permutations(range(n)):
         sign = 1
         seen = list(perm)
@@ -362,8 +354,6 @@ def _poly_det(rows):
             for j in range(i + 1, n):
                 if seen[i] > seen[j]:
                     sign = -sign
-        term = Polynomial({0: F(sign)})
-        for i in range(n):
-            term = term * rows[i][perm[i]]
-        total = total + term
+        term = mul([sign], *(rows[i][perm[i]] for i in range(n)))
+        total = add(total, term)
     return total
