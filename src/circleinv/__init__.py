@@ -1,5 +1,5 @@
 """Exact Hilbert series, Laurent coefficients and Gorenstein diagnosis for
-invariant rings of circle weight actions."""
+invariant rings of circle weight actions; the Hironaka names load on first use."""
 
 from .exact import LaurentExpansion, Polynomial, RationalFunction
 from .gorenstein import (
@@ -15,7 +15,6 @@ from .hilbert import (
     hilbert_series,
     oracle_coefficients,
 )
-from .hironaka import HironakaData, gamma_cm, hilb_from_hironaka
 from .laurent import GammaVector, gamma0, gamma1, gamma2, gamma3, gammas
 from .schur import (
     partial_schur,
@@ -57,3 +56,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in ("HironakaData", "gamma_cm", "hilb_from_hironaka"):
+        from . import hironaka
+
+        return getattr(hironaka, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

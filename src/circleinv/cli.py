@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
 
-from . import gorenstein, hironaka, laurent, schur
+from . import gorenstein, laurent, schur
 from .errors import ValidationError
 from .exact import Polynomial, RationalFunction, _expand_view
 from .hilbert import hilbert_series, oracle_coefficients
@@ -173,6 +173,8 @@ def cmd_schur(args) -> int:
 
 
 def cmd_hironaka(args) -> int:
+    from . import hironaka  # only this command loads it
+
     data = hironaka.HironakaData(
         tuple(_parse_list(args.alphas, int, "--alphas")),
         tuple(_parse_list(args.betas, int, "--betas")),

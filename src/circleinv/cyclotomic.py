@@ -29,7 +29,7 @@ of N that are compatible with the constraints
 Fraction per order.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -46,20 +46,19 @@ def _check_order(what: str, n):
         raise ValidationError(f"{what} must be positive, got {n}")
 
 
-@dataclass(frozen=True)
-class RootConstraint:
+class RootConstraint(namedtuple("RootConstraint", "ambient_order excluded_suborders")):
     """Roots zeta with zeta^ambient_order = 1 and zeta^d != 1 for each
-    excluded suborder d."""
+    excluded suborder d (a frozenset)."""
 
-    ambient_order: int
-    excluded_suborders: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_order("ambient order", self.ambient_order)
-        for d in self.excluded_suborders:
+    def __new__(cls, ambient_order, excluded_suborders):
+        _check_order("ambient order", ambient_order)
+        for d in excluded_suborders:
             _check_order("excluded suborder", d)
-            if self.ambient_order % d != 0:
+            if ambient_order % d != 0:
                 raise ValidationError("excluded suborder must divide the ambient order")
+        return tuple.__new__(cls, (ambient_order, excluded_suborders))
 
     def admissible_orders(self) -> list:
         """Exact orders e | N whose roots satisfy every constraint.

@@ -65,8 +65,7 @@ All values are immutable after construction and safe to share between
 threads; every operation returns a fresh value.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -178,15 +177,14 @@ def _taylor_at_one(p: Polynomial):
     yield from repeat(0)
 
 
-@dataclass(frozen=True)
-class LaurentExpansion:
-    """Pole order and leading exact coefficients of an expansion in (1 - t)."""
+class LaurentExpansion(namedtuple("LaurentExpansion", "pole_order coefficients")):
+    """Pole order and leading exact coefficients of an expansion in (1 - t),
+    the coefficients stored as a tuple."""
 
-    pole_order: int
-    coefficients: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+    def __new__(cls, pole_order, coefficients):
+        return tuple.__new__(cls, (pole_order, tuple(coefficients)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ that series against the oracle like any other.  Whichever route gives a
 Gorenstein verdict, the ratio identity is checked once after it.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InternalInvariantViolation
@@ -96,30 +96,30 @@ def _k1_a_invariant(v: WeightVector) -> int | None:
     return None
 
 
-@dataclass
-class GorensteinReport:
-    """One vector's diagnosis.  The verdict is the Stanley test:
-    ``classification`` and ``ratio_is_integer`` are read off
-    ``stanley_holds`` and ``ratio_2g1_g0``."""
+_REPORT_FIELDS = (
+    "weights zero_count faithful_scale dimension degenerate gamma0 gamma1 ratio_2g1_g0"
+    " stanley_holds sufficient_condition_hits hilbert degree"
+)
 
-    weights: tuple
-    zero_count: int
-    faithful_scale: int
-    dimension: int
-    degenerate: bool
-    gamma0: Fraction
-    gamma1: Fraction
-    ratio_2g1_g0: Fraction
-    stanley_holds: bool
-    sufficient_condition_hits: list = field(default_factory=list)
-    hilbert: RationalFunction | None = None
-    degree: int | None = None
 
-    def __post_init__(self):
-        if not self.ratio_is_integer and self.stanley_holds:
+class GorensteinReport(namedtuple("GorensteinReport", _REPORT_FIELDS)):
+    """One vector's diagnosis.  The verdict is the Stanley test: ``classification``
+    and ``ratio_is_integer`` are read off ``stanley_holds`` and ``ratio_2g1_g0``;
+    ``hilbert`` (the series) and ``degree`` (the a-invariant) may be None."""
+
+    __slots__ = ()
+
+    # the fields spelt out, not *args, **kwargs: one report per scan vector
+    def __new__(cls, weights, zero_count, faithful_scale, dimension, degenerate, gamma0, gamma1,
+                ratio_2g1_g0, stanley_holds, sufficient_condition_hits=(), hilbert=None, degree=None):
+        self = tuple.__new__(cls, (weights, zero_count, faithful_scale, dimension, degenerate,
+                                   gamma0, gamma1, ratio_2g1_g0, stanley_holds,
+                                   sufficient_condition_hits, hilbert, degree))
+        if not self.ratio_is_integer and stanley_holds:
             raise InternalInvariantViolation("non-integer ratio contradicts a Gorenstein verdict")
-        if self.sufficient_condition_hits and not self.stanley_holds:
+        if sufficient_condition_hits and not stanley_holds:
             raise InternalInvariantViolation("a sufficient condition fired on a non-Gorenstein vector")
+        return self
 
     @property
     def classification(self) -> str:

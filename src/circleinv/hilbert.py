@@ -55,8 +55,7 @@ unbounded quantities (sum c, N sum c, the pairs' degree), so the limit
 refuses the same vectors whatever the bounds save.
 """
 
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
 from math import comb, gcd
 from operator import add
 
@@ -84,14 +83,9 @@ DEGREE_LIMIT = 10**7
 MAX_ORACLE_CELLS = 5 * 10**7
 
 
-@dataclass(frozen=True)
-class SectionProblem:
-    """sign * u^shift / prod (1 - u^c) together with the extraction stride."""
-
-    sign: int
-    shift: int
-    factors: tuple  # positive exponents c, one per denominator factor
-    ratio: int  # N: keep series coefficients at indices 0, N, 2N, ...
+# sign * u^shift / prod (1 - u^c), factors the positive exponents c, one per
+# factor, and the extraction stride ratio N: keep coefficients 0, N, 2N, ...
+SectionProblem = namedtuple("SectionProblem", "sign shift factors ratio")
 
 
 def section_problem(exponents, ratio: int) -> SectionProblem:
@@ -246,7 +240,8 @@ def hilbert_degenerate(v: WeightVector) -> RationalFunction:
     _check_degree("pair-invariant denominator degree", _degree(pairs))
     content = Counter({e: min(m, v.n - 1) for e, m in _view_phi_multiset(pairs).items()})
     view = _factor_exponents(content)
-    coeffs = oracle_coefficients(replace(v, zero_count=0), _degree(view) - 1)
+    stripped = WeightVector(v.negatives, v.positives, 0, v.faithful_scale)
+    coeffs = oracle_coefficients(stripped, _degree(view) - 1)
     num = _apply_factors(coeffs, view)
     # Phi_1 = (1 - t)^1: each zero weight adds one to k_1 alone
     view[1] = view.get(1, 0) + v.zero_count

@@ -6,8 +6,7 @@ form of sum_k s(j,k) p_k(beta), and phi_n = sum_k lambda_{n-k}(k-d) td_k
 takes the Todd values from one product series.  The oracle,
 ``hilb_from_hironaka(data).laurent_at_one``, shares no code with it."""
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import factorial, prod
 
@@ -19,22 +18,24 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-@dataclass(frozen=True)
-class HironakaData:
-    alphas: tuple  # degrees of the homogeneous system of parameters, d >= 1
-    betas: tuple  # degrees of the module generators, r >= 1
+class HironakaData(namedtuple("HironakaData", "alphas betas")):
+    """Degrees of a homogeneous system of parameters (alphas, d >= 1) and of
+    the module generators (betas, r >= 1)."""
 
-    def __post_init__(self):
-        if not self.alphas or not self.betas:
+    __slots__ = ()
+
+    def __new__(cls, alphas, betas):
+        if not alphas or not betas:
             raise ValidationError("need at least one parameter and one generator degree")
-        for a in self.alphas:
+        for a in alphas:
             check_int("parameter degree", a)
-        for b in self.betas:
+        for b in betas:
             check_int("generator degree", b)
-        if any(a < 1 for a in self.alphas):
+        if any(a < 1 for a in alphas):
             raise ValidationError("parameter degrees must be positive")
-        if any(b < 0 for b in self.betas):
+        if any(b < 0 for b in betas):
             raise ValidationError("generator degrees must be nonnegative")
+        return tuple.__new__(cls, (alphas, betas))
 
 
 def _todd_values(alphas, m: int) -> list:

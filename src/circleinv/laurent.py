@@ -66,7 +66,7 @@ drop.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations, product, starmap
 from math import gcd, prod
@@ -80,11 +80,7 @@ from .schur import _power, scaled_schur_values
 from .weights import WeightVector
 
 
-@dataclass(frozen=True)
-class GammaVector:
-    values: tuple
-    method: str
-    pole_order: int
+GammaVector = namedtuple("GammaVector", "values method pole_order")
 
 
 def _require_stable(v: WeightVector):

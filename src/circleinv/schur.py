@@ -256,10 +256,12 @@ def _times_inverse_z(f: list, px: list) -> list:
 def scaled_schur_values(lo: int, hi: int, xs, ys) -> tuple:
     """(P, [P S_lo, ..., P S_hi]) with P = P_X(0)^max(0, -lo), by the
     remainder route (see the module docstring): integer inputs give ints
-    throughout.  OutOfRange when hi > n - 2, ZeroBase when lo < 0 and xs
-    holds a zero.  z f mod P_X is one pass over the coefficients p_i of
-    P_X below z^k: the entry of z^i becomes f_{i-1} - f_{k-1} p_i."""
+    throughout.  ValidationError when lo or hi is no int, OutOfRange when
+    hi > n - 2, ZeroBase when lo < 0 and xs holds a zero.  z f mod P_X is
+    one pass over the coefficients p_i of P_X below z^k: the entry of z^i
+    becomes f_{i-1} - f_{k-1} p_i."""
     k, m = len(xs), len(ys)
+    check_int("lo", lo)
     _check_u(hi, k + m)
     if k == 0 or hi < lo:
         return 1, [0] * max(hi - lo + 1, 0)

@@ -7,18 +7,47 @@ is *stable* when both signs occur and *generic* when the negative weights
 are pairwise distinct.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import Empty, Unstable, check_int
 
 
-@dataclass(frozen=True)
 class WeightVector:
-    negatives: tuple  # sorted ascending, all < 0
-    positives: tuple  # sorted ascending, all > 0
-    zero_count: int = 0
-    faithful_scale: int = 1
+    """Immutable (the gamma memo keys on the vector): one slot per field, set
+    once in ``__init__``, so a field read is a slot read on the hot paths."""
+
+    __slots__ = ("negatives", "positives", "zero_count", "faithful_scale")
+
+    def __init__(self, negatives, positives, zero_count=0, faithful_scale=1):
+        object.__setattr__(self, "negatives", negatives)  # sorted ascending, all < 0
+        object.__setattr__(self, "positives", positives)  # sorted ascending, all > 0
+        object.__setattr__(self, "zero_count", zero_count)
+        object.__setattr__(self, "faithful_scale", faithful_scale)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable WeightVector")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable WeightVector")
+
+    def _values(self) -> tuple:
+        return (self.negatives, self.positives, self.zero_count, self.faithful_scale)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through __init__, as __setattr__ refuses
+        return WeightVector, self._values()
+
+    def __repr__(self):
+        fields = "negatives={!r}, positives={!r}, zero_count={!r}, faithful_scale={!r}"
+        return f"WeightVector({fields.format(*self._values())})"
 
     @property
     def k(self) -> int:

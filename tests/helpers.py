@@ -1,7 +1,9 @@
 """Reference helpers shared by the test files; the package itself never needs
 them."""
 
+import copy
 import operator
+import pickle
 from fractions import Fraction
 
 from circleinv.errors import ZeroFunction
@@ -19,6 +21,14 @@ def elementary_symmetric(j: int, values) -> Fraction:
         for d in range(j, 0, -1):
             dp[d] += dp[d - 1] * v
     return dp[j]
+
+
+def assert_round_trips(record):
+    """A pickle round trip and a deepcopy each give back an equal record of
+    the same class."""
+    for again in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(again) is type(record)
+        assert again == record
 
 
 def add(*ps) -> list:

@@ -46,6 +46,14 @@ stderr (``usage`` for an argparse error).  The table covers every
 subcommand and the argvs the library refuses, the vectors past the degree
 limit included.  A refactor of ``cli`` or of a refusal is checked with it.
 
+One line, ``records``, hashes the ``repr`` of one fixed instance of each
+record type (two reports: one with its series, one short-circuit without),
+built through public calls (``validate``, ``gammas``,
+``laurent_at_one``, ``analyze``, ``section_problem``) or by its
+constructor (``HironakaData``, ``RootConstraint``).  Reprs, not ``hash()``
+values: a record holding a ``str`` hashes differently in each process.  A
+change to how the records are defined is checked with it.
+
 One line, ``trace_oracle_sweep``, hashes the trace oracle over every pair
 and triple root set of ``sweep_family()``: per vector, in order, the
 ``constrained_unity_sum`` values that ``tests/test_cyclotomic.py``'s
@@ -82,7 +90,8 @@ from circleinv.cyclotomic import RootConstraint, constrained_unity_sum  # noqa: 
 from circleinv.errors import Unstable  # noqa: E402
 from circleinv.exact import Polynomial  # noqa: E402
 from circleinv.gorenstein import analyze  # noqa: E402
-from circleinv.hilbert import hilbert_series  # noqa: E402
+from circleinv.hilbert import hilbert_series, section_problem  # noqa: E402
+from circleinv.hironaka import HironakaData  # noqa: E402
 from circleinv.laurent import _reduced, gammas  # noqa: E402
 from circleinv.weights import validate  # noqa: E402
 from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
@@ -214,6 +223,20 @@ def trace_oracle_output(raw) -> str:
     return " ".join(parts)
 
 
+def records() -> list:
+    v = validate((0, -2, 1, 3))
+    return [
+        v,
+        gammas(v, 3),
+        hilbert_series(v).laurent_at_one(4),
+        analyze(v, full=True),
+        analyze(validate((-3, 2, 5))),
+        HironakaData((2, 4), (0,)),
+        RootConstraint(6, frozenset({2, 3})),
+        section_problem([-1, 2, 15], 3),
+    ]
+
+
 CLI_ARGVS = [
     ["hilb", "-3,1,3"],
     ["hilb", "-1,2,3", "--method", "oracle"],
@@ -316,6 +339,7 @@ def main() -> None:
         report(name, family(), schur_gamma_output)
     report("cli_argv", CLI_ARGVS, cli_output)
     report("trace_oracle_sweep", sweep_family(), trace_oracle_output)
+    report("records", records(), repr)
 
 
 if __name__ == "__main__":

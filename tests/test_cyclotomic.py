@@ -35,7 +35,7 @@ from circleinv.weights import validate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
-from helpers import add, mul  # noqa: E402
+from helpers import add, assert_round_trips, mul  # noqa: E402
 
 ONE = Polynomial.one()
 
@@ -125,6 +125,11 @@ class TestConstrainedSum:
     def test_gessel_identity(self):
         c = RootConstraint(12, frozenset({1}))
         assert constrained_unity_sum(ONE, poly(one_minus_x(1)), c) == F(11, 2)
+
+    def test_constraint_record(self):
+        c = RootConstraint(6, frozenset({2, 3}))
+        assert c.admissible_orders() == [6]
+        assert_round_trips(c)
 
     def test_excluded_must_divide(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from circleinv.exact import Polynomial
 from circleinv.hilbert import oracle_coefficients
 from circleinv.hironaka import HironakaData, gammas_cm, hilb_from_hironaka
 from circleinv.laurent import gammas
-from circleinv.schur import partial_schur
+from circleinv.schur import partial_schur, partial_schur_values
 from circleinv.weights import validate
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "circleinv"
@@ -88,6 +88,10 @@ def test_non_int_upto_refused(call, upto):
         lambda: partial_schur(True, [1, 2], [3]),
         # OutOfRange with "u=1.5 exceeds the admissible maximum 0"
         lambda: partial_schur(1.5, [1], [2]),
+        # a TypeError (exit 3)
+        lambda: partial_schur_values(1.5, 1, [-1], [2, 3]),
+        # answered as for lo = 1
+        lambda: partial_schur_values(True, 1, [-1], [2, 3]),
     ],
     ids=[
         "polynomial_float",
@@ -103,6 +107,8 @@ def test_non_int_upto_refused(call, upto):
         "trace_sum_float_order",
         "partial_schur_bool_u",
         "partial_schur_float_u",
+        "partial_schur_values_float_lo",
+        "partial_schur_values_bool_lo",
     ],
 )
 def test_bad_argument_refused(call):

@@ -35,7 +35,7 @@ from circleinv.exact import (
 from circleinv.cli import _scan_candidates
 from circleinv.hilbert import hilbert_generic, hilbert_series
 from circleinv.weights import validate
-from helpers import add, divide_exact, mul, one_multiplicity, power
+from helpers import add, assert_round_trips, divide_exact, mul, one_multiplicity, power
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
@@ -617,6 +617,12 @@ class TestLaurentAtOne:
     def test_zero_function(self):
         with pytest.raises(ZeroFunction):
             RationalFunction.zero().laurent_at_one(1)
+
+    def test_record(self):
+        # the coefficients are stored as a tuple, whatever iterable built them
+        exp = LaurentExpansion(-1, [F(1, 2)])
+        assert type(exp.coefficients) is tuple and exp.coefficients == (F(1, 2),)
+        assert_round_trips(R([1], {2: 1, 4: 1}).laurent_at_one(4))
 
     def test_taylor_at_one_matches_binomials(self):
         # p(1 - s) = sum_e c_e (1 - s)^e by the binomial theorem, modulo s^order

@@ -28,7 +28,7 @@ from circleinv.gorenstein import (
 from circleinv.hilbert import hilbert_series
 from circleinv.laurent import GammaVector, gammas
 from circleinv.weights import canonical_key, validate
-from helpers import elementary_symmetric, mul, partial_schur_of
+from helpers import assert_round_trips, elementary_symmetric, mul, partial_schur_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import engine_pool, sweep_family  # noqa: E402
@@ -361,6 +361,13 @@ class TestAnalyze:
         assert report.classification == "Gorenstein" and report.ratio_is_integer is True
         report = GorensteinReport(ratio_2g1_g0=F(3, 2), stanley_holds=False, **common)
         assert report.classification == "NotGorenstein" and report.ratio_is_integer is False
+        # no hits, no series and no degree by default
+        assert report[-3:] == ((), None, None)
+
+    def test_report_record(self):
+        report = analyze(validate((-2, 1, 3)), full=True)
+        assert report.hilbert is not None and report.sufficient_condition_hits == [K1_DIVISIBILITY]
+        assert_round_trips(report)
 
     def test_gorenstein_consistency_family(self):
         # whenever Stanley holds: the ratio is an integer and matches

@@ -22,7 +22,7 @@ from circleinv.hilbert import (
     verify_against_oracle,
 )
 from circleinv.weights import canonical_key, validate
-from helpers import divide_exact, mul, one_multiplicity
+from helpers import assert_round_trips, divide_exact, mul, one_multiplicity
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import engine_pool, engine_vectors, sweep_family  # noqa: E402
@@ -36,6 +36,11 @@ def from_view(num, view):
 
 
 class TestSection:
+    def test_problem_record(self):
+        problem = section_problem([-1, 2, 15], 3)
+        assert problem == hilbert.SectionProblem(sign=-1, shift=1, factors=(1, 2, 15), ratio=3)
+        assert_round_trips(problem)
+
     def test_identity_coefficients(self):
         assert from_view(*section(section_problem([1], 2))) == from_view(ONE, {1: 1})
 

@@ -17,7 +17,7 @@ from circleinv.hironaka import (
     phi,
     todd,
 )
-from helpers import elementary_symmetric
+from helpers import assert_round_trips, elementary_symmetric
 
 
 class TestTodd:
@@ -241,6 +241,12 @@ class TestHilbFromHironaka:
         from circleinv.weights import validate
 
         assert hilb_from_hironaka(data) == hilbert_series(validate((-1, -2, 1, 14)))
+
+    def test_data_record(self):
+        data = HironakaData((2, 4), (0,))
+        assert_round_trips(data)
+        # a named tuple: iterable, and equal to the plain tuple of its fields
+        assert list(data) == [(2, 4), (0,)] and data == ((2, 4), (0,))
 
     def test_validation(self):
         with pytest.raises(ValueError):

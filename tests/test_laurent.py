@@ -16,6 +16,7 @@ from circleinv.cli import _scan_candidates
 from circleinv.errors import Unstable
 from circleinv.hilbert import hilbert_series
 from circleinv.laurent import (
+    GammaVector,
     _reduced,
     gamma0,
     gamma1,
@@ -24,7 +25,7 @@ from circleinv.laurent import (
     gammas,
 )
 from circleinv.weights import WeightVector, canonical_key, validate
-from helpers import elementary_symmetric, partial_schur_of
+from helpers import assert_round_trips, elementary_symmetric, partial_schur_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import engine_pool, engine_vectors, sweep_family  # noqa: E402
@@ -430,6 +431,11 @@ class TestMildCoprimality:
 
 
 class TestDispatch:
+    def test_gamma_vector_record(self):
+        g = gammas(validate((-3, 1, 3)), 3)
+        assert g == GammaVector(values=g.values, method=g.method, pole_order=g.pole_order)
+        assert_round_trips(g)
+
     def test_gammas_vector(self):
         v = validate((-2, 3))
         g = gammas(v, 3, "schur")

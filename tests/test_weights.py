@@ -5,7 +5,8 @@ import pytest
 
 from circleinv.errors import Empty, Unstable, ValidationError
 from circleinv.hilbert import hilbert_series
-from circleinv.weights import canonical_key, validate
+from circleinv.weights import WeightVector, canonical_key, validate
+from helpers import assert_round_trips
 
 
 class TestValidate:
@@ -58,6 +59,34 @@ class TestValidate:
     def test_genericity_flags(self):
         assert validate((-1, -2, 3)).is_generic
         assert not validate((-5, -5, 2, 3)).is_generic
+
+
+class TestRecord:
+    def test_pickle_and_deepcopy(self):
+        v = validate((0, -2, 4, 6))
+        assert (v.zero_count, v.faithful_scale) == (1, 2)
+        assert_round_trips(v)
+        assert hash(v) == hash(WeightVector((-1,), (2, 3), 1, 2))
+
+    def test_immutable(self):
+        v = validate((-1, 2, 3))
+        with pytest.raises(AttributeError):
+            v.zero_count = 1
+        with pytest.raises(AttributeError):
+            del v.negatives
+        with pytest.raises(AttributeError):
+            v.extra = 0
+        assert v == WeightVector((-1,), (2, 3))
+
+    def test_not_a_tuple(self):
+        # unlike the named-tuple records, a vector equals only a vector
+        assert WeightVector((-1,), (1,)) != ((-1,), (1,), 0, 1)
+        assert WeightVector((-1,), (1,)) == WeightVector(negatives=(-1,), positives=(1,))
+
+    def test_repr(self):
+        assert repr(validate((0, -2, 4, 6))) == (
+            "WeightVector(negatives=(-1,), positives=(2, 3), zero_count=1, faithful_scale=2)"
+        )
 
 
 class TestCanonicalKey:
